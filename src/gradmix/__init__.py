@@ -25,6 +25,7 @@ from .corpora import (
     MixedDataset,
     OracleBank,
     ShotBank,
+    Split,
     SyntheticProfile,
     batch_iter,
     build_mixed_dataset,
@@ -92,6 +93,7 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
     "LanguageCorpus",
+    "Split",
     "LanguageProfile",
     "SyntheticProfile",
     "ShotBank",

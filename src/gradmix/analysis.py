@@ -17,8 +17,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .corpora import LanguageCorpus, ShotBank
-from .models import ModelState, loss_and_grad, make_batch
+from .corpora import LanguageCorpus, ShotBank, Split
+from .models import ModelState, loss_and_grad
 from .numcore import ContractViolation, ParamVec, cosine_similarity, norm
 
 
@@ -62,7 +62,7 @@ def micro_f1(predictions, gold, outside_label: int) -> float:
 
 def language_gradient(
     model: ModelState,
-    data: Union[LanguageCorpus, Sequence],
+    data: Union[LanguageCorpus, Split],
     role: str,
     rng: Optional[np.random.Generator] = None,
     batch_size: int = 32,
@@ -72,7 +72,7 @@ def language_gradient(
 
     source: mean gradient over `n_batches` uniformly sampled train batches
     (requires `rng`). target: full-batch gradient over its oracle/shot
-    examples, passed as a sequence of (features, label) pairs.
+    examples, passed as a Split, in their split order.
     """
     if role == "source":
         if not isinstance(data, LanguageCorpus):
@@ -86,15 +86,12 @@ def language_gradient(
         acc = np.zeros(model.theta.dim)
         for _ in range(n_batches):
             idx = rng.choice(n, size=size, replace=False)
-            batch = make_batch([data.train[i] for i in idx], keys=idx)
-            acc += loss_and_grad(model, batch).grad.values
+            acc += loss_and_grad(model, data.train.batch(idx)).grad.values
         return ParamVec(acc / n_batches)
     if role == "target":
-        examples = list(data)
-        if not examples:
+        if len(data) == 0:
             raise ContractViolation("target gradient needs at least one example")
-        batch = make_batch(examples)
-        return loss_and_grad(model, batch).grad
+        return loss_and_grad(model, data.batch()).grad
     raise ContractViolation(f"unknown role {role!r}")
 
 
@@ -140,6 +137,9 @@ def similarity_matrix(
     n = len(langs)
     sums = [[0.0] * n for _ in range(n)]
     missing = [[False] * n for _ in range(n)]
+    shot_data = {
+        c.lang_id: c.train.take(shots.indices(c.lang_id)) for c in corpora if c.role != "source"
+    }
     for model in checkpoints:
         grads: List[ParamVec] = []
         for c in corpora:
@@ -149,8 +149,7 @@ def similarity_matrix(
                     n_batches=n_source_batches,
                 )
             else:
-                examples = [c.train[i] for i in shots.indices(c.lang_id)]
-                g = language_gradient(model, examples, "target")
+                g = language_gradient(model, shot_data[c.lang_id], "target")
             grads.append(g)
         for i in range(n):
             di = norm(grads[i])
@@ -257,6 +256,17 @@ def aggregate_runs(records: Sequence[dict]) -> dict:
     return {"format_version": 1, "grid": grid}
 
 
+def argmax_earliest(curve: Sequence[float]) -> int:
+    """1-based index of the max, earliest epoch on ties."""
+    best_epoch = 1
+    best = curve[0]
+    for i, v in enumerate(curve[1:], start=2):
+        if v > best:
+            best = v
+            best_epoch = i
+    return best_epoch
+
+
 def overfit_flags(record: dict) -> Dict[str, bool]:
     """True for each target language whose dev curve peaks at epoch 1
     (earliest epoch wins ties), the signature of immediate overfitting."""
@@ -265,11 +275,6 @@ def overfit_flags(record: dict) -> Dict[str, bool]:
     for lang, curve in record["dev_curves"].items():
         if lang == source or not curve:
             continue
-        best_epoch = 1
-        best = curve[0]
-        for i, v in enumerate(curve[1:], start=2):
-            if v > best:
-                best = v
-                best_epoch = i
-        flags[lang] = best_epoch == 1
+        flags[lang] = argmax_earliest(curve) == 1
     return flags
+

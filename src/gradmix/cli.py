@@ -73,32 +73,6 @@ class ExperimentConfig:
         }
 
 
-def default_config() -> ExperimentConfig:
-    """The shipped experiment: every strategy, the standard K grid, 5 seeds,
-    on the default synthetic benchmark."""
-    return ExperimentConfig(
-        benchmark={"kind": "default"},
-        model={"family": "softmax_classifier", "hidden_dim": 64},
-        strategies=(
-            "zero_shot", "ord_fs", "ord_fs_dev", "mix_ft",
-            "naive_mix_train", "gradient_mix_train",
-        ),
-        ks=(1, 5, 10),
-        seeds=(1, 2, 3, 4, 5),
-        plan={
-            "alpha": 0.6,
-            "source_epochs": 10,
-            "adapt_epochs": 10,
-            "batch_size": 32,
-            "adapt_batch_size": None,
-            "lr": 0.5,
-            "shot_mode": "n_way_k_shot",
-        },
-        analysis_seed=0,
-        analysis_source_batches=100,
-    )
-
-
 def parse_config(doc: dict) -> ExperimentConfig:
     try:
         grid = doc["grid"]
@@ -234,14 +208,6 @@ def run_cell(cfg: ExperimentConfig, task: Task, strategy: str, k: int, seed: int
     return result.record
 
 
-def _worker(config_doc: dict, cell: Tuple[str, int, int], out_str: str):
-    cfg = parse_config(config_doc)
-    task, _ = build_benchmark(cfg)
-    strategy, k, seed = cell
-    record = run_cell(cfg, task, strategy, k, seed, Path(out_str))
-    return cell, record
-
-
 def write_sim_matrices(cfg: ExperimentConfig, task: Task, records: Sequence[dict],
                        out: Path) -> List[Path]:
     """One similarity-matrix CSV per (strategy, k) group with a single final
@@ -333,7 +299,13 @@ def write_manifest(out: Path, failures: List[dict]) -> Path:
 
 
 def run_experiment(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> int:
-    """Execute the full grid; returns 0 iff every cell succeeded."""
+    """Execute the full grid; returns 0 iff every cell succeeded.
+
+    `out` must be missing or empty: the manifest lists every file under it,
+    so a used tree would mix another run's artifacts into this one's.
+    """
+    if out.is_dir() and any(out.iterdir()):
+        raise ContractViolation(f"output directory {out} is not empty; choose a new --out")
     out.mkdir(parents=True, exist_ok=True)
     write_json(out / "config.json", cfg.canonical_dict())
     task, manifest = build_benchmark(cfg)
@@ -344,15 +316,11 @@ def run_experiment(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> int:
     records: List[dict] = []
     failures: List[dict] = []
     if jobs > 1:
-        doc = cfg.canonical_dict()
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {
-                pool.submit(_worker, doc, cell, str(out)): cell for cell in cells
-            }
+            futures = {pool.submit(run_cell, cfg, task, *cell, out): cell for cell in cells}
             for fut, cell in futures.items():
                 try:
-                    _, record = fut.result()
-                    records.append(record)
+                    records.append(fut.result())
                 except Exception as exc:
                     failures.append({"cell": cell_name(*cell), "error": str(exc)})
     else:
@@ -379,9 +347,9 @@ def run_experiment(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> int:
     return 0 if not failures else 1
 
 
-def export_artifacts(out: Path, table: bool = True) -> int:
+def export_artifacts(out: Path) -> int:
     """Rebuild the aggregate report, the text table, and the similarity CSVs
-    from a completed run tree."""
+    from a completed run tree, and print the table."""
     config_path = out / "config.json"
     if not config_path.exists():
         raise ContractViolation(f"no config.json under {out}; not a run tree")
@@ -400,10 +368,9 @@ def export_artifacts(out: Path, table: bool = True) -> int:
     records.sort(key=lambda r: (r["strategy"], r["k"], r["seed"]))
     report = analysis.aggregate_runs(records)
     write_json(out / "aggregate" / "report.json", report)
-    if table:
-        text = format_table(report, records[0]["source_lang"])
-        (out / "aggregate" / "table.txt").write_text(text, encoding="utf-8")
-        print(text)
+    text = format_table(report, records[0]["source_lang"])
+    (out / "aggregate" / "table.txt").write_text(text, encoding="utf-8")
+    print(text)
     task, _ = build_benchmark(cfg)
     write_sim_matrices(cfg, task, records, out)
     return 0
@@ -421,7 +388,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_run.add_argument("--jobs", type=int, default=1)
     p_exp = sub.add_parser("export", help="re-emit tables and CSVs from a run tree")
     p_exp.add_argument("--out", required=True, type=Path)
-    p_exp.add_argument("--table", action="store_true", default=True)
     args = parser.parse_args(argv)
 
     try:
@@ -429,7 +395,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             cfg = load_config(args.config)
             return run_experiment(cfg, args.out, jobs=args.jobs)
         if args.command == "export":
-            return export_artifacts(args.out, table=args.table)
+            return export_artifacts(args.out)
     except ContractViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

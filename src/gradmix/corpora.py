@@ -6,6 +6,17 @@ rotated and translated copy of the source means: languages sharing a script
 tag share the rotation and differ only by translation, and distance from
 the source is the rotation angle. That gives a controllable desk-scale
 analog of cross-language distribution shift.
+
+Array layout. This module owns the one format examples take everywhere.
+Each split of a corpus is a `Split` of read-only arrays. For
+classification it is `X` (n, D) float64 and `y` (n,) int64, one row per
+example. For token tagging it is the flat tokens of all sequences, `X`
+(T, D) and `y` (T,), plus `offsets` (n+1,): sequence i is rows
+offsets[i]:offsets[i+1]. `len()` counts examples, not tokens. The training
+pool (`MixedDataset`) concatenates splits, and a `Batch` holds the pool
+rows of some keys, gathered once and sorted by key. Data from outside the
+program is checked once, as whole arrays, where it enters: `Split` and
+`LanguageCorpus` construction, `ingest_tsv` and `make_batch`.
 """
 
 from __future__ import annotations
@@ -17,24 +28,128 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .models import Batch
 from .numcore import ContractViolation, RngStreams
 
 TASKS = ("classification", "token_tags")
 ROLES = ("source", "target")
 SPLITS = ("train", "dev", "test")
 
-Example = Tuple[np.ndarray, Union[int, np.ndarray]]
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
-def _freeze_example(x: np.ndarray, y) -> Example:
-    x = np.asarray(x, dtype=np.float64)
-    x.setflags(write=False)
-    if isinstance(y, np.ndarray):
-        y = np.asarray(y, dtype=np.int64)
-        y.setflags(write=False)
-        return (x, y)
-    return (x, int(y))
+@dataclass(frozen=True, eq=False)
+class Batch:
+    """Examples in canonical order: rows sorted by `keys`, the canonical
+    example ids (pool indices). Two batches of the same (key, example)
+    pairs give bitwise-identical losses, whatever order the pairs were
+    drawn in. Build one with `make_batch` or `Split.batch`.
+    """
+
+    X: np.ndarray  # (rows, D): one row per example, or per token (tagger)
+    y: np.ndarray  # (rows,)
+    keys: np.ndarray  # (n,), non-decreasing
+    offsets: Optional[np.ndarray] = None  # (n+1,) sequence bounds (tagger)
+
+    def __post_init__(self) -> None:
+        for a in (self.X, self.y, self.keys, self.offsets):
+            if a is not None:
+                _frozen(a)
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    @property
+    def xs(self) -> List[np.ndarray]:
+        # Token matrix of each sequence (tagger batches); perfbench/tracing.py counts tokens here.
+        return np.split(self.X, self.offsets[1:-1])
+
+
+@dataclass(frozen=True, eq=False)
+class Split:
+    """One split's examples as read-only arrays (layout in the module
+    docstring). Construction copies and checks the arrays."""
+
+    X: np.ndarray
+    y: np.ndarray
+    offsets: Optional[np.ndarray] = None
+
+    def __post_init__(self) -> None:
+        X = np.array(self.X, dtype=np.float64)
+        y = np.array(self.y, dtype=np.int64)
+        if X.ndim != 2:
+            raise ContractViolation(f"features must be a 2-D array, got shape {X.shape}")
+        if y.shape != (X.shape[0],):
+            raise ContractViolation(f"{X.shape[0]} feature rows vs labels of shape {y.shape}")
+        object.__setattr__(self, "X", _frozen(X))
+        object.__setattr__(self, "y", _frozen(y))
+        if self.offsets is not None:
+            off = np.array(self.offsets, dtype=np.int64)
+            if (off.ndim != 1 or off.size == 0 or off[0] != 0 or off[-1] != X.shape[0]
+                    or np.any(np.diff(off) < 0)):
+                raise ContractViolation(
+                    f"sequence offsets must rise from 0 to {X.shape[0]} tokens"
+                )
+            object.__setattr__(self, "offsets", _frozen(off))
+
+    def __len__(self) -> int:
+        return len(self.y) if self.offsets is None else len(self.offsets) - 1
+
+    def _rows(self, idx: np.ndarray):
+        """X, y and offsets of the examples at `idx`, in that order."""
+        if self.offsets is None:
+            return self.X[idx], self.y[idx], None
+        starts = self.offsets[idx]
+        lens = self.offsets[idx + 1] - starts
+        offsets = np.zeros(len(idx) + 1, dtype=np.int64)
+        np.cumsum(lens, out=offsets[1:])
+        rows = np.repeat(starts - offsets[:-1], lens) + np.arange(offsets[-1])
+        return self.X[rows], self.y[rows], offsets
+
+    def take(self, idx: Sequence[int]) -> "Split":
+        """The examples at `idx`, in that order."""
+        return Split(*self._rows(np.asarray(idx, dtype=np.int64)))
+
+    def batch(self, keys: Optional[Sequence[int]] = None) -> Batch:
+        """The examples at `keys` as a Batch, gathered in key order; with
+        no keys, every example in split order, keyed by position."""
+        if keys is None:
+            return Batch(X=self.X, y=self.y, keys=np.arange(len(self)), offsets=self.offsets)
+        keys = np.sort(np.asarray(keys, dtype=np.int64))
+        X, y, offsets = self._rows(keys)
+        return Batch(X=X, y=y, keys=keys, offsets=offsets)
+
+    @staticmethod
+    def concat(parts: Sequence["Split"]) -> "Split":
+        """The examples of every part, in order."""
+        # Empty parts are skipped: an empty TSV file gives features of width 0.
+        parts = [p for p in parts if len(p)] or list(parts[:1])
+        if len(parts) == 1:
+            return parts[0]
+        if len({p.offsets is None for p in parts}) > 1:
+            raise ContractViolation("cannot pool classification and token_tags examples")
+        X = np.concatenate([p.X for p in parts])
+        y = np.concatenate([p.y for p in parts])
+        if parts[0].offsets is None:
+            return Split(X, y)
+        starts = np.cumsum([0] + [len(p.y) for p in parts[:-1]])
+        offsets = np.concatenate([[0]] + [p.offsets[1:] + s for p, s in zip(parts, starts)])
+        return Split(X, y, offsets)
+
+
+def make_batch(X, y, offsets=None, keys: Optional[Sequence[int]] = None) -> Batch:
+    """A Batch from arrays given by the caller, in the `Split` layout:
+    checked once as a whole, then put in canonical key order. Example i
+    has key keys[i] (default: i)."""
+    data = Split(X, y, offsets)
+    keys = np.arange(len(data)) if keys is None else np.asarray(keys, dtype=np.int64)
+    if keys.shape != (len(data),):
+        raise ContractViolation(f"{keys.size} keys for {len(data)} examples")
+    order = np.argsort(keys, kind="stable")
+    X, y, offsets = data._rows(order)
+    return Batch(X=X, y=y, keys=keys[order], offsets=offsets)
 
 
 @dataclass(frozen=True)
@@ -45,9 +160,9 @@ class LanguageCorpus:
     task: str
     num_classes: int
     input_dim: int
-    train: Tuple[Example, ...] = ()
-    dev: Tuple[Example, ...] = ()
-    test: Tuple[Example, ...] = ()
+    train: Optional[Split] = None  # None: no examples
+    dev: Optional[Split] = None
+    test: Optional[Split] = None
     outside_label: int = 0  # token task: excluded from micro-F1
 
     def __post_init__(self) -> None:
@@ -55,21 +170,38 @@ class LanguageCorpus:
             raise ContractViolation(f"unknown role {self.role!r}")
         if self.task not in TASKS:
             raise ContractViolation(f"unknown task {self.task!r}")
-        # corpora are immutable after construction
+        tokens = self.task == "token_tags"
         for name in SPLITS:
-            frozen = tuple(_freeze_example(x, y) for x, y in getattr(self, name))
-            object.__setattr__(self, name, frozen)
+            data = getattr(self, name)
+            if data is None:
+                data = Split(np.empty((0, self.input_dim)), np.empty(0, dtype=np.int64),
+                             np.zeros(1, dtype=np.int64) if tokens else None)
+                object.__setattr__(self, name, data)
+            where = f"{self.lang_id} {name}"
+            if (data.offsets is not None) != tokens:
+                raise ContractViolation(
+                    f"{where}: token_tags splits need sequence offsets, "
+                    "classification splits have none"
+                )
+            if data.y.size == 0:
+                continue
+            if data.X.shape[1] != self.input_dim:
+                raise ContractViolation(
+                    f"{where}: features have dim {data.X.shape[1]}, expected {self.input_dim}"
+                )
+            bad = (data.y < 0) | (data.y >= self.num_classes)
+            if bad.any():
+                raise ContractViolation(
+                    f"{where}: label {int(data.y[bad][0])} out of range [0, {self.num_classes})"
+                )
 
-    def split(self, name: str) -> Tuple[Example, ...]:
+    def split(self, name: str) -> Split:
         if name not in SPLITS:
             raise ContractViolation(f"unknown split {name!r}")
         return getattr(self, name)
 
     def class_counts(self, split: str = "train") -> np.ndarray:
-        counts = np.zeros(self.num_classes, dtype=np.int64)
-        for _, y in self.split(split):
-            counts[int(y)] += 1
-        return counts
+        return np.bincount(self.split(split).y, minlength=self.num_classes)
 
 
 # --- shot sampling ----------------------------------------------------------
@@ -123,8 +255,8 @@ def sample_n_way_k_shot(corpus: LanguageCorpus, k: int, rng: RngStreams) -> Tupl
     if k < 1:
         raise ContractViolation("k must be positive")
     by_class: List[List[int]] = [[] for _ in range(corpus.num_classes)]
-    for i, (_, y) in enumerate(corpus.train):
-        by_class[int(y)].append(i)
+    for i, y in enumerate(corpus.train.y.tolist()):
+        by_class[y].append(i)
     gen = rng.derived("shot_sample", corpus.lang_id)
     picked: List[int] = []
     for c, pool in enumerate(by_class):
@@ -147,39 +279,37 @@ def build_shot_bank(
 
 @dataclass(frozen=True)
 class OracleBank:
-    """Per-language views of exactly the shot examples, nothing external.
+    """Each language's oracle batch: exactly its shot examples, keyed by
+    their train indices, nothing external.
 
     The conflict check during surgery computes each language's gradient on
-    these views, which alias the ShotBank selection index-for-index.
+    these batches, which alias the ShotBank selection index-for-index.
     """
 
     shots: ShotBank
-    _examples: Tuple[Tuple[str, Tuple[Example, ...]], ...]
+    _batches: Tuple[Tuple[str, Batch], ...]
 
     @property
     def lang_ids(self) -> Tuple[str, ...]:
-        return tuple(lang for lang, _ in self._examples)
+        return tuple(lang for lang, _ in self._batches)
 
-    def examples(self, lang_id: str) -> Tuple[Example, ...]:
-        for lang, exs in self._examples:
+    def batch(self, lang_id: str) -> Batch:
+        for lang, batch in self._batches:
             if lang == lang_id:
-                return exs
+                return batch
         raise ContractViolation(f"no oracle data for language {lang_id!r}")
 
     def indices(self, lang_id: str) -> Tuple[int, ...]:
         return self.shots.indices(lang_id)
 
     def __len__(self) -> int:
-        return len(self._examples)
+        return len(self._batches)
 
 
 def build_oracle_bank(shots: ShotBank, targets: Sequence[LanguageCorpus]) -> OracleBank:
     by_id = {c.lang_id: c for c in targets}
-    rows = []
-    for lang, idx in shots.per_lang:
-        corpus = by_id[lang]
-        rows.append((lang, tuple(corpus.train[i] for i in idx)))
-    return OracleBank(shots=shots, _examples=tuple(rows))
+    batches = tuple((lang, by_id[lang].train.batch(idx)) for lang, idx in shots.per_lang)
+    return OracleBank(shots=shots, _batches=batches)
 
 
 # --- mixed dataset & batching -----------------------------------------------
@@ -187,15 +317,16 @@ def build_oracle_bank(shots: ShotBank, targets: Sequence[LanguageCorpus]) -> Ora
 
 @dataclass(frozen=True)
 class MixedDataset:
-    """Ordered pool of (lang, example) pairs; position in the pool is the
-    canonical example key used for order-invariant loss accumulation."""
+    """Ordered pool of examples and their languages; position in the pool
+    is the canonical example key used for order-invariant loss
+    accumulation."""
 
-    examples: Tuple[Example, ...]
+    data: Split
     lang_of: Tuple[str, ...]
     source_size: int
 
     def __len__(self) -> int:
-        return len(self.examples)
+        return len(self.data)
 
 
 def build_mixed_dataset(
@@ -203,47 +334,26 @@ def build_mixed_dataset(
     targets: Sequence[LanguageCorpus],
     shots: Optional[ShotBank],
 ) -> MixedDataset:
-    """Full source train split followed by every target's shots, in target
-    order. With zero targets this degenerates to the source-only pool."""
-    examples: List[Example] = []
+    """Full source train split followed by every target's shots, in shot
+    bank order. With zero targets this degenerates to the source-only pool;
+    with no source it is the pool of shots alone."""
+    parts: List[Split] = []
     langs: List[str] = []
-    source_size = 0
     if source is not None:
-        examples.extend(source.train)
+        parts.append(source.train)
         langs.extend([source.lang_id] * len(source.train))
-        source_size = len(source.train)
     if targets and shots is not None:
         by_id = {c.lang_id: c for c in targets}
         for lang, idx in shots.per_lang:
-            if lang not in by_id:
-                continue
-            corpus = by_id[lang]
-            for i in idx:
-                examples.append(corpus.train[i])
-                langs.append(lang)
-    if not examples:
+            if lang in by_id:
+                parts.append(by_id[lang].train.take(idx))
+                langs.extend([lang] * len(idx))
+    if not langs:
         raise ContractViolation("mixed dataset pool is empty")
-    return MixedDataset(examples=tuple(examples), lang_of=tuple(langs), source_size=source_size)
-
-
-def shots_dataset(targets: Sequence[LanguageCorpus], shots: ShotBank,
-                  only: Optional[Sequence[str]] = None) -> MixedDataset:
-    """Pool of shot examples only (the target-adapting training set)."""
-    keep = set(only) if only is not None else None
-    selected = [c for c in targets if keep is None or c.lang_id in keep]
-    examples: List[Example] = []
-    langs: List[str] = []
-    by_id = {c.lang_id: c for c in selected}
-    for lang, idx in shots.per_lang:
-        if lang not in by_id:
-            continue
-        corpus = by_id[lang]
-        for i in idx:
-            examples.append(corpus.train[i])
-            langs.append(lang)
-    if not examples:
-        raise ContractViolation("shot pool is empty")
-    return MixedDataset(examples=tuple(examples), lang_of=tuple(langs), source_size=0)
+    return MixedDataset(
+        data=Split.concat(parts), lang_of=tuple(langs),
+        source_size=len(source.train) if source is not None else 0,
+    )
 
 
 def batch_iter(
@@ -260,17 +370,7 @@ def batch_iter(
         raise ContractViolation("batch_size must be >= 1")
     n = len(md)
     perm = rng.derived("shuffle", f"{scope}:{epoch}").permutation(n)
-    batches: List[Batch] = []
-    for start in range(0, n, batch_size):
-        chunk = perm[start : start + batch_size]
-        batches.append(
-            Batch(
-                xs=tuple(md.examples[i][0] for i in chunk),
-                ys=tuple(md.examples[i][1] for i in chunk),
-                keys=tuple(int(i) for i in chunk),
-            )
-        )
-    return batches
+    return [md.data.batch(perm[start : start + batch_size]) for start in range(0, n, batch_size)]
 
 
 # --- synthetic generation ----------------------------------------------------
@@ -365,11 +465,8 @@ def gen_synthetic_family(
             ("test", lang.test_size),
         ):
             labels = _balanced_labels(size, profile.num_classes, gen)
-            exs = []
-            for y in labels.tolist():
-                x = means[y] + profile.noise_sd * gen.standard_normal(profile.input_dim)
-                exs.append(_freeze_example(x, y))
-            splits[split_name] = tuple(exs)
+            noise = gen.standard_normal((size, profile.input_dim))
+            splits[split_name] = Split(means[labels] + profile.noise_sd * noise, labels)
         corpora.append(
             LanguageCorpus(
                 lang_id=lang.lang_id,
@@ -522,7 +619,7 @@ def ingest_tsv(
     width: Optional[int] = None
     max_label = -1
 
-    def parse_row(line: str, lineno: int) -> Tuple[np.ndarray, int]:
+    def parse_row(line: str, lineno: int) -> Tuple[List[float], int]:
         nonlocal width, max_label
         parts = line.split("\t")
         if width is None:
@@ -534,7 +631,7 @@ def ingest_tsv(
                 f"line {lineno}: expected {width} fields, got {len(parts)}"
             )
         try:
-            feats = np.array([float(p) for p in parts[:-1]], dtype=np.float64)
+            feats = [float(p) for p in parts[:-1]]
         except ValueError as exc:
             raise ContractViolation(f"line {lineno}: bad feature value ({exc})") from None
         raw = parts[-1]
@@ -547,37 +644,29 @@ def ingest_tsv(
         max_label = max(max_label, label)
         return feats, label
 
-    examples: List[Example] = []
-    if schema == "classification":
-        for lineno, line in enumerate(lines, 1):
-            if line == "":
-                continue
-            feats, label = parse_row(line, lineno)
-            examples.append(_freeze_example(feats, label))
-    else:
-        cur_feats: List[np.ndarray] = []
-        cur_tags: List[int] = []
-
-        def flush():
-            if cur_feats:
-                examples.append(
-                    _freeze_example(np.stack(cur_feats), np.array(cur_tags, dtype=np.int64))
-                )
-                cur_feats.clear()
-                cur_tags.clear()
-
-        for lineno, line in enumerate(lines, 1):
-            if line == "":
-                flush()
-                continue
-            feats, label = parse_row(line, lineno)
-            cur_feats.append(feats)
-            cur_tags.append(label)
-        flush()
+    # One row per example (classification) or per token; for token_tags a
+    # blank line ends a sequence, and offsets marks where each one starts.
+    rows: List[List[float]] = []
+    labels: List[int] = []
+    offsets = [0]
+    for lineno, line in enumerate(lines, 1):
+        if line == "":
+            if offsets[-1] != len(labels):
+                offsets.append(len(labels))
+            continue
+        feats, label = parse_row(line, lineno)
+        rows.append(feats)
+        labels.append(label)
+    if offsets[-1] != len(labels):
+        offsets.append(len(labels))
 
     input_dim = (width - 1) if width is not None else 0
     inferred = num_classes if num_classes is not None else max(max_label + 1, 2)
-    kwargs = {split: tuple(examples)}
+    data = Split(
+        np.array(rows, dtype=np.float64).reshape(len(rows), input_dim),
+        labels,
+        offsets if schema == "token_tags" else None,
+    )
     return LanguageCorpus(
         lang_id=lang_id,
         script_tag=script_tag,
@@ -585,31 +674,23 @@ def ingest_tsv(
         task=schema,
         num_classes=inferred,
         input_dim=input_dim,
-        **kwargs,
+        **{split: data},
     )
 
 
 def merge_splits(*corpora: LanguageCorpus) -> LanguageCorpus:
     """Combine same-language corpora that each carry one split."""
     base = corpora[0]
-    train: Tuple[Example, ...] = ()
-    dev: Tuple[Example, ...] = ()
-    test: Tuple[Example, ...] = ()
     for c in corpora:
         if c.lang_id != base.lang_id or c.task != base.task:
             raise ContractViolation("merge_splits needs corpora of one language and task")
-        train += c.train
-        dev += c.dev
-        test += c.test
     return LanguageCorpus(
         lang_id=base.lang_id,
         script_tag=base.script_tag,
         role=base.role,
         task=base.task,
         num_classes=max(c.num_classes for c in corpora),
-        input_dim=base.input_dim,
-        train=train,
-        dev=dev,
-        test=test,
+        input_dim=max(c.input_dim for c in corpora),
+        **{name: Split.concat([c.split(name) for c in corpora]) for name in SPLITS},
         outside_label=base.outside_label,
     )

@@ -5,8 +5,8 @@ over fixed feature vectors and a per-token MLP tagger over token-feature
 sequences. Parameters live in one flat vector so the surgery kernel can
 treat gradients uniformly.
 
-Batch losses are computed after sorting examples by their canonical key,
-which makes loss and gradient bitwise invariant to batch order.
+Batches hold their examples sorted by canonical key (see `corpora`), which
+makes loss and gradient bitwise invariant to the order examples were drawn.
 """
 
 from __future__ import annotations
@@ -15,16 +15,14 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 
+from .corpora import Batch
 from .numcore import ContractViolation, ParamVec, RngStreams
 
 FAMILIES = ("softmax_classifier", "mlp_token_tagger")
-
-Features = np.ndarray  # (D,) for classifier, (L, D) for tagger
-Labels = Union[int, np.ndarray]  # int for classifier, (L,) for tagger
 
 
 @dataclass(frozen=True)
@@ -87,32 +85,6 @@ class GradReport:
     grad: ParamVec
 
 
-@dataclass(frozen=True)
-class Batch:
-    """A multiset of identified examples.
-
-    `keys` are canonical ids (pool indices); two batches holding the same
-    (key, example) pairs in any order produce bitwise-identical losses.
-    """
-
-    xs: Tuple[Features, ...]
-    ys: Tuple[Labels, ...]
-    keys: Tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.xs)
-
-
-def make_batch(
-    examples: Sequence[Tuple[Features, Labels]], keys: Optional[Sequence[int]] = None
-) -> Batch:
-    if keys is None:
-        keys = range(len(examples))
-    xs = tuple(np.asarray(x, dtype=np.float64) for x, _ in examples)
-    ys = tuple(y for _, y in examples)
-    return Batch(xs=xs, ys=ys, keys=tuple(int(k) for k in keys))
-
-
 def init_params(spec: ModelSpec, rng: RngStreams) -> ModelState:
     """Uniform weights in [-s, s] with s = 1/sqrt(fan_in), zero biases.
 
@@ -170,59 +142,31 @@ def _softmax(Z: np.ndarray) -> np.ndarray:
     return E / E.sum(axis=1, keepdims=True)
 
 
-def _sorted_rows(state: ModelState, batch: Batch):
-    """Validate the batch and return feature/label matrices in canonical
-    (key-sorted) order, flattening token sequences for the tagger."""
-    spec = state.spec
+def _check_batch(spec: ModelSpec, batch: Batch) -> None:
+    """Whole-batch checks: non-empty, the layout of the family, features
+    of the model's width, labels in range."""
     if len(batch) == 0:
         raise ContractViolation("empty batch")
-    order = sorted(range(len(batch)), key=lambda i: (batch.keys[i], i))
-    if spec.family == "softmax_classifier":
-        X = np.empty((len(batch), spec.input_dim), dtype=np.float64)
-        y = np.empty(len(batch), dtype=np.int64)
-        for row, i in enumerate(order):
-            x = np.asarray(batch.xs[i], dtype=np.float64)
-            if x.shape != (spec.input_dim,):
-                raise ContractViolation(
-                    f"example {batch.keys[i]}: features shape {x.shape}, "
-                    f"expected ({spec.input_dim},)"
-                )
-            X[row] = x
-            y[row] = int(batch.ys[i])
-        seq_lens = None
-    else:
-        mats, labs, lens = [], [], []
-        for i in order:
-            x = np.asarray(batch.xs[i], dtype=np.float64)
-            t = np.asarray(batch.ys[i], dtype=np.int64).reshape(-1)
-            if x.ndim != 2 or x.shape[1] != spec.input_dim:
-                raise ContractViolation(
-                    f"example {batch.keys[i]}: token features must be "
-                    f"(L, {spec.input_dim}), got {x.shape}"
-                )
-            if x.shape[0] != t.shape[0]:
-                raise ContractViolation(
-                    f"example {batch.keys[i]}: {x.shape[0]} tokens vs {t.shape[0]} tags"
-                )
-            mats.append(x)
-            labs.append(t)
-            lens.append(x.shape[0])
-        X = np.concatenate(mats, axis=0)
-        y = np.concatenate(labs, axis=0)
-        seq_lens = lens
+    if (batch.offsets is None) != (spec.family == "softmax_classifier"):
+        raise ContractViolation(f"{spec.family} cannot take a batch of this layout")
+    X, y = batch.X, batch.y
+    if X.shape[1] != spec.input_dim:
+        raise ContractViolation(
+            f"features shape {X.shape}, expected (rows, {spec.input_dim})"
+        )
     if X.shape[0] == 0:
         raise ContractViolation("batch contains no tokens")
     if y.min() < 0 or y.max() >= spec.num_classes:
         bad = int(y[(y < 0) | (y >= spec.num_classes)][0])
         raise ContractViolation(f"label {bad} out of range [0, {spec.num_classes})")
-    return X, y, seq_lens
 
 
 def loss_and_grad(state: ModelState, batch: Batch) -> GradReport:
     """Mean cross-entropy over the batch (tagger: over all tokens) and its
     analytic gradient, flattened in parameter order."""
     spec = state.spec
-    X, y, _ = _sorted_rows(state, batch)
+    _check_batch(spec, batch)
+    X, y = batch.X, batch.y
     n = X.shape[0]
 
     if spec.hidden_dim == 0:
@@ -268,7 +212,7 @@ def sgd_step(state: ModelState, grad: ParamVec, lr: float) -> ModelState:
     return ModelState(spec=state.spec, theta=ParamVec(state.theta.values - lr * grad.values))
 
 
-def predict_proba(state: ModelState, x: Features) -> np.ndarray:
+def predict_proba(state: ModelState, x: np.ndarray) -> np.ndarray:
     """Class probabilities; rows for the tagger, a single row otherwise."""
     X = np.asarray(x, dtype=np.float64)
     single = X.ndim == 1
@@ -282,22 +226,19 @@ def predict_proba(state: ModelState, x: Features) -> np.ndarray:
     return P[0] if single else P
 
 
-def predict(state: ModelState, x: Features):
+def predict(state: ModelState, x: np.ndarray):
     """Argmax prediction; ties break toward the lowest class index.
 
-    Classifier input is a (D,) vector and yields an int; tagger input is an
-    (L, D) sequence and yields one label per token.
+    A classifier given one (D,) vector yields an int. Rows (n, D) yield one
+    label per row: per example for the classifier, per token for the tagger
+    (one sequence, or the flat tokens of a whole split).
     """
     X = np.asarray(x, dtype=np.float64)
-    if state.spec.family == "softmax_classifier":
-        if X.ndim != 1:
-            raise ContractViolation("classifier predict expects a (D,) vector")
-        Z = _logits(state.spec, state.theta, X.reshape(1, -1))
-        return int(np.argmax(Z[0]))
+    if X.ndim == 1 and state.spec.family == "softmax_classifier":
+        return int(np.argmax(_logits(state.spec, state.theta, X.reshape(1, -1))[0]))
     if X.ndim != 2:
-        raise ContractViolation("tagger predict expects an (L, D) sequence")
-    Z = _logits(state.spec, state.theta, X)
-    return np.argmax(Z, axis=1)
+        raise ContractViolation(f"predict expects (n, D) rows, got shape {X.shape}")
+    return np.argmax(_logits(state.spec, state.theta, X), axis=1)
 
 
 # --- checkpoint files -------------------------------------------------------

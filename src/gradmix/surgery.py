@@ -18,13 +18,8 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .corpora import OracleBank
-from .models import ModelState, loss_and_grad, make_batch
+from .models import ModelState, loss_and_grad
 from .numcore import ContractViolation, ParamVec, RngStreams, cosine_similarity, dot
-
-# Thresholds the experiments in this repo default to: 1.0 for token tagging
-# runs, 0.1 for sequence classification runs. Both are config values.
-ALPHA_TOKEN_TAGGING = 1.0
-ALPHA_CLASSIFICATION = 0.1
 
 
 @dataclass(frozen=True)
@@ -97,9 +92,7 @@ def apply_if_conflicting(g_train: ParamVec, g_oracle: ParamVec) -> ParamVec:
 
 def oracle_gradient(model: ModelState, oracle_bank: OracleBank, lang_id: str) -> ParamVec:
     """Full-batch gradient over one language's oracle examples."""
-    examples = oracle_bank.examples(lang_id)
-    batch = make_batch(examples, keys=oracle_bank.indices(lang_id))
-    return loss_and_grad(model, batch).grad
+    return loss_and_grad(model, oracle_bank.batch(lang_id)).grad
 
 
 def sgs_step(

@@ -23,8 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from . import analysis
 from .corpora import (
     LanguageCorpus,
@@ -35,7 +33,6 @@ from .corpora import (
     build_mixed_dataset,
     build_oracle_bank,
     build_shot_bank,
-    shots_dataset,
 )
 from .models import (
     ModelSpec,
@@ -284,14 +281,14 @@ def run_target_adapting(
     out: Dict[str, List[ModelState]] = {}
     if plan.strategy in ("ord_fs", "ord_fs_dev"):
         for corpus in targets:
-            md = shots_dataset(targets, shots, only=[corpus.lang_id])
+            md = build_mixed_dataset(None, [corpus], shots)
             ckpts, _ = _train_loop(
                 source_model, md, plan.adapt_epochs, batch, plan.lr, rng,
                 scope=f"adapt:{corpus.lang_id}",
             )
             out[corpus.lang_id] = ckpts
     elif plan.strategy == "mix_ft":
-        md = shots_dataset(targets, shots)
+        md = build_mixed_dataset(None, targets, shots)
         ckpts, _ = _train_loop(
             source_model, md, plan.adapt_epochs, batch, plan.lr, rng, scope="adapt:all"
         )
@@ -337,30 +334,15 @@ def run_mixed_training(
 
 def evaluate(model: ModelState, corpus: LanguageCorpus, split: str) -> float:
     """Accuracy for classification; token-level micro-F1 (excluding the
-    outside label) for tagging. Pure: identical inputs, identical value."""
-    examples = corpus.split(split)
-    if not examples:
+    outside label) for tagging. One forward pass over the whole split.
+    Pure: identical inputs, identical value."""
+    data = corpus.split(split)
+    if len(data) == 0:
         raise ContractViolation(f"split {split!r} of {corpus.lang_id} is empty")
+    pred = predict(model, data.X)
     if corpus.task == "classification":
-        correct = 0
-        for x, y in examples:
-            if predict(model, x) == int(y):
-                correct += 1
-        return correct / len(examples)
-    preds = [predict(model, x) for x, _ in examples]
-    gold = [np.asarray(y) for _, y in examples]
-    return analysis.micro_f1(preds, gold, outside_label=corpus.outside_label)
-
-
-def _argmax_earliest(curve: Sequence[float]) -> int:
-    """1-based index of the max, earliest epoch on ties."""
-    best_epoch = 1
-    best = curve[0]
-    for i, v in enumerate(curve[1:], start=2):
-        if v > best:
-            best = v
-            best_epoch = i
-    return best_epoch
+        return int((pred == data.y).sum()) / len(data)
+    return analysis.micro_f1(pred, data.y, outside_label=corpus.outside_label)
 
 
 def select_model(
@@ -386,11 +368,11 @@ def select_model(
     if policy == "source_dev":
         if source_lang is None or source_lang not in curves:
             raise ContractViolation("source_dev selection needs the source dev curve")
-        epoch = _argmax_earliest(curves[source_lang]) if epochs > 0 else 0
+        epoch = analysis.argmax_earliest(curves[source_lang]) if epochs > 0 else 0
         return {lang: epoch for lang in langs}
     if policy == "target_dev":
         return {
-            lang: (_argmax_earliest(curve) if epochs > 0 else 0)
+            lang: (analysis.argmax_earliest(curve) if epochs > 0 else 0)
             for lang, curve in curves.items()
         }
     raise ContractViolation(f"unknown selection policy {policy!r}")
@@ -434,38 +416,12 @@ def run_strategy(plan: TrainPlan, task: Task, step_hook: Optional[StepHook] = No
     inits: Dict[str, ModelState] = {}
     trace: Optional[List[TraceEntry]] = None
 
-    if plan.strategy == "zero_shot":
-        state0, ckpts = run_source_training(
-            plan, source, rng=rng, spec=task.spec, step_hook=step_hook
-        )
-        checkpoints["model"] = ckpts
-        inits["model"] = state0
-        epochs = plan.source_epochs
-        curves = _dev_curves(ckpts, [source] + list(targets))
-        selected = select_model(curves, plan.selection, epochs, source_lang=source.lang_id)
-        model_key_of = {lang: "model" for lang in all_langs}
-        record["pool_size"] = len(source.train)
-
-    elif plan.strategy in ONE_STEP:
-        state0, ckpts, trace = run_mixed_training(
-            plan, source, targets, shots, rng=rng, spec=task.spec, step_hook=step_hook
-        )
-        checkpoints["model"] = ckpts
-        inits["model"] = state0
-        epochs = plan.source_epochs
-        curves = _dev_curves(ckpts, [source] + list(targets))
-        selected = select_model(curves, plan.selection, epochs, source_lang=source.lang_id)
-        model_key_of = {lang: "model" for lang in all_langs}
-        record["pool_size"] = len(source.train) + sum(
-            shots.size(lang) for lang in shots.lang_ids
-        )
-
-    else:  # two-step strategies
+    if plan.strategy in TWO_STEP:
         state0, src_ckpts = run_source_training(plan, source, rng=rng, spec=task.spec)
         checkpoints["source"] = src_ckpts
         inits["source"] = state0
         src_curve = [evaluate(m, source, "dev") for m in src_ckpts]
-        src_epoch = _argmax_earliest(src_curve) if plan.source_epochs > 0 else 0
+        src_epoch = analysis.argmax_earliest(src_curve) if plan.source_epochs > 0 else 0
         source_model = state0 if src_epoch == 0 else src_ckpts[src_epoch - 1]
         record["source_selected_epoch"] = src_epoch
         record["source_dev_curve"] = src_curve
@@ -478,26 +434,37 @@ def run_strategy(plan: TrainPlan, task: Task, step_hook: Optional[StepHook] = No
                     )
         adapted = run_target_adapting(source_model, shots, plan, targets, rng=rng)
         epochs = plan.adapt_epochs
+        checkpoints.update(adapted)
+        inits.update({key: source_model for key in adapted})
         curves = {}
         model_key_of = {}
-        if plan.strategy == "mix_ft":
-            ckpts = adapted["adapted"]
-            checkpoints["adapted"] = ckpts
-            inits["adapted"] = source_model
-            for c in targets:
-                curves[c.lang_id] = [evaluate(m, c, "dev") for m in ckpts]
-                model_key_of[c.lang_id] = "adapted"
-        else:
-            for c in targets:
-                ckpts = adapted[c.lang_id]
-                checkpoints[c.lang_id] = ckpts
-                inits[c.lang_id] = source_model
-                curves[c.lang_id] = [evaluate(m, c, "dev") for m in ckpts]
-                model_key_of[c.lang_id] = c.lang_id
+        for c in targets:
+            key = "adapted" if plan.strategy == "mix_ft" else c.lang_id
+            curves.update(_dev_curves(adapted[key], [c]))
+            model_key_of[c.lang_id] = key
         selected = select_model(curves, plan.selection, epochs)
         model_key_of[source.lang_id] = "source"
         selected[source.lang_id] = src_epoch
         record["pool_size"] = sum(shots.size(lang) for lang in shots.lang_ids)
+
+    else:  # zero_shot and the one-step strategies: one model for every language
+        if plan.strategy == "zero_shot":
+            state0, ckpts = run_source_training(
+                plan, source, rng=rng, spec=task.spec, step_hook=step_hook
+            )
+        else:
+            state0, ckpts, trace = run_mixed_training(
+                plan, source, targets, shots, rng=rng, spec=task.spec, step_hook=step_hook
+            )
+        checkpoints["model"] = ckpts
+        inits["model"] = state0
+        epochs = plan.source_epochs
+        curves = _dev_curves(ckpts, [source] + list(targets))
+        selected = select_model(curves, plan.selection, epochs, source_lang=source.lang_id)
+        model_key_of = {lang: "model" for lang in all_langs}
+        record["pool_size"] = len(source.train) + (
+            sum(shots.size(lang) for lang in shots.lang_ids) if shots else 0
+        )
 
     record["epochs"] = epochs
     record["dev_curves"] = curves

@@ -27,20 +27,23 @@ from gradmix.analysis import (
 )
 from gradmix.corpora import (
     LanguageCorpus,
+    Split,
     build_shot_bank,
     default_benchmark,
     distant_lang_ids,
+    make_batch,
 )
 from gradmix.models import (
     ModelSpec,
     ModelState,
     loss_and_grad,
-    make_batch,
 )
 from gradmix.numcore import ParamVec, RngStreams, dot, finite_diff_grad, norm
 from gradmix.surgery import apply_if_conflicting, is_conflicting, project_gradient
 from gradmix.trainer import Task, TrainPlan, run_strategy
 from gradmix.cli import load_config, run_experiment
+
+from oracles import to_arrays
 
 # Shipped experiment settings (mirrors configs/default.json).
 SHIPPED_PLAN = dict(
@@ -129,7 +132,7 @@ def test_ac1_gradient_correctness():
                         (rng.normal(size=(L, spec.input_dim)),
                          rng.integers(spec.num_classes, size=L))
                     )
-            batch = make_batch(examples)
+            batch = make_batch(*to_arrays(examples))
             analytic = loss_and_grad(state, batch).grad
 
             def loss_fn(t, _spec=spec, _batch=batch):
@@ -212,21 +215,19 @@ def test_ac4_sampler_exactness():
         num_classes = int(rng.integers(2, 5))
         k = int(rng.integers(1, 4))
         counts = rng.integers(k, k + 10, size=num_classes)
-        train = []
-        for c, n in enumerate(counts):
-            train.extend((rng.normal(size=2), c) for _ in range(int(n)))
+        X = np.concatenate([rng.normal(size=(int(n), 2)) for n in counts])
         corpus = LanguageCorpus(
             lang_id=f"l{trial}", script_tag="x", role="target",
             task="classification", num_classes=num_classes, input_dim=2,
-            train=tuple(train),
+            train=Split(X, np.repeat(np.arange(num_classes), counts)),
         )
         picked = sample_n_way_k_shot(corpus, k, RngStreams(trial))
         hist = np.zeros(num_classes, dtype=int)
         for i in picked:
-            hist[int(corpus.train[i][1])] += 1
+            hist[int(corpus.train.y[i])] += 1
         if not np.all(hist == k) or len(set(picked)) != len(picked):
             bad.append(f"n-way trial {trial}")
-        plain = sample_k_shots(corpus, min(5, len(train)), RngStreams(trial))
+        plain = sample_k_shots(corpus, min(5, len(corpus.train)), RngStreams(trial))
         if len(set(plain)) != len(plain):
             bad.append(f"plain trial {trial}")
     # identical master seed -> identical banks across strategies

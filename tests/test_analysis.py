@@ -17,9 +17,10 @@ from gradmix.corpora import (
     build_shot_bank,
     gen_synthetic_family,
 )
-from gradmix.models import ModelSpec, ModelState, init_params, loss_and_grad, make_batch
+from gradmix.models import ModelSpec, ModelState, init_params, loss_and_grad
 from gradmix.numcore import ContractViolation, ParamVec, RngStreams
 from conftest import tiny_profile
+from oracles import examples_of, stack_batch
 
 
 class TestMicroF1:
@@ -78,10 +79,9 @@ class TestLanguageGradient:
     def test_target_gradient_matches_loss_and_grad(self, small_world):
         corpora, model, shots = small_world
         target = corpora[1]
-        idx = shots.indices(target.lang_id)
-        examples = [target.train[i] for i in idx]
-        expected = loss_and_grad(model, make_batch(examples)).grad
-        got = language_gradient(model, examples, "target")
+        shot_data = target.train.take(shots.indices(target.lang_id))
+        expected = loss_and_grad(model, stack_batch(examples_of(shot_data))).grad
+        got = language_gradient(model, shot_data, "target")
         assert got.bitwise_equal(expected)
 
     def test_source_estimate_approximates_full_gradient(self, small_world):
@@ -91,7 +91,7 @@ class TestLanguageGradient:
             model, source, "source", rng=np.random.default_rng(3), batch_size=16,
             n_batches=100,
         )
-        full = loss_and_grad(model, make_batch(source.train)).grad
+        full = loss_and_grad(model, source.train.batch()).grad
         from gradmix.numcore import cosine_similarity
 
         assert cosine_similarity(est, full) > 0.99

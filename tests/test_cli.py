@@ -6,7 +6,6 @@ import pytest
 from gradmix.cli import (
     ExperimentConfig,
     build_benchmark,
-    default_config,
     export_artifacts,
     format_table,
     grid_cells,
@@ -77,7 +76,8 @@ class TestConfig:
         assert main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
 
     def test_default_config_round_trips(self, tmp_path):
-        doc = default_config().canonical_dict()
+        root = Path(__file__).resolve().parents[1]
+        doc = load_config(root / "configs" / "default.json").canonical_dict()
         p = write_config(tmp_path, doc)
         cfg = load_config(p)
         assert cfg.canonical_dict() == doc
@@ -149,6 +149,25 @@ class TestRunExperiment:
         manifest = json.loads((out / "manifest.json").read_text())
         assert any("gradient_mix_train" in f["cell"] for f in manifest["failures"])
         assert (out / "runs" / "zero_shot_k0_seed1" / "record.json").exists()
+
+    def test_used_out_dir_refused(self, tmp_path):
+        cfg = parse_config(small_config_doc(strategies=("zero_shot",), seeds=(1,)))
+        out = tmp_path / "out"
+        assert run_experiment(cfg, out) == 0
+        manifest = (out / "manifest.json").read_bytes()
+        other = parse_config(small_config_doc(strategies=("naive_mix_train",), seeds=(2,)))
+        with pytest.raises(ContractViolation, match=f"{out}.* not empty"):
+            run_experiment(other, out)
+        p = write_config(tmp_path, small_config_doc(strategies=("naive_mix_train",), seeds=(2,)))
+        assert main(["run", "--config", str(p), "--out", str(out)]) == 2
+        assert (out / "manifest.json").read_bytes() == manifest
+        assert not (out / "runs" / "naive_mix_train_k2_seed2").exists()
+
+    def test_empty_out_dir_allowed(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        cfg = parse_config(small_config_doc(strategies=("zero_shot",), seeds=(1,)))
+        assert run_experiment(cfg, out) == 0
 
     def test_jobs_parallel_same_bytes(self, tmp_path):
         cfg = parse_config(small_config_doc())

@@ -4,6 +4,7 @@ import pytest
 from gradmix.corpora import (
     LanguageCorpus,
     LanguageProfile,
+    Split,
     SyntheticProfile,
     batch_iter,
     build_mixed_dataset,
@@ -17,9 +18,11 @@ from gradmix.corpora import (
     profile_from_manifest,
     sample_k_shots,
     sample_n_way_k_shot,
-    shots_dataset,
 )
+from gradmix.models import ModelSpec, init_params, loss_and_grad
 from gradmix.numcore import ContractViolation, RngStreams
+
+from oracles import examples_of, stack_batch
 
 
 def small_profile(**overrides):
@@ -39,9 +42,7 @@ def small_profile(**overrides):
 
 def make_cls_corpus(lang_id="t", n_train=20, num_classes=3, dim=2, seed=0, role="target"):
     rng = np.random.default_rng(seed)
-    train = tuple(
-        (rng.normal(size=dim), int(i % num_classes)) for i in range(n_train)
-    )
+    train = Split(rng.normal(size=(n_train, dim)), np.arange(n_train) % num_classes)
     return LanguageCorpus(
         lang_id=lang_id,
         script_tag="scr",
@@ -58,9 +59,8 @@ class TestSyntheticGeneration:
         a, _ = gen_synthetic_family(small_profile())
         b, _ = gen_synthetic_family(small_profile())
         for ca, cb in zip(a, b):
-            for ea, eb in zip(ca.train, cb.train):
-                assert np.array_equal(ea[0], eb[0])
-                assert ea[1] == eb[1]
+            assert np.array_equal(ca.train.X, cb.train.X)
+            assert np.array_equal(ca.train.y, cb.train.y)
 
     def test_shared_script_means_differ_only_by_translation(self):
         _, manifest = gen_synthetic_family(small_profile())
@@ -131,8 +131,7 @@ class TestSyntheticGeneration:
         again, _ = gen_synthetic_family(profile_from_manifest(manifest))
         for ca, cb in zip(corpora, again):
             assert ca.lang_id == cb.lang_id
-            for ea, eb in zip(ca.test, cb.test):
-                assert np.array_equal(ea[0], eb[0])
+            assert np.array_equal(ca.test.X, cb.test.X)
 
     def test_default_benchmark_shape(self, bench):
         corpora, manifest = bench
@@ -184,7 +183,7 @@ class TestShotSampling:
         corpus = make_cls_corpus(n_train=30, num_classes=3)
         picked = sample_n_way_k_shot(corpus, 1, RngStreams(5))
         assert len(picked) == 3
-        labels = sorted(int(corpus.train[i][1]) for i in picked)
+        labels = sorted(int(corpus.train.y[i]) for i in picked)
         assert labels == [0, 1, 2]
 
     def test_n_way_histogram_uniform(self):
@@ -193,13 +192,13 @@ class TestShotSampling:
             picked = sample_n_way_k_shot(corpus, 3, RngStreams(seed))
             counts = np.zeros(4, dtype=int)
             for i in picked:
-                counts[int(corpus.train[i][1])] += 1
+                counts[int(corpus.train.y[i])] += 1
             assert np.all(counts == 3)
             assert len(set(picked)) == len(picked)
 
     def test_n_way_insufficient_class_names_the_class(self):
         # class 1 has 4 examples, ask for 5
-        train = tuple((np.zeros(2), y) for y in [0] * 5 + [1] * 4)
+        train = Split(np.zeros((9, 2)), [0] * 5 + [1] * 4)
         corpus = LanguageCorpus(
             lang_id="t", script_tag="s", role="target", task="classification",
             num_classes=2, input_dim=2, train=train,
@@ -218,14 +217,14 @@ class TestOracleBank:
         targets = [make_cls_corpus(lang_id=f"t{i}", seed=i) for i in range(3)]
         shots = build_shot_bank(targets, 4, "k_shot", RngStreams(1))
         oracle = build_oracle_bank(shots, targets)
+        by_id = {c.lang_id: c for c in targets}
         for lang in shots.lang_ids:
             assert oracle.indices(lang) == shots.indices(lang)
-            for j, i in enumerate(shots.indices(lang)):
-                by_id = {c.lang_id: c for c in targets}
-                x_expected, y_expected = by_id[lang].train[i]
-                x_got, y_got = oracle.examples(lang)[j]
-                assert np.array_equal(x_got, x_expected)
-                assert y_got == y_expected
+            idx = sorted(shots.indices(lang))
+            batch = oracle.batch(lang)
+            assert batch.keys.tolist() == idx
+            assert np.array_equal(batch.X, by_id[lang].train.X[idx])
+            assert np.array_equal(batch.y, by_id[lang].train.y[idx])
 
     def test_empty_target_set_gives_empty_bank(self):
         shots = build_shot_bank([], 5, "k_shot", RngStreams(0))
@@ -236,9 +235,8 @@ class TestOracleBank:
         targets = [make_cls_corpus()]
         shots = build_shot_bank(targets, 3, "k_shot", RngStreams(2))
         oracle = build_oracle_bank(shots, targets)
-        x, _ = oracle.examples("t")[0]
         with pytest.raises(ValueError):
-            x[0] = 99.0
+            oracle.batch("t").X[0, 0] = 99.0
         assert isinstance(oracle.indices("t"), tuple)
 
 
@@ -265,7 +263,7 @@ class TestMixedDataset:
         b = batch_iter(md, 8, epoch=3, rng=RngStreams(5))
         assert len(a) == len(b) == 3  # short final batch kept
         for ba, bb in zip(a, b):
-            assert ba.keys == bb.keys
+            assert np.array_equal(ba.keys, bb.keys)
 
     def test_epoch_batches_partition_pool(self):
         source = make_cls_corpus(lang_id="s", role="source", n_train=23)
@@ -278,20 +276,64 @@ class TestMixedDataset:
     def test_different_epochs_differ(self):
         source = make_cls_corpus(lang_id="s", role="source", n_train=40)
         md = build_mixed_dataset(source, [], None)
-        a = [k for b in batch_iter(md, 40, 1, RngStreams(5)) for k in b.keys]
-        b = [k for b in batch_iter(md, 40, 2, RngStreams(5)) for k in b.keys]
+        a = [b.keys.tolist() for b in batch_iter(md, 8, 1, RngStreams(5))]
+        b = [b.keys.tolist() for b in batch_iter(md, 8, 2, RngStreams(5))]
         assert a != b
 
     def test_empty_pool_rejected(self):
         with pytest.raises(ContractViolation, match="empty"):
             build_mixed_dataset(None, [], None)
 
+    def test_mixed_tasks_rejected(self):
+        source = make_cls_corpus(lang_id="s", role="source", n_train=6)
+        tokens = LanguageCorpus(
+            lang_id="t", script_tag="x", role="target", task="token_tags", num_classes=3,
+            input_dim=2, train=Split(np.zeros((4, 2)), [0, 1, 2, 0], offsets=[0, 1, 4]),
+        )
+        shots = build_shot_bank([tokens], 1, "k_shot", RngStreams(0))
+        with pytest.raises(ContractViolation, match="cannot pool"):
+            build_mixed_dataset(source, [tokens], shots)
+
     def test_shots_dataset_subset(self):
         targets = [make_cls_corpus(lang_id=f"t{i}", seed=i) for i in range(3)]
         shots = build_shot_bank(targets, 2, "k_shot", RngStreams(1))
-        md = shots_dataset(targets, shots, only=["t1"])
+        md = build_mixed_dataset(None, [targets[1]], shots)
         assert len(md) == 2
         assert set(md.lang_of) == {"t1"}
+        assert md.source_size == 0
+
+    def test_pool_concatenates_source_and_shots(self):
+        source = make_cls_corpus(lang_id="s", role="source", n_train=12)
+        targets = [make_cls_corpus(lang_id=f"t{i}", seed=i + 1) for i in range(2)]
+        shots = build_shot_bank(targets, 3, "k_shot", RngStreams(4))
+        md = build_mixed_dataset(source, targets, shots)
+        parts = [source.train.X] + [t.train.X[list(shots.indices(t.lang_id))] for t in targets]
+        assert np.array_equal(md.data.X, np.concatenate(parts))
+        assert md.lang_of == ("s",) * 12 + ("t0",) * 3 + ("t1",) * 3
+
+    def test_gathered_batches_match_tuple_stacking(self, tmp_path):
+        """Classifier and ragged tagger pools: every batch of an epoch gives
+        the loss and gradient of the same examples stacked as tuples."""
+        source = make_cls_corpus(lang_id="s", role="source", n_train=30)
+        p = tmp_path / "tok.tsv"
+        rng = np.random.default_rng(3)
+        lines = []
+        for _ in range(25):
+            for _ in range(int(rng.integers(1, 6))):
+                lines.append(f"{rng.normal()}\t{rng.normal()}\t{int(rng.integers(3))}")
+            lines.append("")
+        p.write_text("\n".join(lines), encoding="utf-8")
+        tagger = ingest_tsv(p, "token_tags", lang_id="tok", role="source", num_classes=3)
+        for corpus, family in ((source, "softmax_classifier"), (tagger, "mlp_token_tagger")):
+            state = init_params(ModelSpec(family, 2, 5, 3), RngStreams(2))
+            md = build_mixed_dataset(corpus, [], None)
+            pool = examples_of(md.data)
+            for batch in batch_iter(md, 7, epoch=1, rng=RngStreams(6)):
+                keys = batch.keys[::-1]
+                ref = stack_batch([pool[k] for k in keys], keys)
+                a, b = loss_and_grad(state, batch), loss_and_grad(state, ref)
+                assert a.loss == b.loss
+                assert a.grad.bitwise_equal(b.grad)
 
 
 class TestIngestTsv:
@@ -307,8 +349,8 @@ class TestIngestTsv:
         corpus = ingest_tsv(p, "classification", lang_id="x")
         assert len(corpus.train) == 3
         assert corpus.input_dim == 2
-        assert np.array_equal(corpus.train[1][0], [3.0, 4.0])
-        assert corpus.train[2][1] == 2
+        assert np.array_equal(corpus.train.X[1], [3.0, 4.0])
+        assert corpus.train.y[2] == 2
 
     def test_crlf_equals_lf(self, tmp_path):
         lf = tmp_path / "lf.tsv"
@@ -317,9 +359,8 @@ class TestIngestTsv:
         crlf.write_bytes(b"1.0\t0\r\n2.0\t1\r\n")
         a = ingest_tsv(lf, "classification", lang_id="x")
         b = ingest_tsv(crlf, "classification", lang_id="x")
-        assert len(a.train) == len(b.train)
-        for ea, eb in zip(a.train, b.train):
-            assert np.array_equal(ea[0], eb[0]) and ea[1] == eb[1]
+        assert np.array_equal(a.train.X, b.train.X)
+        assert np.array_equal(a.train.y, b.train.y)
 
     def test_ragged_row_reports_line_number(self, tmp_path):
         p = tmp_path / "x.tsv"
@@ -347,12 +388,9 @@ class TestIngestTsv:
         )
         corpus = ingest_tsv(p, "token_tags", lang_id="x")
         assert len(corpus.train) == 2
-        x0, y0 = corpus.train[0]
-        assert x0.shape == (2, 2)
-        assert list(y0) == [1, 0]
-        x1, y1 = corpus.train[1]
-        assert x1.shape == (1, 2)
-        assert list(y1) == [2]
+        assert corpus.train.offsets.tolist() == [0, 2, 3]
+        assert corpus.train.X.tolist() == [[1.0, 0.0], [0.0, 1.0], [2.0, 2.0]]
+        assert corpus.train.y.tolist() == [1, 0, 2]
 
     def test_merge_splits(self, tmp_path):
         train = tmp_path / "train.tsv"
@@ -364,3 +402,28 @@ class TestIngestTsv:
             ingest_tsv(dev, "classification", lang_id="x", split="dev"),
         )
         assert len(merged.train) == 1 and len(merged.dev) == 2
+
+
+class TestLanguageCorpus:
+    def test_splits_are_read_only_copies(self):
+        X = np.zeros((3, 2))
+        corpus = make_cls_corpus()
+        split = Split(X, [0, 1, 2])
+        X[0, 0] = 5.0
+        assert split.X[0, 0] == 0.0
+        with pytest.raises(ValueError):
+            corpus.train.y[0] = 1
+
+    @pytest.mark.parametrize(
+        "task, split, match",
+        [
+            ("classification", Split(np.zeros((2, 3)), [0, 1]), "dim 3"),
+            ("classification", Split(np.zeros((2, 2)), [0, 4]), "label 4 out of range"),
+            ("classification", Split(np.zeros((2, 2)), [0, 1], [0, 1, 2]), "offsets"),
+            ("token_tags", Split(np.zeros((2, 2)), [0, 1]), "offsets"),
+        ],
+    )
+    def test_malformed_split_rejected(self, task, split, match):
+        with pytest.raises(ContractViolation, match=match):
+            LanguageCorpus(lang_id="x", script_tag="s", role="target", task=task,
+                           num_classes=3, input_dim=2, train=split)

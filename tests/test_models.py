@@ -3,20 +3,21 @@ import math
 import numpy as np
 import pytest
 
+from gradmix.corpora import Batch, make_batch
 from gradmix.models import (
-    Batch,
     ModelSpec,
     ModelState,
     init_params,
     load_checkpoint,
     loss_and_grad,
-    make_batch,
     predict,
     predict_proba,
     save_checkpoint,
     sgd_step,
 )
 from gradmix.numcore import ContractViolation, ParamVec, RngStreams, finite_diff_grad
+
+from oracles import stack_batch, to_arrays
 
 CLS = ModelSpec(family="softmax_classifier", input_dim=4, hidden_dim=0, num_classes=3)
 CLS_MLP = ModelSpec(family="softmax_classifier", input_dim=4, hidden_dim=6, num_classes=3)
@@ -28,7 +29,7 @@ def random_state(spec, seed):
     return ModelState(spec=spec, theta=ParamVec(rng.normal(scale=0.7, size=spec.param_dim)))
 
 
-def random_batch(spec, seed, n=6):
+def random_examples(spec, seed, n=6):
     rng = np.random.default_rng(seed)
     examples = []
     for _ in range(n):
@@ -40,7 +41,11 @@ def random_batch(spec, seed, n=6):
             x = rng.normal(size=(length, spec.input_dim))
             y = rng.integers(spec.num_classes, size=length)
         examples.append((x, y))
-    return make_batch(examples)
+    return examples
+
+
+def random_batch(spec, seed, n=6):
+    return make_batch(*to_arrays(random_examples(spec, seed, n)))
 
 
 class TestModelSpec:
@@ -112,10 +117,10 @@ class TestLossAndGrad:
     def test_duplicating_batch_leaves_mean_unchanged(self):
         st = random_state(CLS_MLP, 1)
         batch = random_batch(CLS_MLP, 2)
-        doubled = Batch(
-            xs=batch.xs + batch.xs,
-            ys=batch.ys + batch.ys,
-            keys=batch.keys + tuple(k + len(batch) for k in batch.keys),
+        doubled = make_batch(
+            np.concatenate([batch.X, batch.X]),
+            np.concatenate([batch.y, batch.y]),
+            keys=np.concatenate([batch.keys, batch.keys + len(batch)]),
         )
         a = loss_and_grad(st, batch)
         b = loss_and_grad(st, doubled)
@@ -125,33 +130,60 @@ class TestLossAndGrad:
     @pytest.mark.parametrize("spec", [CLS, TAG])
     def test_bitwise_permutation_invariance(self, spec):
         st = random_state(spec, 3)
-        batch = random_batch(spec, 4, n=8)
+        examples = random_examples(spec, 4, n=8)
+        batch = make_batch(*to_arrays(examples))
         perm = np.random.default_rng(9).permutation(8)
-        shuffled = Batch(
-            xs=tuple(batch.xs[i] for i in perm),
-            ys=tuple(batch.ys[i] for i in perm),
-            keys=tuple(batch.keys[i] for i in perm),
-        )
+        shuffled = make_batch(*to_arrays([examples[i] for i in perm]), keys=perm)
         a = loss_and_grad(st, batch)
         b = loss_and_grad(st, shuffled)
         assert a.loss == b.loss
         assert a.grad.bitwise_equal(b.grad)
 
+    @pytest.mark.parametrize("spec", [CLS_MLP, TAG])
+    def test_make_batch_matches_tuple_stacking(self, spec):
+        st = random_state(spec, 6)
+        examples = random_examples(spec, 7, n=9)
+        keys = np.random.default_rng(8).permutation(9) + 100
+        a = loss_and_grad(st, make_batch(*to_arrays(examples), keys=keys))
+        b = loss_and_grad(st, stack_batch(examples, keys))
+        assert a.loss == b.loss
+        assert a.grad.bitwise_equal(b.grad)
+
     def test_empty_batch_rejected(self):
         st = random_state(CLS, 1)
+        empty = Batch(X=np.empty((0, 4)), y=np.empty(0, dtype=np.int64),
+                      keys=np.empty(0, dtype=np.int64))
         with pytest.raises(ContractViolation, match="empty batch"):
-            loss_and_grad(st, Batch(xs=(), ys=(), keys=()))
+            loss_and_grad(st, empty)
 
     def test_label_out_of_range(self):
         st = random_state(CLS, 1)
-        batch = make_batch([(np.zeros(4), 7)])
+        batch = make_batch(np.zeros((1, 4)), [7])
         with pytest.raises(ContractViolation, match="label 7 out of range"):
             loss_and_grad(st, batch)
 
     def test_feature_dim_mismatch(self):
         st = random_state(CLS, 1)
         with pytest.raises(ContractViolation, match="features shape"):
-            loss_and_grad(st, make_batch([(np.zeros(5), 0)]))
+            loss_and_grad(st, make_batch(np.zeros((1, 5)), [0]))
+
+    def test_layout_must_match_family(self):
+        tokens = make_batch(np.zeros((3, 4)), [0, 1, 2], offsets=[0, 1, 3])
+        with pytest.raises(ContractViolation, match="layout"):
+            loss_and_grad(random_state(CLS, 1), tokens)
+
+    @pytest.mark.parametrize(
+        "args, match",
+        [
+            ((np.zeros(4), [0]), "2-D"),
+            ((np.zeros((2, 4)), [0]), "labels"),
+            ((np.zeros((3, 4)), [0, 1, 2], [0, 2]), "offsets"),
+            ((np.zeros((3, 4)), [0, 1, 2], None, [5, 6]), "keys"),
+        ],
+    )
+    def test_make_batch_rejects_malformed_arrays(self, args, match):
+        with pytest.raises(ContractViolation, match=match):
+            make_batch(*args)
 
 
 class TestSgdStep:

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from gradmix.corpora import LanguageCorpus, build_oracle_bank, build_shot_bank
-from gradmix.models import ModelSpec, ModelState, loss_and_grad, make_batch
+from gradmix.corpora import LanguageCorpus, Split, build_oracle_bank, build_shot_bank
+from gradmix.models import ModelSpec, ModelState, loss_and_grad
 from gradmix.numcore import ContractViolation, ParamVec, RngStreams, dot, norm
 from gradmix.surgery import (
     SurgeryPolicy,
@@ -13,6 +13,8 @@ from gradmix.surgery import (
     project_gradient,
     sgs_step,
 )
+
+from oracles import examples_of, stack_batch
 
 
 def vec(*xs):
@@ -80,9 +82,7 @@ def make_oracle(num_targets=2, k=3, seed=0, dim=2, num_classes=3):
     rng = np.random.default_rng(seed)
     targets = []
     for i in range(num_targets):
-        train = tuple(
-            (rng.normal(size=dim), int(j % num_classes)) for j in range(10)
-        )
+        train = Split(rng.normal(size=(10, dim)), np.arange(10) % num_classes)
         targets.append(
             LanguageCorpus(
                 lang_id=f"t{i}", script_tag="s", role="target", task="classification",
@@ -167,7 +167,8 @@ class TestSgsStep:
         oracle, targets = make_oracle(num_targets=1, k=4, seed=3)
         model = make_model(seed=3)
         idx = oracle.indices("t0")
-        batch = make_batch([targets[0].train[i] for i in idx], keys=idx)
+        pool = examples_of(targets[0].train)
+        batch = stack_batch([pool[i] for i in idx], keys=idx)
         expected = loss_and_grad(model, batch).grad
         assert oracle_gradient(model, oracle, "t0").bitwise_equal(expected)
 

@@ -3,10 +3,11 @@ import pytest
 
 from gradmix.corpora import (
     LanguageCorpus,
+    Split,
     build_shot_bank,
     gen_synthetic_family,
 )
-from gradmix.models import ModelSpec, init_params, loss_and_grad, make_batch
+from gradmix.models import ModelSpec, init_params, loss_and_grad
 from gradmix.numcore import ContractViolation, RngStreams
 from gradmix.trainer import (
     Task,
@@ -20,6 +21,7 @@ from gradmix.trainer import (
 )
 
 from conftest import tiny_profile
+from oracles import evaluate_per_example
 
 SPEC = ModelSpec("softmax_classifier", 2, 8, 3)
 
@@ -94,7 +96,7 @@ class TestSourceTraining:
         task = Task.from_corpora(spec, corpora)
         p = TrainPlan(strategy="zero_shot", seed=1, lr=0.5, source_epochs=5)
         state0, ckpts = run_source_training(p, task.source, spec=spec)
-        batch = make_batch(task.source.train)
+        batch = task.source.train.batch()
         initial = loss_and_grad(state0, batch).loss
         final = loss_and_grad(ckpts[-1], batch).loss
         assert final < initial
@@ -194,7 +196,7 @@ class TestEvaluate:
         relabeled = LanguageCorpus(
             lang_id="self", script_tag="x", role="target", task="classification",
             num_classes=3, input_dim=2,
-            test=tuple((x, predict(model, x)) for x, _ in corpus.test),
+            test=Split(corpus.test.X, [predict(model, x) for x in corpus.test.X]),
         )
         assert evaluate(model, relabeled, "test") == 1.0
 
@@ -237,9 +239,38 @@ class TestEvaluate:
         corpus = LanguageCorpus(
             lang_id="tok", script_tag="x", role="target", task="token_tags",
             num_classes=3, input_dim=2,
-            test=tuple((x, predict(model, x)) for x in seqs),
+            test=Split(np.concatenate(seqs), np.concatenate([predict(model, x) for x in seqs]),
+                       offsets=np.arange(0, 21, 4)),
         )
         assert evaluate(model, corpus, "test") == 1.0
+
+    def test_matches_per_example_reference_classifier(self, bench):
+        corpora, _ = bench
+        task = Task.from_corpora(ModelSpec("softmax_classifier", 2, 64, 3), corpora)
+        res = run_strategy(
+            TrainPlan(strategy="naive_mix_train", seed=2, k=5, lr=0.5, source_epochs=3),
+            task,
+        )
+        models = [res.inits["model"]] + res.checkpoints["model"]
+        for model in models:
+            for corpus in corpora:
+                for split in ("train", "dev", "test"):
+                    got = evaluate(model, corpus, split)
+                    assert got == evaluate_per_example(model, corpus, split)
+
+    def test_matches_per_example_reference_ragged_tagger(self):
+        rng = np.random.default_rng(4)
+        spec = ModelSpec("mlp_token_tagger", 3, 6, 4)
+        lens = rng.integers(1, 9, size=40)
+        corpus = LanguageCorpus(
+            lang_id="tok", script_tag="x", role="target", task="token_tags",
+            num_classes=4, input_dim=3,
+            test=Split(rng.normal(size=(lens.sum(), 3)), rng.integers(4, size=lens.sum()),
+                       offsets=np.concatenate([[0], np.cumsum(lens)])),
+        )
+        for seed in range(5):
+            model = init_params(spec, RngStreams(seed))
+            assert evaluate(model, corpus, "test") == evaluate_per_example(model, corpus, "test")
 
 
 class TestSelectModel:
