@@ -10,6 +10,7 @@ no timestamps, so rerunning a config reproduces every file byte for byte.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -21,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import analysis, corpora, trainer
+from . import analysis, corpora, models, trainer
 from .corpora import (
     build_shot_bank,
     gen_synthetic_family,
@@ -37,11 +38,13 @@ from .trainer import Task, TrainPlan, run_strategy
 # only these feed the gradient-similarity matrices.
 SIM_MATRIX_KEYS = {"mix_ft": "adapted", "naive_mix_train": "model", "gradient_mix_train": "model"}
 
-PLAN_FIELDS = (
-    "alpha", "source_epochs", "adapt_epochs", "batch_size", "adapt_batch_size",
-    "lr", "selection", "shot_mode", "unrealistic_target_dev", "lazy_surgery",
-    "language_subset",
+# The config's `plan` sets TrainPlan fields; the grid sets the other three.
+PLAN_FIELDS = tuple(
+    f.name for f in dataclasses.fields(TrainPlan) if f.name not in ("strategy", "seed", "k")
 )
+# The config's `model` block: its keys and their defaults. Input width and
+# class count come from the benchmark.
+MODEL_DEFAULTS = {"family": "softmax_classifier", "hidden_dim": 64}
 
 
 @dataclass(frozen=True)
@@ -90,14 +93,20 @@ def parse_config(doc: dict) -> ExperimentConfig:
     for s in strategies:
         if s not in trainer.STRATEGIES:
             raise ContractViolation(f"unknown strategy {s!r} in grid")
+    plan = dict(doc.get("plan", {}))
+    model = dict(MODEL_DEFAULTS, **doc.get("model", {}))
+    unknown = [f"plan.{key}" for key in plan if key not in PLAN_FIELDS]
+    unknown += [f"model.{key}" for key in model if key not in MODEL_DEFAULTS]
+    if unknown:
+        raise ContractViolation(f"unknown config key(s): {', '.join(unknown)}")
     ana = doc.get("analysis", {})
     return ExperimentConfig(
         benchmark=doc.get("benchmark", {"kind": "default"}),
-        model=doc.get("model", {"family": "softmax_classifier", "hidden_dim": 64}),
+        model=model,
         strategies=strategies,
         ks=ks,
         seeds=seeds,
-        plan=dict(doc.get("plan", {})),
+        plan=plan,
         analysis_seed=int(ana.get("seed", 0)),
         analysis_source_batches=int(ana.get("source_batches", 100)),
     )
@@ -138,9 +147,9 @@ def build_benchmark(cfg: ExperimentConfig) -> Tuple[Task, Optional[dict]]:
         raise ContractViolation(f"unknown benchmark kind {kind!r}")
     sample = corp[0]
     spec = ModelSpec(
-        family=cfg.model.get("family", "softmax_classifier"),
+        family=cfg.model["family"],
         input_dim=sample.input_dim,
-        hidden_dim=int(cfg.model.get("hidden_dim", 0)),
+        hidden_dim=int(cfg.model["hidden_dim"]),
         num_classes=sample.num_classes,
     )
     return Task.from_corpora(spec, corp), manifest
@@ -163,10 +172,7 @@ def cell_name(strategy: str, k: int, seed: int) -> str:
 
 
 def make_plan(cfg: ExperimentConfig, strategy: str, k: int, seed: int) -> TrainPlan:
-    kwargs = {f: cfg.plan[f] for f in PLAN_FIELDS if f in cfg.plan}
-    if kwargs.get("language_subset") is not None:
-        kwargs["language_subset"] = tuple(kwargs["language_subset"])
-    return TrainPlan(strategy=strategy, k=k, seed=seed, **kwargs)
+    return TrainPlan(strategy=strategy, k=k, seed=seed, **cfg.plan)
 
 
 def write_json(path: Path, obj) -> None:
@@ -180,19 +186,13 @@ def run_cell(cfg: ExperimentConfig, task: Task, strategy: str, k: int, seed: int
     plan = make_plan(cfg, strategy, k, seed)
     result = run_strategy(plan, task)
     cell_dir = out / "runs" / cell_name(strategy, k, seed)
-    cell_dir.mkdir(parents=True, exist_ok=True)
-
-    ck_paths: Dict[str, List[str]] = {}
-    for key, ckpts in result.checkpoints.items():
-        ck_dir = cell_dir / "checkpoints" / key
-        ck_dir.mkdir(parents=True, exist_ok=True)
-        paths = []
-        chain = [result.inits[key]] + list(ckpts)
-        for epoch, state in enumerate(chain):
-            p = ck_dir / f"epoch_{epoch:04d}.json"
-            save_checkpoint(state, p, epoch=epoch, strategy=strategy)
-            paths.append(str(p.relative_to(cell_dir)))
-        ck_paths[key] = paths
+    ck_dir = cell_dir / "checkpoints"
+    ck_dir.mkdir(parents=True, exist_ok=True)
+    ck_paths: Dict[str, str] = {}
+    for key, chain in result.checkpoints.items():
+        p = ck_dir / f"{key}.json"
+        save_checkpoint(chain, p, strategy=strategy)
+        ck_paths[key] = str(p.relative_to(cell_dir))
     result.record["checkpoints"] = ck_paths
 
     if result.trace is not None:
@@ -211,8 +211,9 @@ def run_cell(cfg: ExperimentConfig, task: Task, strategy: str, k: int, seed: int
 def write_sim_matrices(cfg: ExperimentConfig, task: Task, records: Sequence[dict],
                        out: Path) -> List[Path]:
     """One similarity-matrix CSV per (strategy, k) group with a single final
-    model per run: final checkpoints of the group's seeds, measured against
-    one analysis shot bank."""
+    model per run: the last state of each seed's checkpoint chain, measured
+    against one analysis shot bank. Batch size and shot mode are the ones
+    the group's runs resolved and recorded."""
     agg_dir = out / "aggregate"
     agg_dir.mkdir(parents=True, exist_ok=True)
     written = []
@@ -227,24 +228,35 @@ def write_sim_matrices(cfg: ExperimentConfig, task: Task, records: Sequence[dict
         finals = []
         for r in rs:
             cell_dir = out / "runs" / cell_name(strategy, k, r["seed"])
-            from .models import load_checkpoint
-
-            state, _, _ = load_checkpoint(cell_dir / r["checkpoints"][key][-1])
-            finals.append(state)
+            chain, _ = models.load_checkpoint(cell_dir / r["checkpoints"][key])
+            finals.append(chain[-1])
+        plan = rs[0]["plan"]
         bank = build_shot_bank(
-            task.targets, k, cfg.plan.get("shot_mode", "k_shot"),
-            RngStreams(cfg.analysis_seed),
+            task.targets, k, plan["shot_mode"], RngStreams(cfg.analysis_seed)
         )
         rng = np.random.default_rng(np.random.SeedSequence(cfg.analysis_seed))
         m = analysis.similarity_matrix(
             finals, corp, bank, rng,
-            batch_size=cfg.plan.get("batch_size", 32),
+            batch_size=plan["batch_size"],
             n_source_batches=cfg.analysis_source_batches,
         )
         path = agg_dir / f"simmatrix_{strategy}_k{k}.csv"
         analysis.write_sim_matrix_csv(m, path)
         written.append(path)
     return written
+
+
+def write_aggregate(cfg: ExperimentConfig, task: Task, records: Sequence[dict],
+                    out: Path) -> str:
+    """Write `aggregate/`: report.json, table.txt and the similarity CSVs
+    of the given run records. Returns the table."""
+    records = sorted(records, key=lambda r: (r["strategy"], r["k"], r["seed"]))
+    report = analysis.aggregate_runs(records)
+    write_json(out / "aggregate" / "report.json", report)
+    table = format_table(report, records[0]["source_lang"])
+    (out / "aggregate" / "table.txt").write_text(table, encoding="utf-8")
+    write_sim_matrices(cfg, task, records, out)
+    return table
 
 
 def format_table(report: dict, source_lang: str) -> str:
@@ -280,19 +292,12 @@ def format_table(report: dict, source_lang: str) -> str:
     return "\n".join(lines)
 
 
-def sha256_file(path: Path) -> str:
-    h = hashlib.sha256()
-    h.update(path.read_bytes())
-    return h.hexdigest()
-
-
 def write_manifest(out: Path, failures: List[dict]) -> Path:
-    entries = []
-    for p in sorted(out.rglob("*")):
-        if p.is_file() and p.name != "manifest.json":
-            entries.append(
-                {"path": str(p.relative_to(out)), "sha256": sha256_file(p)}
-            )
+    entries = [
+        {"path": str(p.relative_to(out)), "sha256": hashlib.sha256(p.read_bytes()).hexdigest()}
+        for p in sorted(out.rglob("*"))
+        if p.is_file() and p.name != "manifest.json"
+    ]
     manifest = {"format_version": 1, "artifacts": entries, "failures": failures}
     write_json(out / "manifest.json", manifest)
     return out / "manifest.json"
@@ -331,16 +336,10 @@ def run_experiment(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> int:
                 failures.append({"cell": cell_name(*cell), "error": str(exc)})
 
     if records:
-        records.sort(key=lambda r: (r["strategy"], r["k"], r["seed"]))
-        report = analysis.aggregate_runs(records)
-        write_json(out / "aggregate" / "report.json", report)
-        table = format_table(report, records[0]["source_lang"])
-        (out / "aggregate").mkdir(exist_ok=True)
-        (out / "aggregate" / "table.txt").write_text(table, encoding="utf-8")
         try:
-            write_sim_matrices(cfg, task, records, out)
+            write_aggregate(cfg, task, records, out)
         except Exception as exc:
-            failures.append({"cell": "sim_matrices", "error": str(exc)})
+            failures.append({"cell": "aggregate", "error": str(exc)})
     write_manifest(out, failures)
     for f in failures:
         print(f"FAILED {f['cell']}: {f['error']}", file=sys.stderr)
@@ -365,14 +364,8 @@ def export_artifacts(out: Path) -> int:
             missing.append(cell_name(*cell))
     if missing:
         raise ContractViolation(f"missing run records: {', '.join(missing)}")
-    records.sort(key=lambda r: (r["strategy"], r["k"], r["seed"]))
-    report = analysis.aggregate_runs(records)
-    write_json(out / "aggregate" / "report.json", report)
-    text = format_table(report, records[0]["source_lang"])
-    (out / "aggregate" / "table.txt").write_text(text, encoding="utf-8")
-    print(text)
     task, _ = build_benchmark(cfg)
-    write_sim_matrices(cfg, task, records, out)
+    print(write_aggregate(cfg, task, records, out))
     return 0
 
 

@@ -7,6 +7,10 @@ treat gradients uniformly.
 
 Batches hold their examples sorted by canonical key (see `corpora`), which
 makes loss and gradient bitwise invariant to the order examples were drawn.
+
+A trained model is a chain of states, epoch 0 first (see `trainer`);
+`save_checkpoint` writes one chain to one file and `load_checkpoint` reads
+it back bit for bit.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -243,32 +247,39 @@ def predict(state: ModelState, x: np.ndarray):
 
 # --- checkpoint files -------------------------------------------------------
 #
-# JSON with parameters as decimal-exact strings (repr round-trips f64
-# bit-for-bit), so save -> load -> evaluate is bitwise stable.
+# One JSON file per trained model: its spec and strategy once, then the
+# chain of states, epoch 0 (the state training started from) first. Each
+# parameter is a decimal-exact string (repr round-trips f64 bit-for-bit),
+# so save -> load -> evaluate is bitwise stable.
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
-def checkpoint_payload(state: ModelState, epoch: int, strategy: str) -> dict:
-    return {
+def save_checkpoint(chain: Sequence[ModelState], path: Union[str, Path], strategy: str) -> None:
+    """Write a model's chain of states, epoch 0 first, to one compact file."""
+    if not chain or any(state.spec != chain[0].spec for state in chain):
+        raise ContractViolation("a checkpoint chain needs one or more states of one spec")
+    payload = {
         "format_version": CHECKPOINT_VERSION,
-        "kind": "model-checkpoint",
-        "spec": state.spec.to_dict(),
-        "epoch": int(epoch),
+        "kind": "model-chain",
+        "spec": chain[0].spec.to_dict(),
         "strategy": strategy,
-        "theta": [repr(float(v)) for v in state.theta.values.tolist()],
+        "thetas": [[repr(v) for v in state.theta.values.tolist()] for state in chain],
     }
+    Path(path).write_text(json.dumps(payload, separators=(",", ":")) + "\n", encoding="utf-8")
 
 
-def save_checkpoint(state: ModelState, path: Union[str, Path], epoch: int, strategy: str) -> None:
-    payload = checkpoint_payload(state, epoch, strategy)
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-
-
-def load_checkpoint(path: Union[str, Path]) -> Tuple[ModelState, int, str]:
+def load_checkpoint(path: Union[str, Path]) -> Tuple[List[ModelState], str]:
+    """Read a file written by `save_checkpoint`: (chain, strategy)."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if payload.get("format_version") != CHECKPOINT_VERSION:
-        raise ContractViolation(f"unsupported checkpoint version in {path}")
+    version = payload.get("format_version")
+    if version != CHECKPOINT_VERSION:
+        raise ContractViolation(
+            f"{path} is a version-{version} checkpoint; expected version {CHECKPOINT_VERSION}"
+        )
     spec = ModelSpec.from_dict(payload["spec"])
-    theta = ParamVec(np.array([float(s) for s in payload["theta"]], dtype=np.float64))
-    return ModelState(spec=spec, theta=theta), int(payload["epoch"]), payload["strategy"]
+    chain = [
+        ModelState(spec=spec, theta=ParamVec(np.array([float(s) for s in row], dtype=np.float64)))
+        for row in payload["thetas"]
+    ]
+    return chain, payload["strategy"]

@@ -12,15 +12,21 @@ Five strategies around one shared loop:
                        target's shots
   gradient_mix_train   naive_mix_train plus stochastic gradient surgery
 
-One-step strategies select their checkpoint on the source dev set only;
-target dev data exists in the benchmark but is consumed solely by the
-ord_fs_dev policy (and analysis curves), since realistically-sized target
-dev sets would be smaller than the training shots themselves.
+Every trained model is a chain of states, epoch 0 first: the state that
+training started from (the initialization, or the selected source model for
+an adapted model), then one state per epoch end. Selecting epoch e of a
+model is `chain[e]`, and `cli` writes each chain to one checkpoint file.
+
+One-step strategies select their epoch on the source dev set only, so one
+model serves every target, including one without a dev split. Target dev
+data is consumed solely by the target_dev policy (ord_fs_dev, or a one-step
+run that opts in with unrealistic_target_dev), since realistically-sized
+target dev sets would be smaller than the training shots themselves.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import analysis
@@ -57,12 +63,6 @@ ONE_STEP = ("naive_mix_train", "gradient_mix_train")
 TWO_STEP = ("ord_fs", "ord_fs_dev", "mix_ft")
 SELECTIONS = ("source_dev", "target_dev", "last_checkpoint")
 
-# Reference experiment defaults; the shipped desk-scale configs override lr
-# because these models are a few dozen parameters, not a pretrained encoder.
-DEFAULT_EPOCHS = 10
-DEFAULT_BATCH_SIZE = 32
-DEFAULT_LR = 2e-5
-
 StepHook = Callable[[int, ModelState], None]
 
 
@@ -80,11 +80,11 @@ class TrainPlan:
     seed: int
     k: int = 0
     alpha: float = 1.0
-    source_epochs: int = DEFAULT_EPOCHS
-    adapt_epochs: int = DEFAULT_EPOCHS
-    batch_size: int = DEFAULT_BATCH_SIZE
+    source_epochs: int = 10
+    adapt_epochs: int = 10
+    batch_size: int = 32
     adapt_batch_size: Optional[int] = None  # None -> k
-    lr: float = DEFAULT_LR
+    lr: float = 0.5
     language_subset: Optional[Tuple[str, ...]] = None
     selection: Optional[str] = None  # None -> strategy default
     shot_mode: str = "k_shot"
@@ -131,22 +131,9 @@ class TrainPlan:
         return self.adapt_batch_size if self.adapt_batch_size is not None else max(self.k, 1)
 
     def to_dict(self) -> dict:
-        return {
-            "strategy": self.strategy,
-            "seed": self.seed,
-            "k": self.k,
-            "alpha": self.alpha,
-            "source_epochs": self.source_epochs,
-            "adapt_epochs": self.adapt_epochs,
-            "batch_size": self.batch_size,
-            "adapt_batch_size": self.adapt_batch_size,
-            "lr": self.lr,
-            "language_subset": list(self.language_subset) if self.language_subset else None,
-            "selection": self.selection,
-            "shot_mode": self.shot_mode,
-            "unrealistic_target_dev": self.unrealistic_target_dev,
-            "lazy_surgery": self.lazy_surgery,
-        }
+        d = asdict(self)
+        d["language_subset"] = list(self.language_subset) if self.language_subset else None
+        return d
 
 
 @dataclass(frozen=True)
@@ -183,18 +170,12 @@ class RunResult:
     """Everything a strategy run produced, before serialization."""
 
     record: dict
-    checkpoints: Dict[str, List[ModelState]]  # model key -> post-epoch states
-    inits: Dict[str, ModelState]  # model key -> pre-training state
+    checkpoints: Dict[str, List[ModelState]]  # model key -> chain, epoch 0 first
     trace: Optional[List[TraceEntry]]
-
-    def model_at(self, model_key: str, epoch: int) -> ModelState:
-        if epoch == 0:
-            return self.inits[model_key]
-        return self.checkpoints[model_key][epoch - 1]
 
     def selected_model(self, lang_id: str) -> ModelState:
         key = self.record["model_key_of"][lang_id]
-        return self.model_at(key, self.record["selected_epochs"][lang_id])
+        return self.checkpoints[key][self.record["selected_epochs"][lang_id]]
 
 
 # --- core loop ---------------------------------------------------------------
@@ -212,11 +193,12 @@ def _train_loop(
     policy: Optional[SurgeryPolicy] = None,
     step_hook: Optional[StepHook] = None,
 ) -> Tuple[List[ModelState], Optional[List[TraceEntry]]]:
-    """Fixed-epoch SGD over per-epoch reshuffles of the pool, checkpointing
-    at each epoch end. With an oracle and policy, every step runs the
-    stochastic surgery decision between backprop and the update."""
+    """Fixed-epoch SGD over per-epoch reshuffles of the pool; returns the
+    chain [state0, state after epoch 1, ..., after epoch `epochs`]. With an
+    oracle and policy, every step runs the stochastic surgery decision
+    between backprop and the update."""
     state = state0
-    checkpoints: List[ModelState] = []
+    chain = [state0]
     trace: Optional[List[TraceEntry]] = [] if policy is not None else None
     step = 0
     for epoch in range(1, epochs + 1):
@@ -230,8 +212,8 @@ def _train_loop(
             step += 1
             if step_hook is not None:
                 step_hook(step, state)
-        checkpoints.append(state)
-    return checkpoints, trace
+        chain.append(state)
+    return chain, trace
 
 
 # --- spec operations ----------------------------------------------------------
@@ -244,9 +226,9 @@ def run_source_training(
     state0: Optional[ModelState] = None,
     spec: Optional[ModelSpec] = None,
     step_hook: Optional[StepHook] = None,
-) -> Tuple[ModelState, List[ModelState]]:
-    """Fine-tune on the source language alone; returns (initial state,
-    one checkpoint per epoch)."""
+) -> List[ModelState]:
+    """Fine-tune on the source language alone; returns the chain, epoch 0
+    (the initial state) first."""
     if rng is None:
         rng = RngStreams(plan.seed)
     if state0 is None:
@@ -254,11 +236,11 @@ def run_source_training(
             raise ContractViolation("need a ModelSpec when no initial state is given")
         state0 = init_params(spec, rng)
     md = build_mixed_dataset(source, [], None)
-    ckpts, _ = _train_loop(
+    chain, _ = _train_loop(
         state0, md, plan.source_epochs, plan.batch_size, plan.lr, rng, scope="pool",
         step_hook=step_hook,
     )
-    return state0, ckpts
+    return chain
 
 
 def run_target_adapting(
@@ -268,7 +250,8 @@ def run_target_adapting(
     targets: Sequence[LanguageCorpus],
     rng: Optional[RngStreams] = None,
 ) -> Dict[str, List[ModelState]]:
-    """Fine-tune the source-trained model on target shots.
+    """Fine-tune the source-trained model on target shots; every returned
+    chain starts from `source_model` at epoch 0.
 
     ord_fs(+dev): one adapted model per language, trained on its own shots.
     mix_ft: a single model trained on all targets' shots concatenated.
@@ -282,17 +265,15 @@ def run_target_adapting(
     if plan.strategy in ("ord_fs", "ord_fs_dev"):
         for corpus in targets:
             md = build_mixed_dataset(None, [corpus], shots)
-            ckpts, _ = _train_loop(
+            out[corpus.lang_id], _ = _train_loop(
                 source_model, md, plan.adapt_epochs, batch, plan.lr, rng,
                 scope=f"adapt:{corpus.lang_id}",
             )
-            out[corpus.lang_id] = ckpts
     elif plan.strategy == "mix_ft":
         md = build_mixed_dataset(None, targets, shots)
-        ckpts, _ = _train_loop(
+        out["adapted"], _ = _train_loop(
             source_model, md, plan.adapt_epochs, batch, plan.lr, rng, scope="adapt:all"
         )
-        out["adapted"] = ckpts
     else:
         raise ContractViolation(f"{plan.strategy} has no target-adapting phase")
     return out
@@ -307,9 +288,10 @@ def run_mixed_training(
     state0: Optional[ModelState] = None,
     spec: Optional[ModelSpec] = None,
     step_hook: Optional[StepHook] = None,
-) -> Tuple[ModelState, List[ModelState], Optional[List[TraceEntry]]]:
-    """One-step training on the pooled source + shots dataset; the gradient
-    strategy adds the per-step stochastic surgery decision."""
+) -> Tuple[List[ModelState], Optional[List[TraceEntry]]]:
+    """One-step training on the pooled source + shots dataset; returns the
+    chain, epoch 0 first, and the surgery trace. The gradient strategy adds
+    the per-step stochastic surgery decision."""
     if plan.strategy not in ONE_STEP:
         raise ContractViolation(f"{plan.strategy} is not a one-step strategy")
     if rng is None:
@@ -325,11 +307,10 @@ def run_mixed_training(
         oracle = build_oracle_bank(shots, targets)
         policy = SurgeryPolicy(alpha=plan.alpha, lazy=plan.lazy_surgery)
     md = build_mixed_dataset(source, targets, shots)
-    ckpts, trace = _train_loop(
+    return _train_loop(
         state0, md, plan.source_epochs, plan.batch_size, plan.lr, rng, scope="pool",
         oracle=oracle, policy=policy, step_hook=step_hook,
     )
-    return state0, ckpts, trace
 
 
 def evaluate(model: ModelState, corpus: LanguageCorpus, split: str) -> float:
@@ -350,19 +331,23 @@ def select_model(
     policy: str,
     epochs: int,
     source_lang: Optional[str] = None,
+    langs: Optional[Sequence[str]] = None,
 ) -> Dict[str, int]:
-    """Map each language to its selected epoch (0 = the pre-training state).
+    """Map each language of `langs` (default: those with a curve) to its
+    selected epoch (0 = the state training started from).
 
     source_dev: argmax of the source language's dev curve, shared by all.
     target_dev: per-language argmax of that language's own dev curve.
     last_checkpoint: the final epoch for everyone. Ties break earliest.
+    A language without a dev curve gets the shared epoch of source_dev and
+    last_checkpoint; target_dev refuses it.
     """
-    langs = list(curves.keys())
     for lang, curve in curves.items():
         if len(curve) != epochs:
             raise ContractViolation(
                 f"dev curve for {lang} has {len(curve)} entries, expected {epochs}"
             )
+    langs = list(curves) if langs is None else list(langs)
     if policy == "last_checkpoint":
         return {lang: epochs for lang in langs}
     if policy == "source_dev":
@@ -371,9 +356,14 @@ def select_model(
         epoch = analysis.argmax_earliest(curves[source_lang]) if epochs > 0 else 0
         return {lang: epoch for lang in langs}
     if policy == "target_dev":
+        for lang in langs:
+            if lang not in curves:
+                raise ContractViolation(
+                    f"target_dev selection needs a dev split, but {lang} has none"
+                )
         return {
-            lang: (analysis.argmax_earliest(curve) if epochs > 0 else 0)
-            for lang, curve in curves.items()
+            lang: (analysis.argmax_earliest(curves[lang]) if epochs > 0 else 0)
+            for lang in langs
         }
     raise ContractViolation(f"unknown selection policy {policy!r}")
 
@@ -382,10 +372,11 @@ def select_model(
 
 
 def _dev_curves(
-    models: List[ModelState], corpora: Sequence[LanguageCorpus]
+    chain: List[ModelState], corpora: Sequence[LanguageCorpus]
 ) -> Dict[str, List[float]]:
+    """Dev curve over epochs 1..E of a chain, for each corpus with a dev split."""
     return {
-        c.lang_id: [evaluate(m, c, "dev") for m in models] for c in corpora if len(c.dev) > 0
+        c.lang_id: [evaluate(m, c, "dev") for m in chain[1:]] for c in corpora if len(c.dev) > 0
     }
 
 
@@ -413,54 +404,45 @@ def run_strategy(plan: TrainPlan, task: Task, step_hook: Optional[StepHook] = No
         else {},
     }
     checkpoints: Dict[str, List[ModelState]] = {}
-    inits: Dict[str, ModelState] = {}
     trace: Optional[List[TraceEntry]] = None
 
     if plan.strategy in TWO_STEP:
-        state0, src_ckpts = run_source_training(plan, source, rng=rng, spec=task.spec)
-        checkpoints["source"] = src_ckpts
-        inits["source"] = state0
-        src_curve = [evaluate(m, source, "dev") for m in src_ckpts]
+        src_chain = run_source_training(plan, source, rng=rng, spec=task.spec)
+        checkpoints["source"] = src_chain
+        src_curve = [evaluate(m, source, "dev") for m in src_chain[1:]]
         src_epoch = analysis.argmax_earliest(src_curve) if plan.source_epochs > 0 else 0
-        source_model = state0 if src_epoch == 0 else src_ckpts[src_epoch - 1]
         record["source_selected_epoch"] = src_epoch
         record["source_dev_curve"] = src_curve
 
-        if plan.selection == "target_dev":
-            for c in targets:
-                if len(c.dev) == 0:
-                    raise ContractViolation(
-                        f"target_dev selection requested but {c.lang_id} has no dev split"
-                    )
-        adapted = run_target_adapting(source_model, shots, plan, targets, rng=rng)
-        epochs = plan.adapt_epochs
+        adapted = run_target_adapting(src_chain[src_epoch], shots, plan, targets, rng=rng)
         checkpoints.update(adapted)
-        inits.update({key: source_model for key in adapted})
+        epochs = plan.adapt_epochs
+        model_key_of = {
+            c.lang_id: "adapted" if plan.strategy == "mix_ft" else c.lang_id for c in targets
+        }
         curves = {}
-        model_key_of = {}
         for c in targets:
-            key = "adapted" if plan.strategy == "mix_ft" else c.lang_id
-            curves.update(_dev_curves(adapted[key], [c]))
-            model_key_of[c.lang_id] = key
-        selected = select_model(curves, plan.selection, epochs)
+            curves.update(_dev_curves(adapted[model_key_of[c.lang_id]], [c]))
+        selected = select_model(curves, plan.selection, epochs, langs=list(model_key_of))
         model_key_of[source.lang_id] = "source"
         selected[source.lang_id] = src_epoch
         record["pool_size"] = sum(shots.size(lang) for lang in shots.lang_ids)
 
     else:  # zero_shot and the one-step strategies: one model for every language
         if plan.strategy == "zero_shot":
-            state0, ckpts = run_source_training(
+            chain = run_source_training(
                 plan, source, rng=rng, spec=task.spec, step_hook=step_hook
             )
         else:
-            state0, ckpts, trace = run_mixed_training(
+            chain, trace = run_mixed_training(
                 plan, source, targets, shots, rng=rng, spec=task.spec, step_hook=step_hook
             )
-        checkpoints["model"] = ckpts
-        inits["model"] = state0
+        checkpoints["model"] = chain
         epochs = plan.source_epochs
-        curves = _dev_curves(ckpts, [source] + list(targets))
-        selected = select_model(curves, plan.selection, epochs, source_lang=source.lang_id)
+        curves = _dev_curves(chain, [source] + list(targets))
+        selected = select_model(
+            curves, plan.selection, epochs, source_lang=source.lang_id, langs=all_langs
+        )
         model_key_of = {lang: "model" for lang in all_langs}
         record["pool_size"] = len(source.train) + (
             sum(shots.size(lang) for lang in shots.lang_ids) if shots else 0
@@ -471,7 +453,7 @@ def run_strategy(plan: TrainPlan, task: Task, step_hook: Optional[StepHook] = No
     record["selected_epochs"] = selected
     record["model_key_of"] = model_key_of
 
-    result = RunResult(record=record, checkpoints=checkpoints, inits=inits, trace=trace)
+    result = RunResult(record=record, checkpoints=checkpoints, trace=trace)
     test_metrics = {}
     for c in [source] + list(targets):
         if len(c.test) == 0:

@@ -1,8 +1,13 @@
+import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from gradmix import cli
 from gradmix.cli import (
     ExperimentConfig,
     build_benchmark,
@@ -14,7 +19,11 @@ from gradmix.cli import (
     parse_config,
     run_experiment,
 )
+from gradmix.models import load_checkpoint
 from gradmix.numcore import ContractViolation
+from gradmix.trainer import STRATEGIES, evaluate
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def small_config_doc(strategies=("zero_shot", "gradient_mix_train"), ks=(2,),
@@ -75,6 +84,25 @@ class TestConfig:
         p.write_text("{not json", encoding="utf-8")
         assert main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
 
+    def test_unknown_plan_and_model_keys_exit_2(self, tmp_path, capsys):
+        doc = small_config_doc()
+        doc["plan"]["learning_rate"] = doc["plan"].pop("lr")
+        doc["model"]["width"] = 8
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 2
+        assert "plan.learning_rate, model.width" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("model", [None, {"family": "softmax_classifier"}])
+    def test_model_defaults_resolved_once(self, model):
+        doc = small_config_doc()
+        del doc["model"]
+        if model is not None:
+            doc["model"] = model
+        cfg = parse_config(doc)
+        assert cfg.model == {"family": "softmax_classifier", "hidden_dim": 64}
+        assert build_benchmark(cfg)[0].spec.hidden_dim == 64
+
     def test_default_config_round_trips(self, tmp_path):
         root = Path(__file__).resolve().parents[1]
         doc = load_config(root / "configs" / "default.json").canonical_dict()
@@ -114,9 +142,33 @@ class TestRunExperiment:
         cell = out / "runs" / "gradient_mix_train_k2_seed1"
         assert (cell / "surgery_trace.jsonl").exists()
         rec = json.loads((cell / "record.json").read_text())
-        for key, paths in rec["checkpoints"].items():
-            for p in paths:
-                assert (cell / p).exists()
+        assert rec["checkpoints"] == {"model": "checkpoints/model.json"}
+        assert [p.name for p in (cell / "checkpoints").iterdir()] == ["model.json"]
+        chain, strategy = load_checkpoint(cell / "checkpoints" / "model.json")
+        assert strategy == "gradient_mix_train"
+        assert len(chain) == rec["epochs"] + 1
+        assert not list(out.rglob("epoch_*.json"))
+
+    def test_selected_checkpoints_reproduce_test_metrics(self, tmp_path):
+        cfg = parse_config(small_config_doc(strategies=STRATEGIES, seeds=(1,)))
+        out = tmp_path / "out"
+        assert run_experiment(cfg, out) == 0
+        task, _ = build_benchmark(cfg)
+        corpora = {c.lang_id: c for c in (task.source,) + task.targets}
+        records = sorted((out / "runs").glob("*/record.json"))
+        assert len(records) == len(STRATEGIES)
+        for rec_path in records:
+            rec = json.loads(rec_path.read_text())
+            cell = rec_path.parent
+            assert set(rec["checkpoints"]) == set(rec["model_key_of"].values())
+            assert len(list((cell / "checkpoints").iterdir())) == len(rec["checkpoints"])
+            assert set(rec["test_metrics"]) == set(corpora)
+            for lang, metric in rec["test_metrics"].items():
+                key = rec["model_key_of"][lang]
+                chain, strategy = load_checkpoint(cell / rec["checkpoints"][key])
+                assert strategy == rec["strategy"]
+                model = chain[rec["selected_epochs"][lang]]
+                assert evaluate(model, corpora[lang], "test") == metric
 
     def test_rerun_byte_identical(self, tmp_path):
         cfg = parse_config(small_config_doc())
@@ -189,6 +241,34 @@ class TestExport:
         assert export_artifacts(out) == 0
         assert (out / "aggregate" / "table.txt").read_text() == table_before
 
+    def test_export_rewrites_results_byte_for_byte(self, tmp_path):
+        cfg = parse_config(small_config_doc(strategies=("zero_shot", "mix_ft",
+                                                        "gradient_mix_train")))
+        out = tmp_path / "out"
+        assert run_experiment(cfg, out) == 0
+        agg = out / "aggregate"
+        before = {p.name: p.read_bytes() for p in agg.iterdir()}
+        assert sorted(before) == ["report.json", "simmatrix_gradient_mix_train_k2.csv",
+                                  "simmatrix_mix_ft_k2.csv", "table.txt"]
+        for p in agg.iterdir():
+            p.unlink()
+        assert export_artifacts(out) == 0
+        assert {p.name: p.read_bytes() for p in agg.iterdir()} == before
+
+    def test_aggregate_failure_recorded_by_run_raised_by_export(self, tmp_path, monkeypatch):
+        def fail(*args):
+            raise RuntimeError("similarity failed")
+
+        monkeypatch.setattr(cli, "write_sim_matrices", fail)
+        cfg = parse_config(small_config_doc(seeds=(1,)))
+        out = tmp_path / "out"
+        assert run_experiment(cfg, out) == 1
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["failures"] == [{"cell": "aggregate", "error": "similarity failed"}]
+        assert (out / "aggregate" / "report.json").exists()
+        with pytest.raises(RuntimeError, match="similarity failed"):
+            export_artifacts(out)
+
     def test_missing_records_listed(self, tmp_path):
         cfg = parse_config(small_config_doc(seeds=(1, 2)))
         out = tmp_path / "out"
@@ -245,3 +325,28 @@ class TestCliMain:
         out = tmp_path / "out"
         assert main(["run", "--config", str(p), "--out", str(out)]) == 0
         assert main(["export", "--out", str(out)]) == 0
+
+
+class TestBenchmarkTracer:
+    """The benchmark's tracer wraps program functions by name; a run under it
+    must still reach them."""
+
+    def test_traced_run_counts_checkpoint_io(self, tmp_path):
+        spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        config = write_config(tmp_path, small_config_doc(
+            strategies=("zero_shot", "ord_fs", "gradient_mix_train"), seeds=(1,)))
+        spans, out = tmp_path / "spans.npz", tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "perfbench" / "tracing.py"), str(spans),
+             "run", "--config", str(config), "--out", str(out)],
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        metrics = tracing.layer_metrics(tracing.load_spans(str(spans)))
+        files = [p for p in (out / "runs").glob("*/checkpoints/*") if p.is_file()]
+        assert metrics["models.save_checkpoint.calls"] == len(files) == 1 + 3 + 1
+        assert metrics["models.save_checkpoint.bytes"] == sum(p.stat().st_size for p in files)
+        assert metrics["models.load_checkpoint.calls"] > 0

@@ -1,4 +1,6 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -246,24 +248,54 @@ class TestPredict:
             assert np.argmax(p) == predict(st, x)
 
 
+def sgd_chain(spec, seed, epochs=3):
+    """A chain as the trainer builds one: epoch 0, then one state per epoch."""
+    chain = [random_state(spec, seed)]
+    for e in range(epochs):
+        grad = loss_and_grad(chain[-1], random_batch(spec, seed + 100 + e)).grad
+        chain.append(sgd_step(chain[-1], grad, 0.3))
+    return chain
+
+
 class TestCheckpoints:
     def test_round_trip_bitwise(self, tmp_path):
-        st = random_state(CLS_MLP, 11)
-        path = tmp_path / "ck.json"
-        save_checkpoint(st, path, epoch=3, strategy="naive_mix_train")
-        loaded, epoch, strategy = load_checkpoint(path)
-        assert loaded.theta.bitwise_equal(st.theta)
-        assert loaded.spec == st.spec
-        assert epoch == 3
+        chain = sgd_chain(CLS_MLP, 11)
+        path = tmp_path / "model.json"
+        save_checkpoint(chain, path, strategy="naive_mix_train")
+        loaded, strategy = load_checkpoint(path)
         assert strategy == "naive_mix_train"
+        assert len(loaded) == len(chain) == 4
+        for got, want in zip(loaded, chain):
+            assert got.spec == want.spec
+            assert got.theta.bitwise_equal(want.theta)
 
     def test_round_trip_preserves_metrics(self, tmp_path):
-        st = random_state(TAG, 12)
+        chain = sgd_chain(TAG, 12)
         batch = random_batch(TAG, 13)
-        before = loss_and_grad(st, batch)
-        path = tmp_path / "ck.json"
-        save_checkpoint(st, path, epoch=1, strategy="zero_shot")
-        loaded, _, _ = load_checkpoint(path)
-        after = loss_and_grad(loaded, batch)
-        assert before.loss == after.loss
-        assert before.grad.bitwise_equal(after.grad)
+        path = tmp_path / "model.json"
+        save_checkpoint(chain, path, strategy="zero_shot")
+        loaded, _ = load_checkpoint(path)
+        assert len(loaded) == len(chain)
+        for got, want in zip(loaded, chain):
+            assert got.theta.bitwise_equal(want.theta)
+            before, after = loss_and_grad(want, batch), loss_and_grad(got, batch)
+            assert before.loss == after.loss
+            assert before.grad.bitwise_equal(after.grad)
+
+    def test_version_1_file_refused(self, tmp_path):
+        state = random_state(CLS, 14)
+        path = tmp_path / "epoch_0003.json"
+        path.write_text(json.dumps({
+            "format_version": 1, "kind": "model-checkpoint", "spec": CLS.to_dict(),
+            "epoch": 3, "strategy": "zero_shot",
+            "theta": [repr(v) for v in state.theta.values.tolist()],
+        }), encoding="utf-8")
+        with pytest.raises(ContractViolation, match=f"{re.escape(str(path))}.*version-1"):
+            load_checkpoint(path)
+
+    def test_malformed_chain_rejected(self, tmp_path):
+        with pytest.raises(ContractViolation, match="one or more states of one spec"):
+            save_checkpoint([], tmp_path / "empty.json", strategy="zero_shot")
+        with pytest.raises(ContractViolation, match="one or more states of one spec"):
+            save_checkpoint([random_state(CLS, 1), random_state(CLS_MLP, 2)],
+                            tmp_path / "mixed.json", strategy="zero_shot")

@@ -68,6 +68,10 @@ class TestTrainPlan:
         with pytest.raises(ContractViolation):
             TrainPlan(strategy="ord_fs_dev", seed=1, k=5, selection="last_checkpoint")
 
+    def test_bare_plan_uses_shipped_defaults(self):
+        p = TrainPlan(strategy="zero_shot", seed=1)
+        assert (p.lr, p.source_epochs, p.adapt_epochs, p.batch_size) == (0.5, 10, 10, 32)
+
     def test_adapt_batch_defaults_to_k(self):
         assert TrainPlan(strategy="ord_fs", seed=1, k=7).effective_adapt_batch() == 7
         assert TrainPlan(
@@ -78,15 +82,15 @@ class TestTrainPlan:
 class TestSourceTraining:
     def test_zero_epochs_returns_initial(self, tiny_task):
         p = plan("zero_shot", source_epochs=0)
-        state0, ckpts = run_source_training(p, tiny_task.source, spec=SPEC)
-        assert ckpts == []
-        again, _ = run_source_training(p, tiny_task.source, spec=SPEC)
-        assert state0.theta.bitwise_equal(again.theta)
+        chain = run_source_training(p, tiny_task.source, spec=SPEC)
+        assert len(chain) == 1
+        assert chain[0].theta.bitwise_equal(init_params(SPEC, RngStreams(p.seed)).theta)
 
     def test_same_seed_identical_checkpoints(self, tiny_task):
         p = plan("zero_shot")
-        _, a = run_source_training(p, tiny_task.source, spec=SPEC)
-        _, b = run_source_training(p, tiny_task.source, spec=SPEC)
+        a = run_source_training(p, tiny_task.source, spec=SPEC)
+        b = run_source_training(p, tiny_task.source, spec=SPEC)
+        assert len(a) == len(b) == p.source_epochs + 1
         for ca, cb in zip(a, b):
             assert ca.theta.bitwise_equal(cb.theta)
 
@@ -94,11 +98,11 @@ class TestSourceTraining:
         corpora, _ = bench
         spec = ModelSpec("softmax_classifier", 2, 64, 3)
         task = Task.from_corpora(spec, corpora)
-        p = TrainPlan(strategy="zero_shot", seed=1, lr=0.5, source_epochs=5)
-        state0, ckpts = run_source_training(p, task.source, spec=spec)
+        p = TrainPlan(strategy="zero_shot", seed=1, source_epochs=5)  # default lr
+        chain = run_source_training(p, task.source, spec=spec)
         batch = task.source.train.batch()
-        initial = loss_and_grad(state0, batch).loss
-        final = loss_and_grad(ckpts[-1], batch).loss
+        initial = loss_and_grad(chain[0], batch).loss
+        final = loss_and_grad(chain[-1], batch).loss
         assert final < initial
 
 
@@ -110,6 +114,9 @@ class TestTargetAdapting:
         shots = build_shot_bank(tiny_task.targets, p.k, p.shot_mode, rng)
         adapted = run_target_adapting(source_model, shots, p, tiny_task.targets, rng=rng)
         assert set(adapted.keys()) == {"t0", "t1"}
+        for chain in adapted.values():
+            assert len(chain) == p.adapt_epochs + 1
+            assert chain[0] is source_model
         assert not adapted["t0"][-1].theta.bitwise_equal(adapted["t1"][-1].theta)
 
     def test_mix_ft_single_model(self, tiny_task):
@@ -119,6 +126,8 @@ class TestTargetAdapting:
         shots = build_shot_bank(tiny_task.targets, p.k, p.shot_mode, rng)
         adapted = run_target_adapting(source_model, shots, p, tiny_task.targets, rng=rng)
         assert set(adapted.keys()) == {"adapted"}
+        assert len(adapted["adapted"]) == p.adapt_epochs + 1
+        assert adapted["adapted"][0] is source_model
 
     def test_adapt_zero_epochs_keeps_source_model(self, tiny_task):
         res = run_strategy(plan("ord_fs", adapt_epochs=0), tiny_task)
@@ -251,8 +260,9 @@ class TestEvaluate:
             TrainPlan(strategy="naive_mix_train", seed=2, k=5, lr=0.5, source_epochs=3),
             task,
         )
-        models = [res.inits["model"]] + res.checkpoints["model"]
-        for model in models:
+        chain = res.checkpoints["model"]
+        assert len(chain) == 4
+        for model in chain:
             for corpus in corpora:
                 for split in ("train", "dev", "test"):
                     got = evaluate(model, corpus, split)
@@ -338,7 +348,7 @@ class TestRunStrategy:
             num_classes=3, input_dim=2, train=corpora[1].train, test=corpora[1].test,
         )
         task = Task.from_corpora(SPEC, [src, bare])
-        with pytest.raises(ContractViolation, match="dev"):
+        with pytest.raises(ContractViolation, match="t0 has none"):
             run_strategy(plan("ord_fs_dev"), task)
 
     def test_identical_distributions_zero_shot_parity(self):
@@ -361,3 +371,33 @@ class TestRunStrategy:
         for lang in ("t0", "t1"):
             best = max(range(len(curves[lang])), key=lambda i: (curves[lang][i], -i)) + 1
             assert sel[lang] == best
+
+
+class TestDevFreeTarget:
+    """A target with train and test splits but no dev split."""
+
+    @pytest.fixture(scope="class")
+    def devfree_task(self):
+        corpora, _ = gen_synthetic_family(tiny_profile())
+        bare = LanguageCorpus(
+            lang_id="t0", script_tag="x", role="target", task="classification",
+            num_classes=3, input_dim=2, train=corpora[1].train, test=corpora[1].test,
+        )
+        return Task.from_corpora(SPEC, [corpora[0], bare, corpora[2]])
+
+    @pytest.mark.parametrize(
+        "strategy", ["zero_shot", "ord_fs", "mix_ft", "naive_mix_train", "gradient_mix_train"],
+    )
+    def test_shared_selection_scores_target(self, devfree_task, strategy):
+        res = run_strategy(plan(strategy), devfree_task)
+        rec = res.record
+        assert "t0" not in rec["dev_curves"]
+        assert rec["selected_epochs"]["t0"] == rec["selected_epochs"]["t1"]
+        assert set(rec["test_metrics"]) == {"s", "t0", "t1"}
+        bare = devfree_task.targets[0]
+        assert rec["test_metrics"]["t0"] == evaluate(res.selected_model("t0"), bare, "test")
+
+    def test_one_step_target_dev_selection_names_target(self, devfree_task):
+        p = plan("naive_mix_train", selection="target_dev", unrealistic_target_dev=True)
+        with pytest.raises(ContractViolation, match="t0 has none"):
+            run_strategy(p, devfree_task)
