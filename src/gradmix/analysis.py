@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .corpora import LanguageCorpus, ShotBank, Split
-from .models import ModelState, loss_and_grad
+from .models import ModelState, loss_and_grad, write_atomic
 from .numcore import ContractViolation, ParamVec, cosine_similarity, norm
 
 
@@ -198,7 +198,7 @@ def write_sim_matrix_csv(m: SimMatrix, path: Union[str, Path]) -> None:
     for lang, row in zip(m.lang_ids, m.values):
         cells = ["" if v is None else repr(float(v)) for v in row]
         lines.append(lang + "," + ",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def read_sim_matrix_csv(path: Union[str, Path]) -> SimMatrix:

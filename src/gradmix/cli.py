@@ -5,6 +5,14 @@ seed) grid, and the plan defaults; `run` executes every cell and writes a
 deterministic artifact tree; `export` re-emits the aggregate table and the
 gradient-similarity CSVs from an existing tree. Canonical artifacts carry
 no timestamps, so rerunning a config reproduces every file byte for byte.
+
+The unit of work is a seed group: the cells of one seed, in grid order,
+run in one process with one `trainer.Stages` dict, so a source chain or an
+adapted chain that several cells share is trained once per seed (see
+`trainer.run_strategy`). Trained chains go to one content-addressed store,
+`models/<chain_digest>.json`, written once per distinct chain; a record's
+`checkpoints` map points into it. Every file is written through
+`models.write_atomic`, so a name only ever holds a whole file.
 """
 
 from __future__ import annotations
@@ -30,9 +38,9 @@ from .corpora import (
     merge_splits,
     profile_from_manifest,
 )
-from .models import ModelSpec, save_checkpoint
+from .models import ModelSpec, chain_digest, save_checkpoint, write_atomic
 from .numcore import ContractViolation, RngStreams
-from .trainer import Task, TrainPlan, run_strategy
+from .trainer import Stages, Task, TrainPlan, run_strategy
 
 # Strategies whose run produces one final model covering every language;
 # only these feed the gradient-similarity matrices.
@@ -171,41 +179,68 @@ def cell_name(strategy: str, k: int, seed: int) -> str:
     return f"{strategy}_k{k}_seed{seed}"
 
 
+def seed_groups(cells: Sequence[Tuple[str, int, int]]) -> List[List[Tuple[str, int, int]]]:
+    """The cells of each seed, in the given order, seeds in order of first
+    appearance."""
+    groups: Dict[int, List[Tuple[str, int, int]]] = {}
+    for cell in cells:
+        groups.setdefault(cell[2], []).append(cell)
+    return list(groups.values())
+
+
 def make_plan(cfg: ExperimentConfig, strategy: str, k: int, seed: int) -> TrainPlan:
     return TrainPlan(strategy=strategy, k=k, seed=seed, **cfg.plan)
 
 
 def write_json(path: Path, obj) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(obj, indent=2, allow_nan=False) + "\n", encoding="utf-8")
+    write_atomic(path, (json.dumps(obj, indent=2, allow_nan=False) + "\n").encode("utf-8"))
+
+
+def store_chain(chain: Sequence[models.ModelState], out: Path) -> str:
+    """Write a chain to the run's store unless an equal chain is already
+    there; returns its path relative to `out`. The name is derived from the
+    content and the write is atomic, so a name that exists holds this chain."""
+    rel = f"models/{chain_digest(chain)}.json"
+    if not (out / rel).exists():
+        save_checkpoint(chain, out / rel)
+    return rel
 
 
 def run_cell(cfg: ExperimentConfig, task: Task, strategy: str, k: int, seed: int,
-             out: Path) -> dict:
-    """Run one grid cell and write its artifact subtree; returns the record."""
+             out: Path, stages: Optional[Stages] = None) -> dict:
+    """Run one grid cell and write its record, trace and chains; returns
+    the record. Cells given one `stages` dict share trained phases."""
     plan = make_plan(cfg, strategy, k, seed)
-    result = run_strategy(plan, task)
+    result = run_strategy(plan, task, stages=stages)
     cell_dir = out / "runs" / cell_name(strategy, k, seed)
-    ck_dir = cell_dir / "checkpoints"
-    ck_dir.mkdir(parents=True, exist_ok=True)
-    ck_paths: Dict[str, str] = {}
-    for key, chain in result.checkpoints.items():
-        p = ck_dir / f"{key}.json"
-        save_checkpoint(chain, p, strategy=strategy)
-        ck_paths[key] = str(p.relative_to(cell_dir))
-    result.record["checkpoints"] = ck_paths
+    result.record["checkpoints"] = {
+        key: store_chain(chain, out) for key, chain in result.checkpoints.items()
+    }
 
     if result.trace is not None:
-        trace_path = cell_dir / "surgery_trace.jsonl"
-        with trace_path.open("w", encoding="utf-8") as fh:
-            for entry in result.trace:
-                fh.write(json.dumps(entry.to_json_dict()) + "\n")
+        lines = "".join(json.dumps(entry.to_json_dict()) + "\n" for entry in result.trace)
+        write_atomic(cell_dir / "surgery_trace.jsonl", lines.encode("utf-8"))
         result.record["surgery_trace"] = "surgery_trace.jsonl"
     else:
         result.record["surgery_trace"] = None
 
     write_json(cell_dir / "record.json", result.record)
     return result.record
+
+
+def run_group(cfg: ExperimentConfig, task: Task, cells: Sequence[Tuple[str, int, int]],
+              out: Path) -> List[Tuple[Tuple[str, int, int], Optional[dict], Optional[str]]]:
+    """Run one seed group's cells in order with one stages dict, dropped
+    when the group ends. Returns (cell, record, None) for each cell that
+    succeeded and (cell, None, error) for each that failed."""
+    stages: Stages = {}
+    outcomes = []
+    for cell in cells:
+        try:
+            outcomes.append((cell, run_cell(cfg, task, *cell, out, stages=stages), None))
+        except Exception as exc:
+            outcomes.append((cell, None, str(exc)))
+    return outcomes
 
 
 def write_sim_matrices(cfg: ExperimentConfig, task: Task, records: Sequence[dict],
@@ -225,11 +260,7 @@ def write_sim_matrices(cfg: ExperimentConfig, task: Task, records: Sequence[dict
     for (strategy, k), rs in sorted(groups.items()):
         rs = sorted(rs, key=lambda r: r["seed"])
         key = SIM_MATRIX_KEYS[strategy]
-        finals = []
-        for r in rs:
-            cell_dir = out / "runs" / cell_name(strategy, k, r["seed"])
-            chain, _ = models.load_checkpoint(cell_dir / r["checkpoints"][key])
-            finals.append(chain[-1])
+        finals = [models.load_checkpoint(out / r["checkpoints"][key])[-1] for r in rs]
         plan = rs[0]["plan"]
         bank = build_shot_bank(
             task.targets, k, plan["shot_mode"], RngStreams(cfg.analysis_seed)
@@ -254,7 +285,7 @@ def write_aggregate(cfg: ExperimentConfig, task: Task, records: Sequence[dict],
     report = analysis.aggregate_runs(records)
     write_json(out / "aggregate" / "report.json", report)
     table = format_table(report, records[0]["source_lang"])
-    (out / "aggregate" / "table.txt").write_text(table, encoding="utf-8")
+    write_atomic(out / "aggregate" / "table.txt", table.encode("utf-8"))
     write_sim_matrices(cfg, task, records, out)
     return table
 
@@ -293,14 +324,16 @@ def format_table(report: dict, source_lang: str) -> str:
 
 
 def write_manifest(out: Path, failures: List[dict]) -> Path:
+    """sha256 of every file under `out` except this manifest itself."""
+    path = out / "manifest.json"
     entries = [
         {"path": str(p.relative_to(out)), "sha256": hashlib.sha256(p.read_bytes()).hexdigest()}
         for p in sorted(out.rglob("*"))
-        if p.is_file() and p.name != "manifest.json"
+        if p.is_file() and p != path
     ]
     manifest = {"format_version": 1, "artifacts": entries, "failures": failures}
-    write_json(out / "manifest.json", manifest)
-    return out / "manifest.json"
+    write_json(path, manifest)
+    return path
 
 
 def run_experiment(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> int:
@@ -318,22 +351,28 @@ def run_experiment(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> int:
         write_json(out / "benchmark" / "manifest.json", manifest)
 
     cells = grid_cells(cfg)
-    records: List[dict] = []
-    failures: List[dict] = []
+    outcomes: Dict[Tuple[str, int, int], Tuple[Optional[dict], Optional[str]]] = {}
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {pool.submit(run_cell, cfg, task, *cell, out): cell for cell in cells}
-            for fut, cell in futures.items():
+            futures = [(pool.submit(run_group, cfg, task, group, out), group)
+                       for group in seed_groups(cells)]
+            for fut, group in futures:
                 try:
-                    records.append(fut.result())
-                except Exception as exc:
-                    failures.append({"cell": cell_name(*cell), "error": str(exc)})
+                    for cell, record, error in fut.result():
+                        outcomes[cell] = (record, error)
+                except Exception as exc:  # the worker itself failed
+                    for cell in group:
+                        outcomes[cell] = (None, str(exc))
     else:
-        for cell in cells:
-            try:
-                records.append(run_cell(cfg, task, *cell, out))
-            except Exception as exc:
-                failures.append({"cell": cell_name(*cell), "error": str(exc)})
+        for group in seed_groups(cells):
+            for cell, record, error in run_group(cfg, task, group, out):
+                outcomes[cell] = (record, error)
+    records = [outcomes[cell][0] for cell in cells if outcomes[cell][0] is not None]
+    failures = [
+        {"cell": cell_name(*cell), "error": outcomes[cell][1]}
+        for cell in cells
+        if outcomes[cell][1] is not None
+    ]
 
     if records:
         try:

@@ -10,16 +10,19 @@ makes loss and gradient bitwise invariant to the order examples were drawn.
 
 A trained model is a chain of states, epoch 0 first (see `trainer`);
 `save_checkpoint` writes one chain to one file and `load_checkpoint` reads
-it back bit for bit.
+it back bit for bit. `write_atomic` is the one way files are written.
 """
 
 from __future__ import annotations
 
+import binascii
+import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Sequence, Tuple, Union
+from typing import List, Sequence, Union
 
 import numpy as np
 
@@ -247,30 +250,64 @@ def predict(state: ModelState, x: np.ndarray):
 
 # --- checkpoint files -------------------------------------------------------
 #
-# One JSON file per trained model: its spec and strategy once, then the
-# chain of states, epoch 0 (the state training started from) first. Each
-# parameter is a decimal-exact string (repr round-trips f64 bit-for-bit),
-# so save -> load -> evaluate is bitwise stable.
+# One JSON file per distinct trained model: its spec once, then the chain of
+# states, epoch 0 (the state training started from) first, each as one
+# base64 row of little-endian f64, so save -> load -> evaluate is bitwise
+# stable. The file names no strategy: `cli` stores each chain once under
+# `chain_digest` and every cell that trained it points at that file.
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
-def save_checkpoint(chain: Sequence[ModelState], path: Union[str, Path], strategy: str) -> None:
-    """Write a model's chain of states, epoch 0 first, to one compact file."""
+def write_atomic(path: Union[str, Path], data: bytes) -> None:
+    """Write `data` to `path` through a temporary file in the same directory
+    and `os.replace`, so the target name only ever holds a whole file."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _check_chain(chain: Sequence[ModelState]) -> None:
     if not chain or any(state.spec != chain[0].spec for state in chain):
         raise ContractViolation("a checkpoint chain needs one or more states of one spec")
+
+
+def chain_digest(chain: Sequence[ModelState]) -> str:
+    """16 hex digits of the sha256 of a chain's spec and raw states: the
+    store name, the same for equal chains (64 bits make a clash between
+    different chains negligible)."""
+    _check_chain(chain)
+    h = hashlib.sha256(json.dumps(chain[0].spec.to_dict(), sort_keys=True).encode())
+    for state in chain:
+        h.update(state.theta.tobytes())
+    return h.hexdigest()[:16]
+
+
+def save_checkpoint(chain: Sequence[ModelState], path: Union[str, Path]) -> None:
+    """Write a model's chain of states, epoch 0 first, to one compact file."""
+    _check_chain(chain)
     payload = {
         "format_version": CHECKPOINT_VERSION,
         "kind": "model-chain",
         "spec": chain[0].spec.to_dict(),
-        "strategy": strategy,
-        "thetas": [[repr(v) for v in state.theta.values.tolist()] for state in chain],
+        "states": [
+            binascii.b2a_base64(state.theta.values.astype("<f8").tobytes(), newline=False)
+            .decode("ascii")
+            for state in chain
+        ],
     }
-    Path(path).write_text(json.dumps(payload, separators=(",", ":")) + "\n", encoding="utf-8")
+    write_atomic(path, (json.dumps(payload, separators=(",", ":")) + "\n").encode("utf-8"))
 
 
-def load_checkpoint(path: Union[str, Path]) -> Tuple[List[ModelState], str]:
-    """Read a file written by `save_checkpoint`: (chain, strategy)."""
+def load_checkpoint(path: Union[str, Path]) -> List[ModelState]:
+    """Read the chain of a file written by `save_checkpoint`."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     version = payload.get("format_version")
     if version != CHECKPOINT_VERSION:
@@ -278,8 +315,12 @@ def load_checkpoint(path: Union[str, Path]) -> Tuple[List[ModelState], str]:
             f"{path} is a version-{version} checkpoint; expected version {CHECKPOINT_VERSION}"
         )
     spec = ModelSpec.from_dict(payload["spec"])
-    chain = [
-        ModelState(spec=spec, theta=ParamVec(np.array([float(s) for s in row], dtype=np.float64)))
-        for row in payload["thetas"]
-    ]
-    return chain, payload["strategy"]
+    chain = []
+    for row in payload["states"]:
+        values = np.frombuffer(binascii.a2b_base64(row), dtype="<f8")
+        if values.size != spec.param_dim:
+            raise ContractViolation(
+                f"{path}: a state has {values.size} values, spec needs {spec.param_dim}"
+            )
+        chain.append(ModelState(spec=spec, theta=ParamVec(values)))
+    return chain

@@ -72,12 +72,13 @@ def dot(a: ParamVec, b: ParamVec) -> float:
 
     Deliberately not BLAS: the accumulation order is part of the contract,
     which keeps the result independent of library reduction strategies.
+    `np.add.accumulate` (what `cumsum` calls, without its dispatch cost)
+    adds in exactly that order, unlike the pairwise `sum`. Adding 0.0 turns
+    an all-negative-zero sum into +0.0, as a loop whose accumulator starts
+    at 0.0 gives.
     """
     _check_dims(a, b)
-    acc = 0.0
-    for x, y in zip(a.values.tolist(), b.values.tolist()):
-        acc += x * y
-    return acc
+    return float(np.add.accumulate(a.values * b.values)[-1]) + 0.0
 
 
 def norm(a: ParamVec) -> float:

@@ -15,7 +15,14 @@ Five strategies around one shared loop:
 Every trained model is a chain of states, epoch 0 first: the state that
 training started from (the initialization, or the selected source model for
 an adapted model), then one state per epoch end. Selecting epoch e of a
-model is `chain[e]`, and `cli` writes each chain to one checkpoint file.
+model is `chain[e]`, and `cli` writes each distinct chain to one
+checkpoint file.
+
+The cells of one seed repeat work: zero_shot and every two-step cell train
+the same source chain, and ord_fs and ord_fs_dev train the same adapted
+chains and differ only in selection. `run_strategy` takes an optional
+`Stages` dict through which such cells share a trained phase (a `Stage`),
+looked up by a key that names everything the phase depends on.
 
 One-step strategies select their epoch on the source dev set only, so one
 model serves every target, including one without a dev split. Target dev
@@ -27,7 +34,7 @@ target dev sets would be smaller than the training shots themselves.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import analysis
 from .corpora import (
@@ -132,7 +139,8 @@ class TrainPlan:
 
     def to_dict(self) -> dict:
         d = asdict(self)
-        d["language_subset"] = list(self.language_subset) if self.language_subset else None
+        if self.language_subset is not None:
+            d["language_subset"] = list(self.language_subset)
         return d
 
 
@@ -371,6 +379,31 @@ def select_model(
 # --- full strategy runs ---------------------------------------------------------
 
 
+class Stage(NamedTuple):
+    """A trained phase that cells of one seed can share: its chains by
+    model key, and the dev curve of each of its languages that has a dev
+    split. States are immutable, so sharing a chain is safe; a cell copies
+    the curves into its own record."""
+
+    chains: Dict[str, List[ModelState]]
+    curves: Dict[str, List[float]]
+
+
+# A seed group's stages: source-stage key or adapt-stage key -> Stage. One
+# dict serves one Task; its keys name everything else a stage depends on.
+Stages = Dict[tuple, Stage]
+
+
+def _staged(stages: Optional[Stages], key: tuple, train: Callable[[], Stage]) -> Stage:
+    """The stage under `key`, trained by `train` on a miss; no sharing
+    without a dict."""
+    if stages is None:
+        return train()
+    if key not in stages:
+        stages[key] = train()
+    return stages[key]
+
+
 def _dev_curves(
     chain: List[ModelState], corpora: Sequence[LanguageCorpus]
 ) -> Dict[str, List[float]]:
@@ -380,8 +413,25 @@ def _dev_curves(
     }
 
 
-def run_strategy(plan: TrainPlan, task: Task, step_hook: Optional[StepHook] = None) -> RunResult:
-    """Execute one (strategy, k, seed) cell and assemble its run record."""
+def run_strategy(
+    plan: TrainPlan,
+    task: Task,
+    step_hook: Optional[StepHook] = None,
+    stages: Optional[Stages] = None,
+) -> RunResult:
+    """Execute one (strategy, k, seed) cell and assemble its run record.
+
+    With a `stages` dict, cells share trained phases through it instead of
+    training them again: the source stage, keyed by (seed, source_epochs,
+    batch_size, lr, spec), serves zero_shot and every two-step cell; the
+    adapt stage adds (family, k, shot_mode, adapt_epochs, adapt batch,
+    resolved target ids) to that key, where ord_fs and ord_fs_dev are one
+    family that differs only in selection. Every draw after the
+    initialization comes from a `derived` stream, so a shared stage is the
+    one this cell would have trained. A zero_shot cell with a `step_hook`
+    trains its own chain so the hook sees every step. Without `stages`
+    every phase is trained here; that path is the reference.
+    """
     rng = RngStreams(plan.seed)
     targets = task.subset(plan.language_subset)
     source = task.source
@@ -406,23 +456,55 @@ def run_strategy(plan: TrainPlan, task: Task, step_hook: Optional[StepHook] = No
     checkpoints: Dict[str, List[ModelState]] = {}
     trace: Optional[List[TraceEntry]] = None
 
+    if plan.strategy in ONE_STEP:
+        chain, trace = run_mixed_training(
+            plan, source, targets, shots, rng=rng, spec=task.spec, step_hook=step_hook
+        )
+        curves = _dev_curves(chain, [source] + list(targets))
+    else:
+        hook = step_hook if plan.strategy == "zero_shot" else None
+
+        def train_source() -> Stage:
+            src_chain = run_source_training(plan, source, rng=rng, spec=task.spec, step_hook=hook)
+            return Stage({"source": src_chain}, _dev_curves(src_chain, [source]))
+
+        src_key = (plan.seed, plan.source_epochs, plan.batch_size, plan.lr, task.spec)
+        src = _staged(stages if hook is None else None, src_key, train_source)
+        chain = src.chains["source"]
+        curves = {lang: list(curve) for lang, curve in src.curves.items()}
+
     if plan.strategy in TWO_STEP:
-        src_chain = run_source_training(plan, source, rng=rng, spec=task.spec)
-        checkpoints["source"] = src_chain
-        src_curve = [evaluate(m, source, "dev") for m in src_chain[1:]]
+        if source.lang_id not in curves and plan.source_epochs > 0:
+            raise ContractViolation(
+                f"two-step strategies select the source model on its dev split, "
+                f"but {source.lang_id} has none"
+            )
+        src_curve = curves.get(source.lang_id, [])
         src_epoch = analysis.argmax_earliest(src_curve) if plan.source_epochs > 0 else 0
+        checkpoints["source"] = chain
         record["source_selected_epoch"] = src_epoch
         record["source_dev_curve"] = src_curve
 
-        adapted = run_target_adapting(src_chain[src_epoch], shots, plan, targets, rng=rng)
-        checkpoints.update(adapted)
-        epochs = plan.adapt_epochs
         model_key_of = {
             c.lang_id: "adapted" if plan.strategy == "mix_ft" else c.lang_id for c in targets
         }
-        curves = {}
-        for c in targets:
-            curves.update(_dev_curves(adapted[model_key_of[c.lang_id]], [c]))
+
+        def train_adapted() -> Stage:
+            chains = run_target_adapting(chain[src_epoch], shots, plan, targets, rng=rng)
+            adapted_curves: Dict[str, List[float]] = {}
+            for c in targets:
+                adapted_curves.update(_dev_curves(chains[model_key_of[c.lang_id]], [c]))
+            return Stage(chains, adapted_curves)
+
+        family = "mix_ft" if plan.strategy == "mix_ft" else "ord_fs"
+        adapt_key = src_key + (
+            family, plan.k, plan.shot_mode, plan.adapt_epochs, plan.effective_adapt_batch(),
+            tuple(c.lang_id for c in targets),
+        )
+        adapted = _staged(stages, adapt_key, train_adapted)
+        checkpoints.update(adapted.chains)
+        epochs = plan.adapt_epochs
+        curves = {lang: list(curve) for lang, curve in adapted.curves.items()}
         selected = select_model(curves, plan.selection, epochs, langs=list(model_key_of))
         model_key_of[source.lang_id] = "source"
         selected[source.lang_id] = src_epoch
@@ -430,16 +512,9 @@ def run_strategy(plan: TrainPlan, task: Task, step_hook: Optional[StepHook] = No
 
     else:  # zero_shot and the one-step strategies: one model for every language
         if plan.strategy == "zero_shot":
-            chain = run_source_training(
-                plan, source, rng=rng, spec=task.spec, step_hook=step_hook
-            )
-        else:
-            chain, trace = run_mixed_training(
-                plan, source, targets, shots, rng=rng, spec=task.spec, step_hook=step_hook
-            )
+            curves.update(_dev_curves(chain, targets))
         checkpoints["model"] = chain
         epochs = plan.source_epochs
-        curves = _dev_curves(chain, [source] + list(targets))
         selected = select_model(
             curves, plan.selection, epochs, source_lang=source.lang_id, langs=all_langs
         )

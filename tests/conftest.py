@@ -1,5 +1,8 @@
+import builtins
+
 import pytest
 
+from gradmix import models
 from gradmix.corpora import LanguageProfile, SyntheticProfile, default_benchmark
 
 
@@ -23,3 +26,29 @@ def tiny_profile(n_targets=2, seed=3, train=60, identical=False):
         languages=tuple(langs), num_classes=3, input_dim=2, mean_radius=2.0,
         noise_sd=0.8, seed=seed,
     )
+
+
+def fail_writes_half_way(monkeypatch, name=""):
+    """Make `models.write_atomic` stop with an OSError half-way through
+    writing any file whose path contains `name`."""
+
+    class HalfWriter:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[: len(data) // 2])
+            self.fh.flush()
+            raise OSError("no space left on device")
+
+    def open_failing(path, *args, **kw):
+        fh = builtins.open(path, *args, **kw)
+        return HalfWriter(fh) if name in str(path) else fh
+
+    monkeypatch.setattr(models, "open", open_failing, raising=False)

@@ -2,7 +2,8 @@
 
 They keep the earlier per-example formulation: examples as (features,
 label) tuples, batches stacked row by row in (key, position) order, and
-evaluation by one `predict` call per example.
+evaluation by one `predict` call per example; and the scalar loop that
+defines `dot`'s accumulation order.
 """
 
 import numpy as np
@@ -54,3 +55,12 @@ def evaluate_per_example(model, corpus, split):
     preds = [predict(model, x) for x, _ in examples]
     gold = [np.asarray(y) for _, y in examples]
     return analysis.micro_f1(preds, gold, outside_label=corpus.outside_label)
+
+
+def dot_loop(a, b):
+    """Inner product of two ParamVecs by a Python loop: strict left-to-right
+    f64 accumulation from 0.0."""
+    acc = 0.0
+    for x, y in zip(a.values.tolist(), b.values.tolist()):
+        acc += x * y
+    return acc

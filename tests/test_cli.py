@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from gradmix import cli
+from gradmix import cli, models
 from gradmix.cli import (
     ExperimentConfig,
     build_benchmark,
@@ -18,10 +18,13 @@ from gradmix.cli import (
     main,
     parse_config,
     run_experiment,
+    seed_groups,
 )
-from gradmix.models import load_checkpoint
+from gradmix.models import chain_digest, load_checkpoint
 from gradmix.numcore import ContractViolation
 from gradmix.trainer import STRATEGIES, evaluate
+
+from conftest import fail_writes_half_way
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -142,12 +145,12 @@ class TestRunExperiment:
         cell = out / "runs" / "gradient_mix_train_k2_seed1"
         assert (cell / "surgery_trace.jsonl").exists()
         rec = json.loads((cell / "record.json").read_text())
-        assert rec["checkpoints"] == {"model": "checkpoints/model.json"}
-        assert [p.name for p in (cell / "checkpoints").iterdir()] == ["model.json"]
-        chain, strategy = load_checkpoint(cell / "checkpoints" / "model.json")
-        assert strategy == "gradient_mix_train"
+        assert sorted(p.name for p in cell.iterdir()) == ["record.json", "surgery_trace.jsonl"]
+        chain = load_checkpoint(out / rec["checkpoints"]["model"])
+        assert rec["checkpoints"] == {"model": f"models/{chain_digest(chain)}.json"}
         assert len(chain) == rec["epochs"] + 1
         assert not list(out.rglob("epoch_*.json"))
+        assert not list(out.rglob("checkpoints"))
 
     def test_selected_checkpoints_reproduce_test_metrics(self, tmp_path):
         cfg = parse_config(small_config_doc(strategies=STRATEGIES, seeds=(1,)))
@@ -157,18 +160,46 @@ class TestRunExperiment:
         corpora = {c.lang_id: c for c in (task.source,) + task.targets}
         records = sorted((out / "runs").glob("*/record.json"))
         assert len(records) == len(STRATEGIES)
+        stored = set()
         for rec_path in records:
             rec = json.loads(rec_path.read_text())
-            cell = rec_path.parent
             assert set(rec["checkpoints"]) == set(rec["model_key_of"].values())
-            assert len(list((cell / "checkpoints").iterdir())) == len(rec["checkpoints"])
+            stored.update(rec["checkpoints"].values())
             assert set(rec["test_metrics"]) == set(corpora)
             for lang, metric in rec["test_metrics"].items():
                 key = rec["model_key_of"][lang]
-                chain, strategy = load_checkpoint(cell / rec["checkpoints"][key])
-                assert strategy == rec["strategy"]
+                chain = load_checkpoint(out / rec["checkpoints"][key])
                 model = chain[rec["selected_epochs"][lang]]
                 assert evaluate(model, corpora[lang], "test") == metric
+        assert {str(p.relative_to(out)) for p in (out / "models").iterdir()} == stored
+
+    def test_each_distinct_chain_stored_once(self, tmp_path, monkeypatch):
+        saved = []
+
+        def save(chain, path):
+            saved.append(path.name)
+            models.save_checkpoint(chain, path)
+
+        monkeypatch.setattr(cli, "save_checkpoint", save)
+        cfg = parse_config(small_config_doc(strategies=STRATEGIES, seeds=(1, 2)))
+        out = tmp_path / "out"
+        assert run_experiment(cfg, out) == 0
+
+        def ckpts(name):
+            return json.loads((out / "runs" / name / "record.json").read_text())["checkpoints"]
+
+        for seed in (1, 2):
+            zero_shot = ckpts(f"zero_shot_k0_seed{seed}")
+            ord_fs = ckpts(f"ord_fs_k2_seed{seed}")
+            assert ord_fs == ckpts(f"ord_fs_dev_k2_seed{seed}")
+            assert ord_fs["source"] == ckpts(f"mix_ft_k2_seed{seed}")["source"]
+            assert ord_fs["source"] == zero_shot["model"]
+            # no surgery step applies in this tiny grid, so the chains are equal
+            naive = ckpts(f"naive_mix_train_k2_seed{seed}")
+            assert ckpts(f"gradient_mix_train_k2_seed{seed}") == naive
+        # per seed: source, 2 ord_fs targets, mix_ft, naive = gradient
+        assert sorted(saved) == sorted(p.name for p in (out / "models").iterdir())
+        assert len(saved) == 2 * (1 + 2 + 1 + 1)
 
     def test_rerun_byte_identical(self, tmp_path):
         cfg = parse_config(small_config_doc())
@@ -223,12 +254,56 @@ class TestRunExperiment:
 
     def test_jobs_parallel_same_bytes(self, tmp_path):
         cfg = parse_config(small_config_doc())
+        assert len(seed_groups(grid_cells(cfg))) >= 2
         out1, out2 = tmp_path / "seq", tmp_path / "par"
         assert run_experiment(cfg, out1, jobs=1) == 0
         assert run_experiment(cfg, out2, jobs=2) == 0
         m1 = json.loads((out1 / "manifest.json").read_text())
         m2 = json.loads((out2 / "manifest.json").read_text())
         assert m1["artifacts"] == m2["artifacts"]
+        assert (out1 / "manifest.json").read_bytes() == (out2 / "manifest.json").read_bytes()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failures_listed_in_grid_order(self, tmp_path, jobs):
+        # with no targets every strategy that trains on shots fails, except naive
+        doc = small_config_doc(
+            strategies=("zero_shot", "ord_fs", "naive_mix_train", "gradient_mix_train"),
+            seeds=(1, 2),
+        )
+        doc["plan"]["language_subset"] = []
+        out = tmp_path / "out"
+        assert run_experiment(parse_config(doc), out, jobs=jobs) == 1
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert [f["cell"] for f in manifest["failures"]] == [
+            "ord_fs_k2_seed1", "ord_fs_k2_seed2",
+            "gradient_mix_train_k2_seed1", "gradient_mix_train_k2_seed2",
+        ]
+        assert sorted(p.name for p in (out / "runs").iterdir()) == [
+            "naive_mix_train_k2_seed1", "naive_mix_train_k2_seed2",
+            "zero_shot_k0_seed1", "zero_shot_k0_seed2",
+        ]
+
+    def test_nested_manifest_hashed(self, tmp_path):
+        cfg = parse_config(small_config_doc(strategies=("zero_shot",), seeds=(1,)))
+        out = tmp_path / "out"
+        assert run_experiment(cfg, out) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        paths = [entry["path"] for entry in manifest["artifacts"]]
+        assert "benchmark/manifest.json" in paths
+        assert "manifest.json" not in paths
+
+    def test_write_failing_mid_write_leaves_no_partial_file(self, tmp_path, monkeypatch):
+        fail_writes_half_way(monkeypatch, "surgery_trace.jsonl")
+        cfg = parse_config(small_config_doc(seeds=(1,)))
+        out = tmp_path / "out"
+        assert run_experiment(cfg, out) == 1
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["failures"] == [
+            {"cell": "gradient_mix_train_k2_seed1", "error": "no space left on device"}
+        ]
+        cell = out / "runs" / "gradient_mix_train_k2_seed1"
+        assert list(cell.iterdir()) == []
+        assert (out / "runs" / "zero_shot_k0_seed1" / "record.json").exists()
 
 
 class TestExport:
@@ -346,7 +421,8 @@ class TestBenchmarkTracer:
         )
         assert proc.returncode == 0, proc.stderr
         metrics = tracing.layer_metrics(tracing.load_spans(str(spans)))
-        files = [p for p in (out / "runs").glob("*/checkpoints/*") if p.is_file()]
-        assert metrics["models.save_checkpoint.calls"] == len(files) == 1 + 3 + 1
+        files = list((out / "models").iterdir())
+        # zero_shot's chain is ord_fs's source chain: stored once
+        assert metrics["models.save_checkpoint.calls"] == len(files) == 1 + 2 + 1
         assert metrics["models.save_checkpoint.bytes"] == sum(p.stat().st_size for p in files)
         assert metrics["models.load_checkpoint.calls"] > 0

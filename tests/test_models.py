@@ -1,3 +1,4 @@
+import base64
 import json
 import math
 import re
@@ -9,6 +10,7 @@ from gradmix.corpora import Batch, make_batch
 from gradmix.models import (
     ModelSpec,
     ModelState,
+    chain_digest,
     init_params,
     load_checkpoint,
     loss_and_grad,
@@ -16,9 +18,11 @@ from gradmix.models import (
     predict_proba,
     save_checkpoint,
     sgd_step,
+    write_atomic,
 )
 from gradmix.numcore import ContractViolation, ParamVec, RngStreams, finite_diff_grad
 
+from conftest import fail_writes_half_way
 from oracles import stack_batch, to_arrays
 
 CLS = ModelSpec(family="softmax_classifier", input_dim=4, hidden_dim=0, num_classes=3)
@@ -261,9 +265,8 @@ class TestCheckpoints:
     def test_round_trip_bitwise(self, tmp_path):
         chain = sgd_chain(CLS_MLP, 11)
         path = tmp_path / "model.json"
-        save_checkpoint(chain, path, strategy="naive_mix_train")
-        loaded, strategy = load_checkpoint(path)
-        assert strategy == "naive_mix_train"
+        save_checkpoint(chain, path)
+        loaded = load_checkpoint(path)
         assert len(loaded) == len(chain) == 4
         for got, want in zip(loaded, chain):
             assert got.spec == want.spec
@@ -273,8 +276,8 @@ class TestCheckpoints:
         chain = sgd_chain(TAG, 12)
         batch = random_batch(TAG, 13)
         path = tmp_path / "model.json"
-        save_checkpoint(chain, path, strategy="zero_shot")
-        loaded, _ = load_checkpoint(path)
+        save_checkpoint(chain, path)
+        loaded = load_checkpoint(path)
         assert len(loaded) == len(chain)
         for got, want in zip(loaded, chain):
             assert got.theta.bitwise_equal(want.theta)
@@ -293,9 +296,67 @@ class TestCheckpoints:
         with pytest.raises(ContractViolation, match=f"{re.escape(str(path))}.*version-1"):
             load_checkpoint(path)
 
+    def test_version_2_file_refused(self, tmp_path):
+        state = random_state(CLS, 15)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({
+            "format_version": 2, "kind": "model-chain", "spec": CLS.to_dict(),
+            "strategy": "zero_shot",
+            "thetas": [[repr(v) for v in state.theta.values.tolist()]],
+        }), encoding="utf-8")
+        with pytest.raises(ContractViolation, match=f"{re.escape(str(path))}.*version-2"):
+            load_checkpoint(path)
+
+    def test_file_holds_spec_and_base64_rows(self, tmp_path):
+        chain = sgd_chain(CLS, 16, epochs=2)
+        path = tmp_path / "model.json"
+        save_checkpoint(chain, path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        assert sorted(payload) == ["format_version", "kind", "spec", "states"]
+        assert payload["format_version"] == 3
+        assert payload["spec"] == CLS.to_dict()
+        rows = [base64.b64decode(row) for row in payload["states"]]
+        assert rows == [state.theta.values.astype("<f8").tobytes() for state in chain]
+
+    def test_short_row_rejected(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_checkpoint(sgd_chain(CLS, 17, epochs=1), path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload["states"][1] = base64.b64encode(b"\0" * 8 * (CLS.param_dim - 1)).decode()
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ContractViolation, match=f"{CLS.param_dim - 1} values"):
+            load_checkpoint(path)
+
+    def test_digest_names_equal_chains_alike(self):
+        chain = sgd_chain(CLS_MLP, 18)
+        copy = [ModelState(spec=s.spec, theta=ParamVec(s.theta.values.copy())) for s in chain]
+        assert chain_digest(chain) == chain_digest(copy)
+        assert len(chain_digest(chain)) == 16
+        assert chain_digest(chain) != chain_digest(chain[:-1])
+        assert chain_digest(chain) != chain_digest(sgd_chain(CLS_MLP, 19))
+
     def test_malformed_chain_rejected(self, tmp_path):
         with pytest.raises(ContractViolation, match="one or more states of one spec"):
-            save_checkpoint([], tmp_path / "empty.json", strategy="zero_shot")
+            save_checkpoint([], tmp_path / "empty.json")
         with pytest.raises(ContractViolation, match="one or more states of one spec"):
             save_checkpoint([random_state(CLS, 1), random_state(CLS_MLP, 2)],
-                            tmp_path / "mixed.json", strategy="zero_shot")
+                            tmp_path / "mixed.json")
+
+
+class TestWriteAtomic:
+    def test_failure_mid_write_leaves_no_partial_file(self, tmp_path, monkeypatch):
+        old, new = tmp_path / "old.json", tmp_path / "new.json"
+        write_atomic(old, b"whole old content\n")
+        fail_writes_half_way(monkeypatch)
+        for path in (old, new):
+            with pytest.raises(OSError, match="no space"):
+                write_atomic(path, b"a replacement that is never finished\n")
+        assert old.read_bytes() == b"whole old content\n"
+        assert not new.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["old.json"]
+
+    def test_checkpoint_failure_mid_write(self, tmp_path, monkeypatch):
+        fail_writes_half_way(monkeypatch)
+        with pytest.raises(OSError, match="no space"):
+            save_checkpoint(sgd_chain(CLS, 20), tmp_path / "model.json")
+        assert list(tmp_path.iterdir()) == []

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from gradmix.numcore import (
     finite_diff_grad,
     norm,
 )
+
+from oracles import dot_loop
 
 
 def vec(*xs):
@@ -58,6 +61,32 @@ class TestDot:
     def test_dim_mismatch(self):
         with pytest.raises(ContractViolation, match="dimension mismatch"):
             dot(vec(1, 2), vec(1, 2, 3))
+
+    def test_bitwise_equal_to_scalar_loop(self):
+        def bits(x):
+            return struct.pack("<d", x)
+
+        rng = np.random.default_rng(2024)
+        pairs = []
+        for _ in range(1200):
+            dim = int(rng.integers(1, 1001))
+            scale = 10.0 ** rng.uniform(-5, 5, size=2)
+            a = rng.normal(size=dim) * scale[0]
+            b = rng.normal(size=dim) * scale[1]
+            pairs.append((a, b))
+        for dim in (1, 2, 387, 1000):  # cancellation: a.b and a.(-b) summed
+            a = rng.normal(size=dim) * 1e5
+            pairs.append((np.concatenate([a, a]), np.concatenate([a, -a])))
+        pairs += [  # signed zeros
+            ([-0.0], [1.0]),
+            ([-0.0, -0.0], [1.0, 2.0]),
+            ([0.0, -0.0], [-1.0, 1.0]),
+            ([1e-5, -1e-5], [1e-5, 1e-5]),
+            ([-0.0, 3.0, -3.0], [1.0, 1.0, 1.0]),
+        ]
+        for a, b in pairs:
+            va, vb = ParamVec(np.asarray(a, dtype=float)), ParamVec(np.asarray(b, dtype=float))
+            assert bits(dot(va, vb)) == bits(dot_loop(va, vb))
 
     @pytest.mark.parametrize("dim", [2, 10, 1000])
     def test_symmetric_and_bilinear(self, dim):

@@ -72,6 +72,15 @@ class TestTrainPlan:
         p = TrainPlan(strategy="zero_shot", seed=1)
         assert (p.lr, p.source_epochs, p.adapt_epochs, p.batch_size) == (0.5, 10, 10, 32)
 
+    def test_language_subset_rendered_as_given(self):
+        def rendered(subset):
+            p = TrainPlan(strategy="zero_shot", seed=1, language_subset=subset)
+            return p.to_dict()["language_subset"]
+
+        assert rendered(()) == []
+        assert rendered(None) is None
+        assert rendered(("t1",)) == ["t1"]
+
     def test_adapt_batch_defaults_to_k(self):
         assert TrainPlan(strategy="ord_fs", seed=1, k=7).effective_adapt_batch() == 7
         assert TrainPlan(
@@ -351,6 +360,17 @@ class TestRunStrategy:
         with pytest.raises(ContractViolation, match="t0 has none"):
             run_strategy(plan("ord_fs_dev"), task)
 
+    def test_two_step_needs_source_dev_split(self):
+        corpora, _ = gen_synthetic_family(tiny_profile())
+        src = corpora[0]
+        bare = LanguageCorpus(
+            lang_id="s", script_tag="sc0", role="source", task="classification",
+            num_classes=3, input_dim=2, train=src.train, test=src.test,
+        )
+        task = Task.from_corpora(SPEC, [bare] + list(corpora[1:]))
+        with pytest.raises(ContractViolation, match="s has none"):
+            run_strategy(plan("mix_ft"), task, stages={})
+
     def test_identical_distributions_zero_shot_parity(self):
         corpora, _ = gen_synthetic_family(tiny_profile(identical=True, train=200))
         task = Task.from_corpora(SPEC, corpora)
@@ -401,3 +421,59 @@ class TestDevFreeTarget:
         p = plan("naive_mix_train", selection="target_dev", unrealistic_target_dev=True)
         with pytest.raises(ContractViolation, match="t0 has none"):
             run_strategy(p, devfree_task)
+
+
+class TestStages:
+    """Cells of one seed sharing trained phases through one stages dict."""
+
+    STRATEGIES = ("zero_shot", "ord_fs", "ord_fs_dev", "mix_ft", "naive_mix_train",
+                  "gradient_mix_train")
+
+    @pytest.mark.parametrize("adapt_batch_size", [None, 2])
+    def test_grouped_cells_equal_reference(self, tiny_task, adapt_batch_size):
+        for seed in (1, 2):
+            stages = {}
+            for strategy in self.STRATEGIES:
+                for k in ((0,) if strategy == "zero_shot" else (2, 4)):
+                    p = plan(strategy, seed=seed, k=k, adapt_batch_size=adapt_batch_size)
+                    got = run_strategy(p, tiny_task, stages=stages)
+                    want = run_strategy(p, tiny_task)
+                    assert got.record == want.record
+                    assert list(got.checkpoints) == list(want.checkpoints)
+                    for key, chain in want.checkpoints.items():
+                        assert len(got.checkpoints[key]) == len(chain)
+                        for a, b in zip(got.checkpoints[key], chain):
+                            assert a.theta.bitwise_equal(b.theta)
+            # one source stage; one ord_fs-family and one mix_ft stage per K
+            assert len(stages) == 1 + 2 * 2
+
+    def test_zero_shot_shares_the_two_step_source_chain(self, tiny_task):
+        stages = {}
+        zs = run_strategy(plan("zero_shot"), tiny_task, stages=stages)
+        two = run_strategy(plan("mix_ft"), tiny_task, stages=stages)
+        assert zs.checkpoints["model"] is two.checkpoints["source"]
+
+    def test_step_hook_sees_every_step_of_a_shared_source(self, tiny_task):
+        stages = {}
+        run_strategy(plan("ord_fs"), tiny_task, stages=stages)
+        steps = []
+        run_strategy(plan("zero_shot"), tiny_task, stages=stages,
+                     step_hook=lambda i, st: steps.append(i))
+        ref = []
+        run_strategy(plan("zero_shot"), tiny_task, step_hook=lambda i, st: ref.append(i))
+        assert steps == ref and steps
+
+    @pytest.mark.parametrize("strategy", ["ord_fs", "mix_ft"])
+    def test_empty_subset_never_shares_the_all_targets_stage(self, tiny_task, strategy):
+        stages = {}
+        run_strategy(plan(strategy), tiny_task, stages=stages)
+        shared = dict(stages)
+        with pytest.raises(ContractViolation, match="non-empty shot bank"):
+            run_strategy(plan(strategy, language_subset=()), tiny_task, stages=stages)
+        subset = plan(strategy, language_subset=("t1",))
+        got = run_strategy(subset, tiny_task, stages=stages)
+        assert got.record == run_strategy(subset, tiny_task).record
+        assert len(stages) == len(shared) + 1
+        # the same targets named in another order resolve to the same stage
+        run_strategy(plan(strategy, language_subset=("t1", "t0")), tiny_task, stages=stages)
+        assert len(stages) == len(shared) + 1
