@@ -55,7 +55,6 @@ from .numcore import (
     RngStreams,
     cosine_similarity,
     dot,
-    finite_diff_grad,
 )
 from .surgery import (
     SurgeryPolicy,
@@ -82,7 +81,6 @@ __all__ = [
     "RngStreams",
     "dot",
     "cosine_similarity",
-    "finite_diff_grad",
     "ModelSpec",
     "ModelState",
     "GradReport",

@@ -6,6 +6,14 @@ language at a checkpoint (targets from their own shots, the source from a
 sampled-batch average), cosine similarities for every pair, averaged
 elementwise across checkpoints. Zero gradients produce an explicit missing
 marker (None / empty CSV cell), never a fake 0.
+
+The source average costs most. Classifier batches have equal sizes, so
+`models.batch_grads` takes them `SOURCE_STACK` at a time, slice by slice,
+with the bits each gets alone (one 2-D matmul summing all stacked rows
+would reorder the additions). The stack is bounded because temporaries
+grow with it: all 100 batches at once raise `grid-default`'s peak RSS
+from 41 to 46 MB. Ragged tagger batches go one at a time. Norms are taken
+once per language, not once per pair.
 """
 
 from __future__ import annotations
@@ -18,8 +26,11 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .corpora import LanguageCorpus, ShotBank, Split
-from .models import ModelState, loss_and_grad, write_atomic
-from .numcore import ContractViolation, ParamVec, cosine_similarity, norm
+from .models import ModelState, batch_grads, loss_and_grad, write_atomic
+from .numcore import ContractViolation, ParamVec, cosine_from_dots, dot
+from .numcore import cosine_similarity  # noqa: F401  (traced by name in perfbench/tracing.py)
+
+SOURCE_STACK = 10  # source batches per `batch_grads` call (see the module docstring)
 
 
 def micro_f1(predictions, gold, outside_label: int) -> float:
@@ -71,8 +82,8 @@ def language_gradient(
     """A language's gradient at a checkpoint.
 
     source: mean gradient over `n_batches` uniformly sampled train batches
-    (requires `rng`). target: full-batch gradient over its oracle/shot
-    examples, passed as a Split, in their split order.
+    (requires `rng`), added up in draw order. target: full-batch gradient
+    over its oracle/shot examples, passed as a Split, in their split order.
     """
     if role == "source":
         if not isinstance(data, LanguageCorpus):
@@ -84,9 +95,15 @@ def language_gradient(
             raise ContractViolation("source gradient sampling needs an rng")
         size = min(batch_size, n)
         acc = np.zeros(model.theta.dim)
-        for _ in range(n_batches):
-            idx = rng.choice(n, size=size, replace=False)
-            acc += loss_and_grad(model, data.train.batch(idx)).grad.values
+        for start in range(0, n_batches, SOURCE_STACK):
+            keys = np.sort([rng.choice(n, size=size, replace=False)
+                            for _ in range(min(SOURCE_STACK, n_batches - start))])
+            if data.train.offsets is None:
+                grads = batch_grads(model, data.train, keys)
+            else:  # ragged token batches: one at a time
+                grads = [loss_and_grad(model, data.train.batch(k)).grad.values for k in keys]
+            for grad in grads:
+                acc += grad
         return ParamVec(acc / n_batches)
     if role == "target":
         if len(data) == 0:
@@ -151,14 +168,14 @@ def similarity_matrix(
             else:
                 g = language_gradient(model, shot_data[c.lang_id], "target")
             grads.append(g)
+        sq = [dot(g, g) for g in grads]
         for i in range(n):
-            di = norm(grads[i])
-            if di == 0.0:
+            if sq[i] == 0.0:
                 missing[i][i] = True
             else:
                 sums[i][i] += 1.0
             for j in range(i + 1, n):
-                c = cosine_similarity(grads[i], grads[j])
+                c = cosine_from_dots(grads[i], grads[j], sq[i], dot(grads[i], grads[j]), sq[j])
                 if c is None:
                     missing[i][j] = missing[j][i] = True
                 else:
@@ -199,16 +216,6 @@ def write_sim_matrix_csv(m: SimMatrix, path: Union[str, Path]) -> None:
         cells = ["" if v is None else repr(float(v)) for v in row]
         lines.append(lang + "," + ",".join(cells))
     write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
-
-
-def read_sim_matrix_csv(path: Union[str, Path]) -> SimMatrix:
-    lines = Path(path).read_text(encoding="utf-8").strip().split("\n")
-    langs = tuple(lines[0].split(",")[1:])
-    rows = []
-    for line in lines[1:]:
-        cells = line.split(",")[1:]
-        rows.append(tuple(None if c == "" else float(c) for c in cells))
-    return SimMatrix(lang_ids=langs, values=tuple(rows))
 
 
 # --- aggregation ----------------------------------------------------------------

@@ -21,6 +21,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import shutil
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
@@ -196,50 +197,67 @@ def write_json(path: Path, obj) -> None:
     write_atomic(path, (json.dumps(obj, indent=2, allow_nan=False) + "\n").encode("utf-8"))
 
 
-def store_chain(chain: Sequence[models.ModelState], out: Path) -> str:
-    """Write a chain to the run's store unless an equal chain is already
-    there; returns its path relative to `out`. The name is derived from the
-    content and the write is atomic, so a name that exists holds this chain."""
-    rel = f"models/{chain_digest(chain)}.json"
-    if not (out / rel).exists():
-        save_checkpoint(chain, out / rel)
-    return rel
-
-
 def run_cell(cfg: ExperimentConfig, task: Task, strategy: str, k: int, seed: int,
              out: Path, stages: Optional[Stages] = None) -> dict:
-    """Run one grid cell and write its record, trace and chains; returns
-    the record. Cells given one `stages` dict share trained phases."""
+    """Run one grid cell and write its trace, then its chains, then its
+    record; returns the record. Cells given one `stages` dict share trained
+    phases. A cell directory with a record is complete: if a write fails,
+    the chain files this call created and the cell directory are removed,
+    so `models/` keeps only chains some record references."""
     plan = make_plan(cfg, strategy, k, seed)
     result = run_strategy(plan, task, stages=stages)
     cell_dir = out / "runs" / cell_name(strategy, k, seed)
-    result.record["checkpoints"] = {
-        key: store_chain(chain, out) for key, chain in result.checkpoints.items()
-    }
+    # Store names are content digests, so a name that exists holds its chain.
+    rel_of = {key: f"models/{chain_digest(chain)}.json"
+              for key, chain in result.checkpoints.items()}
+    result.record["checkpoints"] = rel_of
+    trace = None if result.trace is None else "".join(
+        json.dumps(entry.to_json_dict()) + "\n" for entry in result.trace)
+    result.record["surgery_trace"] = None if trace is None else "surgery_trace.jsonl"
 
-    if result.trace is not None:
-        lines = "".join(json.dumps(entry.to_json_dict()) + "\n" for entry in result.trace)
-        write_atomic(cell_dir / "surgery_trace.jsonl", lines.encode("utf-8"))
-        result.record["surgery_trace"] = "surgery_trace.jsonl"
-    else:
-        result.record["surgery_trace"] = None
-
-    write_json(cell_dir / "record.json", result.record)
+    created: List[Path] = []
+    try:
+        if trace is not None:
+            write_atomic(cell_dir / "surgery_trace.jsonl", trace.encode("utf-8"))
+        for key, rel in rel_of.items():
+            if not (out / rel).exists():
+                save_checkpoint(result.checkpoints[key], out / rel)
+                created.append(out / rel)
+        write_json(cell_dir / "record.json", result.record)
+    except BaseException:
+        for path in created:
+            path.unlink(missing_ok=True)
+        shutil.rmtree(cell_dir, ignore_errors=True)
+        raise
     return result.record
 
 
+FAILURE_FRAMES = 3  # innermost traceback frames kept in a failure entry
+
+
+def failure_entry(cell: str, exc: BaseException) -> dict:
+    """A `failures` entry: the cell, the message, the exception type and
+    the innermost frames as "module:function:line" (module names, unlike
+    file paths, are the same on every machine and in every process)."""
+    frames = [f"{frame.f_globals.get('__name__')}:{frame.f_code.co_name}:{lineno}"
+              for frame, lineno in traceback.walk_tb(exc.__traceback__)]
+    return {"cell": cell, "error": str(exc), "type": type(exc).__name__,
+            "frames": frames[-FAILURE_FRAMES:]}
+
+
 def run_group(cfg: ExperimentConfig, task: Task, cells: Sequence[Tuple[str, int, int]],
-              out: Path) -> List[Tuple[Tuple[str, int, int], Optional[dict], Optional[str]]]:
+              out: Path) -> List[Tuple[Tuple[str, int, int], Optional[dict], Optional[dict]]]:
     """Run one seed group's cells in order with one stages dict, dropped
     when the group ends. Returns (cell, record, None) for each cell that
-    succeeded and (cell, None, error) for each that failed."""
+    succeeded and (cell, None, failure entry) for each that failed; the
+    entry is made here, so a pool worker's traceback survives."""
     stages: Stages = {}
     outcomes = []
     for cell in cells:
         try:
             outcomes.append((cell, run_cell(cfg, task, *cell, out, stages=stages), None))
         except Exception as exc:
-            outcomes.append((cell, None, str(exc)))
+            outcomes.append((cell, None, failure_entry(cell_name(*cell), exc)))
     return outcomes
 
 
@@ -351,37 +369,34 @@ def run_experiment(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> int:
         write_json(out / "benchmark" / "manifest.json", manifest)
 
     cells = grid_cells(cfg)
-    outcomes: Dict[Tuple[str, int, int], Tuple[Optional[dict], Optional[str]]] = {}
+    outcomes: Dict[Tuple[str, int, int], Tuple[Optional[dict], Optional[dict]]] = {}
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [(pool.submit(run_group, cfg, task, group, out), group)
                        for group in seed_groups(cells)]
             for fut, group in futures:
                 try:
-                    for cell, record, error in fut.result():
-                        outcomes[cell] = (record, error)
+                    for cell, record, failure in fut.result():
+                        outcomes[cell] = (record, failure)
                 except Exception as exc:  # the worker itself failed
                     for cell in group:
-                        outcomes[cell] = (None, str(exc))
+                        outcomes[cell] = (None, failure_entry(cell_name(*cell), exc))
     else:
         for group in seed_groups(cells):
-            for cell, record, error in run_group(cfg, task, group, out):
-                outcomes[cell] = (record, error)
+            for cell, record, failure in run_group(cfg, task, group, out):
+                outcomes[cell] = (record, failure)
     records = [outcomes[cell][0] for cell in cells if outcomes[cell][0] is not None]
-    failures = [
-        {"cell": cell_name(*cell), "error": outcomes[cell][1]}
-        for cell in cells
-        if outcomes[cell][1] is not None
-    ]
+    failures = [outcomes[cell][1] for cell in cells if outcomes[cell][1] is not None]
 
     if records:
         try:
             write_aggregate(cfg, task, records, out)
         except Exception as exc:
-            failures.append({"cell": "aggregate", "error": str(exc)})
+            failures.append(failure_entry("aggregate", exc))
     write_manifest(out, failures)
     for f in failures:
-        print(f"FAILED {f['cell']}: {f['error']}", file=sys.stderr)
+        where = f" (at {f['frames'][-1]})" if f["frames"] else ""
+        print(f"FAILED {f['cell']}: {f['type']}: {f['error']}{where}", file=sys.stderr)
     return 0 if not failures else 1
 
 

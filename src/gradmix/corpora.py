@@ -22,7 +22,7 @@ program is checked once, as whole arrays, where it enters: `Split` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -121,6 +121,23 @@ class Split:
         X, y, offsets = self._rows(keys)
         return Batch(X=X, y=y, keys=keys, offsets=offsets)
 
+    def batches(self, keys: Sequence[int], size: int) -> List[Batch]:
+        """`batch` of each consecutive chunk of `size` keys (the last may be
+        short), with the rows of all chunks gathered in one pass."""
+        keys = np.array(keys, dtype=np.int64)
+        full = len(keys) - len(keys) % size
+        keys[:full].reshape(-1, size).sort(axis=1)
+        keys[full:].sort()
+        X, y, offsets = self._rows(keys)
+        out = []
+        for a in range(0, len(keys), size):
+            rows, off = slice(a, a + size), None
+            if offsets is not None:
+                off = offsets[a : a + size + 1]
+                rows, off = slice(off[0], off[-1]), off - off[0]
+            out.append(Batch(X=X[rows], y=y[rows], keys=keys[a : a + size], offsets=off))
+        return out
+
     @staticmethod
     def concat(parts: Sequence["Split"]) -> "Split":
         """The examples of every part, in order."""
@@ -199,9 +216,6 @@ class LanguageCorpus:
         if name not in SPLITS:
             raise ContractViolation(f"unknown split {name!r}")
         return getattr(self, name)
-
-    def class_counts(self, split: str = "train") -> np.ndarray:
-        return np.bincount(self.split(split).y, minlength=self.num_classes)
 
 
 # --- shot sampling ----------------------------------------------------------
@@ -283,21 +297,24 @@ class OracleBank:
     their train indices, nothing external.
 
     The conflict check during surgery computes each language's gradient on
-    these batches, which alias the ShotBank selection index-for-index.
+    these batches, which alias the ShotBank selection index-for-index. A
+    lookup by language is one dict access.
     """
 
     shots: ShotBank
     _batches: Tuple[Tuple[str, Batch], ...]
+    lang_ids: Tuple[str, ...] = field(init=False)
+    _by_lang: Dict[str, Batch] = field(init=False, repr=False, compare=False)
 
-    @property
-    def lang_ids(self) -> Tuple[str, ...]:
-        return tuple(lang for lang, _ in self._batches)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "lang_ids", tuple(lang for lang, _ in self._batches))
+        object.__setattr__(self, "_by_lang", dict(self._batches))
 
     def batch(self, lang_id: str) -> Batch:
-        for lang, batch in self._batches:
-            if lang == lang_id:
-                return batch
-        raise ContractViolation(f"no oracle data for language {lang_id!r}")
+        try:
+            return self._by_lang[lang_id]
+        except KeyError:
+            raise ContractViolation(f"no oracle data for language {lang_id!r}") from None
 
     def indices(self, lang_id: str) -> Tuple[int, ...]:
         return self.shots.indices(lang_id)
@@ -368,9 +385,8 @@ def batch_iter(
     """
     if batch_size < 1:
         raise ContractViolation("batch_size must be >= 1")
-    n = len(md)
-    perm = rng.derived("shuffle", f"{scope}:{epoch}").permutation(n)
-    return [md.data.batch(perm[start : start + batch_size]) for start in range(0, n, batch_size)]
+    perm = rng.derived("shuffle", f"{scope}:{epoch}").permutation(len(md))
+    return md.data.batches(perm, batch_size)
 
 
 # --- synthetic generation ----------------------------------------------------
@@ -540,7 +556,6 @@ def profile_from_manifest(manifest: Dict) -> SyntheticProfile:
 # lands 10-30 points below source accuracy.
 
 DEFAULT_BENCHMARK_SEED = 7021
-DISTANT_ANGLE_THRESHOLD = 20.0
 _FAR_RAY_DEG = 60.0  # direction of a source class boundary
 
 
@@ -581,14 +596,6 @@ def default_profile() -> SyntheticProfile:
 
 def default_benchmark() -> Tuple[List[LanguageCorpus], Dict]:
     return gen_synthetic_family(default_profile())
-
-
-def distant_lang_ids(manifest: Dict) -> Tuple[str, ...]:
-    return tuple(
-        l["lang_id"]
-        for l in manifest["languages"]
-        if l["role"] == "target" and float(l["angle_deg"]) > DISTANT_ANGLE_THRESHOLD
-    )
 
 
 # --- TSV ingestion -------------------------------------------------------------

@@ -26,7 +26,7 @@ from typing import List, Sequence, Union
 
 import numpy as np
 
-from .corpora import Batch
+from .corpora import Batch, Split
 from .numcore import ContractViolation, ParamVec, RngStreams
 
 FAMILIES = ("softmax_classifier", "mlp_token_tagger")
@@ -120,33 +120,16 @@ def _unpack(spec: ModelSpec, theta: ParamVec):
     d, h, c = spec.input_dim, spec.hidden_dim, spec.num_classes
     v = theta.values
     if h == 0:
-        W = v[: c * d].reshape(c, d)
-        b = v[c * d : c * d + c]
-        return (W, b)
-    o = 0
-    W1 = v[o : o + h * d].reshape(h, d)
-    o += h * d
-    b1 = v[o : o + h]
-    o += h
-    W2 = v[o : o + c * h].reshape(c, h)
-    o += c * h
-    b2 = v[o : o + c]
-    return (W1, b1, W2, b2)
+        return v[: c * d].reshape(c, d), v[c * d :]
+    o = h * d + h
+    return v[: h * d].reshape(h, d), v[h * d : o], v[o : o + c * h].reshape(c, h), v[o + c * h :]
 
 
 def _logits(spec: ModelSpec, theta: ParamVec, X: np.ndarray) -> np.ndarray:
-    weights = _unpack(spec, theta)
-    if spec.hidden_dim == 0:
-        W, b = weights
-        return X @ W.T + b
-    W1, b1, W2, b2 = weights
-    return np.tanh(X @ W1.T + b1) @ W2.T + b2
-
-
-def _softmax(Z: np.ndarray) -> np.ndarray:
-    Zs = Z - Z.max(axis=1, keepdims=True)
-    E = np.exp(Zs)
-    return E / E.sum(axis=1, keepdims=True)
+    *hidden, W, b = _unpack(spec, theta)
+    if hidden:
+        X = np.tanh(X @ hidden[0].T + hidden[1])
+    return X @ W.T + b
 
 
 def _check_batch(spec: ModelSpec, batch: Batch) -> None:
@@ -163,51 +146,74 @@ def _check_batch(spec: ModelSpec, batch: Batch) -> None:
         )
     if X.shape[0] == 0:
         raise ContractViolation("batch contains no tokens")
-    if y.min() < 0 or y.max() >= spec.num_classes:
+    # As unsigned, a negative label is huge: one reduction checks both ends.
+    if y.astype(np.uint64).max() >= spec.num_classes:
         bad = int(y[(y < 0) | (y >= spec.num_classes)][0])
         raise ContractViolation(f"label {bad} out of range [0, {spec.num_classes})")
+
+
+def _forward_backward(spec: ModelSpec, theta: ParamVec, X: np.ndarray, y: np.ndarray):
+    """Mean cross-entropy and its gradient, flattened in parameter order,
+    of one batch (X (rows, D), y (rows,)) or of each of a stack of equal
+    batches (X (s, rows, D), y (s, rows)). A stack runs every matmul slice
+    by slice and every reduction within a batch, so each batch gets the bits
+    it gets alone. Temporaries are updated in place (`a += b` for `a + b`).
+    """
+    n, c = y.shape[-1], spec.num_classes
+    if spec.hidden_dim == 0:  # H: the output layer's input
+        (W, b), H = _unpack(spec, theta), X
+    else:
+        W1, b1, W, b = _unpack(spec, theta)
+        H = X @ W1.T
+        H += b1
+        np.tanh(H, out=H)
+    Z = H @ W.T
+    Z += b
+
+    zmax = Z.max(axis=-1, keepdims=True)
+    lse = Z - zmax
+    np.exp(lse, out=lse)
+    lse = np.log(lse.sum(axis=-1, keepdims=True))
+    lse += zmax
+    # Flat index of each row's gold logit in Z (and in G below).
+    gold = np.arange(0, y.size * c, c).reshape(y.shape) + y
+    loss = (lse[..., 0] - Z.take(gold)).sum(axis=-1) / n
+
+    G = Z - lse
+    np.exp(G, out=G)
+    G.reshape(-1)[gold] -= 1.0
+    G /= n
+
+    lead = y.shape[:-1] + (-1,)
+    parts = [(G.swapaxes(-1, -2) @ H).reshape(lead), G.sum(axis=-2)]
+    if spec.hidden_dim:
+        dZ1 = G @ W
+        T = H * H
+        np.subtract(1.0, T, out=T)
+        dZ1 *= T
+        parts[:0] = [(dZ1.swapaxes(-1, -2) @ X).reshape(lead), dZ1.sum(axis=-2)]
+    return loss, np.concatenate(parts, axis=-1)
 
 
 def loss_and_grad(state: ModelState, batch: Batch) -> GradReport:
     """Mean cross-entropy over the batch (tagger: over all tokens) and its
     analytic gradient, flattened in parameter order."""
-    spec = state.spec
-    _check_batch(spec, batch)
-    X, y = batch.X, batch.y
-    n = X.shape[0]
-
-    if spec.hidden_dim == 0:
-        W, b = _unpack(spec, state.theta)
-        Z = X @ W.T + b
-    else:
-        W1, b1, W2, b2 = _unpack(spec, state.theta)
-        A1 = np.tanh(X @ W1.T + b1)
-        Z = A1 @ W2.T + b2
-
-    Zmax = Z.max(axis=1, keepdims=True)
-    logsumexp = np.log(np.exp(Z - Zmax).sum(axis=1, keepdims=True)) + Zmax
-    loss = float(np.sum(logsumexp[:, 0] - Z[np.arange(n), y]) / n)
-
-    P = np.exp(Z - logsumexp)
-    G = P
-    G[np.arange(n), y] -= 1.0
-    G /= n
-
-    if spec.hidden_dim == 0:
-        dW = G.T @ X
-        db = G.sum(axis=0)
-        grad = np.concatenate([dW.ravel(), db])
-    else:
-        dW2 = G.T @ A1
-        db2 = G.sum(axis=0)
-        dZ1 = (G @ W2) * (1.0 - A1 * A1)
-        dW1 = dZ1.T @ X
-        db1 = dZ1.sum(axis=0)
-        grad = np.concatenate([dW1.ravel(), db1, dW2.ravel(), db2])
-
+    _check_batch(state.spec, batch)
+    loss, grad = _forward_backward(state.spec, state.theta, batch.X, batch.y)
     if not math.isfinite(loss):
         raise ContractViolation("non-finite loss")
-    return GradReport(loss=loss, grad=ParamVec(grad))
+    return GradReport(loss=float(loss), grad=ParamVec._adopt(grad))
+
+
+def batch_grads(state: ModelState, data: Split, keys: np.ndarray) -> np.ndarray:
+    """Row i: `loss_and_grad(state, data.batch(keys[i])).grad`, bit for bit,
+    for classifier keys (s, size) sorted by row. The split is checked once,
+    as a whole, with the checks `loss_and_grad` makes per batch."""
+    _check_batch(state.spec, data.batch())
+    loss, grads = _forward_backward(state.spec, state.theta, data.X[keys], data.y[keys])
+    if not np.isfinite(loss).all():
+        raise ContractViolation("non-finite loss")
+    return grads
 
 
 def sgd_step(state: ModelState, grad: ParamVec, lr: float) -> ModelState:
@@ -216,21 +222,7 @@ def sgd_step(state: ModelState, grad: ParamVec, lr: float) -> ModelState:
         raise ContractViolation(f"grad dim {grad.dim} != theta dim {state.theta.dim}")
     if lr < 0:
         raise ContractViolation("lr must be non-negative")
-    return ModelState(spec=state.spec, theta=ParamVec(state.theta.values - lr * grad.values))
-
-
-def predict_proba(state: ModelState, x: np.ndarray) -> np.ndarray:
-    """Class probabilities; rows for the tagger, a single row otherwise."""
-    X = np.asarray(x, dtype=np.float64)
-    single = X.ndim == 1
-    if single:
-        X = X.reshape(1, -1)
-    if X.shape[1] != state.spec.input_dim:
-        raise ContractViolation(
-            f"features have dim {X.shape[1]}, expected {state.spec.input_dim}"
-        )
-    P = _softmax(_logits(state.spec, state.theta, X))
-    return P[0] if single else P
+    return ModelState(spec=state.spec, theta=ParamVec._adopt(state.theta.values - lr * grad.values))
 
 
 def predict(state: ModelState, x: np.ndarray):

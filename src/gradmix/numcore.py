@@ -3,6 +3,11 @@
 Everything here is 64-bit float with fixed accumulation order so that two
 runs of the same code produce bit-identical results. The training loop and
 the trajectory-equivalence tests rely on that.
+
+Two shortcuts keep every bit: `ParamVec._adopt` wraps an array its caller
+has just computed (a gradient, a theta, a projection) without the public
+constructor's copy but with its checks, and `cosine_from_dots` reuses dots
+a caller already holds.
 """
 
 from __future__ import annotations
@@ -10,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional
 
 import numpy as np
 
@@ -23,9 +28,6 @@ class ContractViolation(ValueError):
     """An operation was called outside its stated preconditions."""
 
 
-VectorLike = Union["ParamVec", Sequence[float], np.ndarray]
-
-
 @dataclass(frozen=True, eq=False)
 class ParamVec:
     """Immutable 1-D float64 vector holding model parameters or a gradient."""
@@ -33,14 +35,16 @@ class ParamVec:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.values, dtype=np.float64, copy=True).reshape(-1)
-        if arr.size == 0:
-            raise ContractViolation("ParamVec must be non-empty")
-        if not np.all(np.isfinite(arr)):
-            bad = int(np.flatnonzero(~np.isfinite(arr))[0])
-            raise ContractViolation(f"non-finite entry at index {bad}")
-        arr.setflags(write=False)
+        arr = _checked(np.array(self.values, dtype=np.float64, copy=True).reshape(-1))
         object.__setattr__(self, "values", arr)
+
+    @classmethod
+    def _adopt(cls, arr: np.ndarray) -> "ParamVec":
+        """A ParamVec over `arr` itself, a fresh 1-D float64 array no one
+        else holds: the public constructor's checks without its copy."""
+        vec = object.__new__(cls)
+        object.__setattr__(vec, "values", _checked(arr))
+        return vec
 
     @property
     def dim(self) -> int:
@@ -58,8 +62,15 @@ class ParamVec:
         return f"ParamVec([{head}{tail}], dim={self.dim})"
 
 
-def as_paramvec(v: VectorLike) -> ParamVec:
-    return v if isinstance(v, ParamVec) else ParamVec(np.asarray(v, dtype=np.float64))
+def _checked(arr: np.ndarray) -> np.ndarray:
+    """`arr`, made read-only, once it is known to be non-empty and finite."""
+    if arr.size == 0:
+        raise ContractViolation("ParamVec must be non-empty")
+    if not np.isfinite(arr).all():
+        bad = int(np.flatnonzero(~np.isfinite(arr))[0])
+        raise ContractViolation(f"non-finite entry at index {bad}")
+    arr.setflags(write=False)
+    return arr
 
 
 def _check_dims(a: ParamVec, b: ParamVec) -> None:
@@ -81,10 +92,6 @@ def dot(a: ParamVec, b: ParamVec) -> float:
     return float(np.add.accumulate(a.values * b.values)[-1]) + 0.0
 
 
-def norm(a: ParamVec) -> float:
-    return math.sqrt(dot(a, a))
-
-
 def cosine_similarity(a: ParamVec, b: ParamVec) -> Optional[float]:
     """Cosine of the angle between a and b, clamped to [-1, 1].
 
@@ -92,43 +99,19 @@ def cosine_similarity(a: ParamVec, b: ParamVec) -> Optional[float]:
     serialize that as an explicit null rather than letting NaN propagate.
     """
     _check_dims(a, b)
-    na = norm(a)
-    nb = norm(b)
+    return cosine_from_dots(a, b, dot(a, a), dot(a, b), dot(b, b))
+
+
+def cosine_from_dots(a: ParamVec, b: ParamVec, aa: float, ab: float, bb: float) -> Optional[float]:
+    """`cosine_similarity(a, b)` from the dots aa = a.a, ab = a.b and
+    bb = b.b, which a caller that needs them anyway computes once."""
+    na = math.sqrt(aa)
+    nb = math.sqrt(bb)
     if na == 0.0 or nb == 0.0:
         return None
-    if a.tobytes() == b.tobytes():
+    if a.values.tobytes() == b.values.tobytes():
         return 1.0  # identical content is exactly parallel; avoid rounding to 1-ulp
-    c = dot(a, b) / (na * nb)
-    return min(1.0, max(-1.0, c))
-
-
-def finite_diff_grad(
-    loss_fn: Callable[[ParamVec], float],
-    theta: ParamVec,
-    h: Optional[float] = None,
-) -> ParamVec:
-    """Central-difference gradient of a scalar field, the test oracle for
-    analytic gradients.
-
-    With h=None the step is 1e-5 * max(1, |theta_i|) per coordinate, a
-    standard balance of truncation against f64 round-off.
-    """
-    if h is not None and h <= 0.0:
-        raise ContractViolation(f"h must be positive, got {h}")
-    base = theta.values
-    grad = np.empty(theta.dim, dtype=np.float64)
-    for i in range(theta.dim):
-        step = h if h is not None else 1e-5 * max(1.0, abs(float(base[i])))
-        plus = base.copy()
-        minus = base.copy()
-        plus[i] += step
-        minus[i] -= step
-        lp = float(loss_fn(ParamVec(plus)))
-        lm = float(loss_fn(ParamVec(minus)))
-        if not (math.isfinite(lp) and math.isfinite(lm)):
-            raise ContractViolation(f"non-finite loss probing coordinate {i}")
-        grad[i] = (lp - lm) / (2.0 * step)
-    return ParamVec(grad)
+    return min(1.0, max(-1.0, ab / (na * nb)))
 
 
 def _label_spawn_key(label: str) -> tuple[int, ...]:

@@ -10,6 +10,11 @@ onto the normal plane of the sampled language's oracle gradient:
 
 The no-op path returns the input object untouched, which is what makes
 alpha=0 runs bitwise identical to plain mixed training.
+
+`sgs_step` computes each distinct dot once (o.o, o.g, g.g, and on an
+applied step o.g' and g'.g': 5 dots, not 9) and gets the bits of
+`cosine_similarity`, `is_conflicting` and `project_gradient`, since `dot`
+is symmetric: a.b and b.a multiply the same pairs in the same order.
 """
 
 from __future__ import annotations
@@ -19,7 +24,8 @@ from typing import Optional, Tuple
 
 from .corpora import OracleBank
 from .models import ModelState, loss_and_grad
-from .numcore import ContractViolation, ParamVec, RngStreams, cosine_similarity, dot
+from .numcore import ContractViolation, ParamVec, RngStreams, cosine_from_dots, dot
+from .numcore import cosine_similarity  # noqa: F401  (traced by name in perfbench/tracing.py)
 
 
 @dataclass(frozen=True)
@@ -75,19 +81,14 @@ def project_gradient(g_s: ParamVec, g_t: ParamVec) -> ParamVec:
     """Remove from g_s its component along g_t (projection onto g_t's
     normal plane). Callers must guard the zero-norm case: the training path
     never reaches it because zero oracle gradients are non-conflicting."""
-    denom = dot(g_t, g_t)
-    if denom == 0.0:
+    return _project(g_s, g_t, dot(g_s, g_t), dot(g_t, g_t))
+
+
+def _project(g_s: ParamVec, g_t: ParamVec, st: float, tt: float) -> ParamVec:
+    """`project_gradient` given st = g_s.g_t and tt = g_t.g_t."""
+    if tt == 0.0:
         raise ContractViolation("cannot project onto the normal plane of a zero vector")
-    coef = dot(g_s, g_t) / denom
-    return ParamVec(g_s.values - coef * g_t.values)
-
-
-def apply_if_conflicting(g_train: ParamVec, g_oracle: ParamVec) -> ParamVec:
-    """Project only on conflict; otherwise return g_train itself (bitwise
-    no-op, same object)."""
-    if is_conflicting(g_train, g_oracle):
-        return project_gradient(g_train, g_oracle)
-    return g_train
+    return ParamVec._adopt(g_s.values - (st / tt) * g_t.values)
 
 
 def oracle_gradient(model: ModelState, oracle_bank: OracleBank, lang_id: str) -> ParamVec:
@@ -115,23 +116,20 @@ def sgs_step(
     lang = langs[int(rng.lang_pick.integers(len(langs)))]
     p = float(rng.surgery_p.random())
 
-    if policy.lazy and p >= policy.alpha:
-        return g_train, TraceEntry(
-            step=step, picked_lang=lang, p_value=p, conflicted=False,
-            applied=False, cos_before=None, cos_after=None,
-        )
-
-    g_oracle = oracle_gradient(model, oracle_bank, lang)
-    cos_before = cosine_similarity(g_oracle, g_train)
-    conflicted = is_conflicting(g_oracle, g_train)
-    if conflicted and p < policy.alpha:
-        g_out = project_gradient(g_train, g_oracle)
-        cos_after = cosine_similarity(g_oracle, g_out)
-        return g_out, TraceEntry(
-            step=step, picked_lang=lang, p_value=p, conflicted=True,
-            applied=True, cos_before=cos_before, cos_after=cos_after,
-        )
-    return g_train, TraceEntry(
+    g_out, conflicted, applied, cos_before, cos_after = g_train, False, False, None, None
+    if not (policy.lazy and p >= policy.alpha):
+        g_oracle = oracle_gradient(model, oracle_bank, lang)
+        oo = dot(g_oracle, g_oracle)
+        og = dot(g_oracle, g_train)
+        cos_before = cos_after = cosine_from_dots(
+            g_oracle, g_train, oo, og, dot(g_train, g_train))
+        conflicted = og < 0.0  # is_conflicting(g_oracle, g_train)
+        applied = conflicted and p < policy.alpha
+        if applied:
+            g_out = _project(g_train, g_oracle, og, oo)
+            cos_after = cosine_from_dots(
+                g_oracle, g_out, oo, dot(g_oracle, g_out), dot(g_out, g_out))
+    return g_out, TraceEntry(
         step=step, picked_lang=lang, p_value=p, conflicted=conflicted,
-        applied=False, cos_before=cos_before, cos_after=cos_before,
+        applied=applied, cos_before=cos_before, cos_after=cos_after,
     )

@@ -30,7 +30,6 @@ from gradmix.corpora import (
     Split,
     build_shot_bank,
     default_benchmark,
-    distant_lang_ids,
     make_batch,
 )
 from gradmix.models import (
@@ -38,12 +37,12 @@ from gradmix.models import (
     ModelState,
     loss_and_grad,
 )
-from gradmix.numcore import ParamVec, RngStreams, dot, finite_diff_grad, norm
-from gradmix.surgery import apply_if_conflicting, is_conflicting, project_gradient
+from gradmix.numcore import ParamVec, RngStreams, dot
+from gradmix.surgery import is_conflicting, project_gradient
 from gradmix.trainer import Task, TrainPlan, run_strategy
 from gradmix.cli import load_config, run_experiment
 
-from oracles import to_arrays
+from oracles import apply_if_conflicting, distant_lang_ids, finite_diff_grad, norm, to_arrays
 
 # Shipped experiment settings (mirrors configs/default.json).
 SHIPPED_PLAN = dict(

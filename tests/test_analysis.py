@@ -8,19 +8,19 @@ from gradmix.analysis import (
     language_gradient,
     micro_f1,
     overfit_flags,
-    read_sim_matrix_csv,
     similarity_matrix,
     write_sim_matrix_csv,
 )
 from gradmix.corpora import (
     LanguageCorpus,
+    Split,
     build_shot_bank,
     gen_synthetic_family,
 )
 from gradmix.models import ModelSpec, ModelState, init_params, loss_and_grad
 from gradmix.numcore import ContractViolation, ParamVec, RngStreams
 from conftest import tiny_profile
-from oracles import examples_of, stack_batch
+from oracles import examples_of, read_sim_matrix_csv, stack_batch
 
 
 class TestMicroF1:
@@ -143,6 +143,28 @@ class TestSimilarityMatrix:
         m = similarity_matrix([model], corpora, shots, np.random.default_rng(2))
         for i in range(len(m.lang_ids)):
             assert m.values[i][i] == 1.0
+
+    def test_zero_gradient_language_is_missing(self):
+        spec = ModelSpec("softmax_classifier", 2, 0, 3)
+        theta = np.zeros(spec.param_dim)
+        theta[6] = 1000.0  # class 0's bias: the softmax is exactly one-hot
+        model = ModelState(spec=spec, theta=ParamVec(theta))
+        rng = np.random.default_rng(0)
+
+        def corpus(lang_id, role, y):
+            return LanguageCorpus(lang_id=lang_id, script_tag="x", role=role,
+                                  task="classification", num_classes=3, input_dim=2,
+                                  train=Split(rng.normal(size=(len(y), 2)), y))
+
+        # t's labels are all 0, so its gradient is exactly zero.
+        corpora = [corpus("s", "source", [0, 1, 2] * 10), corpus("t", "target", [0] * 10),
+                   corpus("u", "target", [1, 2] * 5)]
+        shots = build_shot_bank(corpora[1:], 2, "k_shot", RngStreams(0))
+        m = similarity_matrix([model], corpora, shots, np.random.default_rng(1),
+                              batch_size=4, n_source_batches=3)
+        assert [m.value("t", lang) for lang in ("s", "t", "u")] == [None, None, None]
+        assert m.value("s", "s") == m.value("u", "u") == 1.0
+        assert m.value("s", "u") is not None
 
     def test_requires_checkpoints(self, small_world):
         corpora, _, shots = small_world

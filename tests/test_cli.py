@@ -298,12 +298,43 @@ class TestRunExperiment:
         out = tmp_path / "out"
         assert run_experiment(cfg, out) == 1
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["failures"] == [
-            {"cell": "gradient_mix_train_k2_seed1", "error": "no space left on device"}
-        ]
-        cell = out / "runs" / "gradient_mix_train_k2_seed1"
-        assert list(cell.iterdir()) == []
+        [failure] = manifest["failures"]
+        assert failure["cell"] == "gradient_mix_train_k2_seed1"
+        assert (failure["type"], failure["error"]) == ("OSError", "no space left on device")
+        assert [f.rsplit(":", 1)[0] for f in failure["frames"]] == [
+            "gradmix.cli:run_cell", "gradmix.models:write_atomic", "conftest:write"]
+        assert not (out / "runs" / "gradient_mix_train_k2_seed1").exists()
+        assert not list(out.rglob(".*.tmp"))
         assert (out / "runs" / "zero_shot_k0_seed1" / "record.json").exists()
+
+    @pytest.mark.parametrize("name", ["surgery_trace.jsonl",
+                                      "gradient_mix_train_k2_seed1/.record.json"])
+    def test_failed_cell_leaves_no_orphan_chain(self, tmp_path, monkeypatch, name):
+        fail_writes_half_way(monkeypatch, name)
+        cfg = parse_config(small_config_doc(seeds=(1,)))
+        out = tmp_path / "out"
+        assert run_experiment(cfg, out) == 1
+        assert not (out / "runs" / "gradient_mix_train_k2_seed1").exists()
+        record = json.loads((out / "runs" / "zero_shot_k0_seed1" / "record.json").read_text())
+        assert sorted(f"models/{p.name}" for p in (out / "models").iterdir()) == sorted(
+            set(record["checkpoints"].values()))
+
+    def test_failure_entries_same_under_jobs(self, tmp_path):
+        doc = small_config_doc(strategies=("zero_shot", "gradient_mix_train"), seeds=(1, 2))
+        doc["plan"]["language_subset"] = []
+        cfg = parse_config(doc)
+        out1, out2 = tmp_path / "seq", tmp_path / "par"
+        assert run_experiment(cfg, out1, jobs=1) == 1
+        assert run_experiment(cfg, out2, jobs=2) == 1
+        assert (out1 / "manifest.json").read_bytes() == (out2 / "manifest.json").read_bytes()
+        failures = json.loads((out1 / "manifest.json").read_text())["failures"]
+        assert [f["cell"] for f in failures] == [
+            "gradient_mix_train_k2_seed1", "gradient_mix_train_k2_seed2"]
+        for f in failures:
+            assert f["type"] == "ContractViolation"
+            assert "requires at least one target language" in f["error"]
+            assert f["frames"][-1].startswith("gradmix.trainer:run_mixed_training:")
+            assert 1 <= len(f["frames"]) <= cli.FAILURE_FRAMES
 
 
 class TestExport:
@@ -339,7 +370,10 @@ class TestExport:
         out = tmp_path / "out"
         assert run_experiment(cfg, out) == 1
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["failures"] == [{"cell": "aggregate", "error": "similarity failed"}]
+        [failure] = manifest["failures"]
+        assert failure["cell"] == "aggregate"
+        assert (failure["type"], failure["error"]) == ("RuntimeError", "similarity failed")
+        assert failure["frames"][-1].startswith("test_cli:fail:")
         assert (out / "aggregate" / "report.json").exists()
         with pytest.raises(RuntimeError, match="similarity failed"):
             export_artifacts(out)
@@ -426,3 +460,9 @@ class TestBenchmarkTracer:
         assert metrics["models.save_checkpoint.calls"] == len(files) == 1 + 2 + 1
         assert metrics["models.save_checkpoint.bytes"] == sum(p.stat().st_size for p in files)
         assert metrics["models.load_checkpoint.calls"] > 0
+        # The per-layer split needs each wrapped entry point on the run's path.
+        calls = {name: row["calls"] for name, row in
+                 tracing.span_table(tracing.load_spans(str(spans))).items()}
+        for name in ("models.loss_and_grad[train]", "models.sgd_step", "surgery.sgs_step",
+                     "numcore.dot[surgery]", "corpora.batch_iter"):
+            assert calls[name] > 0, name

@@ -11,7 +11,6 @@ from gradmix.corpora import (
     build_oracle_bank,
     build_shot_bank,
     default_benchmark,
-    distant_lang_ids,
     gen_synthetic_family,
     ingest_tsv,
     merge_splits,
@@ -22,7 +21,7 @@ from gradmix.corpora import (
 from gradmix.models import ModelSpec, init_params, loss_and_grad
 from gradmix.numcore import ContractViolation, RngStreams
 
-from oracles import examples_of, stack_batch
+from oracles import distant_lang_ids, examples_of, stack_batch
 
 
 def small_profile(**overrides):

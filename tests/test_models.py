@@ -15,15 +15,14 @@ from gradmix.models import (
     load_checkpoint,
     loss_and_grad,
     predict,
-    predict_proba,
     save_checkpoint,
     sgd_step,
     write_atomic,
 )
-from gradmix.numcore import ContractViolation, ParamVec, RngStreams, finite_diff_grad
+from gradmix.numcore import ContractViolation, ParamVec, RngStreams
 
 from conftest import fail_writes_half_way
-from oracles import stack_batch, to_arrays
+from oracles import finite_diff_grad, predict_proba, stack_batch, to_arrays
 
 CLS = ModelSpec(family="softmax_classifier", input_dim=4, hidden_dim=0, num_classes=3)
 CLS_MLP = ModelSpec(family="softmax_classifier", input_dim=4, hidden_dim=6, num_classes=3)

@@ -9,14 +9,13 @@ from gradmix.numcore import (
     ContractViolation,
     ParamVec,
     RngStreams,
-    as_paramvec,
+    cosine_from_dots,
     cosine_similarity,
     dot,
-    finite_diff_grad,
-    norm,
 )
 
-from oracles import dot_loop
+from oracles import as_paramvec, dot_loop, finite_diff_grad, norm
+from oracles import cosine_similarity as cosine_reference
 
 
 def vec(*xs):
@@ -43,6 +42,15 @@ class TestParamVec:
         v = ParamVec(arr)
         arr[0] = 9.0
         assert v.values[0] == 1.0
+
+    def test_adopt_wraps_without_copy_and_keeps_checks(self):
+        arr = np.array([1.0, 2.0])
+        v = ParamVec._adopt(arr)
+        assert v.values is arr and not arr.flags.writeable
+        with pytest.raises(ContractViolation, match="non-empty"):
+            ParamVec._adopt(np.empty(0))
+        with pytest.raises(ContractViolation, match="index 1"):
+            ParamVec._adopt(np.array([0.0, np.inf]))
 
 
 class TestDot:
@@ -136,6 +144,15 @@ class TestCosineSimilarity:
             a = ParamVec(rng.normal(size=17))
             b = ParamVec(rng.normal(size=17))
             assert cosine_similarity(a, b) == cosine_similarity(b, a)
+
+    def test_from_dots_equals_three_dot_reference(self):
+        rng = np.random.default_rng(5)
+        vecs = [ParamVec(rng.normal(size=9) * 10.0 ** rng.uniform(-5, 5)) for _ in range(60)]
+        vecs += [ParamVec(np.zeros(9)), ParamVec(-vecs[0].values), ParamVec(vecs[1].values)]
+        for a in vecs:
+            for b in vecs[::7] + [a]:
+                got = cosine_from_dots(a, b, dot(a, a), dot(a, b), dot(b, b))
+                assert repr(got) == repr(cosine_reference(a, b)) == repr(cosine_similarity(a, b))
 
 
 class TestFiniteDiffGrad:

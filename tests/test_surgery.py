@@ -3,18 +3,17 @@ import pytest
 
 from gradmix.corpora import LanguageCorpus, Split, build_oracle_bank, build_shot_bank
 from gradmix.models import ModelSpec, ModelState, loss_and_grad
-from gradmix.numcore import ContractViolation, ParamVec, RngStreams, dot, norm
+from gradmix.numcore import ContractViolation, ParamVec, RngStreams, dot
 from gradmix.surgery import (
     SurgeryPolicy,
     TraceEntry,
-    apply_if_conflicting,
     is_conflicting,
     oracle_gradient,
     project_gradient,
     sgs_step,
 )
 
-from oracles import examples_of, stack_batch
+from oracles import apply_if_conflicting, examples_of, norm, stack_batch
 
 
 def vec(*xs):
