@@ -39,7 +39,8 @@ def micro_f1(predictions, gold, outside_label: int) -> float:
     TP: predicted == gold != outside; FP: prediction is a non-outside tag
     that is wrong; FN: gold is a non-outside tag that was missed. Returns 0
     when precision + recall is 0. Accepts flat label arrays or lists of
-    per-sequence arrays.
+    per-sequence arrays. The counts are integer reductions over all tokens
+    at once, so the result is the one a loop over tokens gives.
     """
     pred_seqs = predictions if isinstance(predictions, (list, tuple)) else [predictions]
     gold_seqs = gold if isinstance(gold, (list, tuple)) else [gold]
@@ -47,7 +48,7 @@ def micro_f1(predictions, gold, outside_label: int) -> float:
         raise ContractViolation(
             f"{len(pred_seqs)} prediction sequences vs {len(gold_seqs)} gold"
         )
-    tp = fp = fn = 0
+    preds, golds = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     for i, (p, g) in enumerate(zip(pred_seqs, gold_seqs)):
         p = np.asarray(p).reshape(-1)
         g = np.asarray(g).reshape(-1)
@@ -55,15 +56,14 @@ def micro_f1(predictions, gold, outside_label: int) -> float:
             raise ContractViolation(
                 f"sequence {i}: {p.shape[0]} predictions vs {g.shape[0]} gold tags"
             )
-        for pi, gi in zip(p.tolist(), g.tolist()):
-            if pi == gi:
-                if gi != outside_label:
-                    tp += 1
-            else:
-                if pi != outside_label:
-                    fp += 1
-                if gi != outside_label:
-                    fn += 1
+        preds.append(p)
+        golds.append(g)
+    p, g = np.concatenate(preds), np.concatenate(golds)
+    wrong = p != g
+    tagged = g != outside_label
+    tp = int(np.count_nonzero(tagged & ~wrong))
+    fp = int(np.count_nonzero(wrong & (p != outside_label)))
+    fn = int(np.count_nonzero(wrong & tagged))
     precision = tp / (tp + fp) if tp + fp > 0 else 0.0
     recall = tp / (tp + fn) if tp + fn > 0 else 0.0
     if precision + recall == 0.0:

@@ -6,12 +6,15 @@ deterministic artifact tree; `export` re-emits the aggregate table and the
 gradient-similarity CSVs from an existing tree. Canonical artifacts carry
 no timestamps, so rerunning a config reproduces every file byte for byte.
 
-The unit of work is a seed group: the cells of one seed, in grid order,
-run in one process with one `trainer.Stages` dict, so a source chain or an
-adapted chain that several cells share is trained once per seed (see
-`trainer.run_strategy`). Trained chains go to one content-addressed store,
-`models/<chain_digest>.json`, written once per distinct chain; a record's
-`checkpoints` map points into it. Every file is written through
+The unit of work is a chunk of seeds: all seeds at `--jobs 1`, and
+min(jobs, seeds) contiguous chunks, one pool task each, under `--jobs N`.
+A chunk runs its cells column by column ((strategy, K) over its seeds)
+with one `trainer.Stages` dict: `trainer.prefill` trains a column's
+stages in lockstep across the chunk's seeds, a chain that several cells
+share is trained once (see `trainer.run_strategy`), and each stage is
+dropped after its last column. Trained chains go to one content-addressed
+store, `models/<chain_digest>.json`, written once per distinct chain; a
+record's `checkpoints` map points into it. Every file is written through
 `models.write_atomic`, so a name only ever holds a whole file.
 """
 
@@ -180,13 +183,28 @@ def cell_name(strategy: str, k: int, seed: int) -> str:
     return f"{strategy}_k{k}_seed{seed}"
 
 
-def seed_groups(cells: Sequence[Tuple[str, int, int]]) -> List[List[Tuple[str, int, int]]]:
-    """The cells of each seed, in the given order, seeds in order of first
-    appearance."""
-    groups: Dict[int, List[Tuple[str, int, int]]] = {}
+def seed_chunks(cells: Sequence[Tuple[str, int, int]],
+                n_chunks: int) -> List[List[Tuple[str, int, int]]]:
+    """The cells of min(n_chunks, seeds) contiguous chunks of the seeds (in
+    order of first appearance), sizes differing by at most one, each
+    chunk's cells in the given order."""
+    seeds = list(dict.fromkeys(cell[2] for cell in cells))
+    chunks = np.array_split(seeds, min(n_chunks, len(seeds)))
+    return [[cell for cell in cells if cell[2] in chunk]
+            for chunk in (set(part.tolist()) for part in chunks)]
+
+
+def columns(cells: Sequence[Tuple[str, int, int]]) -> List[List[Tuple[str, int, int]]]:
+    """The cells by (strategy, K), in the order a chunk runs them: grid
+    order, except that columns which share an adapt stage (ord_fs and
+    ord_fs_dev at one K) run back to back, so that stage is dropped
+    sooner."""
+    by_column: Dict[Tuple[str, int], List[Tuple[str, int, int]]] = {}
     for cell in cells:
-        groups.setdefault(cell[2], []).append(cell)
-    return list(groups.values())
+        by_column.setdefault(cell[:2], []).append(cell)
+    first: Dict[tuple, int] = {}  # a family's place: that of its first column
+    return [by_column[c] for c in sorted(by_column, key=lambda c: first.setdefault(
+        (trainer.ADAPT_FAMILY.get(c[0], c[0]), c[1]), len(first)))]
 
 
 def make_plan(cfg: ExperimentConfig, strategy: str, k: int, seed: int) -> TrainPlan:
@@ -211,14 +229,14 @@ def run_cell(cfg: ExperimentConfig, task: Task, strategy: str, k: int, seed: int
     rel_of = {key: f"models/{chain_digest(chain)}.json"
               for key, chain in result.checkpoints.items()}
     result.record["checkpoints"] = rel_of
-    trace = None if result.trace is None else "".join(
-        json.dumps(entry.to_json_dict()) + "\n" for entry in result.trace)
+    trace = None if result.trace is None else (  # written line by line, never whole
+        (json.dumps(entry.to_json_dict()) + "\n").encode("utf-8") for entry in result.trace)
     result.record["surgery_trace"] = None if trace is None else "surgery_trace.jsonl"
 
     created: List[Path] = []
     try:
         if trace is not None:
-            write_atomic(cell_dir / "surgery_trace.jsonl", trace.encode("utf-8"))
+            write_atomic(cell_dir / "surgery_trace.jsonl", trace)
         for key, rel in rel_of.items():
             if not (out / rel).exists():
                 save_checkpoint(result.checkpoints[key], out / rel)
@@ -245,19 +263,34 @@ def failure_entry(cell: str, exc: BaseException) -> dict:
             "frames": frames[-FAILURE_FRAMES:]}
 
 
-def run_group(cfg: ExperimentConfig, task: Task, cells: Sequence[Tuple[str, int, int]],
+def run_chunk(cfg: ExperimentConfig, task: Task, cells: Sequence[Tuple[str, int, int]],
               out: Path) -> List[Tuple[Tuple[str, int, int], Optional[dict], Optional[dict]]]:
-    """Run one seed group's cells in order with one stages dict, dropped
-    when the group ends. Returns (cell, record, None) for each cell that
-    succeeded and (cell, None, failure entry) for each that failed; the
-    entry is made here, so a pool worker's traceback survives."""
+    """Run one chunk's cells column by column (`columns`) with one stages
+    dict: `trainer.prefill` fills a column's stages before its cells run,
+    and each entry is dropped after the last column that uses it. Returns
+    (cell, record, None) for each cell that succeeded and (cell, None,
+    failure entry) for each that failed; the entry is made here, so a pool
+    worker's traceback survives."""
+    todo = columns(cells)
+    plans, last_use = {}, {}
+    for i, column in enumerate(todo):
+        for cell in column:
+            try:
+                plans[cell] = make_plan(cfg, *cell)
+                last_use.update(dict.fromkeys(trainer.stage_keys(plans[cell], task).values(), i))
+            except Exception:  # run_cell raises it again and records the failure
+                continue
     stages: Stages = {}
     outcomes = []
-    for cell in cells:
-        try:
-            outcomes.append((cell, run_cell(cfg, task, *cell, out, stages=stages), None))
-        except Exception as exc:
-            outcomes.append((cell, None, failure_entry(cell_name(*cell), exc)))
+    for i, column in enumerate(todo):
+        trainer.prefill([plans[cell] for cell in column if cell in plans], task, stages)
+        for cell in column:
+            try:
+                outcomes.append((cell, run_cell(cfg, task, *cell, out, stages=stages), None))
+            except Exception as exc:
+                outcomes.append((cell, None, failure_entry(cell_name(*cell), exc)))
+        for key in [key for key, last in last_use.items() if last == i]:
+            stages.pop(key, None)
     return outcomes
 
 
@@ -360,6 +393,8 @@ def run_experiment(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> int:
     `out` must be missing or empty: the manifest lists every file under it,
     so a used tree would mix another run's artifacts into this one's.
     """
+    if jobs < 1:
+        raise ContractViolation(f"--jobs must be at least 1, got {jobs}")
     if out.is_dir() and any(out.iterdir()):
         raise ContractViolation(f"output directory {out} is not empty; choose a new --out")
     out.mkdir(parents=True, exist_ok=True)
@@ -370,21 +405,21 @@ def run_experiment(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> int:
 
     cells = grid_cells(cfg)
     outcomes: Dict[Tuple[str, int, int], Tuple[Optional[dict], Optional[dict]]] = {}
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [(pool.submit(run_group, cfg, task, group, out), group)
-                       for group in seed_groups(cells)]
-            for fut, group in futures:
+    chunks = seed_chunks(cells, jobs)
+    if len(chunks) > 1:
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+            futures = [(pool.submit(run_chunk, cfg, task, chunk, out), chunk)
+                       for chunk in chunks]
+            for fut, chunk in futures:
                 try:
                     for cell, record, failure in fut.result():
                         outcomes[cell] = (record, failure)
                 except Exception as exc:  # the worker itself failed
-                    for cell in group:
+                    for cell in chunk:
                         outcomes[cell] = (None, failure_entry(cell_name(*cell), exc))
     else:
-        for group in seed_groups(cells):
-            for cell, record, failure in run_group(cfg, task, group, out):
-                outcomes[cell] = (record, failure)
+        for cell, record, failure in run_chunk(cfg, task, cells, out):
+            outcomes[cell] = (record, failure)
     records = [outcomes[cell][0] for cell in cells if outcomes[cell][0] is not None]
     failures = [outcomes[cell][1] for cell in cells if outcomes[cell][1] is not None]
 

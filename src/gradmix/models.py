@@ -7,6 +7,9 @@ treat gradients uniformly.
 
 Batches hold their examples sorted by canonical key (see `corpora`), which
 makes loss and gradient bitwise invariant to the order examples were drawn.
+One kernel computes them, for one batch or, slice by slice, for a stack:
+of batches (`batch_grads`) or of parameter vectors each on its own batch
+(`stack_grads`, lockstep training), each slice with the bits it gets alone.
 
 A trained model is a chain of states, epoch 0 first (see `trainer`);
 `save_checkpoint` writes one chain to one file and `load_checkpoint` reads
@@ -22,7 +25,7 @@ import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Sequence, Union
+from typing import Iterable, List, Sequence, Union
 
 import numpy as np
 
@@ -115,24 +118,27 @@ def init_params(spec: ModelSpec, rng: RngStreams) -> ModelState:
     return ModelState(spec=spec, theta=ParamVec(np.concatenate(parts)))
 
 
-def _unpack(spec: ModelSpec, theta: ParamVec):
-    """Read-only weight views into the flat parameter vector."""
+def _unpack(spec: ModelSpec, v: np.ndarray):
+    """Read-only weight views into a flat parameter vector (P,) or a stack
+    of them (S, P): matrices (..., rows, cols) and biases (..., 1, n), so a
+    bias broadcasts over a batch's rows and a stack's slices."""
     d, h, c = spec.input_dim, spec.hidden_dim, spec.num_classes
-    v = theta.values
+    lead = v.shape[:-1]
     if h == 0:
-        return v[: c * d].reshape(c, d), v[c * d :]
+        return v[..., : c * d].reshape(lead + (c, d)), v[..., c * d :].reshape(lead + (1, c))
     o = h * d + h
-    return v[: h * d].reshape(h, d), v[h * d : o], v[o : o + c * h].reshape(c, h), v[o + c * h :]
+    return (v[..., : h * d].reshape(lead + (h, d)), v[..., h * d : o].reshape(lead + (1, h)),
+            v[..., o : o + c * h].reshape(lead + (c, h)), v[..., o + c * h :].reshape(lead + (1, c)))
 
 
 def _logits(spec: ModelSpec, theta: ParamVec, X: np.ndarray) -> np.ndarray:
-    *hidden, W, b = _unpack(spec, theta)
+    *hidden, W, b = _unpack(spec, theta.values)
     if hidden:
-        X = np.tanh(X @ hidden[0].T + hidden[1])
-    return X @ W.T + b
+        X = np.tanh(X @ hidden[0].swapaxes(-1, -2) + hidden[1])
+    return X @ W.swapaxes(-1, -2) + b
 
 
-def _check_batch(spec: ModelSpec, batch: Batch) -> None:
+def check_batch(spec: ModelSpec, batch: Batch) -> None:
     """Whole-batch checks: non-empty, the layout of the family, features
     of the model's width, labels in range."""
     if len(batch) == 0:
@@ -152,22 +158,26 @@ def _check_batch(spec: ModelSpec, batch: Batch) -> None:
         raise ContractViolation(f"label {bad} out of range [0, {spec.num_classes})")
 
 
-def _forward_backward(spec: ModelSpec, theta: ParamVec, X: np.ndarray, y: np.ndarray):
+def _forward_backward(spec: ModelSpec, v: np.ndarray, X: np.ndarray, y: np.ndarray):
     """Mean cross-entropy and its gradient, flattened in parameter order,
-    of one batch (X (rows, D), y (rows,)) or of each of a stack of equal
-    batches (X (s, rows, D), y (s, rows)). A stack runs every matmul slice
-    by slice and every reduction within a batch, so each batch gets the bits
-    it gets alone. Temporaries are updated in place (`a += b` for `a + b`).
+    of the parameters v (P,) on one batch (X (rows, D), y (rows,)), or on
+    each of a stack of equal batches (X (s, rows, D), y (s, rows)), or of
+    each of a stack of parameters v (s, P) on its own batch of such a
+    stack. This is the one kernel: `loss_and_grad`, `batch_grads` and
+    `stack_grads` all call it. A stack runs every matmul slice by slice
+    (weights through `swapaxes`, never a 2-D matmul over the stacked rows)
+    and every reduction within a batch, so each slice gets the bits it gets
+    alone. Temporaries are updated in place (`a += b` for `a + b`).
     """
     n, c = y.shape[-1], spec.num_classes
     if spec.hidden_dim == 0:  # H: the output layer's input
-        (W, b), H = _unpack(spec, theta), X
+        (W, b), H = _unpack(spec, v), X
     else:
-        W1, b1, W, b = _unpack(spec, theta)
-        H = X @ W1.T
+        W1, b1, W, b = _unpack(spec, v)
+        H = X @ W1.swapaxes(-1, -2)
         H += b1
         np.tanh(H, out=H)
-    Z = H @ W.T
+    Z = H @ W.swapaxes(-1, -2)
     Z += b
 
     zmax = Z.max(axis=-1, keepdims=True)
@@ -198,22 +208,33 @@ def _forward_backward(spec: ModelSpec, theta: ParamVec, X: np.ndarray, y: np.nda
 def loss_and_grad(state: ModelState, batch: Batch) -> GradReport:
     """Mean cross-entropy over the batch (tagger: over all tokens) and its
     analytic gradient, flattened in parameter order."""
-    _check_batch(state.spec, batch)
-    loss, grad = _forward_backward(state.spec, state.theta, batch.X, batch.y)
+    check_batch(state.spec, batch)
+    loss, grad = _forward_backward(state.spec, state.theta.values, batch.X, batch.y)
     if not math.isfinite(loss):
         raise ContractViolation("non-finite loss")
     return GradReport(loss=float(loss), grad=ParamVec._adopt(grad))
+
+
+def stack_grads(spec: ModelSpec, thetas: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row i: the gradient of parameters thetas[i] (or of thetas itself,
+    when it is one (P,) vector) on the dense batch X[i], y[i], bit for bit
+    what `loss_and_grad` gives that pair alone. The caller checks the
+    batches once (`check_batch` of each split they come from); every
+    slice's loss and gradient is checked finite here."""
+    loss, grads = _forward_backward(spec, thetas, X, y)
+    if not np.isfinite(loss).all():
+        raise ContractViolation("non-finite loss")
+    if not np.isfinite(grads).all():
+        raise ContractViolation("non-finite gradient")
+    return grads
 
 
 def batch_grads(state: ModelState, data: Split, keys: np.ndarray) -> np.ndarray:
     """Row i: `loss_and_grad(state, data.batch(keys[i])).grad`, bit for bit,
     for classifier keys (s, size) sorted by row. The split is checked once,
     as a whole, with the checks `loss_and_grad` makes per batch."""
-    _check_batch(state.spec, data.batch())
-    loss, grads = _forward_backward(state.spec, state.theta, data.X[keys], data.y[keys])
-    if not np.isfinite(loss).all():
-        raise ContractViolation("non-finite loss")
-    return grads
+    check_batch(state.spec, data.batch())
+    return stack_grads(state.spec, state.theta.values, data.X[keys], data.y[keys])
 
 
 def sgd_step(state: ModelState, grad: ParamVec, lr: float) -> ModelState:
@@ -251,15 +272,18 @@ def predict(state: ModelState, x: np.ndarray):
 CHECKPOINT_VERSION = 3
 
 
-def write_atomic(path: Union[str, Path], data: bytes) -> None:
-    """Write `data` to `path` through a temporary file in the same directory
-    and `os.replace`, so the target name only ever holds a whole file."""
+def write_atomic(path: Union[str, Path], data: Union[bytes, Iterable[bytes]]) -> None:
+    """Write `data` (bytes, or chunks of bytes written in turn, so a long
+    file is never built whole in memory) to `path` through a temporary file
+    in the same directory and `os.replace`, so the target name only ever
+    holds a whole file."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
-            fh.write(data)
+            for chunk in [data] if isinstance(data, bytes) else data:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -78,8 +78,10 @@ def _check_dims(a: ParamVec, b: ParamVec) -> None:
         raise ContractViolation(f"dimension mismatch: {a.dim} != {b.dim}")
 
 
-def dot(a: ParamVec, b: ParamVec) -> float:
-    """Inner product with strict sequential left-to-right f64 accumulation.
+def dot(a, b):
+    """Inner product with strict sequential left-to-right f64 accumulation:
+    of two ParamVecs, as a float, or of each row pair of two (m, P) stacks
+    of vectors, as an (m,) array with each row's bits.
 
     Deliberately not BLAS: the accumulation order is part of the contract,
     which keeps the result independent of library reduction strategies.
@@ -88,6 +90,8 @@ def dot(a: ParamVec, b: ParamVec) -> float:
     an all-negative-zero sum into +0.0, as a loop whose accumulator starts
     at 0.0 gives.
     """
+    if not isinstance(a, ParamVec):
+        return np.add.accumulate(a * b, axis=-1)[:, -1] + 0.0
     _check_dims(a, b)
     return float(np.add.accumulate(a.values * b.values)[-1]) + 0.0
 
@@ -102,14 +106,16 @@ def cosine_similarity(a: ParamVec, b: ParamVec) -> Optional[float]:
     return cosine_from_dots(a, b, dot(a, a), dot(a, b), dot(b, b))
 
 
-def cosine_from_dots(a: ParamVec, b: ParamVec, aa: float, ab: float, bb: float) -> Optional[float]:
+def cosine_from_dots(a: Union[ParamVec, np.ndarray], b: Union[ParamVec, np.ndarray],
+                     aa: float, ab: float, bb: float) -> Optional[float]:
     """`cosine_similarity(a, b)` from the dots aa = a.a, ab = a.b and
-    bb = b.b, which a caller that needs them anyway computes once."""
+    bb = b.b, which a caller that needs them anyway computes once. a and b
+    are ParamVecs or 1-D arrays (rows of a stack)."""
     na = math.sqrt(aa)
     nb = math.sqrt(bb)
     if na == 0.0 or nb == 0.0:
         return None
-    if a.values.tobytes() == b.values.tobytes():
+    if a.tobytes() == b.tobytes():
         return 1.0  # identical content is exactly parallel; avoid rounding to 1-ulp
     return min(1.0, max(-1.0, ab / (na * nb)))
 

@@ -11,16 +11,21 @@ onto the normal plane of the sampled language's oracle gradient:
 The no-op path returns the input object untouched, which is what makes
 alpha=0 runs bitwise identical to plain mixed training.
 
-`sgs_step` computes each distinct dot once (o.o, o.g, g.g, and on an
-applied step o.g' and g'.g': 5 dots, not 9) and gets the bits of
-`cosine_similarity`, `is_conflicting` and `project_gradient`, since `dot`
-is symmetric: a.b and b.a multiply the same pairs in the same order.
+`decide` is the one decision, for one run (`sgs_step`) or a stack of runs
+trained in lockstep (`trainer.train_lockstep`). It computes each distinct
+dot once (o.o, o.g, g.g, and on an applied step o.g' and g'.g': 5 dots,
+not 9) and gets the bits of `cosine_similarity`, `is_conflicting` and
+`project_gradient`, since `dot` is symmetric: a.b and b.a multiply the
+same pairs in the same order. Each dot is one `dot` call over all the
+stack's rows, each row with the bits of a `dot` of two vectors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .corpora import OracleBank
 from .models import ModelState, loss_and_grad
@@ -45,7 +50,7 @@ class SurgeryPolicy:
             raise ContractViolation(f"alpha must be in [0, 1], got {self.alpha}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # one per step of every surgery run: keep it small
 class TraceEntry:
     step: int
     picked_lang: str
@@ -81,19 +86,74 @@ def project_gradient(g_s: ParamVec, g_t: ParamVec) -> ParamVec:
     """Remove from g_s its component along g_t (projection onto g_t's
     normal plane). Callers must guard the zero-norm case: the training path
     never reaches it because zero oracle gradients are non-conflicting."""
-    return _project(g_s, g_t, dot(g_s, g_t), dot(g_t, g_t))
-
-
-def _project(g_s: ParamVec, g_t: ParamVec, st: float, tt: float) -> ParamVec:
-    """`project_gradient` given st = g_s.g_t and tt = g_t.g_t."""
+    tt = dot(g_t, g_t)
     if tt == 0.0:
         raise ContractViolation("cannot project onto the normal plane of a zero vector")
-    return ParamVec._adopt(g_s.values - (st / tt) * g_t.values)
+    return ParamVec._adopt(g_s.values - (dot(g_s, g_t) / tt) * g_t.values)
 
 
 def oracle_gradient(model: ModelState, oracle_bank: OracleBank, lang_id: str) -> ParamVec:
     """Full-batch gradient over one language's oracle examples."""
     return loss_and_grad(model, oracle_bank.batch(lang_id)).grad
+
+
+def pick(oracle_bank: OracleBank, rng: RngStreams) -> Tuple[str, float]:
+    """One step's draws, in their fixed and unconditional order: the
+    language from `lang_pick`, then p from `surgery_p`. So runs with
+    alpha=0 consume exactly the same stream state as runs that never
+    operate on a gradient."""
+    langs = oracle_bank.lang_ids
+    if not langs:
+        raise ContractViolation("oracle bank is empty; need at least one target language")
+    return langs[int(rng.lang_pick.integers(len(langs)))], float(rng.surgery_p.random())
+
+
+def decide(
+    G: np.ndarray,
+    picks: Sequence[Tuple[str, float]],
+    step: int,
+    policy: SurgeryPolicy,
+    oracle_grads: Callable[[List[int]], np.ndarray],
+) -> Tuple[np.ndarray, List[TraceEntry]]:
+    """One step's surgery decisions for a stack of runs: row i of G (m, P)
+    is run i's mixed-batch gradient, picks[i] its (language, p) draw.
+
+    A row needs its oracle gradient unless the policy is lazy and p >=
+    alpha; `oracle_grads(need)` stacks those of the rows `need`. A row
+    conflicts when o.g < 0 and is projected onto o's normal plane when p
+    is also under alpha. Each `dot` is taken for all rows at once: o.o,
+    o.g, g.g, and o.g', g'.g' of the projected rows (5, not 9). Cosines
+    are `cosine_from_dots` (None for a zero norm, 1.0 for identical
+    bytes). Returns G itself if no row is projected, else a new stack with
+    the projected rows, and the trace entry of each row.
+    """
+    need = [i for i, (_, p) in enumerate(picks) if not (policy.lazy and p >= policy.alpha)]
+    G_out, outcome = G, {}
+    if need:
+        O = oracle_grads(need)
+        Gn = G if len(need) == len(G) else G[need]
+        oo, og, gg = dot(O, O).tolist(), dot(O, Gn).tolist(), dot(Gn, Gn).tolist()
+        rows = [j for j, i in enumerate(need) if og[j] < 0.0 and picks[i][1] < policy.alpha]
+        after = {}
+        if rows:
+            every = len(rows) == len(need)  # then no row needs picking out
+            On, Gr = (O, Gn) if every else (O[rows], Gn[rows])
+            # o.g < 0 needs o != 0, so o.o > 0 on every projected row.
+            proj = Gr - np.array([og[j] / oo[j] for j in rows])[:, None] * On
+            if every and len(need) == len(G):
+                G_out = proj
+            else:
+                G_out = G.copy()
+                G_out[[need[j] for j in rows]] = proj
+            after = dict(zip(rows, zip(proj, dot(On, proj).tolist(), dot(proj, proj).tolist())))
+        for j, i in enumerate(need):
+            cos_before = cos_after = cosine_from_dots(O[j], Gn[j], oo[j], og[j], gg[j])
+            if j in after:
+                g_out, og_out, gg_out = after[j]
+                cos_after = cosine_from_dots(O[j], g_out, oo[j], og_out, gg_out)
+            outcome[i] = (og[j] < 0.0, j in after, cos_before, cos_after)
+    return G_out, [TraceEntry(step, lang, p, *outcome.get(i, (False, False, None, None)))
+                   for i, (lang, p) in enumerate(picks)]
 
 
 def sgs_step(
@@ -104,32 +164,10 @@ def sgs_step(
     rng: RngStreams,
     step: int = 0,
 ) -> Tuple[ParamVec, TraceEntry]:
-    """One stochastic-surgery decision for the current training step.
-
-    Draw order is fixed and unconditional — language from `lang_pick`, then
-    p from `surgery_p` — so runs with alpha=0 consume exactly the same
-    stream state as runs that never call this function consume from theirs.
-    """
-    langs = oracle_bank.lang_ids
-    if not langs:
-        raise ContractViolation("oracle bank is empty; need at least one target language")
-    lang = langs[int(rng.lang_pick.integers(len(langs)))]
-    p = float(rng.surgery_p.random())
-
-    g_out, conflicted, applied, cos_before, cos_after = g_train, False, False, None, None
-    if not (policy.lazy and p >= policy.alpha):
-        g_oracle = oracle_gradient(model, oracle_bank, lang)
-        oo = dot(g_oracle, g_oracle)
-        og = dot(g_oracle, g_train)
-        cos_before = cos_after = cosine_from_dots(
-            g_oracle, g_train, oo, og, dot(g_train, g_train))
-        conflicted = og < 0.0  # is_conflicting(g_oracle, g_train)
-        applied = conflicted and p < policy.alpha
-        if applied:
-            g_out = _project(g_train, g_oracle, og, oo)
-            cos_after = cosine_from_dots(
-                g_oracle, g_out, oo, dot(g_oracle, g_out), dot(g_out, g_out))
-    return g_out, TraceEntry(
-        step=step, picked_lang=lang, p_value=p, conflicted=conflicted,
-        applied=applied, cos_before=cos_before, cos_after=cos_after,
-    )
+    """One stochastic-surgery decision for the current training step of
+    one run: `pick`, then `decide`."""
+    lang, p = pick(oracle_bank, rng)
+    G = g_train.values[None]
+    G_out, [entry] = decide(G, [(lang, p)], step, policy,
+                            lambda need: oracle_gradient(model, oracle_bank, lang).values[None])
+    return (g_train if G_out is G else ParamVec._adopt(G_out[0])), entry

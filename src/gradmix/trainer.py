@@ -21,8 +21,18 @@ checkpoint file.
 The cells of one seed repeat work: zero_shot and every two-step cell train
 the same source chain, and ord_fs and ord_fs_dev train the same adapted
 chains and differ only in selection. `run_strategy` takes an optional
-`Stages` dict through which such cells share a trained phase (a `Stage`),
-looked up by a key that names everything the phase depends on.
+`Stages` dict through which such cells share a trained phase (a `Stage`)
+and a shot bank, each looked up by a key that names everything it depends
+on.
+
+The runs of one grid column (the seeds of one (strategy, K); for the
+ord_fs family every seed and target language) are independent, and at
+this model size a step costs numpy call overhead, not arithmetic. So
+`prefill` trains them together in `train_lockstep`: one stacked
+forward/backward, surgery decision and update per step, giving each run
+the bits of the per-run loop (`_train_loop`, the reference), which still
+trains what does not stack: ragged tagger pools, a single run, a run with
+a `step_hook`, and the runs of a stack that raised.
 
 One-step strategies select their epoch on the source dev set only, so one
 model serves every target, including one without a dev split. Target dev
@@ -34,7 +44,10 @@ target dev sets would be smaller than the training shots themselves.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, TypeVar,
+                    Union)
+
+import numpy as np
 
 from . import analysis
 from .corpora import (
@@ -50,13 +63,15 @@ from .corpora import (
 from .models import (
     ModelSpec,
     ModelState,
+    check_batch,
     init_params,
     loss_and_grad,
     predict,
     sgd_step,
+    stack_grads,
 )
-from .numcore import ContractViolation, RngStreams
-from .surgery import SurgeryPolicy, TraceEntry, sgs_step
+from .numcore import ContractViolation, ParamVec, RngStreams
+from .surgery import SurgeryPolicy, TraceEntry, decide, pick, sgs_step
 
 STRATEGIES = (
     "zero_shot",
@@ -189,34 +204,43 @@ class RunResult:
 # --- core loop ---------------------------------------------------------------
 
 
-def _train_loop(
-    state0: ModelState,
-    md: MixedDataset,
-    epochs: int,
-    batch_size: int,
-    lr: float,
-    rng: RngStreams,
-    scope: str,
-    oracle: Optional[OracleBank] = None,
-    policy: Optional[SurgeryPolicy] = None,
-    step_hook: Optional[StepHook] = None,
-) -> Tuple[List[ModelState], Optional[List[TraceEntry]]]:
+class Run(NamedTuple):
+    """The inputs of one training loop: SGD from `state0` over per-epoch
+    reshuffles of the pool `md` (drawn under `scope`), with the surgery
+    decision on every step when an oracle and a policy are given."""
+
+    state0: ModelState
+    md: MixedDataset
+    epochs: int
+    batch_size: int
+    lr: float
+    rng: RngStreams
+    scope: str
+    oracle: Optional[OracleBank] = None
+    policy: Optional[SurgeryPolicy] = None
+
+
+Trained = Tuple[List[ModelState], Optional[List[TraceEntry]]]  # a chain and its trace
+
+
+def _train_loop(run: Run, step_hook: Optional[StepHook] = None) -> Trained:
     """Fixed-epoch SGD over per-epoch reshuffles of the pool; returns the
     chain [state0, state after epoch 1, ..., after epoch `epochs`]. With an
     oracle and policy, every step runs the stochastic surgery decision
-    between backprop and the update."""
-    state = state0
-    chain = [state0]
-    trace: Optional[List[TraceEntry]] = [] if policy is not None else None
+    between backprop and the update. This per-run loop is the bitwise
+    reference for `train_lockstep`."""
+    state = run.state0
+    chain = [state]
+    trace: Optional[List[TraceEntry]] = [] if run.policy is not None else None
     step = 0
-    for epoch in range(1, epochs + 1):
-        for batch in batch_iter(md, batch_size, epoch, rng, scope=scope):
+    for epoch in range(1, run.epochs + 1):
+        for batch in batch_iter(run.md, run.batch_size, epoch, run.rng, scope=run.scope):
             grad = loss_and_grad(state, batch).grad
-            if policy is not None:
-                assert oracle is not None
-                grad, entry = sgs_step(grad, oracle, state, policy, rng, step=step)
+            if run.policy is not None:
+                assert run.oracle is not None
+                grad, entry = sgs_step(grad, run.oracle, state, run.policy, run.rng, step=step)
                 trace.append(entry)
-            state = sgd_step(state, grad, lr)
+            state = sgd_step(state, grad, run.lr)
             step += 1
             if step_hook is not None:
                 step_hook(step, state)
@@ -224,7 +248,98 @@ def _train_loop(
     return chain, trace
 
 
+def stackable(runs: Sequence[Run]) -> bool:
+    """Whether `train_lockstep` takes these runs: two or more, trained
+    alike (spec, epochs, batch size, lr, surgery policy) on dense pools of
+    one size. Their oracle batches then have one size too: one K and shot
+    mode give every language the same number of shots."""
+    if len(runs) < 2:
+        return False
+    r0 = runs[0]
+    like = (r0.state0.spec, r0.epochs, r0.batch_size, r0.lr, r0.policy, len(r0.md))
+    if any(run.md.data.offsets is not None
+           or (run.state0.spec, run.epochs, run.batch_size, run.lr, run.policy, len(run.md)) != like
+           for run in runs):
+        return False
+    return len({len(run.oracle.batch(lang)) for run in runs if run.oracle is not None
+                for lang in run.oracle.lang_ids}) <= 1
+
+
+def train_lockstep(runs: Sequence[Run]) -> List[Trained]:
+    """`[_train_loop(run) for run in runs]`, bit for bit, as one loop over
+    `stackable` runs. A step stacks every run's batch (its own shuffle,
+    chunks sorted as `batch_iter` sorts them) for one forward/backward
+    (`models.stack_grads`); with surgery, each run draws (`surgery.pick`),
+    the oracle gradients the coins need are one more stack, and
+    `surgery.decide` decides for all runs; then one update of the (S, P)
+    parameters. The per-run checks stay: each pool and oracle batch is
+    checked once, every slice's loss and gradient and every update is
+    checked finite, and lr must be non-negative."""
+    if not stackable(runs):
+        raise ContractViolation("lockstep training needs two or more runs trained alike "
+                                "on dense pools of one size")
+    r0 = runs[0]
+    spec, policy, size, n = r0.state0.spec, r0.policy, r0.batch_size, len(r0.md)
+    if r0.lr < 0:
+        raise ContractViolation("lr must be non-negative")
+    if size < 1:
+        raise ContractViolation("batch_size must be >= 1")
+    for run in runs:
+        check_batch(spec, run.md.data.batch())
+    X = np.stack([run.md.data.X for run in runs])
+    y = np.stack([run.md.data.y for run in runs])
+    if policy is not None:  # every oracle batch, and its row in OX and Oy per (run, language)
+        batches = [(i, lang) for i, run in enumerate(runs) for lang in run.oracle.lang_ids]
+        for i, lang in batches:
+            check_batch(spec, runs[i].oracle.batch(lang))
+        row_of = {pair: row for row, pair in enumerate(batches)}
+        OX, Oy = (np.stack([getattr(runs[i].oracle.batch(lang), name) for i, lang in batches])
+                  for name in "Xy")
+    theta = np.stack([run.state0.theta.values for run in runs])
+    chains = [[run.state0] for run in runs]
+    traces = [[] if policy is not None else None for _ in runs]
+    at = np.arange(len(runs))[:, None]
+    full = n - n % size
+    step = 0
+    for epoch in range(1, r0.epochs + 1):
+        keys = np.stack([run.rng.derived("shuffle", f"{run.scope}:{epoch}").permutation(n)
+                         for run in runs])
+        keys[:, :full] = np.sort(keys[:, :full].reshape(len(runs), -1, size), axis=-1).reshape(
+            len(runs), full)
+        keys[:, full:].sort(axis=-1)
+        Xe, ye = X[at, keys], y[at, keys]
+        for a in range(0, n, size):
+            G = stack_grads(spec, theta, Xe[:, a : a + size], ye[:, a : a + size])
+            if policy is not None:
+                picks = [pick(run.oracle, run.rng) for run in runs]
+
+                def oracle_grads(need: List[int]) -> np.ndarray:
+                    rows = [row_of[i, picks[i][0]] for i in need]
+                    return stack_grads(spec, theta[need], OX[rows], Oy[rows])
+
+                G, entries = decide(G, picks, step, policy, oracle_grads)
+                for trace, entry in zip(traces, entries):
+                    trace.append(entry)
+            theta = theta - r0.lr * G
+            if not np.isfinite(theta).all():
+                raise ContractViolation("non-finite parameters after an update")
+            step += 1
+        # A fresh theta is made on every step, so these rows stay as they are.
+        for chain, values in zip(chains, theta):
+            chain.append(ModelState(spec=spec, theta=ParamVec._adopt(values)))
+    return list(zip(chains, traces))
+
+
 # --- spec operations ----------------------------------------------------------
+
+
+def _initial_state(rng: RngStreams, state0: Optional[ModelState],
+                   spec: Optional[ModelSpec]) -> ModelState:
+    if state0 is not None:
+        return state0
+    if spec is None:
+        raise ContractViolation("need a ModelSpec when no initial state is given")
+    return init_params(spec, rng)
 
 
 def run_source_training(
@@ -239,16 +354,28 @@ def run_source_training(
     (the initial state) first."""
     if rng is None:
         rng = RngStreams(plan.seed)
-    if state0 is None:
-        if spec is None:
-            raise ContractViolation("need a ModelSpec when no initial state is given")
-        state0 = init_params(spec, rng)
-    md = build_mixed_dataset(source, [], None)
-    chain, _ = _train_loop(
-        state0, md, plan.source_epochs, plan.batch_size, plan.lr, rng, scope="pool",
-        step_hook=step_hook,
-    )
+    state0 = _initial_state(rng, state0, spec)
+    chain, _ = _train_loop(_pool_run(plan, source, [], None, rng, state0), step_hook)
     return chain
+
+
+def _adapt_corpora(plan: TrainPlan,
+                   targets: Sequence[LanguageCorpus]) -> Dict[str, List[LanguageCorpus]]:
+    """The targets each adapted model trains on, by model key: one model
+    per language (ord_fs family) or one on every target's shots (mix_ft)."""
+    if ADAPT_FAMILY.get(plan.strategy) == "ord_fs":
+        return {c.lang_id: [c] for c in targets}
+    if plan.strategy == "mix_ft":
+        return {"adapted": list(targets)}
+    raise ContractViolation(f"{plan.strategy} has no target-adapting phase")
+
+
+def _adapt_runs(source_model: ModelState, shots: ShotBank, plan: TrainPlan,
+                targets: Sequence[LanguageCorpus], rng: RngStreams) -> Dict[str, Run]:
+    batch, mix = plan.effective_adapt_batch(), plan.strategy == "mix_ft"
+    return {key: Run(source_model, build_mixed_dataset(None, corpora, shots), plan.adapt_epochs,
+                     batch, plan.lr, rng, "adapt:all" if mix else f"adapt:{key}")
+            for key, corpora in _adapt_corpora(plan, targets).items()}
 
 
 def run_target_adapting(
@@ -266,25 +393,21 @@ def run_target_adapting(
     """
     if not shots.lang_ids:
         raise ContractViolation("target adapting requires a non-empty shot bank")
-    if rng is None:
-        rng = RngStreams(plan.seed)
-    batch = plan.effective_adapt_batch()
-    out: Dict[str, List[ModelState]] = {}
-    if plan.strategy in ("ord_fs", "ord_fs_dev"):
-        for corpus in targets:
-            md = build_mixed_dataset(None, [corpus], shots)
-            out[corpus.lang_id], _ = _train_loop(
-                source_model, md, plan.adapt_epochs, batch, plan.lr, rng,
-                scope=f"adapt:{corpus.lang_id}",
-            )
-    elif plan.strategy == "mix_ft":
-        md = build_mixed_dataset(None, targets, shots)
-        out["adapted"], _ = _train_loop(
-            source_model, md, plan.adapt_epochs, batch, plan.lr, rng, scope="adapt:all"
-        )
-    else:
-        raise ContractViolation(f"{plan.strategy} has no target-adapting phase")
-    return out
+    runs = _adapt_runs(source_model, shots, plan, targets, rng or RngStreams(plan.seed))
+    return {key: _train_loop(run)[0] for key, run in runs.items()}
+
+
+def _pool_run(plan: TrainPlan, source: LanguageCorpus, targets: Sequence[LanguageCorpus],
+              shots: Optional[ShotBank], rng: RngStreams, state0: ModelState) -> Run:
+    """The run on the source pooled with the targets' shots (none for
+    source training), with surgery for gradient_mix_train."""
+    oracle = policy = None
+    if plan.strategy == "gradient_mix_train":
+        oracle = build_oracle_bank(shots, targets)
+        policy = SurgeryPolicy(alpha=plan.alpha, lazy=plan.lazy_surgery)
+    md = build_mixed_dataset(source, targets, shots)
+    return Run(state0, md, plan.source_epochs, plan.batch_size, plan.lr, rng, "pool",
+               oracle, policy)
 
 
 def run_mixed_training(
@@ -296,7 +419,7 @@ def run_mixed_training(
     state0: Optional[ModelState] = None,
     spec: Optional[ModelSpec] = None,
     step_hook: Optional[StepHook] = None,
-) -> Tuple[List[ModelState], Optional[List[TraceEntry]]]:
+) -> Trained:
     """One-step training on the pooled source + shots dataset; returns the
     chain, epoch 0 first, and the surgery trace. The gradient strategy adds
     the per-step stochastic surgery decision."""
@@ -304,21 +427,11 @@ def run_mixed_training(
         raise ContractViolation(f"{plan.strategy} is not a one-step strategy")
     if rng is None:
         rng = RngStreams(plan.seed)
-    if state0 is None:
-        if spec is None:
-            raise ContractViolation("need a ModelSpec when no initial state is given")
-        state0 = init_params(spec, rng)
-    oracle = policy = None
-    if plan.strategy == "gradient_mix_train":
-        if not targets or shots is None or not shots.lang_ids:
-            raise ContractViolation("gradient_mix_train requires at least one target language")
-        oracle = build_oracle_bank(shots, targets)
-        policy = SurgeryPolicy(alpha=plan.alpha, lazy=plan.lazy_surgery)
-    md = build_mixed_dataset(source, targets, shots)
-    return _train_loop(
-        state0, md, plan.source_epochs, plan.batch_size, plan.lr, rng, scope="pool",
-        oracle=oracle, policy=policy, step_hook=step_hook,
-    )
+    state0 = _initial_state(rng, state0, spec)
+    if plan.strategy == "gradient_mix_train" and (
+            not targets or shots is None or not shots.lang_ids):
+        raise ContractViolation("gradient_mix_train requires at least one target language")
+    return _train_loop(_pool_run(plan, source, targets, shots, rng, state0), step_hook)
 
 
 def evaluate(model: ModelState, corpus: LanguageCorpus, split: str) -> float:
@@ -376,32 +489,65 @@ def select_model(
     raise ContractViolation(f"unknown selection policy {policy!r}")
 
 
-# --- full strategy runs ---------------------------------------------------------
+# --- shared stages and lockstep prefill ------------------------------------------
 
 
 class Stage(NamedTuple):
-    """A trained phase that cells of one seed can share: its chains by
-    model key, and the dev curve of each of its languages that has a dev
-    split. States are immutable, so sharing a chain is safe; a cell copies
-    the curves into its own record."""
+    """A trained phase that cells can share: its chains by model key, the
+    dev curve of each of its languages that has a dev split, and (one-step
+    stages) the surgery trace. States are immutable, so sharing a chain is
+    safe; a cell copies the curves into its own record."""
 
     chains: Dict[str, List[ModelState]]
     curves: Dict[str, List[float]]
+    trace: Optional[List[TraceEntry]] = None
 
 
-# A seed group's stages: source-stage key or adapt-stage key -> Stage. One
-# dict serves one Task; its keys name everything else a stage depends on.
-Stages = Dict[tuple, Stage]
+# One dict serves one Task and holds, by `stage_keys`, shot banks and stages.
+Stages = Dict[tuple, Union[Stage, ShotBank]]
+
+# Strategies that train the same adapted chains: ord_fs and ord_fs_dev
+# differ only in selection.
+ADAPT_FAMILY = {"ord_fs": "ord_fs", "ord_fs_dev": "ord_fs", "mix_ft": "mix_ft"}
+
+T = TypeVar("T")
 
 
-def _staged(stages: Optional[Stages], key: tuple, train: Callable[[], Stage]) -> Stage:
-    """The stage under `key`, trained by `train` on a miss; no sharing
-    without a dict."""
+def _staged(stages: Optional[Stages], key: tuple, make: Callable[[], T]) -> T:
+    """The entry under `key`, made by `make` on a miss; no sharing without
+    a dict."""
     if stages is None:
-        return train()
+        return make()
     if key not in stages:
-        stages[key] = train()
+        stages[key] = make()
     return stages[key]
+
+
+def stage_keys(plan: TrainPlan, task: Task) -> Dict[str, tuple]:
+    """The keys, by kind, under which `run_strategy(plan, task, stages=...)`
+    looks up its shot bank ("shots") and the stages it shares ("source",
+    "adapt", "one_step"). A key starts with its kind and names everything
+    its entry depends on."""
+    ids = tuple(c.lang_id for c in task.subset(plan.language_subset))
+    src = (plan.seed, plan.source_epochs, plan.batch_size, plan.lr, task.spec)
+    keys = {} if plan.strategy == "zero_shot" else {
+        "shots": ("shots", plan.seed, plan.k, plan.shot_mode, ids)}
+    if plan.strategy in ONE_STEP:
+        keys["one_step"] = ("one_step", plan.strategy, plan.alpha, plan.lazy_surgery) + src + (
+            plan.k, plan.shot_mode, ids)
+    else:
+        keys["source"] = ("source",) + src
+    if plan.strategy in TWO_STEP:
+        keys["adapt"] = ("adapt",) + src + (ADAPT_FAMILY[plan.strategy], plan.k, plan.shot_mode,
+                                            plan.adapt_epochs, plan.effective_adapt_batch(), ids)
+    return keys
+
+
+def _shots(plan: TrainPlan, task: Task, targets: Sequence[LanguageCorpus],
+           stages: Optional[Stages], rng: RngStreams) -> ShotBank:
+    """The plan's shot bank, drawn once per stages dict."""
+    return _staged(stages, stage_keys(plan, task)["shots"],
+                   lambda: build_shot_bank(targets, plan.k, plan.shot_mode, rng))
 
 
 def _dev_curves(
@@ -413,6 +559,98 @@ def _dev_curves(
     }
 
 
+def _stage(trained: Dict[str, Trained], dev: Dict[str, Sequence[LanguageCorpus]]) -> Stage:
+    """The stage of the chains (and trace) trained under each model key,
+    with the dev curves of the corpora `dev` names for each key."""
+    curves: Dict[str, List[float]] = {}
+    for key, (chain, _) in trained.items():
+        curves.update(_dev_curves(chain, dev[key]))
+    traces = [trace for _, trace in trained.values() if trace is not None]
+    return Stage({key: chain for key, (chain, _) in trained.items()}, curves, *traces[:1])
+
+
+def _source_of(plan: TrainPlan, task: Task, stages: Optional[Stages], rng: RngStreams,
+               step_hook: Optional[StepHook] = None) -> Stage:
+    """The plan's source stage; a hook trains a chain of its own, so it
+    sees every step."""
+    def train() -> Stage:
+        chain = run_source_training(plan, task.source, rng=rng, spec=task.spec,
+                                    step_hook=step_hook)
+        return _stage({"source": (chain, None)}, {"source": [task.source]})
+
+    return _staged(stages if step_hook is None else None, stage_keys(plan, task)["source"], train)
+
+
+def _source_selection(plan: TrainPlan, source: LanguageCorpus, src: Stage) -> Tuple[int, list]:
+    """The selected source epoch of a two-step plan, and its dev curve."""
+    if source.lang_id not in src.curves and plan.source_epochs > 0:
+        raise ContractViolation(
+            f"two-step strategies select the source model on its dev split, "
+            f"but {source.lang_id} has none"
+        )
+    curve = list(src.curves.get(source.lang_id, []))
+    return (analysis.argmax_earliest(curve) if plan.source_epochs > 0 else 0), curve
+
+
+# A job: a stage's runs and the corpora its dev curves cover, by model key.
+Job = Tuple[Dict[str, Run], Dict[str, Sequence[LanguageCorpus]]]
+
+
+def _job(kind: str, plan: TrainPlan, task: Task, stages: Stages) -> Job:
+    """The job of the plan's stage of `kind`, drawing what `run_strategy`
+    would draw for it."""
+    rng = RngStreams(plan.seed)
+    source, targets = task.source, task.subset(plan.language_subset)
+    if kind == "source":
+        run = _pool_run(plan, source, [], None, rng, init_params(task.spec, rng))
+        return {"source": run}, {"source": [source]}
+    shots = _shots(plan, task, targets, stages, rng)
+    if kind == "one_step":
+        run = _pool_run(plan, source, targets, shots, rng, init_params(task.spec, rng))
+        return {"model": run}, {"model": [source, *targets]}
+    src = _source_of(plan, task, stages, rng)  # trained alone if no stack made it
+    src_epoch, _ = _source_selection(plan, source, src)
+    runs = _adapt_runs(src.chains["source"][src_epoch], shots, plan, targets, rng)
+    return runs, _adapt_corpora(plan, targets)
+
+
+def prefill(plans: Sequence[TrainPlan], task: Task, stages: Stages) -> None:
+    """Train in lockstep the stages the cells of `plans` (one (strategy, K)
+    column over seeds) would train one by one, and store each under the key
+    `run_strategy` looks it up by. Kind by kind (source, adapt, one-step),
+    the runs of every missing stage, across seeds and (ord_fs family)
+    target languages, are trained by `train_lockstep` if they are
+    `stackable`; the rest is left to `run_strategy`. An adapt stage whose
+    source no stack made trains that source alone first. Never raises: a
+    job that cannot be made, or a stack that raises, stores nothing, so its
+    cells train alone and fail exactly as they would have.
+    """
+    if task.source.train.offsets is not None:
+        return  # token-tagging pools are ragged: none of them stacks
+    for kind in ("source", "adapt", "one_step"):
+        jobs: Dict[tuple, Job] = {}
+        for plan in plans:
+            try:
+                key = stage_keys(plan, task).get(kind)
+                if key is not None and key not in stages and key not in jobs:
+                    jobs[key] = _job(kind, plan, task, stages)
+            except Exception:
+                continue
+        runs = [run for job_runs, _ in jobs.values() for run in job_runs.values()]
+        if not stackable(runs):
+            continue
+        try:
+            results = iter(train_lockstep(runs))
+            made = {key: _stage({name: next(results) for name in job_runs}, dev)
+                    for key, (job_runs, dev) in jobs.items()}
+        except Exception:
+            continue
+        stages.update(made)
+
+
+# --- full strategy runs ---------------------------------------------------------
+
+
 def run_strategy(
     plan: TrainPlan,
     task: Task,
@@ -421,16 +659,16 @@ def run_strategy(
 ) -> RunResult:
     """Execute one (strategy, k, seed) cell and assemble its run record.
 
-    With a `stages` dict, cells share trained phases through it instead of
-    training them again: the source stage, keyed by (seed, source_epochs,
-    batch_size, lr, spec), serves zero_shot and every two-step cell; the
-    adapt stage adds (family, k, shot_mode, adapt_epochs, adapt batch,
-    resolved target ids) to that key, where ord_fs and ord_fs_dev are one
-    family that differs only in selection. Every draw after the
-    initialization comes from a `derived` stream, so a shared stage is the
-    one this cell would have trained. A zero_shot cell with a `step_hook`
-    trains its own chain so the hook sees every step. Without `stages`
-    every phase is trained here; that path is the reference.
+    With a `stages` dict, cells share through it, under `stage_keys`, what
+    they would otherwise make again: the shot bank, the source stage (of
+    zero_shot and every two-step cell), the adapt stage (ord_fs and
+    ord_fs_dev are one family that differs only in selection) and the
+    one-step stage (chain, curves and trace). Every draw after the
+    initialization comes from a `derived` stream or a fresh `RngStreams`,
+    so a shared stage, or one `prefill` trained in lockstep, is the one
+    this cell would have trained. A cell with a `step_hook` trains its own
+    chain so the hook sees every step. Without `stages` every phase is
+    trained here; that path is the reference.
     """
     rng = RngStreams(plan.seed)
     targets = task.subset(plan.language_subset)
@@ -439,7 +677,7 @@ def run_strategy(
 
     shots: Optional[ShotBank] = None
     if plan.strategy != "zero_shot":
-        shots = build_shot_bank(targets, plan.k, plan.shot_mode, rng)
+        shots = _shots(plan, task, targets, stages, rng)
 
     record: dict = {
         "format_version": 1,
@@ -454,54 +692,36 @@ def run_strategy(
         else {},
     }
     checkpoints: Dict[str, List[ModelState]] = {}
-    trace: Optional[List[TraceEntry]] = None
 
     if plan.strategy in ONE_STEP:
-        chain, trace = run_mixed_training(
-            plan, source, targets, shots, rng=rng, spec=task.spec, step_hook=step_hook
-        )
-        curves = _dev_curves(chain, [source] + list(targets))
+        def train_one_step() -> Stage:
+            trained = run_mixed_training(plan, source, targets, shots, rng=rng, spec=task.spec,
+                                         step_hook=step_hook)
+            return _stage({"model": trained}, {"model": [source, *targets]})
+
+        stage = _staged(stages if step_hook is None else None,
+                        stage_keys(plan, task)["one_step"], train_one_step)
+        chain = stage.chains["model"]
     else:
         hook = step_hook if plan.strategy == "zero_shot" else None
-
-        def train_source() -> Stage:
-            src_chain = run_source_training(plan, source, rng=rng, spec=task.spec, step_hook=hook)
-            return Stage({"source": src_chain}, _dev_curves(src_chain, [source]))
-
-        src_key = (plan.seed, plan.source_epochs, plan.batch_size, plan.lr, task.spec)
-        src = _staged(stages if hook is None else None, src_key, train_source)
-        chain = src.chains["source"]
-        curves = {lang: list(curve) for lang, curve in src.curves.items()}
+        stage = _source_of(plan, task, stages, rng, step_hook=hook)
+        chain = stage.chains["source"]
+    trace = stage.trace
+    curves = {lang: list(curve) for lang, curve in stage.curves.items()}
 
     if plan.strategy in TWO_STEP:
-        if source.lang_id not in curves and plan.source_epochs > 0:
-            raise ContractViolation(
-                f"two-step strategies select the source model on its dev split, "
-                f"but {source.lang_id} has none"
-            )
-        src_curve = curves.get(source.lang_id, [])
-        src_epoch = analysis.argmax_earliest(src_curve) if plan.source_epochs > 0 else 0
+        src_epoch, src_curve = _source_selection(plan, source, stage)
         checkpoints["source"] = chain
         record["source_selected_epoch"] = src_epoch
         record["source_dev_curve"] = src_curve
-
-        model_key_of = {
-            c.lang_id: "adapted" if plan.strategy == "mix_ft" else c.lang_id for c in targets
-        }
+        dev = _adapt_corpora(plan, targets)
+        model_key_of = {c.lang_id: key for key, corpora in dev.items() for c in corpora}
 
         def train_adapted() -> Stage:
             chains = run_target_adapting(chain[src_epoch], shots, plan, targets, rng=rng)
-            adapted_curves: Dict[str, List[float]] = {}
-            for c in targets:
-                adapted_curves.update(_dev_curves(chains[model_key_of[c.lang_id]], [c]))
-            return Stage(chains, adapted_curves)
+            return _stage({key: (c, None) for key, c in chains.items()}, dev)
 
-        family = "mix_ft" if plan.strategy == "mix_ft" else "ord_fs"
-        adapt_key = src_key + (
-            family, plan.k, plan.shot_mode, plan.adapt_epochs, plan.effective_adapt_batch(),
-            tuple(c.lang_id for c in targets),
-        )
-        adapted = _staged(stages, adapt_key, train_adapted)
+        adapted = _staged(stages, stage_keys(plan, task)["adapt"], train_adapted)
         checkpoints.update(adapted.chains)
         epochs = plan.adapt_epochs
         curves = {lang: list(curve) for lang, curve in adapted.curves.items()}

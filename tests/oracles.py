@@ -5,7 +5,8 @@ They keep the earlier formulations:
 - the per-example path: examples as (features, label) tuples, batches
   stacked row by row in (key, position) order, and evaluation by one
   `predict` call per example;
-- the scalar loop that defines `dot`'s accumulation order;
+- the scalar loop that defines `dot`'s accumulation order, and the token
+  loop that defines `micro_f1`'s counts;
 - the per-step training path before the lean hot path: a copying
   `ParamVec` for every gradient and state, one numpy call per operation in
   `loss_and_grad`, one gather per batch in `batch_iter`, the 9-dot surgery
@@ -67,6 +68,30 @@ def evaluate_per_example(model, corpus, split):
     preds = [predict(model, x) for x, _ in examples]
     gold = [np.asarray(y) for _, y in examples]
     return analysis.micro_f1(preds, gold, outside_label=corpus.outside_label)
+
+
+def micro_f1_loop(predictions, gold, outside_label):
+    """`analysis.micro_f1` counting TP, FP and FN by a loop over tokens."""
+    pred_seqs = predictions if isinstance(predictions, (list, tuple)) else [predictions]
+    gold_seqs = gold if isinstance(gold, (list, tuple)) else [gold]
+    tp = fp = fn = 0
+    for p, g in zip(pred_seqs, gold_seqs):
+        p = np.asarray(p).reshape(-1)
+        g = np.asarray(g).reshape(-1)
+        for pi, gi in zip(p.tolist(), g.tolist()):
+            if pi == gi:
+                if gi != outside_label:
+                    tp += 1
+            else:
+                if pi != outside_label:
+                    fp += 1
+                if gi != outside_label:
+                    fn += 1
+    precision = tp / (tp + fp) if tp + fp > 0 else 0.0
+    recall = tp / (tp + fn) if tp + fn > 0 else 0.0
+    if precision + recall == 0.0:
+        return 0.0
+    return 2.0 * precision * recall / (precision + recall)
 
 
 def dot_loop(a, b):

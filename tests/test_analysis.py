@@ -20,7 +20,7 @@ from gradmix.corpora import (
 from gradmix.models import ModelSpec, ModelState, init_params, loss_and_grad
 from gradmix.numcore import ContractViolation, ParamVec, RngStreams
 from conftest import tiny_profile
-from oracles import examples_of, read_sim_matrix_csv, stack_batch
+from oracles import examples_of, micro_f1_loop, read_sim_matrix_csv, stack_batch
 
 
 class TestMicroF1:
@@ -63,6 +63,36 @@ class TestMicroF1:
         gold = [np.array([1, 0]), np.array([2])]
         pred = [np.array([1, 0]), np.array([2])]
         assert micro_f1(pred, gold, outside_label=0) == 1.0
+
+    @pytest.mark.parametrize("outside", [0, 2])
+    def test_equals_token_loop_on_random_labels(self, outside):
+        rng = np.random.default_rng(5)
+        for n in (1, 2, 7, 50, 400):
+            gold = rng.integers(0, 4, size=n)
+            pred = np.where(rng.random(n) < 0.5, gold, rng.integers(0, 4, size=n))
+            assert micro_f1(pred, gold, outside) == micro_f1_loop(pred, gold, outside)
+
+    def test_equals_token_loop_on_edge_cases(self):
+        cases = [
+            (np.zeros(6, dtype=np.int64), np.zeros(6, dtype=np.int64)),  # all outside
+            (np.array([1, 2, 3, 1]), np.array([2, 3, 1, 0])),  # no matches
+            (np.array([0, 0, 0]), np.array([1, 2, 3])),  # nothing tagged
+            (np.array([], dtype=np.int64), np.array([], dtype=np.int64)),  # no tokens
+        ]
+        for pred, gold in cases:
+            assert micro_f1(pred, gold, 0) == micro_f1_loop(pred, gold, 0)
+        assert micro_f1(*cases[0], 0) == 0.0 and micro_f1(*cases[1], 0) == 0.0
+
+    def test_equals_token_loop_on_sequence_lists(self):
+        rng = np.random.default_rng(6)
+        lens = rng.integers(0, 9, size=30)
+        gold = [rng.integers(0, 5, size=n) for n in lens]
+        pred = [np.where(rng.random(n) < 0.6, g, rng.integers(0, 5, size=n))
+                for n, g in zip(lens, gold)]
+        got = micro_f1(pred, gold, 0)
+        assert got == micro_f1_loop(pred, gold, 0)
+        assert got == micro_f1(np.concatenate(pred), np.concatenate(gold), 0)
+        assert micro_f1([], [], 0) == micro_f1_loop([], [], 0) == 0.0
 
 
 @pytest.fixture(scope="module")

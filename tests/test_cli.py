@@ -3,11 +3,13 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from gradmix import cli, models
+from gradmix import cli, corpora, models, trainer
 from gradmix.cli import (
     ExperimentConfig,
     build_benchmark,
@@ -18,10 +20,10 @@ from gradmix.cli import (
     main,
     parse_config,
     run_experiment,
-    seed_groups,
+    seed_chunks,
 )
 from gradmix.models import chain_digest, load_checkpoint
-from gradmix.numcore import ContractViolation
+from gradmix.numcore import ContractViolation, ParamVec, RngStreams
 from gradmix.trainer import STRATEGIES, evaluate
 
 from conftest import fail_writes_half_way
@@ -253,15 +255,17 @@ class TestRunExperiment:
         assert run_experiment(cfg, out) == 0
 
     def test_jobs_parallel_same_bytes(self, tmp_path):
-        cfg = parse_config(small_config_doc())
-        assert len(seed_groups(grid_cells(cfg))) >= 2
-        out1, out2 = tmp_path / "seq", tmp_path / "par"
-        assert run_experiment(cfg, out1, jobs=1) == 0
-        assert run_experiment(cfg, out2, jobs=2) == 0
-        m1 = json.loads((out1 / "manifest.json").read_text())
-        m2 = json.loads((out2 / "manifest.json").read_text())
-        assert m1["artifacts"] == m2["artifacts"]
-        assert (out1 / "manifest.json").read_bytes() == (out2 / "manifest.json").read_bytes()
+        cfg = parse_config(small_config_doc(seeds=(1, 2, 3)))
+        assert len(seed_chunks(grid_cells(cfg), 2)) >= 2
+        outs = {jobs: tmp_path / f"jobs{jobs}" for jobs in (1, 2, 3)}
+        for jobs, out in outs.items():
+            assert run_experiment(cfg, out, jobs=jobs) == 0
+        m1 = json.loads((outs[1] / "manifest.json").read_text())
+        for jobs in (2, 3):
+            m = json.loads((outs[jobs] / "manifest.json").read_text())
+            assert m1["artifacts"] == m["artifacts"]
+            assert (outs[1] / "manifest.json").read_bytes() == (
+                outs[jobs] / "manifest.json").read_bytes()
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_failures_listed_in_grid_order(self, tmp_path, jobs):
@@ -435,17 +439,123 @@ class TestCliMain:
         assert main(["run", "--config", str(p), "--out", str(out)]) == 0
         assert main(["export", "--out", str(out)]) == 0
 
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_refused(self, tmp_path, capsys, jobs):
+        p = write_config(tmp_path, small_config_doc(strategies=("zero_shot",), seeds=(1,)))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(p), "--out", str(out), "--jobs", str(jobs)]) == 2
+        assert f"--jobs must be at least 1, got {jobs}" in capsys.readouterr().err
+        assert not out.exists()
+        with pytest.raises(ContractViolation, match=f"got {jobs}"):
+            run_experiment(parse_config(small_config_doc()), out, jobs=jobs)
+
+
+class TestLockstep:
+    """`run` trains the stackable stages of each column in lockstep."""
+
+    DOC = dict(strategies=STRATEGIES, ks=(1, 2), seeds=(1, 2))
+
+    def test_per_run_trainer_trains_no_stackable_stage(self, tmp_path, monkeypatch):
+        calls = []
+        for name in ("run_source_training", "run_target_adapting", "run_mixed_training"):
+            monkeypatch.setattr(trainer, name, lambda *a, name=name, **k: calls.append(name))
+        stacks = []
+        lockstep = trainer.train_lockstep
+        monkeypatch.setattr(trainer, "train_lockstep",
+                            lambda runs: stacks.append(len(runs)) or lockstep(runs))
+        out = tmp_path / "out"
+        assert run_experiment(parse_config(small_config_doc(**self.DOC)), out) == 0
+        assert calls == []
+        # in column order: the source, the ord_fs family (2 seeds x 2 targets)
+        # per K, then mix_ft, naive and gradient per K (2 seeds each)
+        assert stacks == [2] + [2 * 2] * 2 + [2] * 3 * 2
+
+    def test_each_stage_dropped_after_its_last_column(self, tmp_path, monkeypatch):
+        held = []  # (column, kinds held) when each column's prefill starts
+        prefill = trainer.prefill
+
+        def spy(plans, task, stages):
+            kinds = Counter(key[0] + (f"_k{key[2]}" if key[0] == "shots" else "")
+                            for key in stages)
+            held.append((f"{plans[0].strategy}_k{plans[0].k}", dict(kinds)))
+            prefill(plans, task, stages)
+
+        monkeypatch.setattr(trainer, "prefill", spy)
+        assert run_experiment(parse_config(small_config_doc(**self.DOC)), tmp_path / "o") == 0
+        source, shots = {"source": 2}, {"shots_k1": 2, "shots_k2": 2}
+        assert held == [
+            ("zero_shot_k0", {}),
+            ("ord_fs_k1", source),
+            ("ord_fs_dev_k1", dict(source, shots_k1=2, adapt=2)),  # runs next to ord_fs
+            ("ord_fs_k2", dict(source, shots_k1=2)),
+            ("ord_fs_dev_k2", dict(source, **shots, adapt=2)),
+            ("mix_ft_k1", dict(source, **shots)),
+            ("mix_ft_k2", dict(source, **shots)),
+            ("naive_mix_train_k1", shots),
+            ("naive_mix_train_k2", shots),
+            ("gradient_mix_train_k1", shots),
+            ("gradient_mix_train_k2", {"shots_k2": 2}),
+        ]
+
+    def test_each_shot_bank_drawn_once_per_chunk(self, tmp_path, monkeypatch):
+        draws = []
+        sample = corpora.sample_k_shots
+        monkeypatch.setattr(corpora, "sample_k_shots",
+                            lambda c, k, rng: draws.append(k) or sample(c, k, rng))
+        cfg = parse_config(small_config_doc(**self.DOC))
+        out = tmp_path / "out"
+        assert run_experiment(cfg, out) == 0
+        # cells: one bank of 2 targets per (seed, K); the similarity tail: one
+        # per (strategy, K) of mix_ft, naive_mix_train and gradient_mix_train
+        assert len(draws) == 2 * 2 * 2 + 3 * 2 * 2
+        task, _ = build_benchmark(cfg)
+        for cell in grid_cells(cfg):
+            record = json.loads((out / "runs" / cli.cell_name(*cell) / "record.json").read_text())
+            want = {} if cell[0] == "zero_shot" else {
+                lang: list(idx) for lang, idx in corpora.build_shot_bank(
+                    task.targets, cell[1], "k_shot", RngStreams(cell[2])).per_lang}
+            assert record["shot_indices"] == want
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_cell_failing_inside_a_stack_fails_as_alone(self, tmp_path, monkeypatch):
+        """Seed 2's initial state overflows the forward pass: its stacks
+        raise and store nothing, so each cell of them trains alone."""
+        init = trainer.init_params
+
+        def init_params(spec, rng):
+            state = init(spec, rng)
+            if rng.master_seed != 2:
+                return state
+            return models.ModelState(spec, ParamVec(np.full(spec.param_dim, 1.5e308)))
+
+        monkeypatch.setattr(trainer, "init_params", init_params)
+        cfg = parse_config(small_config_doc(**self.DOC))
+        out, ref = tmp_path / "out", tmp_path / "ref"
+        assert run_experiment(cfg, out) == 1
+        monkeypatch.setattr(trainer, "prefill", lambda plans, task, stages: None)
+        assert run_experiment(cfg, ref) == 1
+        failures = json.loads((out / "manifest.json").read_text())["failures"]
+        assert failures == json.loads((ref / "manifest.json").read_text())["failures"]
+        assert {f["cell"].rsplit("_", 1)[1] for f in failures} == {"seed2"}
+        assert {f["error"] for f in failures} == {"non-finite loss"}
+        assert len(failures) == 1 + 5 * 2  # zero_shot, and every other strategy per K
+        assert (out / "manifest.json").read_bytes() == (ref / "manifest.json").read_bytes()
+        assert len(list((out / "runs").iterdir())) == 1 + 5 * 2  # seed 1's cells
+
 
 class TestBenchmarkTracer:
     """The benchmark's tracer wraps program functions by name; a run under it
     must still reach them."""
 
-    def test_traced_run_counts_checkpoint_io(self, tmp_path):
+    @staticmethod
+    def traced_run(tmp_path, doc):
+        """Run `doc` under the tracer; returns the tracing module, the spans
+        file and the run tree."""
         spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
         tracing = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(tracing)
-        config = write_config(tmp_path, small_config_doc(
-            strategies=("zero_shot", "ord_fs", "gradient_mix_train"), seeds=(1,)))
+        config = write_config(tmp_path, doc)
         spans, out = tmp_path / "spans.npz", tmp_path / "out"
         proc = subprocess.run(
             [sys.executable, str(ROOT / "perfbench" / "tracing.py"), str(spans),
@@ -454,6 +564,12 @@ class TestBenchmarkTracer:
             capture_output=True, text=True, timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
+        assert json.loads((out / "manifest.json").read_text())["failures"] == []
+        return tracing, spans, out
+
+    def test_traced_run_counts_checkpoint_io(self, tmp_path):
+        tracing, spans, out = self.traced_run(tmp_path, small_config_doc(
+            strategies=("zero_shot", "ord_fs", "gradient_mix_train"), seeds=(1,)))
         metrics = tracing.layer_metrics(tracing.load_spans(str(spans)))
         files = list((out / "models").iterdir())
         # zero_shot's chain is ord_fs's source chain: stored once
@@ -466,3 +582,12 @@ class TestBenchmarkTracer:
         for name in ("models.loss_and_grad[train]", "models.sgd_step", "surgery.sgs_step",
                      "numcore.dot[surgery]", "corpora.batch_iter"):
             assert calls[name] > 0, name
+
+    def test_traced_lockstep_run_completes(self, tmp_path):
+        # Two seeds on dense pools: every stage is trained in lockstep, off
+        # the per-run entry points the tracer counts at.
+        tracing, spans, out = self.traced_run(tmp_path, small_config_doc(
+            strategies=STRATEGIES, seeds=(1, 2)))
+        metrics = tracing.layer_metrics(tracing.load_spans(str(spans)))
+        assert metrics["models.save_checkpoint.calls"] == len(list((out / "models").iterdir()))
+        assert metrics["cli.run_cell.s_p50"] > 0

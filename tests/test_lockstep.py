@@ -1,0 +1,272 @@
+"""Lockstep training against the per-run reference: `prefill` followed by
+`run_strategy` gives every cell the record, chains and surgery trace that
+`run_strategy` without stages gives it, bit for bit."""
+
+import dataclasses
+import json
+
+import numpy as np
+import pytest
+
+from gradmix import trainer
+from gradmix.corpora import (
+    LanguageCorpus,
+    Split,
+    build_mixed_dataset,
+    build_shot_bank,
+    gen_synthetic_family,
+)
+from gradmix.models import ModelSpec, ModelState, init_params
+from gradmix.numcore import ContractViolation, ParamVec, RngStreams
+from gradmix.surgery import SurgeryPolicy, decide
+from gradmix.trainer import (
+    STRATEGIES,
+    Run,
+    Task,
+    TrainPlan,
+    prefill,
+    run_strategy,
+    stackable,
+    stage_keys,
+    train_lockstep,
+)
+
+from conftest import tiny_profile
+
+
+@pytest.fixture(scope="module")
+def corpora():
+    return gen_synthetic_family(tiny_profile(n_targets=3, train=45))[0]
+
+
+def make_task(corpora, hidden):
+    return Task.from_corpora(ModelSpec("softmax_classifier", 2, hidden, 3), corpora)
+
+
+def column(strategy, k, seeds, **kw):
+    """The plans of one grid column."""
+    kw = dict(dict(source_epochs=3, adapt_epochs=3, batch_size=8, lr=0.4, alpha=0.6), **kw)
+    return [TrainPlan(strategy=strategy, seed=seed, k=0 if strategy == "zero_shot" else k,
+                      **kw) for seed in seeds]
+
+
+def chain_bytes(chain):
+    return [state.theta.tobytes() for state in chain]
+
+
+def trace_text(trace):
+    return None if trace is None else json.dumps([e.to_json_dict() for e in trace])
+
+
+def check_column(task, plans, monkeypatch):
+    """Prefill the column without any per-run training, then compare each
+    cell with the reference."""
+    stages = {}
+    with monkeypatch.context() as m:
+        m.setattr(trainer, "_train_loop", None)  # a per-run loop would raise here
+        prefill(plans, task, stages)
+    for plan in plans:
+        # every stage the cell shares came from the stack
+        assert set(stage_keys(plan, task).values()) <= set(stages)
+        got = run_strategy(plan, task, stages=stages)
+        want = run_strategy(plan, task)
+        assert json.dumps(got.record) == json.dumps(want.record)
+        assert {k: chain_bytes(c) for k, c in got.checkpoints.items()} == {
+            k: chain_bytes(c) for k, c in want.checkpoints.items()}
+        assert trace_text(got.trace) == trace_text(want.trace)
+    return stages
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("hidden", [0, 6])
+@pytest.mark.parametrize("k, shot_mode",
+                         [(1, "k_shot"), (1, "n_way_k_shot"), (3, "n_way_k_shot")])
+def test_every_strategy_equals_per_run(corpora, monkeypatch, strategy, hidden, k, shot_mode):
+    # K=1 k_shot adapts on one-row batches; n-way K=3 on batches of 3 of 9 rows.
+    plans = column(strategy, k, (1, 2, 3), shot_mode=shot_mode)
+    check_column(make_task(corpora, hidden), plans, monkeypatch)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.6, 1.0])
+@pytest.mark.parametrize("lazy", [False, True])
+@pytest.mark.parametrize("hidden", [0, 6])
+def test_surgery_equals_per_run(corpora, monkeypatch, alpha, lazy, hidden):
+    plans = column("gradient_mix_train", 2, (4, 5, 6), alpha=alpha, lazy_surgery=lazy,
+                   batch_size=5)
+    stages = check_column(make_task(corpora, hidden), plans, monkeypatch)
+    traces = [stage.trace for key, stage in stages.items() if key[0] == "one_step"]
+    entries = [entry for trace in traces for entry in trace]
+    if alpha > 0:
+        assert any(entry.applied for entry in entries)
+    if lazy and alpha < 1:
+        assert any(entry.cos_before is None for entry in entries)  # no oracle computed
+
+
+@pytest.mark.parametrize("n_seeds", [2, 3, 4, 5])
+@pytest.mark.parametrize("strategy", ["ord_fs", "mix_ft", "gradient_mix_train"])
+def test_stacks_of_two_to_five_seeds(corpora, monkeypatch, n_seeds, strategy):
+    check_column(make_task(corpora, 6), column(strategy, 2, range(1, n_seeds + 1)),
+                 monkeypatch)
+
+
+@pytest.mark.parametrize("strategy", ["ord_fs_dev", "mix_ft", "naive_mix_train",
+                                      "gradient_mix_train"])
+def test_language_subset(corpora, monkeypatch, strategy):
+    task = make_task(corpora, 6)
+    stages = check_column(task, column(strategy, 2, (1, 2), language_subset=("t2", "t0")),
+                          monkeypatch)
+    assert all(key[-1] == ("t0", "t2") for key in stages if key[0] != "source")
+
+
+def test_ord_fs_family_stacks_every_seed_and_language(corpora, monkeypatch):
+    task = make_task(corpora, 6)
+    sizes = []
+    lockstep = trainer.train_lockstep
+    monkeypatch.setattr(trainer, "train_lockstep", lambda runs: sizes.append(len(runs))
+                        or lockstep(runs))
+    stages = check_column(task, column("ord_fs", 2, (1, 2)), monkeypatch)
+    assert sizes == [2, 2 * 3]  # the source of 2 seeds, then 2 seeds x 3 targets
+    # ord_fs_dev shares the stage and trains nothing more
+    check_column(task, column("ord_fs_dev", 2, (1, 2)), monkeypatch)
+    assert sizes == [2, 2 * 3, 2, 2 * 3]
+    assert sum(key[0] == "adapt" for key in stages) == 2
+
+
+def test_columns_differing_in_one_plan_field_share_nothing(corpora, monkeypatch):
+    task = make_task(corpora, 6)
+    for strategy in ("ord_fs", "gradient_mix_train"):
+        stages = {}
+        for lr in (0.4, 0.2):
+            plans = column(strategy, 2, (1, 2), lr=lr)
+            prefill(plans, task, stages)
+            for plan in plans:
+                got = run_strategy(plan, task, stages=stages)
+                assert json.dumps(got.record) == json.dumps(run_strategy(plan, task).record)
+
+
+def test_single_seed_leaves_one_run_phases_to_the_cell(corpora, monkeypatch):
+    task = make_task(corpora, 6)
+    stages = {}
+    prefill(column("gradient_mix_train", 2, (1,)), task, stages)
+    assert [key[0] for key in stages] == ["shots"]
+    # the ord_fs family still stacks its 3 targets; the source trains alone first
+    prefill(column("ord_fs", 2, (1,)), task, stages)
+    assert sorted(key[0] for key in stages) == ["adapt", "shots", "source"]
+
+
+def test_prefill_never_raises_and_stores_nothing_it_cannot_make(corpora):
+    task = make_task(corpora, 6)
+    stages = {}
+    # no targets: the gradient stack raises (its oracle banks are empty), ord_fs has no runs
+    prefill(column("gradient_mix_train", 2, (1, 2), language_subset=()), task, stages)
+    prefill(column("ord_fs", 2, (1, 2), language_subset=()), task, stages)
+    prefill(column("ord_fs", 2, (1, 2), language_subset=("nope",)), task, stages)
+    assert sorted({key[0] for key in stages}) == ["shots", "source"]
+    with pytest.raises(ContractViolation, match="requires at least one target language"):
+        run_strategy(column("gradient_mix_train", 2, (1,), language_subset=())[0], task,
+                     stages=stages)
+
+
+def token_corpus(lang_id, role, rng):
+    lens = rng.integers(1, 5, size=12)
+    split = Split(rng.normal(size=(lens.sum(), 2)), rng.integers(3, size=lens.sum()),
+                  offsets=np.concatenate([[0], np.cumsum(lens)]))
+    return LanguageCorpus(lang_id=lang_id, script_tag="x", role=role, task="token_tags",
+                          num_classes=3, input_dim=2, train=split, dev=split, test=split)
+
+
+def source_runs(corpora, seeds, spec=ModelSpec("softmax_classifier", 2, 6, 3), **kw):
+    plan = TrainPlan(strategy="zero_shot", seed=0, source_epochs=2, batch_size=8)
+    runs = []
+    for seed in seeds:
+        rng = RngStreams(seed)
+        md = build_mixed_dataset(corpora[0], [], None)
+        run = Run(init_params(spec, rng), md, plan.source_epochs, plan.batch_size, plan.lr,
+                  rng, "pool")
+        runs.append(run._replace(**kw))
+    return runs
+
+
+class TestStackable:
+    def test_dense_pools_of_one_size_stack(self, corpora):
+        runs = source_runs(corpora, (1, 2))
+        assert stackable(runs)
+        got = train_lockstep(runs)
+        want = [trainer._train_loop(run) for run in source_runs(corpora, (1, 2))]
+        assert [chain_bytes(c) for c, _ in got] == [chain_bytes(c) for c, _ in want]
+
+    def test_what_does_not_stack(self, corpora):
+        runs = source_runs(corpora, (1, 2))
+        shots = build_shot_bank(corpora[1:2], 2, "k_shot", RngStreams(0))
+        rng = np.random.default_rng(0)
+        tagger = Task.from_corpora(ModelSpec("mlp_token_tagger", 2, 4, 3), [
+            token_corpus("s", "source", rng), token_corpus("t", "target", rng)])
+        ragged = source_runs([tagger.source], (1, 2), spec=tagger.spec)
+        cases = {
+            "a single run": runs[:1],
+            "ragged tagger pools": ragged,
+            "pools of two sizes": [runs[0], runs[1]._replace(
+                md=build_mixed_dataset(corpora[0], corpora[1:2], shots))],
+            "two learning rates": [runs[0], runs[1]._replace(lr=0.1)],
+            "two epoch counts": [runs[0], runs[1]._replace(epochs=1)],
+        }
+        for name, case in cases.items():
+            assert not stackable(case), name
+            with pytest.raises(ContractViolation, match="lockstep training needs"):
+                train_lockstep(case)
+
+    def test_checks_of_the_per_run_path_stay(self, corpora):
+        runs = source_runs(corpora, (1, 2))
+        with pytest.raises(ContractViolation, match="lr must be non-negative"):
+            train_lockstep([run._replace(lr=-0.1) for run in runs])
+        wrong = source_runs(corpora, (1, 2), spec=ModelSpec("softmax_classifier", 2, 6, 2))
+        with pytest.raises(ContractViolation, match="out of range"):
+            train_lockstep(wrong)
+        narrow = source_runs(corpora, (1, 2), spec=ModelSpec("softmax_classifier", 3, 6, 3))
+        with pytest.raises(ContractViolation, match="features shape"):
+            train_lockstep(narrow)
+
+
+class TestDecide:
+    """`surgery.decide` on hand-made stacks."""
+
+    def test_coin_equal_to_alpha_does_not_apply(self):
+        G = np.array([[1.0, -2.0], [1.0, -2.0]])
+        O = -G
+        for lazy in (False, True):
+            out, entries = decide(G, [("t", 0.5), ("t", 0.25)], 7, SurgeryPolicy(0.5, lazy),
+                                  lambda need: O[need])
+            assert [(e.conflicted, e.applied) for e in entries] == [
+                (not lazy, False), (True, True)]
+            assert out[0].tobytes() == G[0].tobytes() and not out[1].any()
+            assert (entries[0].cos_before is None) == lazy
+            assert all(e.step == 7 for e in entries)
+
+    def test_nothing_needed_computes_no_oracle(self):
+        G = np.ones((3, 4))
+        out, entries = decide(G, [("a", 0.9)] * 3, 0, SurgeryPolicy(0.5, lazy=True),
+                              lambda need: pytest.fail("no oracle gradient is needed"))
+        assert out is G and all(e.cos_before is None for e in entries)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+class TestNonFinite:
+    def test_non_finite_loss_of_one_slice_raises(self, corpora):
+        runs = source_runs(corpora, (1, 2))
+        huge = runs[1].state0.theta.values * 0 + 1.5e308
+        runs[1] = runs[1]._replace(state0=ModelState(runs[1].state0.spec, ParamVec(huge)))
+        with pytest.raises(ContractViolation, match="non-finite loss"):
+            train_lockstep(runs)
+
+    def test_non_finite_update_raises(self, corpora):
+        # Huge features with a linear model: loss and gradient stay finite,
+        # lr times the gradient does not.
+        source = corpora[0]
+        huge = dataclasses.replace(source, train=Split(source.train.X * 1e300, source.train.y))
+        runs = source_runs([huge], (1, 2), spec=ModelSpec("softmax_classifier", 2, 0, 3),
+                           lr=1e10)
+        with pytest.raises(ContractViolation, match="non-finite entry"):
+            trainer._train_loop(runs[0])
+        with pytest.raises(ContractViolation, match="non-finite parameters"):
+            train_lockstep(runs)

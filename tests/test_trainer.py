@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -423,6 +425,11 @@ class TestDevFreeTarget:
             run_strategy(p, devfree_task)
 
 
+def kinds(stages):
+    """How many entries of each kind (the first item of a key) a stages dict holds."""
+    return dict(Counter(key[0] for key in stages))
+
+
 class TestStages:
     """Cells of one seed sharing trained phases through one stages dict."""
 
@@ -444,8 +451,9 @@ class TestStages:
                         assert len(got.checkpoints[key]) == len(chain)
                         for a, b in zip(got.checkpoints[key], chain):
                             assert a.theta.bitwise_equal(b.theta)
-            # one source stage; one ord_fs-family and one mix_ft stage per K
-            assert len(stages) == 1 + 2 * 2
+            # one source stage; per K: one shot bank, one ord_fs-family and one
+            # mix_ft adapt stage, and one naive and one gradient one-step stage
+            assert kinds(stages) == {"shots": 2, "source": 1, "adapt": 2 * 2, "one_step": 2 * 2}
 
     def test_zero_shot_shares_the_two_step_source_chain(self, tiny_task):
         stages = {}
@@ -473,7 +481,8 @@ class TestStages:
         subset = plan(strategy, language_subset=("t1",))
         got = run_strategy(subset, tiny_task, stages=stages)
         assert got.record == run_strategy(subset, tiny_task).record
-        assert len(stages) == len(shared) + 1
-        # the same targets named in another order resolve to the same stage
+        # one adapt stage more; the empty subset's shot bank and t1's are new too
+        assert kinds(stages) == dict(kinds(shared), adapt=2, shots=3)
+        # the same targets named in another order resolve to the same stages
         run_strategy(plan(strategy, language_subset=("t1", "t0")), tiny_task, stages=stages)
-        assert len(stages) == len(shared) + 1
+        assert kinds(stages) == dict(kinds(shared), adapt=2, shots=3)
