@@ -112,7 +112,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if unknown:
         raise ContractViolation(f"unknown config key(s): {', '.join(unknown)}")
     ana = doc.get("analysis", {})
-    return ExperimentConfig(
+    cfg = ExperimentConfig(
         benchmark=doc.get("benchmark", {"kind": "default"}),
         model=model,
         strategies=strategies,
@@ -122,6 +122,9 @@ def parse_config(doc: dict) -> ExperimentConfig:
         analysis_seed=int(ana.get("seed", 0)),
         analysis_source_batches=int(ana.get("source_batches", 100)),
     )
+    for cell in grid_cells(cfg):  # a plan value TrainPlan refuses stops the run here
+        make_plan(cfg, *cell)
+    return cfg
 
 
 def load_config(path: Path) -> ExperimentConfig:
@@ -272,18 +275,18 @@ def run_chunk(cfg: ExperimentConfig, task: Task, cells: Sequence[Tuple[str, int,
     failure entry) for each that failed; the entry is made here, so a pool
     worker's traceback survives."""
     todo = columns(cells)
-    plans, last_use = {}, {}
+    plans = {cell: make_plan(cfg, *cell) for cell in cells}
+    last_use = {}
     for i, column in enumerate(todo):
         for cell in column:
             try:
-                plans[cell] = make_plan(cfg, *cell)
                 last_use.update(dict.fromkeys(trainer.stage_keys(plans[cell], task).values(), i))
-            except Exception:  # run_cell raises it again and records the failure
+            except ContractViolation:  # an unknown target language: the cell fails as it runs
                 continue
     stages: Stages = {}
     outcomes = []
     for i, column in enumerate(todo):
-        trainer.prefill([plans[cell] for cell in column if cell in plans], task, stages)
+        trainer.prefill([plans[cell] for cell in column], task, stages)
         for cell in column:
             try:
                 outcomes.append((cell, run_cell(cfg, task, *cell, out, stages=stages), None))
@@ -298,8 +301,9 @@ def write_sim_matrices(cfg: ExperimentConfig, task: Task, records: Sequence[dict
                        out: Path) -> List[Path]:
     """One similarity-matrix CSV per (strategy, k) group with a single final
     model per run: the last state of each seed's checkpoint chain, measured
-    against one analysis shot bank. Batch size and shot mode are the ones
-    the group's runs resolved and recorded."""
+    against one analysis shot bank, drawn once per (K, shot mode). Batch
+    size and shot mode are the ones the group's runs resolved and
+    recorded."""
     agg_dir = out / "aggregate"
     agg_dir.mkdir(parents=True, exist_ok=True)
     written = []
@@ -308,17 +312,18 @@ def write_sim_matrices(cfg: ExperimentConfig, task: Task, records: Sequence[dict
         if r["strategy"] in SIM_MATRIX_KEYS and r["k"] > 0:
             groups.setdefault((r["strategy"], r["k"]), []).append(r)
     corp = [task.source] + list(task.targets)
+    banks: Dict[Tuple[int, str], corpora.ShotBank] = {}
     for (strategy, k), rs in sorted(groups.items()):
         rs = sorted(rs, key=lambda r: r["seed"])
         key = SIM_MATRIX_KEYS[strategy]
         finals = [models.load_checkpoint(out / r["checkpoints"][key])[-1] for r in rs]
         plan = rs[0]["plan"]
-        bank = build_shot_bank(
-            task.targets, k, plan["shot_mode"], RngStreams(cfg.analysis_seed)
-        )
+        mode = plan["shot_mode"]
+        if (k, mode) not in banks:
+            banks[k, mode] = build_shot_bank(task.targets, k, mode, RngStreams(cfg.analysis_seed))
         rng = np.random.default_rng(np.random.SeedSequence(cfg.analysis_seed))
         m = analysis.similarity_matrix(
-            finals, corp, bank, rng,
+            finals, corp, banks[k, mode], rng,
             batch_size=plan["batch_size"],
             n_source_batches=cfg.analysis_source_batches,
         )

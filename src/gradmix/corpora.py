@@ -121,23 +121,6 @@ class Split:
         X, y, offsets = self._rows(keys)
         return Batch(X=X, y=y, keys=keys, offsets=offsets)
 
-    def batches(self, keys: Sequence[int], size: int) -> List[Batch]:
-        """`batch` of each consecutive chunk of `size` keys (the last may be
-        short), with the rows of all chunks gathered in one pass."""
-        keys = np.array(keys, dtype=np.int64)
-        full = len(keys) - len(keys) % size
-        keys[:full].reshape(-1, size).sort(axis=1)
-        keys[full:].sort()
-        X, y, offsets = self._rows(keys)
-        out = []
-        for a in range(0, len(keys), size):
-            rows, off = slice(a, a + size), None
-            if offsets is not None:
-                off = offsets[a : a + size + 1]
-                rows, off = slice(off[0], off[-1]), off - off[0]
-            out.append(Batch(X=X[rows], y=y[rows], keys=keys[a : a + size], offsets=off))
-        return out
-
     @staticmethod
     def concat(parts: Sequence["Split"]) -> "Split":
         """The examples of every part, in order."""
@@ -373,20 +356,40 @@ def build_mixed_dataset(
     )
 
 
+def epoch_order(n: int, size: int, epoch: int, rng: RngStreams, scope: str = "pool") -> np.ndarray:
+    """The pool keys 0..n-1 in one epoch's order: a fresh uniform shuffle,
+    then each consecutive chunk of `size` keys (one batch; the last may be
+    short) sorted.
+
+    The permutation comes from a generator derived from (seed, shuffle,
+    scope, epoch), so the order for a given epoch does not depend on how
+    many other scopes or epochs have been drawn.
+    """
+    if size < 1:
+        raise ContractViolation("batch_size must be >= 1")
+    keys = rng.derived("shuffle", f"{scope}:{epoch}").permutation(n)
+    full = n - n % size
+    keys[:full].reshape(-1, size).sort(axis=1)
+    keys[full:].sort()
+    return keys
+
+
 def batch_iter(
     md: MixedDataset, batch_size: int, epoch: int, rng: RngStreams, scope: str = "pool"
 ) -> List[Batch]:
-    """One epoch's batches: a fresh uniform shuffle of the pool, chunked.
-
-    The permutation comes from a generator derived from (seed, shuffle,
-    scope, epoch), so the batch sequence for a given epoch does not depend
-    on how many other scopes or epochs have been drawn. The short final
-    batch is kept; dropping it would lose shots from tiny pools.
-    """
-    if batch_size < 1:
-        raise ContractViolation("batch_size must be >= 1")
-    perm = rng.derived("shuffle", f"{scope}:{epoch}").permutation(len(md))
-    return md.data.batches(perm, batch_size)
+    """One epoch's batches, in `epoch_order`, with the rows of all of them
+    gathered in one pass and cut at the batch bounds. The short final batch
+    is kept; dropping it would lose shots from tiny pools."""
+    keys = epoch_order(len(md), batch_size, epoch, rng, scope)
+    X, y, offsets = md.data._rows(keys)
+    out = []
+    for a in range(0, len(keys), batch_size):
+        rows, off = slice(a, a + batch_size), None
+        if offsets is not None:
+            off = offsets[a : a + batch_size + 1]
+            rows, off = slice(off[0], off[-1]), off - off[0]
+        out.append(Batch(X=X[rows], y=y[rows], keys=keys[a : a + batch_size], offsets=off))
+    return out
 
 
 # --- synthetic generation ----------------------------------------------------

@@ -1,6 +1,6 @@
 """Training strategies, model selection, and evaluation.
 
-Five strategies around one shared loop:
+Five strategies around one training loop, `train_lockstep`:
 
   zero_shot            source training only, evaluated everywhere
   ord_fs / ord_fs_dev  source training, then per-language fine-tuning on
@@ -20,19 +20,19 @@ checkpoint file.
 
 The cells of one seed repeat work: zero_shot and every two-step cell train
 the same source chain, and ord_fs and ord_fs_dev train the same adapted
-chains and differ only in selection. `run_strategy` takes an optional
-`Stages` dict through which such cells share a trained phase (a `Stage`)
-and a shot bank, each looked up by a key that names everything it depends
-on.
+chains and differ only in selection. So a cell's trained phases (each a
+`Stage`) and its shot bank live in a `Stages` dict, each under a key that
+names everything it depends on, and `prefill` is the one maker of them;
+`run_strategy` only looks them up and assembles the record.
 
 The runs of one grid column (the seeds of one (strategy, K); for the
 ord_fs family every seed and target language) are independent, and at
 this model size a step costs numpy call overhead, not arithmetic. So
 `prefill` trains them together in `train_lockstep`: one stacked
 forward/backward, surgery decision and update per step, giving each run
-the bits of the per-run loop (`_train_loop`, the reference), which still
-trains what does not stack: ragged tagger pools, a single run, a run with
-a `step_hook`, and the runs of a stack that raised.
+the bits it gets alone. The same loop trains, one run at a time, what does
+not stack (ragged tagger pools) and a run with a `step_hook`; a stack that
+raises is trained again job by job.
 
 One-step strategies select their epoch on the source dev set only, so one
 model serves every target, including one without a dev split. Target dev
@@ -44,8 +44,7 @@ target dev sets would be smaller than the training shots themselves.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, TypeVar,
-                    Union)
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -59,19 +58,13 @@ from .corpora import (
     build_mixed_dataset,
     build_oracle_bank,
     build_shot_bank,
+    epoch_order,
 )
-from .models import (
-    ModelSpec,
-    ModelState,
-    check_batch,
-    init_params,
-    loss_and_grad,
-    predict,
-    sgd_step,
-    stack_grads,
-)
+from .models import ModelSpec, ModelState, check_batch, init_params, predict, stack_grads
+from .models import loss_and_grad, sgd_step  # noqa: F401  (traced by name in perfbench/tracing.py)
 from .numcore import ContractViolation, ParamVec, RngStreams
-from .surgery import SurgeryPolicy, TraceEntry, decide, pick, sgs_step
+from .surgery import SurgeryPolicy, TraceEntry, decide, pick
+from .surgery import sgs_step  # noqa: F401  (traced by name in perfbench/tracing.py)
 
 STRATEGIES = (
     "zero_shot",
@@ -146,6 +139,8 @@ class TrainPlan:
                 raise ContractViolation(f"{name} must be >= 0")
         if self.batch_size < 1:
             raise ContractViolation("batch_size must be >= 1")
+        if self.adapt_batch_size is not None and self.adapt_batch_size < 1:
+            raise ContractViolation("adapt_batch_size must be >= 1")
         if not 0.0 <= self.alpha <= 1.0:
             raise ContractViolation("alpha must be in [0, 1]")
 
@@ -223,38 +218,14 @@ class Run(NamedTuple):
 Trained = Tuple[List[ModelState], Optional[List[TraceEntry]]]  # a chain and its trace
 
 
-def _train_loop(run: Run, step_hook: Optional[StepHook] = None) -> Trained:
-    """Fixed-epoch SGD over per-epoch reshuffles of the pool; returns the
-    chain [state0, state after epoch 1, ..., after epoch `epochs`]. With an
-    oracle and policy, every step runs the stochastic surgery decision
-    between backprop and the update. This per-run loop is the bitwise
-    reference for `train_lockstep`."""
-    state = run.state0
-    chain = [state]
-    trace: Optional[List[TraceEntry]] = [] if run.policy is not None else None
-    step = 0
-    for epoch in range(1, run.epochs + 1):
-        for batch in batch_iter(run.md, run.batch_size, epoch, run.rng, scope=run.scope):
-            grad = loss_and_grad(state, batch).grad
-            if run.policy is not None:
-                assert run.oracle is not None
-                grad, entry = sgs_step(grad, run.oracle, state, run.policy, run.rng, step=step)
-                trace.append(entry)
-            state = sgd_step(state, grad, run.lr)
-            step += 1
-            if step_hook is not None:
-                step_hook(step, state)
-        chain.append(state)
-    return chain, trace
-
-
 def stackable(runs: Sequence[Run]) -> bool:
-    """Whether `train_lockstep` takes these runs: two or more, trained
-    alike (spec, epochs, batch size, lr, surgery policy) on dense pools of
-    one size. Their oracle batches then have one size too: one K and shot
-    mode give every language the same number of shots."""
-    if len(runs) < 2:
-        return False
+    """Whether `train_lockstep` takes these runs: one run of either layout,
+    or two or more trained alike (spec, epochs, batch size, lr, surgery
+    policy) on dense pools of one size. Their oracle batches then have one
+    size too: one K and shot mode give every language the same number of
+    shots."""
+    if len(runs) <= 1:
+        return len(runs) == 1
     r0 = runs[0]
     like = (r0.state0.spec, r0.epochs, r0.batch_size, r0.lr, r0.policy, len(r0.md))
     if any(run.md.data.offsets is not None
@@ -265,56 +236,70 @@ def stackable(runs: Sequence[Run]) -> bool:
                 for lang in run.oracle.lang_ids}) <= 1
 
 
-def train_lockstep(runs: Sequence[Run]) -> List[Trained]:
-    """`[_train_loop(run) for run in runs]`, bit for bit, as one loop over
-    `stackable` runs. A step stacks every run's batch (its own shuffle,
-    chunks sorted as `batch_iter` sorts them) for one forward/backward
-    (`models.stack_grads`); with surgery, each run draws (`surgery.pick`),
-    the oracle gradients the coins need are one more stack, and
-    `surgery.decide` decides for all runs; then one update of the (S, P)
-    parameters. The per-run checks stay: each pool and oracle batch is
-    checked once, every slice's loss and gradient and every update is
-    checked finite, and lr must be non-negative."""
+def train_lockstep(runs: Sequence[Run], step_hook: Optional[StepHook] = None) -> List[Trained]:
+    """The one training loop: fixed-epoch SGD of `stackable` runs, each over
+    per-epoch reshuffles of its pool (`corpora.epoch_order`), returning each
+    run's chain [state0, state after epoch 1, ..., after epoch `epochs`]
+    and its surgery trace. A step stacks every run's batch for one
+    forward/backward (`models.stack_grads`); with surgery, each run draws
+    (`surgery.pick`), the oracle gradients the coins need are one more
+    stack, and `surgery.decide` decides for all runs; then one update of
+    the (S, P) parameters. Each run gets the bits it gets alone. A single
+    run, a ragged (tagger) pool among them, trains on its `batch_iter`
+    batches, gathered once per epoch and cut at the batch bounds. Every pool
+    and oracle batch is checked once, every slice's loss and gradient and
+    every update is checked finite, lr must be non-negative and a batch must
+    hold tokens. `step_hook(step, state)` sees every step of a single run."""
     if not stackable(runs):
-        raise ContractViolation("lockstep training needs two or more runs trained alike "
-                                "on dense pools of one size")
+        raise ContractViolation("lockstep training needs one run, or two or more runs "
+                                "trained alike on dense pools of one size")
+    if step_hook is not None and len(runs) > 1:
+        raise ContractViolation("a step hook needs a stack of one run")
     r0 = runs[0]
     spec, policy, size, n = r0.state0.spec, r0.policy, r0.batch_size, len(r0.md)
     if r0.lr < 0:
         raise ContractViolation("lr must be non-negative")
-    if size < 1:
-        raise ContractViolation("batch_size must be >= 1")
     for run in runs:
         check_batch(spec, run.md.data.batch())
-    X = np.stack([run.md.data.X for run in runs])
-    y = np.stack([run.md.data.y for run in runs])
-    if policy is not None:  # every oracle batch, and its row in OX and Oy per (run, language)
-        batches = [(i, lang) for i, run in enumerate(runs) for lang in run.oracle.lang_ids]
-        for i, lang in batches:
-            check_batch(spec, runs[i].oracle.batch(lang))
-        row_of = {pair: row for row, pair in enumerate(batches)}
-        OX, Oy = (np.stack([getattr(runs[i].oracle.batch(lang), name) for i, lang in batches])
-                  for name in "Xy")
+    # A single run takes each batch and oracle batch as a [None] view (a
+    # tagger's differ in token count); a stack gathers from the stacked
+    # pools and indexes the stacked oracle batches.
+    one = len(runs) == 1
+    if not one:
+        X, y = (np.stack([getattr(run.md.data, name) for run in runs]) for name in "Xy")
+    if policy is not None:  # every oracle batch, and its row per (run, language)
+        pairs = [(i, lang) for i, run in enumerate(runs) for lang in run.oracle.lang_ids]
+        batches = [runs[i].oracle.batch(lang) for i, lang in pairs]
+        for batch in batches:
+            check_batch(spec, batch)
+        row_of = {pair: row for row, pair in enumerate(pairs)}
+        if not one:
+            OX, Oy = np.stack([b.X for b in batches]), np.stack([b.y for b in batches])
     theta = np.stack([run.state0.theta.values for run in runs])
     chains = [[run.state0] for run in runs]
     traces = [[] if policy is not None else None for _ in runs]
     at = np.arange(len(runs))[:, None]
-    full = n - n % size
     step = 0
     for epoch in range(1, r0.epochs + 1):
-        keys = np.stack([run.rng.derived("shuffle", f"{run.scope}:{epoch}").permutation(n)
-                         for run in runs])
-        keys[:, :full] = np.sort(keys[:, :full].reshape(len(runs), -1, size), axis=-1).reshape(
-            len(runs), full)
-        keys[:, full:].sort(axis=-1)
-        Xe, ye = X[at, keys], y[at, keys]
-        for a in range(0, n, size):
-            G = stack_grads(spec, theta, Xe[:, a : a + size], ye[:, a : a + size])
+        if one:
+            cuts = [(b.X[None], b.y[None])
+                    for b in batch_iter(r0.md, size, epoch, r0.rng, scope=r0.scope)]
+        else:
+            keys = np.stack([epoch_order(n, size, epoch, run.rng, run.scope) for run in runs])
+            Xe, ye = X[at, keys], y[at, keys]
+            cuts = [(Xe[:, a : a + size], ye[:, a : a + size]) for a in range(0, n, size)]
+        for Xb, yb in cuts:
+            if Xb.shape[1] == 0:
+                raise ContractViolation("batch contains no tokens")
+            G = stack_grads(spec, theta, Xb, yb)
             if policy is not None:
                 picks = [pick(run.oracle, run.rng) for run in runs]
 
                 def oracle_grads(need: List[int]) -> np.ndarray:
                     rows = [row_of[i, picks[i][0]] for i in need]
+                    if one:
+                        return stack_grads(spec, theta, batches[rows[0]].X[None],
+                                           batches[rows[0]].y[None])
                     return stack_grads(spec, theta[need], OX[rows], Oy[rows])
 
                 G, entries = decide(G, picks, step, policy, oracle_grads)
@@ -324,6 +309,8 @@ def train_lockstep(runs: Sequence[Run]) -> List[Trained]:
             if not np.isfinite(theta).all():
                 raise ContractViolation("non-finite parameters after an update")
             step += 1
+            if step_hook is not None:
+                step_hook(step, ModelState(spec=spec, theta=ParamVec._adopt(theta[0])))
         # A fresh theta is made on every step, so these rows stay as they are.
         for chain, values in zip(chains, theta):
             chain.append(ModelState(spec=spec, theta=ParamVec._adopt(values)))
@@ -355,7 +342,7 @@ def run_source_training(
     if rng is None:
         rng = RngStreams(plan.seed)
     state0 = _initial_state(rng, state0, spec)
-    chain, _ = _train_loop(_pool_run(plan, source, [], None, rng, state0), step_hook)
+    [(chain, _)] = train_lockstep([_pool_run(plan, source, [], None, rng, state0)], step_hook)
     return chain
 
 
@@ -372,6 +359,10 @@ def _adapt_corpora(plan: TrainPlan,
 
 def _adapt_runs(source_model: ModelState, shots: ShotBank, plan: TrainPlan,
                 targets: Sequence[LanguageCorpus], rng: RngStreams) -> Dict[str, Run]:
+    """The runs of the target-adapting phase, by model key, each starting
+    from `source_model`."""
+    if not shots.lang_ids:
+        raise ContractViolation("target adapting requires a non-empty shot bank")
     batch, mix = plan.effective_adapt_batch(), plan.strategy == "mix_ft"
     return {key: Run(source_model, build_mixed_dataset(None, corpora, shots), plan.adapt_epochs,
                      batch, plan.lr, rng, "adapt:all" if mix else f"adapt:{key}")
@@ -391,10 +382,8 @@ def run_target_adapting(
     ord_fs(+dev): one adapted model per language, trained on its own shots.
     mix_ft: a single model trained on all targets' shots concatenated.
     """
-    if not shots.lang_ids:
-        raise ContractViolation("target adapting requires a non-empty shot bank")
     runs = _adapt_runs(source_model, shots, plan, targets, rng or RngStreams(plan.seed))
-    return {key: _train_loop(run)[0] for key, run in runs.items()}
+    return {key: train_lockstep([run])[0][0] for key, run in runs.items()}
 
 
 def _pool_run(plan: TrainPlan, source: LanguageCorpus, targets: Sequence[LanguageCorpus],
@@ -403,6 +392,8 @@ def _pool_run(plan: TrainPlan, source: LanguageCorpus, targets: Sequence[Languag
     source training), with surgery for gradient_mix_train."""
     oracle = policy = None
     if plan.strategy == "gradient_mix_train":
+        if not targets or shots is None or not shots.lang_ids:
+            raise ContractViolation("gradient_mix_train requires at least one target language")
         oracle = build_oracle_bank(shots, targets)
         policy = SurgeryPolicy(alpha=plan.alpha, lazy=plan.lazy_surgery)
     md = build_mixed_dataset(source, targets, shots)
@@ -428,10 +419,8 @@ def run_mixed_training(
     if rng is None:
         rng = RngStreams(plan.seed)
     state0 = _initial_state(rng, state0, spec)
-    if plan.strategy == "gradient_mix_train" and (
-            not targets or shots is None or not shots.lang_ids):
-        raise ContractViolation("gradient_mix_train requires at least one target language")
-    return _train_loop(_pool_run(plan, source, targets, shots, rng, state0), step_hook)
+    [trained] = train_lockstep([_pool_run(plan, source, targets, shots, rng, state0)], step_hook)
+    return trained
 
 
 def evaluate(model: ModelState, corpus: LanguageCorpus, split: str) -> float:
@@ -489,7 +478,7 @@ def select_model(
     raise ContractViolation(f"unknown selection policy {policy!r}")
 
 
-# --- shared stages and lockstep prefill ------------------------------------------
+# --- stages and prefill ---------------------------------------------------------
 
 
 class Stage(NamedTuple):
@@ -503,24 +492,13 @@ class Stage(NamedTuple):
     trace: Optional[List[TraceEntry]] = None
 
 
-# One dict serves one Task and holds, by `stage_keys`, shot banks and stages.
-Stages = Dict[tuple, Union[Stage, ShotBank]]
+# One dict serves one Task and holds, by `stage_keys`, shot banks and stages,
+# or the exception an entry raised when it was made.
+Stages = Dict[tuple, Union[Stage, ShotBank, Exception]]
 
 # Strategies that train the same adapted chains: ord_fs and ord_fs_dev
 # differ only in selection.
 ADAPT_FAMILY = {"ord_fs": "ord_fs", "ord_fs_dev": "ord_fs", "mix_ft": "mix_ft"}
-
-T = TypeVar("T")
-
-
-def _staged(stages: Optional[Stages], key: tuple, make: Callable[[], T]) -> T:
-    """The entry under `key`, made by `make` on a miss; no sharing without
-    a dict."""
-    if stages is None:
-        return make()
-    if key not in stages:
-        stages[key] = make()
-    return stages[key]
 
 
 def stage_keys(plan: TrainPlan, task: Task) -> Dict[str, tuple]:
@@ -543,11 +521,13 @@ def stage_keys(plan: TrainPlan, task: Task) -> Dict[str, tuple]:
     return keys
 
 
-def _shots(plan: TrainPlan, task: Task, targets: Sequence[LanguageCorpus],
-           stages: Optional[Stages], rng: RngStreams) -> ShotBank:
-    """The plan's shot bank, drawn once per stages dict."""
-    return _staged(stages, stage_keys(plan, task)["shots"],
-                   lambda: build_shot_bank(targets, plan.k, plan.shot_mode, rng))
+def _lookup(stages: Stages, key: tuple):
+    """The entry under `key`; an entry that could not be made raises its
+    exception."""
+    entry = stages[key]
+    if isinstance(entry, Exception):
+        raise entry
+    return entry
 
 
 def _dev_curves(
@@ -557,28 +537,6 @@ def _dev_curves(
     return {
         c.lang_id: [evaluate(m, c, "dev") for m in chain[1:]] for c in corpora if len(c.dev) > 0
     }
-
-
-def _stage(trained: Dict[str, Trained], dev: Dict[str, Sequence[LanguageCorpus]]) -> Stage:
-    """The stage of the chains (and trace) trained under each model key,
-    with the dev curves of the corpora `dev` names for each key."""
-    curves: Dict[str, List[float]] = {}
-    for key, (chain, _) in trained.items():
-        curves.update(_dev_curves(chain, dev[key]))
-    traces = [trace for _, trace in trained.values() if trace is not None]
-    return Stage({key: chain for key, (chain, _) in trained.items()}, curves, *traces[:1])
-
-
-def _source_of(plan: TrainPlan, task: Task, stages: Optional[Stages], rng: RngStreams,
-               step_hook: Optional[StepHook] = None) -> Stage:
-    """The plan's source stage; a hook trains a chain of its own, so it
-    sees every step."""
-    def train() -> Stage:
-        chain = run_source_training(plan, task.source, rng=rng, spec=task.spec,
-                                    step_hook=step_hook)
-        return _stage({"source": (chain, None)}, {"source": [task.source]})
-
-    return _staged(stages if step_hook is None else None, stage_keys(plan, task)["source"], train)
 
 
 def _source_selection(plan: TrainPlan, source: LanguageCorpus, src: Stage) -> Tuple[int, list]:
@@ -592,60 +550,81 @@ def _source_selection(plan: TrainPlan, source: LanguageCorpus, src: Stage) -> Tu
     return (analysis.argmax_earliest(curve) if plan.source_epochs > 0 else 0), curve
 
 
-# A job: a stage's runs and the corpora its dev curves cover, by model key.
-Job = Tuple[Dict[str, Run], Dict[str, Sequence[LanguageCorpus]]]
-
-
-def _job(kind: str, plan: TrainPlan, task: Task, stages: Stages) -> Job:
-    """The job of the plan's stage of `kind`, drawing what `run_strategy`
-    would draw for it."""
+def _job(kind: str, plan: TrainPlan, task: Task, stages: Stages
+         ) -> Tuple[Dict[str, Run], Dict[str, Sequence[LanguageCorpus]]]:
+    """The job of the plan's stage of `kind`: its runs and the corpora its
+    dev curves cover, by model key. Its draws come from a fresh
+    `RngStreams` of the seed, so a job is the same whatever ran before."""
     rng = RngStreams(plan.seed)
     source, targets = task.source, task.subset(plan.language_subset)
+    keys = stage_keys(plan, task)
     if kind == "source":
         run = _pool_run(plan, source, [], None, rng, init_params(task.spec, rng))
         return {"source": run}, {"source": [source]}
-    shots = _shots(plan, task, targets, stages, rng)
+    shots = _lookup(stages, keys["shots"])
     if kind == "one_step":
         run = _pool_run(plan, source, targets, shots, rng, init_params(task.spec, rng))
         return {"model": run}, {"model": [source, *targets]}
-    src = _source_of(plan, task, stages, rng)  # trained alone if no stack made it
+    src = _lookup(stages, keys["source"])
     src_epoch, _ = _source_selection(plan, source, src)
     runs = _adapt_runs(src.chains["source"][src_epoch], shots, plan, targets, rng)
     return runs, _adapt_corpora(plan, targets)
 
 
-def prefill(plans: Sequence[TrainPlan], task: Task, stages: Stages) -> None:
-    """Train in lockstep the stages the cells of `plans` (one (strategy, K)
-    column over seeds) would train one by one, and store each under the key
-    `run_strategy` looks it up by. Kind by kind (source, adapt, one-step),
-    the runs of every missing stage, across seeds and (ord_fs family)
-    target languages, are trained by `train_lockstep` if they are
-    `stackable`; the rest is left to `run_strategy`. An adapt stage whose
-    source no stack made trains that source alone first. Never raises: a
-    job that cannot be made, or a stack that raises, stores nothing, so its
-    cells train alone and fail exactly as they would have.
-    """
-    if task.source.train.offsets is not None:
-        return  # token-tagging pools are ragged: none of them stacks
-    for kind in ("source", "adapt", "one_step"):
-        jobs: Dict[tuple, Job] = {}
+def _made(kind: str, plans: Dict[tuple, TrainPlan], task: Task, stages: Stages,
+          step_hook: Optional[StepHook]) -> Dict[tuple, Union[Stage, ShotBank]]:
+    """The entry of `kind` of each plan, by key: a shot bank, or a stage
+    with each chain's dev curves. The runs of every job are made afresh and
+    train in one stack if they are `stackable` and no hook is given, else
+    one at a time."""
+    if kind == "shots":
+        return {key: build_shot_bank(task.subset(plan.language_subset), plan.k, plan.shot_mode,
+                                     RngStreams(plan.seed)) for key, plan in plans.items()}
+    jobs = {}
+    for key, plan in plans.items():  # a loop, so a failure's innermost frames name `_made`
+        jobs[key] = _job(kind, plan, task, stages)
+    runs = [run for job_runs, _ in jobs.values() for run in job_runs.values()]
+    if step_hook is None and stackable(runs):
+        results = iter(train_lockstep(runs))
+    else:
+        results = iter([train_lockstep([run], step_hook)[0] for run in runs])
+    made = {}
+    for key, (job_runs, dev) in jobs.items():
+        trained = {name: next(results) for name in job_runs}
+        curves = {lang: curve for name, (chain, _) in trained.items()
+                  for lang, curve in _dev_curves(chain, dev[name]).items()}
+        traces = [trace for _, trace in trained.values() if trace is not None]
+        made[key] = Stage({name: chain for name, (chain, _) in trained.items()}, curves,
+                          *traces[:1])
+    return made
+
+
+def prefill(plans: Sequence[TrainPlan], task: Task, stages: Stages,
+            step_hook: Optional[StepHook] = None) -> None:
+    """Make every entry that the cells of `plans` (one (strategy, K) column
+    over seeds) look up (`stage_keys`) and `stages` lacks, kind by kind:
+    shot banks, then source, adapt and one-step stages, the runs of each
+    kind across seeds and (ord_fs family) target languages trained together
+    (`_made`). If that raises, each entry is made again alone. Never
+    raises: an entry that cannot be made is stored as the exception it
+    raised alone, which every cell that looks it up raises."""
+    for kind in ("shots", "source", "adapt", "one_step"):
+        todo: Dict[tuple, TrainPlan] = {}
         for plan in plans:
             try:
                 key = stage_keys(plan, task).get(kind)
-                if key is not None and key not in stages and key not in jobs:
-                    jobs[key] = _job(kind, plan, task, stages)
-            except Exception:
-                continue
-        runs = [run for job_runs, _ in jobs.values() for run in job_runs.values()]
-        if not stackable(runs):
-            continue
+            except ContractViolation:
+                continue  # an unknown target language: run_strategy raises it
+            if key is not None and key not in stages:
+                todo.setdefault(key, plan)
         try:
-            results = iter(train_lockstep(runs))
-            made = {key: _stage({name: next(results) for name in job_runs}, dev)
-                    for key, (job_runs, dev) in jobs.items()}
+            stages.update(_made(kind, todo, task, stages, step_hook))
         except Exception:
-            continue
-        stages.update(made)
+            for key, plan in todo.items():
+                try:
+                    stages.update(_made(kind, {key: plan}, task, stages, step_hook))
+                except Exception as exc:
+                    stages[key] = exc
 
 
 # --- full strategy runs ---------------------------------------------------------
@@ -657,27 +636,23 @@ def run_strategy(
     step_hook: Optional[StepHook] = None,
     stages: Optional[Stages] = None,
 ) -> RunResult:
-    """Execute one (strategy, k, seed) cell and assemble its run record.
-
-    With a `stages` dict, cells share through it, under `stage_keys`, what
-    they would otherwise make again: the shot bank, the source stage (of
-    zero_shot and every two-step cell), the adapt stage (ord_fs and
-    ord_fs_dev are one family that differs only in selection) and the
-    one-step stage (chain, curves and trace). Every draw after the
-    initialization comes from a `derived` stream or a fresh `RngStreams`,
-    so a shared stage, or one `prefill` trained in lockstep, is the one
-    this cell would have trained. A cell with a `step_hook` trains its own
-    chain so the hook sees every step. Without `stages` every phase is
-    trained here; that path is the reference.
+    """Execute one (strategy, k, seed) cell and assemble its run record
+    from the shot bank and stages it looks up in `stages`, which `prefill`
+    fills with what is missing. Cells given one dict share through it the
+    shot bank, the source stage (zero_shot and every two-step cell), the
+    adapt stage (ord_fs and ord_fs_dev) and the one-step stage; a stage
+    trained in lockstep with other seeds is bitwise the one this cell
+    trains alone. Without `stages`, or with a `step_hook` (which then sees
+    every step of the cell's runs), the cell uses a fresh dict.
     """
-    rng = RngStreams(plan.seed)
+    if stages is None or step_hook is not None:
+        stages = {}
+    prefill([plan], task, stages, step_hook)
     targets = task.subset(plan.language_subset)
+    keys = stage_keys(plan, task)
     source = task.source
     all_langs = [source.lang_id] + [c.lang_id for c in targets]
-
-    shots: Optional[ShotBank] = None
-    if plan.strategy != "zero_shot":
-        shots = _shots(plan, task, targets, stages, rng)
+    shots: Optional[ShotBank] = _lookup(stages, keys["shots"]) if "shots" in keys else None
 
     record: dict = {
         "format_version": 1,
@@ -693,19 +668,8 @@ def run_strategy(
     }
     checkpoints: Dict[str, List[ModelState]] = {}
 
-    if plan.strategy in ONE_STEP:
-        def train_one_step() -> Stage:
-            trained = run_mixed_training(plan, source, targets, shots, rng=rng, spec=task.spec,
-                                         step_hook=step_hook)
-            return _stage({"model": trained}, {"model": [source, *targets]})
-
-        stage = _staged(stages if step_hook is None else None,
-                        stage_keys(plan, task)["one_step"], train_one_step)
-        chain = stage.chains["model"]
-    else:
-        hook = step_hook if plan.strategy == "zero_shot" else None
-        stage = _source_of(plan, task, stages, rng, step_hook=hook)
-        chain = stage.chains["source"]
+    stage = _lookup(stages, keys["one_step" if plan.strategy in ONE_STEP else "source"])
+    chain = stage.chains["model" if plan.strategy in ONE_STEP else "source"]
     trace = stage.trace
     curves = {lang: list(curve) for lang, curve in stage.curves.items()}
 
@@ -714,14 +678,9 @@ def run_strategy(
         checkpoints["source"] = chain
         record["source_selected_epoch"] = src_epoch
         record["source_dev_curve"] = src_curve
-        dev = _adapt_corpora(plan, targets)
-        model_key_of = {c.lang_id: key for key, corpora in dev.items() for c in corpora}
-
-        def train_adapted() -> Stage:
-            chains = run_target_adapting(chain[src_epoch], shots, plan, targets, rng=rng)
-            return _stage({key: (c, None) for key, c in chains.items()}, dev)
-
-        adapted = _staged(stages, stage_keys(plan, task)["adapt"], train_adapted)
+        model_key_of = {c.lang_id: key for key, corpora in _adapt_corpora(plan, targets).items()
+                        for c in corpora}
+        adapted = _lookup(stages, keys["adapt"])
         checkpoints.update(adapted.chains)
         epochs = plan.adapt_epochs
         curves = {lang: list(curve) for lang, curve in adapted.curves.items()}

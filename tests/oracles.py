@@ -11,7 +11,9 @@ They keep the earlier formulations:
   `ParamVec` for every gradient and state, one numpy call per operation in
   `loss_and_grad`, one gather per batch in `batch_iter`, the 9-dot surgery
   step built from `cosine_similarity`, `is_conflicting` and
-  `project_gradient`, and the per-batch source-gradient loop.
+  `project_gradient`, and the per-batch source-gradient loop;
+- the per-run training loop built from those steps (`train_loop`), the
+  reference for `trainer.train_lockstep`.
 """
 
 import math
@@ -191,6 +193,34 @@ def sgs_step(g_train, oracle_bank, model, policy, rng, step=0):
         cos_after = cosine_similarity(g_oracle, g_out)
         return g_out, TraceEntry(step, lang, p, True, True, cos_before, cos_after)
     return g_train, TraceEntry(step, lang, p, conflicted, False, cos_before, cos_before)
+
+
+def train_loop(run, step_hook=None):
+    """`trainer.train_lockstep([run], step_hook)[0]` as one run's loop over
+    the per-step path: fixed-epoch SGD over per-epoch reshuffles of the
+    pool, with the surgery decision between backprop and the update when
+    the run has a policy. Returns the chain, epoch 0 first, and the trace."""
+    state = run.state0
+    chain = [state]
+    trace = [] if run.policy is not None else None
+    step = 0
+    for epoch in range(1, run.epochs + 1):
+        for batch in batch_iter(run.md, run.batch_size, epoch, run.rng, scope=run.scope):
+            grad = loss_and_grad(state, batch).grad
+            if run.policy is not None:
+                grad, entry = sgs_step(grad, run.oracle, state, run.policy, run.rng, step=step)
+                trace.append(entry)
+            state = sgd_step(state, grad, run.lr)
+            step += 1
+            if step_hook is not None:
+                step_hook(step, state)
+        chain.append(state)
+    return chain, trace
+
+
+def train_one_by_one(runs, step_hook=None):
+    """`trainer.train_lockstep` by `train_loop`, one run at a time."""
+    return [train_loop(run, step_hook) for run in runs]
 
 
 def source_gradient(model, corpus, rng, batch_size=32, n_batches=100):

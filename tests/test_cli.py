@@ -98,6 +98,16 @@ class TestConfig:
         assert "plan.learning_rate, model.width" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("field, value", [("adapt_batch_size", 0), ("adapt_batch_size", -3),
+                                              ("batch_size", 0)])
+    def test_plan_value_refused_before_any_cell_runs(self, tmp_path, capsys, field, value):
+        doc = small_config_doc(strategies=("zero_shot", "ord_fs"))
+        doc["plan"][field] = value
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 2
+        assert f"error: {field} must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("model", [None, {"family": "softmax_classifier"}])
     def test_model_defaults_resolved_once(self, model):
         doc = small_config_doc()
@@ -337,8 +347,9 @@ class TestRunExperiment:
         for f in failures:
             assert f["type"] == "ContractViolation"
             assert "requires at least one target language" in f["error"]
-            assert f["frames"][-1].startswith("gradmix.trainer:run_mixed_training:")
-            assert 1 <= len(f["frames"]) <= cli.FAILURE_FRAMES
+            # made by prefill, raised by the cell that looks the stage up
+            assert [frame.rsplit(":", 1)[0] for frame in f["frames"]] == [
+                "gradmix.trainer:_made", "gradmix.trainer:_job", "gradmix.trainer:_pool_run"]
 
 
 class TestExport:
@@ -474,11 +485,12 @@ class TestLockstep:
         held = []  # (column, kinds held) when each column's prefill starts
         prefill = trainer.prefill
 
-        def spy(plans, task, stages):
-            kinds = Counter(key[0] + (f"_k{key[2]}" if key[0] == "shots" else "")
-                            for key in stages)
-            held.append((f"{plans[0].strategy}_k{plans[0].k}", dict(kinds)))
-            prefill(plans, task, stages)
+        def spy(plans, task, stages, step_hook=None):
+            if len(plans) > 1:  # a column's prefill, not a cell's own of its one plan
+                kinds = Counter(key[0] + (f"_k{key[2]}" if key[0] == "shots" else "")
+                                for key in stages)
+                held.append((f"{plans[0].strategy}_k{plans[0].k}", dict(kinds)))
+            prefill(plans, task, stages, step_hook)
 
         monkeypatch.setattr(trainer, "prefill", spy)
         assert run_experiment(parse_config(small_config_doc(**self.DOC)), tmp_path / "o") == 0
@@ -506,8 +518,8 @@ class TestLockstep:
         out = tmp_path / "out"
         assert run_experiment(cfg, out) == 0
         # cells: one bank of 2 targets per (seed, K); the similarity tail: one
-        # per (strategy, K) of mix_ft, naive_mix_train and gradient_mix_train
-        assert len(draws) == 2 * 2 * 2 + 3 * 2 * 2
+        # per K, shared by mix_ft, naive_mix_train and gradient_mix_train
+        assert len(draws) == 2 * 2 * 2 + 2 * 2
         task, _ = build_benchmark(cfg)
         for cell in grid_cells(cfg):
             record = json.loads((out / "runs" / cli.cell_name(*cell) / "record.json").read_text())
@@ -520,7 +532,8 @@ class TestLockstep:
                                 "ignore:invalid value:RuntimeWarning")
     def test_cell_failing_inside_a_stack_fails_as_alone(self, tmp_path, monkeypatch):
         """Seed 2's initial state overflows the forward pass: its stacks
-        raise and store nothing, so each cell of them trains alone."""
+        raise and are trained again job by job, so each cell fails as it
+        does with every run trained alone."""
         init = trainer.init_params
 
         def init_params(spec, rng):
@@ -533,7 +546,7 @@ class TestLockstep:
         cfg = parse_config(small_config_doc(**self.DOC))
         out, ref = tmp_path / "out", tmp_path / "ref"
         assert run_experiment(cfg, out) == 1
-        monkeypatch.setattr(trainer, "prefill", lambda plans, task, stages: None)
+        monkeypatch.setattr(trainer, "stackable", lambda runs: len(runs) == 1)
         assert run_experiment(cfg, ref) == 1
         failures = json.loads((out / "manifest.json").read_text())["failures"]
         assert failures == json.loads((ref / "manifest.json").read_text())["failures"]
@@ -576,11 +589,11 @@ class TestBenchmarkTracer:
         assert metrics["models.save_checkpoint.calls"] == len(files) == 1 + 2 + 1
         assert metrics["models.save_checkpoint.bytes"] == sum(p.stat().st_size for p in files)
         assert metrics["models.load_checkpoint.calls"] > 0
-        # The per-layer split needs each wrapped entry point on the run's path.
+        # The training loop's surgery decision calls the wrapped `surgery.dot`,
+        # and a single run takes its batches from the wrapped `trainer.batch_iter`.
         calls = {name: row["calls"] for name, row in
                  tracing.span_table(tracing.load_spans(str(spans))).items()}
-        for name in ("models.loss_and_grad[train]", "models.sgd_step", "surgery.sgs_step",
-                     "numcore.dot[surgery]", "corpora.batch_iter"):
+        for name in ("numcore.dot[surgery]", "corpora.batch_iter"):
             assert calls[name] > 0, name
 
     def test_traced_lockstep_run_completes(self, tmp_path):

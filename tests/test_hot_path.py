@@ -1,5 +1,6 @@
 """The lean hot path against the per-step path it replaced (tests/oracles.py):
-chains, surgery traces, batches and language gradients equal bit for bit."""
+chains, surgery traces, batches and language gradients equal bit for bit.
+The training loop's reference is `oracles.train_loop`, one run at a time."""
 
 import json
 
@@ -24,9 +25,6 @@ from gradmix.surgery import SurgeryPolicy, sgs_step
 from gradmix.trainer import STRATEGIES, Task, TrainPlan, run_mixed_training, run_strategy
 
 from conftest import tiny_profile
-
-PER_STEP = ("loss_and_grad", "sgd_step", "sgs_step", "batch_iter")
-
 
 def token_corpus(lang_id, role, n_seqs, rng):
     def split(n):
@@ -53,12 +51,15 @@ def tasks():
 
 
 def on_both_paths(monkeypatch, run):
-    """run() on the trainer as it is, then with the per-step reference path."""
+    """run() on the trainer as it is, then with `trainer.train_lockstep`
+    replaced by the per-run reference loop."""
     new = run()
+    trained = []
     with monkeypatch.context() as m:
-        for name in PER_STEP:
-            m.setattr(trainer, name, getattr(oracles, name))
+        m.setattr(trainer, "train_lockstep", lambda runs, step_hook=None: trained.extend(runs)
+                  or oracles.train_one_by_one(runs, step_hook))
         ref = run()
+    assert trained  # the reference trained every run
     return new, ref
 
 
@@ -87,31 +88,36 @@ class TestTrainingPath:
             assert any(entry.applied for entry in trace)
 
     def test_step_hook_sees_the_same_states(self, tasks, monkeypatch):
-        task = tasks["classifier"]
         plan = TrainPlan(strategy="gradient_mix_train", seed=1, k=3, alpha=0.6,
                          source_epochs=2, batch_size=16, lr=0.5)
-        shots = build_shot_bank(task.targets, plan.k, plan.shot_mode, RngStreams(plan.seed))
+        # 2 epochs of ceil((50 + 2 * 3) / 16) steps; of ceil((40 + 2 * 3) / 16) for the tagger
+        for family, steps in (("classifier", 2 * 4), ("tagger", 2 * 3)):
+            task = tasks[family]
+            shots = build_shot_bank(task.targets, plan.k, plan.shot_mode, RngStreams(plan.seed))
 
-        def run():
-            seen = []
-            run_mixed_training(plan, task.source, task.targets, shots, spec=task.spec,
-                               step_hook=lambda step, state: seen.append(
-                                   (step, state.theta.tobytes())))
-            return seen
+            def run():
+                seen = []
+                run_mixed_training(plan, task.source, task.targets, shots, spec=task.spec,
+                                   step_hook=lambda step, state: seen.append(
+                                       (step, state.theta.tobytes())))
+                return seen
 
-        seen, ref = on_both_paths(monkeypatch, run)
-        assert len(seen) == 2 * 4  # 2 epochs of ceil((50 + 2 * 3) / 16) steps
-        assert seen == ref
+            seen, ref = on_both_paths(monkeypatch, run)
+            assert [step for step, _ in seen] == list(range(1, steps + 1))
+            assert seen == ref
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_strategy_records_and_chains_equal_reference(self, tasks, monkeypatch, strategy):
-        task = tasks["classifier"]
-        plan = TrainPlan(strategy=strategy, seed=2, k=0 if strategy == "zero_shot" else 3,
-                         source_epochs=2, adapt_epochs=2, batch_size=9, lr=0.4, alpha=0.6)
-        new, ref = on_both_paths(monkeypatch, lambda: run_strategy(plan, task))
-        assert json.dumps(new.record) == json.dumps(ref.record)
-        assert {k: chain_bytes(c) for k, c in new.checkpoints.items()} == {
-            k: chain_bytes(c) for k, c in ref.checkpoints.items()}
+        # ragged tagger pools train one run at a time; the classifier's ord_fs targets stack
+        for family in ("classifier", "tagger"):
+            task = tasks[family]
+            plan = TrainPlan(strategy=strategy, seed=2, k=0 if strategy == "zero_shot" else 3,
+                             source_epochs=2, adapt_epochs=2, batch_size=9, lr=0.4, alpha=0.6)
+            new, ref = on_both_paths(monkeypatch, lambda: run_strategy(plan, task))
+            assert json.dumps(new.record) == json.dumps(ref.record)
+            assert {k: chain_bytes(c) for k, c in new.checkpoints.items()} == {
+                k: chain_bytes(c) for k, c in ref.checkpoints.items()}
+            assert trace_text(new.trace or []) == trace_text(ref.trace or [])
 
 
 class TestBatches:

@@ -1,13 +1,16 @@
 """Lockstep training against the per-run reference: `prefill` followed by
 `run_strategy` gives every cell the record, chains and surgery trace that
-`run_strategy` without stages gives it, bit for bit."""
+the cell gets alone, trained run by run by `oracles.train_loop`, bit for
+bit."""
 
 import dataclasses
 import json
+import traceback
 
 import numpy as np
 import pytest
 
+import oracles
 from gradmix import trainer
 from gradmix.corpora import (
     LanguageCorpus,
@@ -59,17 +62,24 @@ def trace_text(trace):
 
 
 def check_column(task, plans, monkeypatch):
-    """Prefill the column without any per-run training, then compare each
-    cell with the reference."""
-    stages = {}
+    """Prefill the column, each kind of stage in one stack, then compare
+    each cell with the reference."""
+    stages, stacks = {}, []
     with monkeypatch.context() as m:
-        m.setattr(trainer, "_train_loop", None)  # a per-run loop would raise here
+        lockstep = trainer.train_lockstep
+        m.setattr(trainer, "train_lockstep",
+                  lambda runs, step_hook=None: stacks.append(runs) or lockstep(runs, step_hook))
         prefill(plans, task, stages)
+    kinds = {kind for plan in plans for kind in stage_keys(plan, task)} - {"shots"}
+    assert len(stacks) == len(kinds)  # no run trained alone, no stack trained again
     for plan in plans:
         # every stage the cell shares came from the stack
-        assert set(stage_keys(plan, task).values()) <= set(stages)
+        assert not [key for key in stage_keys(plan, task).values()
+                    if isinstance(stages[key], Exception)]
         got = run_strategy(plan, task, stages=stages)
-        want = run_strategy(plan, task)
+        with monkeypatch.context() as m:
+            m.setattr(trainer, "train_lockstep", oracles.train_one_by_one)
+            want = run_strategy(plan, task)
         assert json.dumps(got.record) == json.dumps(want.record)
         assert {k: chain_bytes(c) for k, c in got.checkpoints.items()} == {
             k: chain_bytes(c) for k, c in want.checkpoints.items()}
@@ -122,13 +132,15 @@ def test_ord_fs_family_stacks_every_seed_and_language(corpora, monkeypatch):
     task = make_task(corpora, 6)
     sizes = []
     lockstep = trainer.train_lockstep
-    monkeypatch.setattr(trainer, "train_lockstep", lambda runs: sizes.append(len(runs))
-                        or lockstep(runs))
+    monkeypatch.setattr(trainer, "train_lockstep", lambda runs, step_hook=None:
+                        sizes.append(len(runs)) or lockstep(runs, step_hook))
     stages = check_column(task, column("ord_fs", 2, (1, 2)), monkeypatch)
     assert sizes == [2, 2 * 3]  # the source of 2 seeds, then 2 seeds x 3 targets
+    assert sum(key[0] == "adapt" for key in stages) == 2
     # ord_fs_dev shares the stage and trains nothing more
-    check_column(task, column("ord_fs_dev", 2, (1, 2)), monkeypatch)
-    assert sizes == [2, 2 * 3, 2, 2 * 3]
+    for plan in column("ord_fs_dev", 2, (1, 2)):
+        run_strategy(plan, task, stages=stages)
+    assert sizes == [2, 2 * 3]
     assert sum(key[0] == "adapt" for key in stages) == 2
 
 
@@ -144,27 +156,44 @@ def test_columns_differing_in_one_plan_field_share_nothing(corpora, monkeypatch)
                 assert json.dumps(got.record) == json.dumps(run_strategy(plan, task).record)
 
 
-def test_single_seed_leaves_one_run_phases_to_the_cell(corpora, monkeypatch):
+def test_single_seed_stages_made_by_prefill(corpora, monkeypatch):
     task = make_task(corpora, 6)
-    stages = {}
-    prefill(column("gradient_mix_train", 2, (1,)), task, stages)
-    assert [key[0] for key in stages] == ["shots"]
-    # the ord_fs family still stacks its 3 targets; the source trains alone first
-    prefill(column("ord_fs", 2, (1,)), task, stages)
+    stages = check_column(task, column("gradient_mix_train", 2, (1,)), monkeypatch)
+    assert sorted(key[0] for key in stages) == ["one_step", "shots"]
+    # the ord_fs family stacks its 3 targets
+    stages = check_column(task, column("ord_fs", 2, (1,)), monkeypatch)
     assert sorted(key[0] for key in stages) == ["adapt", "shots", "source"]
 
 
-def test_prefill_never_raises_and_stores_nothing_it_cannot_make(corpora):
+def innermost(exc):
+    """The innermost three frames of an exception raised from a test, the
+    test's own frame left out."""
+    return [(f.name, f.lineno) for f in traceback.extract_tb(exc.__traceback__)[1:]][-3:]
+
+
+def test_prefill_never_raises_and_cells_raise_what_it_could_not_make(corpora):
     task = make_task(corpora, 6)
     stages = {}
-    # no targets: the gradient stack raises (its oracle banks are empty), ord_fs has no runs
-    prefill(column("gradient_mix_train", 2, (1, 2), language_subset=()), task, stages)
-    prefill(column("ord_fs", 2, (1, 2), language_subset=()), task, stages)
-    prefill(column("ord_fs", 2, (1, 2), language_subset=("nope",)), task, stages)
-    assert sorted({key[0] for key in stages}) == ["shots", "source"]
-    with pytest.raises(ContractViolation, match="requires at least one target language"):
-        run_strategy(column("gradient_mix_train", 2, (1,), language_subset=())[0], task,
-                     stages=stages)
+    failing = {  # no targets: no oracle bank, nothing to adapt on; an unknown target
+        "requires at least one target language":
+            column("gradient_mix_train", 2, (1, 2), language_subset=()),
+        "target adapting requires a non-empty shot bank":
+            column("ord_fs", 2, (1, 2), language_subset=()),
+        "unknown target languages": column("ord_fs", 2, (1, 2), language_subset=("nope",)),
+    }
+    for plans in failing.values():
+        prefill(plans, task, stages)
+    assert {(key[0], type(entry).__name__) for key, entry in stages.items()} == {
+        ("shots", "ShotBank"), ("source", "Stage"),
+        ("one_step", "ContractViolation"), ("adapt", "ContractViolation")}
+    for match, plans in failing.items():
+        for plan in plans:
+            with pytest.raises(ContractViolation, match=match) as stored:
+                run_strategy(plan, task, stages=stages)
+            with pytest.raises(ContractViolation, match=match) as alone:
+                run_strategy(plan, task)
+            assert str(stored.value) == str(alone.value)
+            assert innermost(stored.value) == innermost(alone.value)
 
 
 def token_corpus(lang_id, role, rng):
@@ -187,23 +216,56 @@ def source_runs(corpora, seeds, spec=ModelSpec("softmax_classifier", 2, 6, 3), *
     return runs
 
 
+def tagger_task(rng):
+    return Task.from_corpora(ModelSpec("mlp_token_tagger", 2, 4, 3), [
+        token_corpus("s", "source", rng), token_corpus("t", "target", rng)])
+
+
 class TestStackable:
     def test_dense_pools_of_one_size_stack(self, corpora):
         runs = source_runs(corpora, (1, 2))
         assert stackable(runs)
         got = train_lockstep(runs)
-        want = [trainer._train_loop(run) for run in source_runs(corpora, (1, 2))]
+        want = [oracles.train_loop(run) for run in source_runs(corpora, (1, 2))]
         assert [chain_bytes(c) for c, _ in got] == [chain_bytes(c) for c, _ in want]
+
+    def test_one_run_of_either_layout_stacks(self, corpora):
+        tagger = tagger_task(np.random.default_rng(0))
+        for spec, corpus in ((ModelSpec("softmax_classifier", 2, 6, 3), corpora[0]),
+                             (tagger.spec, tagger.source)):
+            [run] = source_runs([corpus], (1,), spec=spec, batch_size=3)
+            assert stackable([run])
+            seen, ref = [], []
+            [(chain, _)] = train_lockstep([run], lambda i, st: seen.append(st.theta.tobytes()))
+            want, _ = oracles.train_loop(source_runs([corpus], (1,), spec=spec, batch_size=3)[0],
+                                         lambda i, st: ref.append(st.theta.tobytes()))
+            assert chain_bytes(chain) == chain_bytes(want)
+            assert seen == ref and len(seen) > 2 * 2
+
+    def test_a_step_hook_needs_one_run(self, corpora):
+        with pytest.raises(ContractViolation, match="a step hook needs a stack of one run"):
+            train_lockstep(source_runs(corpora, (1, 2)), lambda i, st: None)
+
+    def test_ragged_batch_without_tokens_refused(self):
+        # sequences without tokens: with one sequence per batch, some batch holds none
+        rng = np.random.default_rng(3)
+        lens = np.array([0, 2, 0, 3, 1, 0])
+        split = Split(rng.normal(size=(lens.sum(), 2)), rng.integers(3, size=lens.sum()),
+                      offsets=np.concatenate([[0], np.cumsum(lens)]))
+        corpus = LanguageCorpus(lang_id="s", script_tag="x", role="source", task="token_tags",
+                                num_classes=3, input_dim=2, train=split)
+        runs = source_runs([corpus], (1,), spec=ModelSpec("mlp_token_tagger", 2, 4, 3),
+                           batch_size=1)
+        with pytest.raises(ContractViolation, match="batch contains no tokens"):
+            train_lockstep(runs)
 
     def test_what_does_not_stack(self, corpora):
         runs = source_runs(corpora, (1, 2))
         shots = build_shot_bank(corpora[1:2], 2, "k_shot", RngStreams(0))
-        rng = np.random.default_rng(0)
-        tagger = Task.from_corpora(ModelSpec("mlp_token_tagger", 2, 4, 3), [
-            token_corpus("s", "source", rng), token_corpus("t", "target", rng)])
+        tagger = tagger_task(np.random.default_rng(0))
         ragged = source_runs([tagger.source], (1, 2), spec=tagger.spec)
         cases = {
-            "a single run": runs[:1],
+            "no run": [],
             "ragged tagger pools": ragged,
             "pools of two sizes": [runs[0], runs[1]._replace(
                 md=build_mixed_dataset(corpora[0], corpora[1:2], shots))],
@@ -266,7 +328,6 @@ class TestNonFinite:
         huge = dataclasses.replace(source, train=Split(source.train.X * 1e300, source.train.y))
         runs = source_runs([huge], (1, 2), spec=ModelSpec("softmax_classifier", 2, 0, 3),
                            lr=1e10)
-        with pytest.raises(ContractViolation, match="non-finite entry"):
-            trainer._train_loop(runs[0])
-        with pytest.raises(ContractViolation, match="non-finite parameters"):
-            train_lockstep(runs)
+        for stack in (runs[:1], runs):
+            with pytest.raises(ContractViolation, match="non-finite parameters"):
+                train_lockstep(stack)

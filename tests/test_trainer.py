@@ -83,6 +83,12 @@ class TestTrainPlan:
         assert rendered(None) is None
         assert rendered(("t1",)) == ["t1"]
 
+    @pytest.mark.parametrize("field, value", [("adapt_batch_size", 0), ("adapt_batch_size", -3),
+                                              ("batch_size", 0)])
+    def test_batch_sizes_below_one_refused_by_name(self, field, value):
+        with pytest.raises(ContractViolation, match=f"^{field} must be >= 1"):
+            TrainPlan(strategy="ord_fs", seed=1, k=2, **{field: value})
+
     def test_adapt_batch_defaults_to_k(self):
         assert TrainPlan(strategy="ord_fs", seed=1, k=7).effective_adapt_batch() == 7
         assert TrainPlan(
@@ -481,8 +487,11 @@ class TestStages:
         subset = plan(strategy, language_subset=("t1",))
         got = run_strategy(subset, tiny_task, stages=stages)
         assert got.record == run_strategy(subset, tiny_task).record
-        # one adapt stage more; the empty subset's shot bank and t1's are new too
-        assert kinds(stages) == dict(kinds(shared), adapt=2, shots=3)
+        # the empty subset's adapt entry is the error it raised, t1's adapt
+        # stage is new, and so are the empty subset's shot bank and t1's
+        [failed] = [key for key, entry in stages.items() if isinstance(entry, Exception)]
+        assert failed[0] == "adapt" and failed[-1] == ()
+        assert kinds(stages) == dict(kinds(shared), adapt=3, shots=3)
         # the same targets named in another order resolve to the same stages
         run_strategy(plan(strategy, language_subset=("t1", "t0")), tiny_task, stages=stages)
-        assert kinds(stages) == dict(kinds(shared), adapt=2, shots=3)
+        assert kinds(stages) == dict(kinds(shared), adapt=3, shots=3)
