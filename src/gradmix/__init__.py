@@ -12,13 +12,13 @@ __version__ = "0.1.0"
 
 from .analysis import (SimMatrix, aggregate_runs, conflict_fraction, language_gradient, micro_f1,
                        overfit_flags, similarity_matrix)
-from .corpora import (LanguageCorpus, LanguageProfile, MixedDataset, OracleBank, ShotBank, Split,
-                      SyntheticProfile, batch_iter, build_mixed_dataset, build_oracle_bank,
-                      build_shot_bank, default_benchmark, default_profile, gen_synthetic_family,
-                      ingest_tsv, sample_k_shots, sample_n_way_k_shot)
+from .corpora import (LanguageCorpus, LanguageProfile, ShotBank, Split, SyntheticProfile,
+                      batch_iter, build_mixed_dataset, build_oracle_bank, build_shot_bank,
+                      default_benchmark, default_profile, gen_synthetic_family, ingest_tsv,
+                      sample_k_shots, sample_n_way_k_shot)
 from .models import (GradReport, ModelSpec, ModelState, init_params, load_checkpoint,
                      loss_and_grad, predict, save_checkpoint, sgd_step)
 from .numcore import ContractViolation, ParamVec, RngStreams, cosine_similarity, dot
-from .surgery import SurgeryPolicy, TraceEntry, is_conflicting, project_gradient, sgs_step
+from .surgery import SurgeryPolicy, TraceEntry, sgs_step
 from .trainer import (Task, TrainPlan, evaluate, run_mixed_training, run_source_training,
                       run_strategy, run_target_adapting, select_model)

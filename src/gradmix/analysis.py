@@ -101,14 +101,14 @@ def language_gradient(
             if data.train.offsets is None:
                 grads = batch_grads(model, data.train, keys)
             else:  # ragged token batches: one at a time
-                grads = [loss_and_grad(model, data.train.batch(k)).grad.values for k in keys]
+                grads = [loss_and_grad(model, data.train.take(k)).grad.values for k in keys]
             for grad in grads:
                 acc += grad
         return ParamVec(acc / n_batches)
     if role == "target":
         if len(data) == 0:
             raise ContractViolation("target gradient needs at least one example")
-        return loss_and_grad(model, data.batch()).grad
+        return loss_and_grad(model, data).grad
     raise ContractViolation(f"unknown role {role!r}")
 
 

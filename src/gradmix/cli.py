@@ -91,20 +91,18 @@ class ExperimentConfig:
 def parse_config(doc: dict) -> ExperimentConfig:
     try:
         grid = doc["grid"]
-        strategies = tuple(grid["strategies"])
-        ks = tuple(int(k) for k in grid["ks"])
-        seeds = tuple(int(s) for s in grid["seeds"])
+        axes = {name: tuple(grid[name]) for name in ("strategies", "ks", "seeds")}
     except KeyError as exc:
         raise ContractViolation(f"config missing grid section/key: {exc}") from None
-    if not strategies:
-        raise ContractViolation("config needs at least one strategy")
-    if not ks:
-        raise ContractViolation("config needs at least one K")
-    if not seeds:
-        raise ContractViolation("config needs at least one seed")
-    for s in strategies:
-        if s not in trainer.STRATEGIES:
-            raise ContractViolation(f"unknown strategy {s!r} in grid")
+    for (name, values), one in zip(axes.items(), ("strategy", "K", "seed")):
+        if not values:
+            raise ContractViolation(f"config needs at least one {one}")
+        for i, v in enumerate(values):  # TrainPlan checks the values of each cell below
+            if name != "strategies" and (not isinstance(v, int) or isinstance(v, bool)):
+                raise ContractViolation(f"grid {name}: {v!r} is not an integer")
+            if v in values[:i]:
+                raise ContractViolation(f"grid {name}: {v!r} is listed twice")
+    strategies, ks, seeds = axes.values()
     plan = dict(doc.get("plan", {}))
     model = dict(MODEL_DEFAULTS, **doc.get("model", {}))
     unknown = [f"plan.{key}" for key in plan if key not in PLAN_FIELDS]
@@ -402,6 +400,8 @@ def run_experiment(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> int:
         raise ContractViolation(f"--jobs must be at least 1, got {jobs}")
     if out.is_dir() and any(out.iterdir()):
         raise ContractViolation(f"output directory {out} is not empty; choose a new --out")
+    if out.exists() and not out.is_dir():
+        raise ContractViolation(f"--out {out} is a file; choose a new --out")
     out.mkdir(parents=True, exist_ok=True)
     write_json(out / "config.json", cfg.canonical_dict())
     task, manifest = build_benchmark(cfg)

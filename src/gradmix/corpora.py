@@ -7,22 +7,24 @@ tag share the rotation and differ only by translation, and distance from
 the source is the rotation angle. That gives a controllable desk-scale
 analog of cross-language distribution shift.
 
-Array layout. This module owns the one format examples take everywhere.
-Each split of a corpus is a `Split` of read-only arrays. For
-classification it is `X` (n, D) float64 and `y` (n,) int64, one row per
-example. For token tagging it is the flat tokens of all sequences, `X`
-(T, D) and `y` (T,), plus `offsets` (n+1,): sequence i is rows
-offsets[i]:offsets[i+1]. `len()` counts examples, not tokens. The training
-pool (`MixedDataset`) concatenates splits, and a `Batch` holds the pool
-rows of some keys, gathered once and sorted by key. Data from outside the
-program is checked once, as whole arrays, where it enters: `Split` and
-`LanguageCorpus` construction, `ingest_tsv` and `make_batch`.
+Array layout. This module owns the one format examples take everywhere:
+a `Split` of read-only arrays. For classification it is `X` (n, D)
+float64 and `y` (n,) int64, one row per example. For token tagging it is
+the flat tokens of all sequences, `X` (T, D) and `y` (T,), plus `offsets`
+(n+1,): sequence i is rows offsets[i]:offsets[i+1]. `len()` counts
+examples, not tokens. Corpus splits, the training pool
+(`build_mixed_dataset`) and the oracle batches (`build_oracle_bank`) are
+Splits. A training batch is the pool rows of one sorted chunk of keys
+(`epoch_order`, `batch_iter`), so its loss does not depend on the order its
+examples were drawn in. Data from outside the program is checked once, as
+whole arrays, where it enters: `Split` and `LanguageCorpus` construction
+and `ingest_tsv`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -38,33 +40,6 @@ SPLITS = ("train", "dev", "test")
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
-
-
-@dataclass(frozen=True, eq=False)
-class Batch:
-    """Examples in canonical order: rows sorted by `keys`, the canonical
-    example ids (pool indices). Two batches of the same (key, example)
-    pairs give bitwise-identical losses, whatever order the pairs were
-    drawn in. Build one with `make_batch` or `Split.batch`.
-    """
-
-    X: np.ndarray  # (rows, D): one row per example, or per token (tagger)
-    y: np.ndarray  # (rows,)
-    keys: np.ndarray  # (n,), non-decreasing
-    offsets: Optional[np.ndarray] = None  # (n+1,) sequence bounds (tagger)
-
-    def __post_init__(self) -> None:
-        for a in (self.X, self.y, self.keys, self.offsets):
-            if a is not None:
-                _frozen(a)
-
-    def __len__(self) -> int:
-        return len(self.keys)
-
-    @property
-    def xs(self) -> List[np.ndarray]:
-        # Token matrix of each sequence (tagger batches); perfbench/tracing.py counts tokens here.
-        return np.split(self.X, self.offsets[1:-1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,14 +87,10 @@ class Split:
         """The examples at `idx`, in that order."""
         return Split(*self._rows(np.asarray(idx, dtype=np.int64)))
 
-    def batch(self, keys: Optional[Sequence[int]] = None) -> Batch:
-        """The examples at `keys` as a Batch, gathered in key order; with
-        no keys, every example in split order, keyed by position."""
-        if keys is None:
-            return Batch(X=self.X, y=self.y, keys=np.arange(len(self)), offsets=self.offsets)
-        keys = np.sort(np.asarray(keys, dtype=np.int64))
-        X, y, offsets = self._rows(keys)
-        return Batch(X=X, y=y, keys=keys, offsets=offsets)
+    @property
+    def xs(self) -> List[np.ndarray]:
+        # Token matrix of each sequence (tagger splits); perfbench/tracing.py counts tokens here.
+        return np.split(self.X, self.offsets[1:-1])
 
     @staticmethod
     def concat(parts: Sequence["Split"]) -> "Split":
@@ -137,19 +108,6 @@ class Split:
         starts = np.cumsum([0] + [len(p.y) for p in parts[:-1]])
         offsets = np.concatenate([[0]] + [p.offsets[1:] + s for p, s in zip(parts, starts)])
         return Split(X, y, offsets)
-
-
-def make_batch(X, y, offsets=None, keys: Optional[Sequence[int]] = None) -> Batch:
-    """A Batch from arrays given by the caller, in the `Split` layout:
-    checked once as a whole, then put in canonical key order. Example i
-    has key keys[i] (default: i)."""
-    data = Split(X, y, offsets)
-    keys = np.arange(len(data)) if keys is None else np.asarray(keys, dtype=np.int64)
-    if keys.shape != (len(data),):
-        raise ContractViolation(f"{keys.size} keys for {len(data)} examples")
-    order = np.argsort(keys, kind="stable")
-    X, y, offsets = data._rows(order)
-    return Batch(X=X, y=y, keys=keys[order], offsets=offsets)
 
 
 @dataclass(frozen=True)
@@ -274,86 +232,33 @@ def build_shot_bank(
     return ShotBank(k=k, mode=mode, per_lang=per_lang)
 
 
-@dataclass(frozen=True)
-class OracleBank:
-    """Each language's oracle batch: exactly its shot examples, keyed by
-    their train indices, nothing external.
-
-    The conflict check during surgery computes each language's gradient on
-    these batches, which alias the ShotBank selection index-for-index. A
-    lookup by language is one dict access.
-    """
-
-    shots: ShotBank
-    _batches: Tuple[Tuple[str, Batch], ...]
-    lang_ids: Tuple[str, ...] = field(init=False)
-    _by_lang: Dict[str, Batch] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "lang_ids", tuple(lang for lang, _ in self._batches))
-        object.__setattr__(self, "_by_lang", dict(self._batches))
-
-    def batch(self, lang_id: str) -> Batch:
-        try:
-            return self._by_lang[lang_id]
-        except KeyError:
-            raise ContractViolation(f"no oracle data for language {lang_id!r}") from None
-
-    def indices(self, lang_id: str) -> Tuple[int, ...]:
-        return self.shots.indices(lang_id)
-
-    def __len__(self) -> int:
-        return len(self._batches)
-
-
-def build_oracle_bank(shots: ShotBank, targets: Sequence[LanguageCorpus]) -> OracleBank:
+def build_oracle_bank(shots: ShotBank, targets: Sequence[LanguageCorpus]) -> Dict[str, Split]:
+    """Each language's oracle batch, by language in shot bank order: exactly
+    its shot examples, in train index order, nothing external. Surgery takes
+    the gradient of the picked language's batch."""
     by_id = {c.lang_id: c for c in targets}
-    batches = tuple((lang, by_id[lang].train.batch(idx)) for lang, idx in shots.per_lang)
-    return OracleBank(shots=shots, _batches=batches)
+    return {lang: by_id[lang].train.take(sorted(idx)) for lang, idx in shots.per_lang}
 
 
-# --- mixed dataset & batching -----------------------------------------------
-
-
-@dataclass(frozen=True)
-class MixedDataset:
-    """Ordered pool of examples and their languages; position in the pool
-    is the canonical example key used for order-invariant loss
-    accumulation."""
-
-    data: Split
-    lang_of: Tuple[str, ...]
-    source_size: int
-
-    def __len__(self) -> int:
-        return len(self.data)
+# --- the training pool & batching ---------------------------------------------
 
 
 def build_mixed_dataset(
     source: Optional[LanguageCorpus],
     targets: Sequence[LanguageCorpus],
     shots: Optional[ShotBank],
-) -> MixedDataset:
-    """Full source train split followed by every target's shots, in shot
-    bank order. With zero targets this degenerates to the source-only pool;
-    with no source it is the pool of shots alone."""
-    parts: List[Split] = []
-    langs: List[str] = []
-    if source is not None:
-        parts.append(source.train)
-        langs.extend([source.lang_id] * len(source.train))
+) -> Split:
+    """The training pool: the full source train split followed by every
+    target's shots, in shot bank order. An example's position in the pool is
+    its key (see `epoch_order`). With zero targets this degenerates to the
+    source-only pool; with no source it is the pool of shots alone."""
+    parts: List[Split] = [] if source is None else [source.train]
     if targets and shots is not None:
         by_id = {c.lang_id: c for c in targets}
-        for lang, idx in shots.per_lang:
-            if lang in by_id:
-                parts.append(by_id[lang].train.take(idx))
-                langs.extend([lang] * len(idx))
-    if not langs:
+        parts += [by_id[lang].train.take(idx) for lang, idx in shots.per_lang if lang in by_id]
+    if not sum(map(len, parts)):
         raise ContractViolation("mixed dataset pool is empty")
-    return MixedDataset(
-        data=Split.concat(parts), lang_of=tuple(langs),
-        source_size=len(source.train) if source is not None else 0,
-    )
+    return Split.concat(parts)
 
 
 def epoch_order(n: int, size: int, epoch: int, rng: RngStreams, scope: str = "pool") -> np.ndarray:
@@ -374,22 +279,19 @@ def epoch_order(n: int, size: int, epoch: int, rng: RngStreams, scope: str = "po
     return keys
 
 
-def batch_iter(
-    md: MixedDataset, batch_size: int, epoch: int, rng: RngStreams, scope: str = "pool"
-) -> List[Batch]:
-    """One epoch's batches, in `epoch_order`, with the rows of all of them
-    gathered in one pass and cut at the batch bounds. The short final batch
+def batch_iter(pool: Split, batch_size: int, epoch: int, rng: RngStreams,
+               scope: str = "pool") -> List[Tuple[np.ndarray, np.ndarray]]:
+    """One epoch's batches as read-only (X, y) rows, in `epoch_order`: the
+    rows of all of them gathered in one pass and cut at the batch bounds
+    (tagger: at the bounds of each batch's sequences). The short final batch
     is kept; dropping it would lose shots from tiny pools."""
-    keys = epoch_order(len(md), batch_size, epoch, rng, scope)
-    X, y, offsets = md.data._rows(keys)
-    out = []
-    for a in range(0, len(keys), batch_size):
-        rows, off = slice(a, a + batch_size), None
-        if offsets is not None:
-            off = offsets[a : a + batch_size + 1]
-            rows, off = slice(off[0], off[-1]), off - off[0]
-        out.append(Batch(X=X[rows], y=y[rows], keys=keys[a : a + batch_size], offsets=off))
-    return out
+    keys = epoch_order(len(pool), batch_size, epoch, rng, scope)
+    X, y, offsets = pool._rows(keys)
+    cuts = list(range(0, len(keys), batch_size)) + [len(keys)]
+    if offsets is not None:
+        cuts = offsets[cuts].tolist()
+    X, y = _frozen(X), _frozen(y)
+    return [(X[a:b], y[a:b]) for a, b in zip(cuts[:-1], cuts[1:])]
 
 
 # --- synthetic generation ----------------------------------------------------

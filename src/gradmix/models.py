@@ -5,8 +5,9 @@ over fixed feature vectors and a per-token MLP tagger over token-feature
 sequences. Parameters live in one flat vector so the surgery kernel can
 treat gradients uniformly.
 
-Batches hold their examples sorted by canonical key (see `corpora`), which
-makes loss and gradient bitwise invariant to the order examples were drawn.
+A batch is a `corpora.Split` whose examples are in canonical key order
+(see `corpora`), which makes loss and gradient bitwise invariant to the
+order examples were drawn.
 One kernel computes them, for one batch or, slice by slice, for a stack:
 of batches (`batch_grads`) or of parameter vectors each on its own batch
 (`stack_grads`, lockstep training), each slice with the bits it gets alone.
@@ -29,7 +30,7 @@ from typing import Iterable, List, Sequence, Union
 
 import numpy as np
 
-from .corpora import Batch, Split
+from .corpora import Split
 from .numcore import ContractViolation, ParamVec, RngStreams
 
 FAMILIES = ("softmax_classifier", "mlp_token_tagger")
@@ -138,7 +139,7 @@ def _logits(spec: ModelSpec, theta: ParamVec, X: np.ndarray) -> np.ndarray:
     return X @ W.swapaxes(-1, -2) + b
 
 
-def check_batch(spec: ModelSpec, batch: Batch) -> None:
+def check_batch(spec: ModelSpec, batch: Split) -> None:
     """Whole-batch checks: non-empty, the layout of the family, features
     of the model's width, labels in range."""
     if len(batch) == 0:
@@ -205,7 +206,7 @@ def _forward_backward(spec: ModelSpec, v: np.ndarray, X: np.ndarray, y: np.ndarr
     return loss, np.concatenate(parts, axis=-1)
 
 
-def loss_and_grad(state: ModelState, batch: Batch) -> GradReport:
+def loss_and_grad(state: ModelState, batch: Split) -> GradReport:
     """Mean cross-entropy over the batch (tagger: over all tokens) and its
     analytic gradient, flattened in parameter order."""
     check_batch(state.spec, batch)
@@ -230,10 +231,10 @@ def stack_grads(spec: ModelSpec, thetas: np.ndarray, X: np.ndarray, y: np.ndarra
 
 
 def batch_grads(state: ModelState, data: Split, keys: np.ndarray) -> np.ndarray:
-    """Row i: `loss_and_grad(state, data.batch(keys[i])).grad`, bit for bit,
+    """Row i: `loss_and_grad(state, data.take(keys[i])).grad`, bit for bit,
     for classifier keys (s, size) sorted by row. The split is checked once,
     as a whole, with the checks `loss_and_grad` makes per batch."""
-    check_batch(state.spec, data.batch())
+    check_batch(state.spec, data)
     return stack_grads(state.spec, state.theta.values, data.X[keys], data.y[keys])
 
 

@@ -2,9 +2,10 @@
 
 Two gradients conflict when their cosine similarity is negative; the sign
 of the raw dot product is the same test without dividing by norms, so the
-decision uses the dot product directly. When a conflict fires and the
-per-step coin lands under alpha, the mixed-batch gradient is projected
-onto the normal plane of the sampled language's oracle gradient:
+decision uses the dot product directly. A zero-norm gradient has dot 0 and
+never conflicts, so a projection never divides by zero. When a conflict
+fires and the per-step coin lands under alpha, the mixed-batch gradient is
+projected onto the normal plane of the sampled language's oracle gradient:
 
     g' = g - (g . o / ||o||^2) o
 
@@ -14,20 +15,21 @@ alpha=0 runs bitwise identical to plain mixed training.
 `decide` is the one decision, for one run (`sgs_step`) or a stack of runs
 trained in lockstep (`trainer.train_lockstep`). It computes each distinct
 dot once (o.o, o.g, g.g, and on an applied step o.g' and g'.g': 5 dots,
-not 9) and gets the bits of `cosine_similarity`, `is_conflicting` and
-`project_gradient`, since `dot` is symmetric: a.b and b.a multiply the
-same pairs in the same order. Each dot is one `dot` call over all the
-stack's rows, each row with the bits of a `dot` of two vectors.
+not 9) and gets the bits of a step that takes every cosine with
+`cosine_similarity` and projects with two more dots, since `dot` is
+symmetric: a.b and b.a multiply the same pairs in the same order. Each dot
+is one `dot` call over all the stack's rows, each row with the bits of a
+`dot` of two vectors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .corpora import OracleBank
+from .corpora import Split
 from .models import ModelState, loss_and_grad
 from .numcore import ContractViolation, ParamVec, RngStreams, cosine_from_dots, dot
 from .numcore import cosine_similarity  # noqa: F401  (traced by name in perfbench/tracing.py)
@@ -76,33 +78,17 @@ class TraceEntry:
         }
 
 
-def is_conflicting(a: ParamVec, b: ParamVec) -> bool:
-    """Strictly negative dot product. Zero-norm inputs give dot == 0 and are
-    therefore never conflicting (surgery is skipped for them)."""
-    return dot(a, b) < 0.0
-
-
-def project_gradient(g_s: ParamVec, g_t: ParamVec) -> ParamVec:
-    """Remove from g_s its component along g_t (projection onto g_t's
-    normal plane). Callers must guard the zero-norm case: the training path
-    never reaches it because zero oracle gradients are non-conflicting."""
-    tt = dot(g_t, g_t)
-    if tt == 0.0:
-        raise ContractViolation("cannot project onto the normal plane of a zero vector")
-    return ParamVec._adopt(g_s.values - (dot(g_s, g_t) / tt) * g_t.values)
-
-
-def oracle_gradient(model: ModelState, oracle_bank: OracleBank, lang_id: str) -> ParamVec:
+def oracle_gradient(model: ModelState, oracle: Dict[str, Split], lang_id: str) -> ParamVec:
     """Full-batch gradient over one language's oracle examples."""
-    return loss_and_grad(model, oracle_bank.batch(lang_id)).grad
+    return loss_and_grad(model, oracle[lang_id]).grad
 
 
-def pick(oracle_bank: OracleBank, rng: RngStreams) -> Tuple[str, float]:
+def pick(oracle: Dict[str, Split], rng: RngStreams) -> Tuple[str, float]:
     """One step's draws, in their fixed and unconditional order: the
     language from `lang_pick`, then p from `surgery_p`. So runs with
     alpha=0 consume exactly the same stream state as runs that never
     operate on a gradient."""
-    langs = oracle_bank.lang_ids
+    langs = list(oracle)
     if not langs:
         raise ContractViolation("oracle bank is empty; need at least one target language")
     return langs[int(rng.lang_pick.integers(len(langs)))], float(rng.surgery_p.random())
@@ -158,7 +144,7 @@ def decide(
 
 def sgs_step(
     g_train: ParamVec,
-    oracle_bank: OracleBank,
+    oracle: Dict[str, Split],
     model: ModelState,
     policy: SurgeryPolicy,
     rng: RngStreams,
@@ -166,8 +152,8 @@ def sgs_step(
 ) -> Tuple[ParamVec, TraceEntry]:
     """One stochastic-surgery decision for the current training step of
     one run: `pick`, then `decide`."""
-    lang, p = pick(oracle_bank, rng)
+    lang, p = pick(oracle, rng)
     G = g_train.values[None]
     G_out, [entry] = decide(G, [(lang, p)], step, policy,
-                            lambda need: oracle_gradient(model, oracle_bank, lang).values[None])
+                            lambda need: oracle_gradient(model, oracle, lang).values[None])
     return (g_train if G_out is G else ParamVec._adopt(G_out[0])), entry

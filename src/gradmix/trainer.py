@@ -44,6 +44,7 @@ target dev sets would be smaller than the training shots themselves.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from types import TracebackType
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -51,9 +52,8 @@ import numpy as np
 from . import analysis
 from .corpora import (
     LanguageCorpus,
-    MixedDataset,
-    OracleBank,
     ShotBank,
+    Split,
     batch_iter,
     build_mixed_dataset,
     build_oracle_bank,
@@ -109,6 +109,8 @@ class TrainPlan:
     def __post_init__(self) -> None:
         if self.strategy not in STRATEGIES:
             raise ContractViolation(f"unknown strategy {self.strategy!r}")
+        if self.seed < 0:
+            raise ContractViolation("seed must be >= 0")
         if self.strategy == "zero_shot" and self.k != 0:
             raise ContractViolation("zero_shot requires k = 0")
         if self.strategy != "zero_shot" and self.k < 1:
@@ -201,17 +203,17 @@ class RunResult:
 
 class Run(NamedTuple):
     """The inputs of one training loop: SGD from `state0` over per-epoch
-    reshuffles of the pool `md` (drawn under `scope`), with the surgery
-    decision on every step when an oracle and a policy are given."""
+    reshuffles of the pool (drawn under `scope`), with the surgery decision
+    on every step when oracle batches and a policy are given."""
 
     state0: ModelState
-    md: MixedDataset
+    pool: Split
     epochs: int
     batch_size: int
     lr: float
     rng: RngStreams
     scope: str
-    oracle: Optional[OracleBank] = None
+    oracle: Optional[Dict[str, Split]] = None
     policy: Optional[SurgeryPolicy] = None
 
 
@@ -227,13 +229,13 @@ def stackable(runs: Sequence[Run]) -> bool:
     if len(runs) <= 1:
         return len(runs) == 1
     r0 = runs[0]
-    like = (r0.state0.spec, r0.epochs, r0.batch_size, r0.lr, r0.policy, len(r0.md))
-    if any(run.md.data.offsets is not None
-           or (run.state0.spec, run.epochs, run.batch_size, run.lr, run.policy, len(run.md)) != like
-           for run in runs):
+    like = (r0.state0.spec, r0.epochs, r0.batch_size, r0.lr, r0.policy, len(r0.pool))
+    if any(run.pool.offsets is not None
+           or (run.state0.spec, run.epochs, run.batch_size, run.lr, run.policy, len(run.pool))
+           != like for run in runs):
         return False
-    return len({len(run.oracle.batch(lang)) for run in runs if run.oracle is not None
-                for lang in run.oracle.lang_ids}) <= 1
+    return len({len(batch) for run in runs if run.oracle is not None
+                for batch in run.oracle.values()}) <= 1
 
 
 def train_lockstep(runs: Sequence[Run], step_hook: Optional[StepHook] = None) -> List[Trained]:
@@ -256,20 +258,20 @@ def train_lockstep(runs: Sequence[Run], step_hook: Optional[StepHook] = None) ->
     if step_hook is not None and len(runs) > 1:
         raise ContractViolation("a step hook needs a stack of one run")
     r0 = runs[0]
-    spec, policy, size, n = r0.state0.spec, r0.policy, r0.batch_size, len(r0.md)
+    spec, policy, size, n = r0.state0.spec, r0.policy, r0.batch_size, len(r0.pool)
     if r0.lr < 0:
         raise ContractViolation("lr must be non-negative")
     for run in runs:
-        check_batch(spec, run.md.data.batch())
+        check_batch(spec, run.pool)
     # A single run takes each batch and oracle batch as a [None] view (a
     # tagger's differ in token count); a stack gathers from the stacked
     # pools and indexes the stacked oracle batches.
     one = len(runs) == 1
     if not one:
-        X, y = (np.stack([getattr(run.md.data, name) for run in runs]) for name in "Xy")
+        X, y = (np.stack([getattr(run.pool, name) for run in runs]) for name in "Xy")
     if policy is not None:  # every oracle batch, and its row per (run, language)
-        pairs = [(i, lang) for i, run in enumerate(runs) for lang in run.oracle.lang_ids]
-        batches = [runs[i].oracle.batch(lang) for i, lang in pairs]
+        pairs = [(i, lang) for i, run in enumerate(runs) for lang in run.oracle]
+        batches = [runs[i].oracle[lang] for i, lang in pairs]
         for batch in batches:
             check_batch(spec, batch)
         row_of = {pair: row for row, pair in enumerate(pairs)}
@@ -282,8 +284,8 @@ def train_lockstep(runs: Sequence[Run], step_hook: Optional[StepHook] = None) ->
     step = 0
     for epoch in range(1, r0.epochs + 1):
         if one:
-            cuts = [(b.X[None], b.y[None])
-                    for b in batch_iter(r0.md, size, epoch, r0.rng, scope=r0.scope)]
+            cuts = [(X1[None], y1[None])
+                    for X1, y1 in batch_iter(r0.pool, size, epoch, r0.rng, scope=r0.scope)]
         else:
             keys = np.stack([epoch_order(n, size, epoch, run.rng, run.scope) for run in runs])
             Xe, ye = X[at, keys], y[at, keys]
@@ -396,8 +398,8 @@ def _pool_run(plan: TrainPlan, source: LanguageCorpus, targets: Sequence[Languag
             raise ContractViolation("gradient_mix_train requires at least one target language")
         oracle = build_oracle_bank(shots, targets)
         policy = SurgeryPolicy(alpha=plan.alpha, lazy=plan.lazy_surgery)
-    md = build_mixed_dataset(source, targets, shots)
-    return Run(state0, md, plan.source_epochs, plan.batch_size, plan.lr, rng, "pool",
+    pool = build_mixed_dataset(source, targets, shots)
+    return Run(state0, pool, plan.source_epochs, plan.batch_size, plan.lr, rng, "pool",
                oracle, policy)
 
 
@@ -492,9 +494,17 @@ class Stage(NamedTuple):
     trace: Optional[List[TraceEntry]] = None
 
 
+class Failed(NamedTuple):
+    """An entry that could not be made: the exception it raised, and the
+    traceback `prefill` caught it with."""
+
+    exc: Exception
+    tb: Optional[TracebackType]
+
+
 # One dict serves one Task and holds, by `stage_keys`, shot banks and stages,
-# or the exception an entry raised when it was made.
-Stages = Dict[tuple, Union[Stage, ShotBank, Exception]]
+# or how an entry failed when it was made.
+Stages = Dict[tuple, Union[Stage, ShotBank, Failed]]
 
 # Strategies that train the same adapted chains: ord_fs and ord_fs_dev
 # differ only in selection.
@@ -523,10 +533,10 @@ def stage_keys(plan: TrainPlan, task: Task) -> Dict[str, tuple]:
 
 def _lookup(stages: Stages, key: tuple):
     """The entry under `key`; an entry that could not be made raises its
-    exception."""
+    exception with the traceback `prefill` caught, not the last raise's."""
     entry = stages[key]
-    if isinstance(entry, Exception):
-        raise entry
+    if isinstance(entry, Failed):
+        raise entry.exc.with_traceback(entry.tb)
     return entry
 
 
@@ -606,8 +616,8 @@ def prefill(plans: Sequence[TrainPlan], task: Task, stages: Stages,
     shot banks, then source, adapt and one-step stages, the runs of each
     kind across seeds and (ord_fs family) target languages trained together
     (`_made`). If that raises, each entry is made again alone. Never
-    raises: an entry that cannot be made is stored as the exception it
-    raised alone, which every cell that looks it up raises."""
+    raises: an entry that cannot be made is stored as `Failed`, with the
+    exception it raised alone, which every cell that looks it up raises."""
     for kind in ("shots", "source", "adapt", "one_step"):
         todo: Dict[tuple, TrainPlan] = {}
         for plan in plans:
@@ -624,7 +634,7 @@ def prefill(plans: Sequence[TrainPlan], task: Task, stages: Stages,
                 try:
                     stages.update(_made(kind, {key: plan}, task, stages, step_hook))
                 except Exception as exc:
-                    stages[key] = exc
+                    stages[key] = Failed(exc, exc.__traceback__)
 
 
 # --- full strategy runs ---------------------------------------------------------

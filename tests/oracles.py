@@ -10,7 +10,7 @@ They keep the earlier formulations:
 - the per-step training path before the lean hot path: a copying
   `ParamVec` for every gradient and state, one numpy call per operation in
   `loss_and_grad`, one gather per batch in `batch_iter`, the 9-dot surgery
-  step built from `cosine_similarity`, `is_conflicting` and
+  step built from `cosine_similarity`, a dot-product conflict test and
   `project_gradient`, and the per-batch source-gradient loop;
 - the per-run training loop built from those steps (`train_loop`), the
   reference for `trainer.train_lockstep`.
@@ -22,10 +22,10 @@ from pathlib import Path
 import numpy as np
 
 from gradmix import analysis
-from gradmix.corpora import Batch, LanguageCorpus
+from gradmix.corpora import LanguageCorpus, Split
 from gradmix.models import GradReport, ModelState, _logits, predict
 from gradmix.numcore import ContractViolation, ParamVec, dot
-from gradmix.surgery import TraceEntry
+from gradmix.surgery import SurgeryPolicy, TraceEntry, decide
 
 
 def examples_of(split):
@@ -38,7 +38,7 @@ def examples_of(split):
 
 
 def to_arrays(examples):
-    """(X, y, offsets) of tuples in the given order, as `make_batch` takes them."""
+    """(X, y, offsets) of tuples in the given order, as `Split` takes them."""
     xs = [np.asarray(x, dtype=np.float64) for x, _ in examples]
     if xs and xs[0].ndim == 2:
         offsets = np.cumsum([0] + [x.shape[0] for x in xs])
@@ -51,11 +51,11 @@ def to_arrays(examples):
 
 
 def stack_batch(examples, keys=None):
-    """Tuple-stacking batch assembly: sort by (key, position), then stack."""
+    """Tuple-stacking batch assembly: sort by (key, position), then stack
+    into a Split."""
     keys = list(range(len(examples))) if keys is None else [int(k) for k in keys]
     order = sorted(range(len(examples)), key=lambda i: (keys[i], i))
-    X, y, offsets = to_arrays([examples[i] for i in order])
-    return Batch(X=X, y=y, keys=np.array([keys[i] for i in order]), offsets=offsets)
+    return Split(*to_arrays([examples[i] for i in order]))
 
 
 def evaluate_per_example(model, corpus, split):
@@ -153,11 +153,13 @@ def sgd_step(state, grad, lr):
     return ModelState(spec=state.spec, theta=ParamVec(state.theta.values - lr * grad.values))
 
 
-def batch_iter(md, batch_size, epoch, rng, scope="pool"):
-    """`corpora.batch_iter` with one sort and one gather per batch."""
-    n = len(md)
+def batch_iter(pool, batch_size, epoch, rng, scope="pool"):
+    """`corpora.batch_iter` with one sort and one gather per batch, each
+    batch a Split."""
+    n = len(pool)
     perm = rng.derived("shuffle", f"{scope}:{epoch}").permutation(n)
-    return [md.data.batch(perm[start : start + batch_size]) for start in range(0, n, batch_size)]
+    return [pool.take(np.sort(perm[start : start + batch_size]))
+            for start in range(0, n, batch_size)]
 
 
 def cosine_similarity(a, b):
@@ -178,14 +180,14 @@ def project_gradient(g_s, g_t):
     return ParamVec(g_s.values - (dot(g_s, g_t) / denom) * g_t.values)
 
 
-def sgs_step(g_train, oracle_bank, model, policy, rng, step=0):
+def sgs_step(g_train, oracle, model, policy, rng, step=0):
     """`surgery.sgs_step` with 9 dots on an applied step (4 otherwise)."""
-    langs = oracle_bank.lang_ids
+    langs = list(oracle)
     lang = langs[int(rng.lang_pick.integers(len(langs)))]
     p = float(rng.surgery_p.random())
     if policy.lazy and p >= policy.alpha:
         return g_train, TraceEntry(step, lang, p, False, False, None, None)
-    g_oracle = loss_and_grad(model, oracle_bank.batch(lang)).grad
+    g_oracle = loss_and_grad(model, oracle[lang]).grad
     cos_before = cosine_similarity(g_oracle, g_train)
     conflicted = dot(g_oracle, g_train) < 0.0
     if conflicted and p < policy.alpha:
@@ -205,7 +207,7 @@ def train_loop(run, step_hook=None):
     trace = [] if run.policy is not None else None
     step = 0
     for epoch in range(1, run.epochs + 1):
-        for batch in batch_iter(run.md, run.batch_size, epoch, run.rng, scope=run.scope):
+        for batch in batch_iter(run.pool, run.batch_size, epoch, run.rng, scope=run.scope):
             grad = loss_and_grad(state, batch).grad
             if run.policy is not None:
                 grad, entry = sgs_step(grad, run.oracle, state, run.policy, run.rng, step=step)
@@ -230,7 +232,7 @@ def source_gradient(model, corpus, rng, batch_size=32, n_batches=100):
     acc = np.zeros(model.theta.dim)
     for _ in range(n_batches):
         idx = rng.choice(n, size=size, replace=False)
-        acc += loss_and_grad(model, corpus.train.batch(idx)).grad.values
+        acc += loss_and_grad(model, corpus.train.take(np.sort(idx))).grad.values
     return ParamVec(acc / n_batches)
 
 
@@ -270,12 +272,15 @@ def finite_diff_grad(loss_fn, theta, h=None):
     return ParamVec(grad)
 
 
-def apply_if_conflicting(g_train, g_oracle):
-    """Project only on conflict; otherwise return g_train itself (bitwise
-    no-op, same object)."""
-    if dot(g_train, g_oracle) < 0.0:
-        return project_gradient(g_train, g_oracle)
-    return g_train
+def decide_one(g_train, g_oracle):
+    """The `surgery.decide` kernel on a stack of one run whose coin always
+    lands under alpha: g_train projected onto g_oracle's normal plane if the
+    two conflict, else g_train itself (bitwise no-op, same object); and the
+    step's trace entry."""
+    G = g_train.values[None]
+    G_out, [entry] = decide(G, [("t", 0.0)], 0, SurgeryPolicy(1.0),
+                            lambda need: g_oracle.values[None])
+    return (g_train if G_out is G else ParamVec(G_out[0])), entry
 
 
 def predict_proba(state, x):

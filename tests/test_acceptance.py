@@ -30,7 +30,6 @@ from gradmix.corpora import (
     Split,
     build_shot_bank,
     default_benchmark,
-    make_batch,
 )
 from gradmix.models import (
     ModelSpec,
@@ -38,11 +37,10 @@ from gradmix.models import (
     loss_and_grad,
 )
 from gradmix.numcore import ParamVec, RngStreams, dot
-from gradmix.surgery import is_conflicting, project_gradient
 from gradmix.trainer import Task, TrainPlan, run_strategy
 from gradmix.cli import load_config, run_experiment
 
-from oracles import apply_if_conflicting, distant_lang_ids, finite_diff_grad, norm, to_arrays
+from oracles import decide_one, distant_lang_ids, finite_diff_grad, norm, to_arrays
 
 # Shipped experiment settings (mirrors configs/default.json).
 SHIPPED_PLAN = dict(
@@ -131,7 +129,7 @@ def test_ac1_gradient_correctness():
                         (rng.normal(size=(L, spec.input_dim)),
                          rng.integers(spec.num_classes, size=L))
                     )
-            batch = make_batch(*to_arrays(examples))
+            batch = Split(*to_arrays(examples))
             analytic = loss_and_grad(state, batch).grad
 
             def loss_fn(t, _spec=spec, _batch=batch):
@@ -157,11 +155,11 @@ def test_ac2_surgery_kernel_properties():
         for _ in range(1000):
             g_s = ParamVec(rng.normal(size=dim))
             g_t = ParamVec(rng.normal(size=dim))
-            out = apply_if_conflicting(g_s, g_t)
-            if is_conflicting(g_s, g_t):
+            out, entry = decide_one(g_s, g_t)
+            if entry.conflicted:
                 if abs(dot(out, g_t)) > 1e-9 * norm(g_s) * norm(g_t):
                     failures.append(f"orthogonality dim {dim}")
-                again = project_gradient(out, g_t)
+                again, _ = decide_one(out, g_t)
                 if norm(ParamVec((again.values - out.values) + 0.0)) > 1e-12 * max(
                     norm(g_s), 1.0
                 ) and not np.array_equal(again.values, out.values):

@@ -121,7 +121,7 @@ class TestLanguageGradient:
             model, source, "source", rng=np.random.default_rng(3), batch_size=16,
             n_batches=100,
         )
-        full = loss_and_grad(model, source.train.batch()).grad
+        full = loss_and_grad(model, source.train).grad
         from gradmix.numcore import cosine_similarity
 
         assert cosine_similarity(est, full) > 0.99

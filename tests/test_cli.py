@@ -108,6 +108,22 @@ class TestConfig:
         assert f"error: {field} must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("field, values, error", [
+        ("strategies", ["zero_shot", "zero_shot"], "grid strategies: 'zero_shot' is listed twice"),
+        ("ks", [2, 2], "grid ks: 2 is listed twice"),
+        ("seeds", [1, 1], "grid seeds: 1 is listed twice"),
+        ("ks", [1.7], "grid ks: 1.7 is not an integer"),
+        ("seeds", [1.5], "grid seeds: 1.5 is not an integer"),
+        ("seeds", [-1], "seed must be >= 0"),
+    ], ids=["twice-strategy", "twice-k", "twice-seed", "float-k", "float-seed", "negative-seed"])
+    def test_bad_grid_refused_before_any_cell_runs(self, tmp_path, capsys, field, values, error):
+        doc = small_config_doc(strategies=("zero_shot", "ord_fs"))
+        doc["grid"][field] = values
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 2
+        assert f"error: {error}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("model", [None, {"family": "softmax_classifier"}])
     def test_model_defaults_resolved_once(self, model):
         doc = small_config_doc()
@@ -257,6 +273,16 @@ class TestRunExperiment:
         assert main(["run", "--config", str(p), "--out", str(out)]) == 2
         assert (out / "manifest.json").read_bytes() == manifest
         assert not (out / "runs" / "naive_mix_train_k2_seed2").exists()
+
+    def test_out_naming_a_file_refused(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.write_text("not a run tree", encoding="utf-8")
+        p = write_config(tmp_path, small_config_doc(strategies=("zero_shot",), seeds=(1,)))
+        assert main(["run", "--config", str(p), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: --out {out} is a file" in err
+        assert "Traceback" not in err
+        assert out.read_text(encoding="utf-8") == "not a run tree"
 
     def test_empty_out_dir_allowed(self, tmp_path):
         out = tmp_path / "out"

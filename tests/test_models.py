@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from gradmix.corpora import Batch, make_batch
+from gradmix.corpora import LanguageCorpus, ShotBank, Split, build_oracle_bank
 from gradmix.models import (
     ModelSpec,
     ModelState,
@@ -50,7 +50,7 @@ def random_examples(spec, seed, n=6):
 
 
 def random_batch(spec, seed, n=6):
-    return make_batch(*to_arrays(random_examples(spec, seed, n)))
+    return Split(*to_arrays(random_examples(spec, seed, n)))
 
 
 class TestModelSpec:
@@ -122,11 +122,7 @@ class TestLossAndGrad:
     def test_duplicating_batch_leaves_mean_unchanged(self):
         st = random_state(CLS_MLP, 1)
         batch = random_batch(CLS_MLP, 2)
-        doubled = make_batch(
-            np.concatenate([batch.X, batch.X]),
-            np.concatenate([batch.y, batch.y]),
-            keys=np.concatenate([batch.keys, batch.keys + len(batch)]),
-        )
+        doubled = Split(np.concatenate([batch.X, batch.X]), np.concatenate([batch.y, batch.y]))
         a = loss_and_grad(st, batch)
         b = loss_and_grad(st, doubled)
         assert abs(a.loss - b.loss) <= 1e-12 * (1 + abs(a.loss))
@@ -134,46 +130,50 @@ class TestLossAndGrad:
 
     @pytest.mark.parametrize("spec", [CLS, TAG])
     def test_bitwise_permutation_invariance(self, spec):
+        # An oracle batch is the same whatever order its shots were drawn in.
         st = random_state(spec, 3)
-        examples = random_examples(spec, 4, n=8)
-        batch = make_batch(*to_arrays(examples))
-        perm = np.random.default_rng(9).permutation(8)
-        shuffled = make_batch(*to_arrays([examples[i] for i in perm]), keys=perm)
-        a = loss_and_grad(st, batch)
+        train = Split(*to_arrays(random_examples(spec, 4, n=8)))
+        task = "classification" if train.offsets is None else "token_tags"
+        corpus = LanguageCorpus(lang_id="t", script_tag="x", role="target", task=task,
+                                num_classes=spec.num_classes, input_dim=spec.input_dim,
+                                train=train)
+        perm = tuple(np.random.default_rng(9).permutation(8).tolist())
+        shuffled = build_oracle_bank(ShotBank(8, "k_shot", (("t", perm),)), [corpus])["t"]
+        a = loss_and_grad(st, train)
         b = loss_and_grad(st, shuffled)
         assert a.loss == b.loss
         assert a.grad.bitwise_equal(b.grad)
 
     @pytest.mark.parametrize("spec", [CLS_MLP, TAG])
-    def test_make_batch_matches_tuple_stacking(self, spec):
+    def test_take_matches_tuple_stacking(self, spec):
         st = random_state(spec, 6)
         examples = random_examples(spec, 7, n=9)
         keys = np.random.default_rng(8).permutation(9) + 100
-        a = loss_and_grad(st, make_batch(*to_arrays(examples), keys=keys))
+        pool = Split(*to_arrays(examples))
+        a = loss_and_grad(st, pool.take(np.argsort(keys)))
         b = loss_and_grad(st, stack_batch(examples, keys))
         assert a.loss == b.loss
         assert a.grad.bitwise_equal(b.grad)
 
     def test_empty_batch_rejected(self):
         st = random_state(CLS, 1)
-        empty = Batch(X=np.empty((0, 4)), y=np.empty(0, dtype=np.int64),
-                      keys=np.empty(0, dtype=np.int64))
+        empty = Split(np.empty((0, 4)), np.empty(0, dtype=np.int64))
         with pytest.raises(ContractViolation, match="empty batch"):
             loss_and_grad(st, empty)
 
     def test_label_out_of_range(self):
         st = random_state(CLS, 1)
-        batch = make_batch(np.zeros((1, 4)), [7])
+        batch = Split(np.zeros((1, 4)), [7])
         with pytest.raises(ContractViolation, match="label 7 out of range"):
             loss_and_grad(st, batch)
 
     def test_feature_dim_mismatch(self):
         st = random_state(CLS, 1)
         with pytest.raises(ContractViolation, match="features shape"):
-            loss_and_grad(st, make_batch(np.zeros((1, 5)), [0]))
+            loss_and_grad(st, Split(np.zeros((1, 5)), [0]))
 
     def test_layout_must_match_family(self):
-        tokens = make_batch(np.zeros((3, 4)), [0, 1, 2], offsets=[0, 1, 3])
+        tokens = Split(np.zeros((3, 4)), [0, 1, 2], offsets=[0, 1, 3])
         with pytest.raises(ContractViolation, match="layout"):
             loss_and_grad(random_state(CLS, 1), tokens)
 
@@ -183,12 +183,11 @@ class TestLossAndGrad:
             ((np.zeros(4), [0]), "2-D"),
             ((np.zeros((2, 4)), [0]), "labels"),
             ((np.zeros((3, 4)), [0, 1, 2], [0, 2]), "offsets"),
-            ((np.zeros((3, 4)), [0, 1, 2], None, [5, 6]), "keys"),
         ],
     )
-    def test_make_batch_rejects_malformed_arrays(self, args, match):
+    def test_split_rejects_malformed_arrays(self, args, match):
         with pytest.raises(ContractViolation, match=match):
-            make_batch(*args)
+            Split(*args)
 
 
 class TestSgdStep:

@@ -4,55 +4,60 @@ import pytest
 from gradmix.corpora import LanguageCorpus, Split, build_oracle_bank, build_shot_bank
 from gradmix.models import ModelSpec, ModelState, loss_and_grad
 from gradmix.numcore import ContractViolation, ParamVec, RngStreams, dot
-from gradmix.surgery import (
-    SurgeryPolicy,
-    TraceEntry,
-    is_conflicting,
-    oracle_gradient,
-    project_gradient,
-    sgs_step,
-)
+from gradmix.surgery import SurgeryPolicy, TraceEntry, oracle_gradient, sgs_step
 
-from oracles import apply_if_conflicting, examples_of, norm, stack_batch
+from oracles import decide_one, examples_of, norm, stack_batch
 
 
 def vec(*xs):
     return ParamVec(np.array(xs, dtype=np.float64))
 
 
+def conflicting(g_s, g_t):
+    return decide_one(g_s, g_t)[1].conflicted
+
+
 class TestIsConflicting:
+    """The conflict test of `surgery.decide`."""
+
     def test_orthogonal_is_not_conflicting(self):
-        assert not is_conflicting(vec(1, 0), vec(0, 1))
+        assert not conflicting(vec(1, 0), vec(0, 1))
 
     def test_negative_dot(self):
-        assert is_conflicting(vec(2, 1), vec(-1, -3))
+        assert conflicting(vec(2, 1), vec(-1, -3))
 
     def test_self_is_not_conflicting(self):
         a = vec(0.3, -0.7, 2.0)
-        assert not is_conflicting(a, a)
+        assert not conflicting(a, a)
 
     def test_zero_norm_is_not_conflicting(self):
-        assert not is_conflicting(vec(0, 0), vec(1, -1))
+        assert not conflicting(vec(0, 0), vec(1, -1))
 
 
 class TestProjectGradient:
+    """The projection of `surgery.decide`, on a conflict with alpha 1."""
+
     def test_hand_case(self):
-        out = project_gradient(vec(1, -1), vec(0, 1))
+        out, entry = decide_one(vec(1, -1), vec(0, 1))
+        assert entry.applied
         assert out.values.tolist() == [1.0, 0.0]
 
     def test_orthogonal_unchanged(self):
         g_s, g_t = vec(1, 0), vec(0, 2)
-        out = project_gradient(g_s, g_t)
+        out, _ = decide_one(g_s, g_t)
         assert out.values.tolist() == [1.0, 0.0]
 
     def test_antiparallel_annihilates(self):
         g = vec(1.5, -2.0, 0.5)
-        out = project_gradient(g, ParamVec(-g.values))
+        out, _ = decide_one(g, ParamVec(-g.values))
         assert np.all(out.values == 0.0)
 
     def test_zero_target_rejected(self):
-        with pytest.raises(ContractViolation, match="zero"):
-            project_gradient(vec(1, 1), vec(0, 0))
+        # A zero oracle gradient never conflicts, so nothing is projected onto it.
+        g = vec(1, 1)
+        out, entry = decide_one(g, vec(0, 0))
+        assert out is g
+        assert not entry.conflicted and entry.cos_before is None
 
     @pytest.mark.parametrize("dim", [2, 10, 1000])
     def test_projection_properties(self, dim):
@@ -61,12 +66,12 @@ class TestProjectGradient:
         for _ in range(pairs):
             g_s = ParamVec(rng.normal(size=dim))
             g_t = ParamVec(rng.normal(size=dim))
-            out = apply_if_conflicting(g_s, g_t)
-            if is_conflicting(g_s, g_t):
+            out, entry = decide_one(g_s, g_t)
+            if entry.conflicted:
                 # orthogonality after surgery
                 assert abs(dot(out, g_t)) <= 1e-9 * norm(g_s) * norm(g_t)
                 # idempotence
-                again = project_gradient(out, g_t)
+                again, _ = decide_one(out, g_t)
                 assert norm(ParamVec((again.values - out.values) + 0.0)) <= 1e-12 * max(
                     norm(g_s), 1.0
                 ) or np.array_equal(again.values, out.values)
@@ -165,7 +170,7 @@ class TestSgsStep:
     def test_oracle_gradient_matches_loss_and_grad_on_shots(self):
         oracle, targets = make_oracle(num_targets=1, k=4, seed=3)
         model = make_model(seed=3)
-        idx = oracle.indices("t0")
+        idx = build_shot_bank(targets, 4, "k_shot", RngStreams(3)).indices("t0")
         pool = examples_of(targets[0].train)
         batch = stack_batch([pool[i] for i in idx], keys=idx)
         expected = loss_and_grad(model, batch).grad

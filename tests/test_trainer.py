@@ -12,6 +12,7 @@ from gradmix.corpora import (
 from gradmix.models import ModelSpec, init_params, loss_and_grad
 from gradmix.numcore import ContractViolation, RngStreams
 from gradmix.trainer import (
+    Failed,
     Task,
     TrainPlan,
     evaluate,
@@ -117,7 +118,7 @@ class TestSourceTraining:
         task = Task.from_corpora(spec, corpora)
         p = TrainPlan(strategy="zero_shot", seed=1, source_epochs=5)  # default lr
         chain = run_source_training(p, task.source, spec=spec)
-        batch = task.source.train.batch()
+        batch = task.source.train
         initial = loss_and_grad(chain[0], batch).loss
         final = loss_and_grad(chain[-1], batch).loss
         assert final < initial
@@ -489,7 +490,7 @@ class TestStages:
         assert got.record == run_strategy(subset, tiny_task).record
         # the empty subset's adapt entry is the error it raised, t1's adapt
         # stage is new, and so are the empty subset's shot bank and t1's
-        [failed] = [key for key, entry in stages.items() if isinstance(entry, Exception)]
+        [failed] = [key for key, entry in stages.items() if isinstance(entry, Failed)]
         assert failed[0] == "adapt" and failed[-1] == ()
         assert kinds(stages) == dict(kinds(shared), adapt=3, shots=3)
         # the same targets named in another order resolve to the same stages
