@@ -19,6 +19,6 @@ from .corpora import (LanguageCorpus, LanguageProfile, ShotBank, Split, Syntheti
 from .models import (GradReport, ModelSpec, ModelState, init_params, load_checkpoint,
                      loss_and_grad, predict, save_checkpoint, sgd_step)
 from .numcore import ContractViolation, ParamVec, RngStreams, cosine_similarity, dot
-from .surgery import SurgeryPolicy, TraceEntry, sgs_step
+from .surgery import TraceEntry, sgs_step
 from .trainer import (Task, TrainPlan, evaluate, run_mixed_training, run_source_training,
                       run_strategy, run_target_adapting, select_model)

@@ -57,6 +57,14 @@ PLAN_FIELDS = tuple(
 # The config's `model` block: its keys and their defaults. Input width and
 # class count come from the benchmark.
 MODEL_DEFAULTS = {"family": "softmax_classifier", "hidden_dim": 64}
+# The config's `analysis` block: its keys, their defaults and least values.
+ANALYSIS_DEFAULTS = {"seed": 0, "source_batches": 100}
+ANALYSIS_LEAST = {"seed": 0, "source_batches": 1}
+
+
+def _is_int(v) -> bool:
+    """Whether a JSON value is an integer (bool is an int in Python, not in JSON)."""
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -98,18 +106,24 @@ def parse_config(doc: dict) -> ExperimentConfig:
         if not values:
             raise ContractViolation(f"config needs at least one {one}")
         for i, v in enumerate(values):  # TrainPlan checks the values of each cell below
-            if name != "strategies" and (not isinstance(v, int) or isinstance(v, bool)):
+            if name != "strategies" and not _is_int(v):
                 raise ContractViolation(f"grid {name}: {v!r} is not an integer")
             if v in values[:i]:
                 raise ContractViolation(f"grid {name}: {v!r} is listed twice")
     strategies, ks, seeds = axes.values()
     plan = dict(doc.get("plan", {}))
     model = dict(MODEL_DEFAULTS, **doc.get("model", {}))
+    ana = dict(ANALYSIS_DEFAULTS, **doc.get("analysis", {}))
     unknown = [f"plan.{key}" for key in plan if key not in PLAN_FIELDS]
     unknown += [f"model.{key}" for key in model if key not in MODEL_DEFAULTS]
+    unknown += [f"analysis.{key}" for key in ana if key not in ANALYSIS_DEFAULTS]
     if unknown:
         raise ContractViolation(f"unknown config key(s): {', '.join(unknown)}")
-    ana = doc.get("analysis", {})
+    if not _is_int(model["hidden_dim"]):
+        raise ContractViolation(f"model.hidden_dim: {model['hidden_dim']!r} is not an integer")
+    for key, least in ANALYSIS_LEAST.items():
+        if not _is_int(ana[key]) or ana[key] < least:
+            raise ContractViolation(f"analysis.{key}: {ana[key]!r} is not an integer >= {least}")
     cfg = ExperimentConfig(
         benchmark=doc.get("benchmark", {"kind": "default"}),
         model=model,
@@ -117,8 +131,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
         ks=ks,
         seeds=seeds,
         plan=plan,
-        analysis_seed=int(ana.get("seed", 0)),
-        analysis_source_batches=int(ana.get("source_batches", 100)),
+        analysis_seed=ana["seed"],
+        analysis_source_batches=ana["source_batches"],
     )
     for cell in grid_cells(cfg):  # a plan value TrainPlan refuses stops the run here
         make_plan(cfg, *cell)
@@ -162,7 +176,7 @@ def build_benchmark(cfg: ExperimentConfig) -> Tuple[Task, Optional[dict]]:
     spec = ModelSpec(
         family=cfg.model["family"],
         input_dim=sample.input_dim,
-        hidden_dim=int(cfg.model["hidden_dim"]),
+        hidden_dim=cfg.model["hidden_dim"],
         num_classes=sample.num_classes,
     )
     return Task.from_corpora(spec, corp), manifest
@@ -277,10 +291,7 @@ def run_chunk(cfg: ExperimentConfig, task: Task, cells: Sequence[Tuple[str, int,
     last_use = {}
     for i, column in enumerate(todo):
         for cell in column:
-            try:
-                last_use.update(dict.fromkeys(trainer.stage_keys(plans[cell], task).values(), i))
-            except ContractViolation:  # an unknown target language: the cell fails as it runs
-                continue
+            last_use.update(dict.fromkeys(trainer.stage_keys(plans[cell], task).values(), i))
     stages: Stages = {}
     outcomes = []
     for i, column in enumerate(todo):
@@ -394,7 +405,9 @@ def run_experiment(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> int:
     """Execute the full grid; returns 0 iff every cell succeeded.
 
     `out` must be missing or empty: the manifest lists every file under it,
-    so a used tree would mix another run's artifacts into this one's.
+    so a used tree would mix another run's artifacts into this one's. The
+    Task is built before `out` is made, so a benchmark or model it refuses
+    leaves nothing behind.
     """
     if jobs < 1:
         raise ContractViolation(f"--jobs must be at least 1, got {jobs}")
@@ -402,9 +415,12 @@ def run_experiment(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> int:
         raise ContractViolation(f"output directory {out} is not empty; choose a new --out")
     if out.exists() and not out.is_dir():
         raise ContractViolation(f"--out {out} is a file; choose a new --out")
-    out.mkdir(parents=True, exist_ok=True)
-    write_json(out / "config.json", cfg.canonical_dict())
     task, manifest = build_benchmark(cfg)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ContractViolation(f"cannot create --out {out}: {exc.strerror}") from None
+    write_json(out / "config.json", cfg.canonical_dict())
     if manifest is not None:
         write_json(out / "benchmark" / "manifest.json", manifest)
 

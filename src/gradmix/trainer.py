@@ -34,11 +34,12 @@ the bits it gets alone. The same loop trains, one run at a time, what does
 not stack (ragged tagger pools) and a run with a `step_hook`; a stack that
 raises is trained again job by job.
 
-One-step strategies select their epoch on the source dev set only, so one
-model serves every target, including one without a dev split. Target dev
-data is consumed solely by the target_dev policy (ord_fs_dev, or a one-step
-run that opts in with unrealistic_target_dev), since realistically-sized
-target dev sets would be smaller than the training shots themselves.
+Every strategy trains on all of the task's targets, and its selection
+policy follows from it (`_default_selection`). One-step strategies select
+their epoch on the source dev set only, so one model serves every target,
+including one without a dev split. Target dev data is consumed solely by
+ord_fs_dev, since realistically-sized target dev sets would be smaller than
+the training shots themselves.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ from .corpora import (
 from .models import ModelSpec, ModelState, check_batch, init_params, predict, stack_grads
 from .models import loss_and_grad, sgd_step  # noqa: F401  (traced by name in perfbench/tracing.py)
 from .numcore import ContractViolation, ParamVec, RngStreams
-from .surgery import SurgeryPolicy, TraceEntry, decide, pick
+from .surgery import TraceEntry, decide, pick
 from .surgery import sgs_step  # noqa: F401  (traced by name in perfbench/tracing.py)
 
 STRATEGIES = (
@@ -76,7 +77,6 @@ STRATEGIES = (
 )
 ONE_STEP = ("naive_mix_train", "gradient_mix_train")
 TWO_STEP = ("ord_fs", "ord_fs_dev", "mix_ft")
-SELECTIONS = ("source_dev", "target_dev", "last_checkpoint")
 
 StepHook = Callable[[int, ModelState], None]
 
@@ -100,11 +100,7 @@ class TrainPlan:
     batch_size: int = 32
     adapt_batch_size: Optional[int] = None  # None -> k
     lr: float = 0.5
-    language_subset: Optional[Tuple[str, ...]] = None
-    selection: Optional[str] = None  # None -> strategy default
     shot_mode: str = "k_shot"
-    unrealistic_target_dev: bool = False
-    lazy_surgery: bool = False
 
     def __post_init__(self) -> None:
         if self.strategy not in STRATEGIES:
@@ -115,27 +111,6 @@ class TrainPlan:
             raise ContractViolation("zero_shot requires k = 0")
         if self.strategy != "zero_shot" and self.k < 1:
             raise ContractViolation(f"{self.strategy} requires k >= 1")
-        if self.selection is None:
-            object.__setattr__(self, "selection", _default_selection(self.strategy))
-        if self.selection not in SELECTIONS:
-            raise ContractViolation(f"unknown selection {self.selection!r}")
-        if self.strategy in TWO_STEP and self.selection == "source_dev":
-            raise ContractViolation(
-                "two-step strategies cannot select the adapted model on the source dev set"
-            )
-        if self.strategy == "ord_fs_dev" and self.selection != "target_dev":
-            raise ContractViolation("ord_fs_dev is defined by target_dev selection")
-        if (
-            self.strategy in ("zero_shot",) + ONE_STEP
-            and self.selection == "target_dev"
-            and not self.unrealistic_target_dev
-        ):
-            raise ContractViolation(
-                "one-step strategies use the source dev set; pass "
-                "unrealistic_target_dev=True to override"
-            )
-        if self.language_subset is not None:
-            object.__setattr__(self, "language_subset", tuple(self.language_subset))
         for name in ("source_epochs", "adapt_epochs"):
             if getattr(self, name) < 0:
                 raise ContractViolation(f"{name} must be >= 0")
@@ -148,12 +123,6 @@ class TrainPlan:
 
     def effective_adapt_batch(self) -> int:
         return self.adapt_batch_size if self.adapt_batch_size is not None else max(self.k, 1)
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        if self.language_subset is not None:
-            d["language_subset"] = list(self.language_subset)
-        return d
 
 
 @dataclass(frozen=True)
@@ -175,15 +144,6 @@ class Task:
         targets = tuple(c for c in corpora if c.role == "target")
         return Task(spec=spec, source=sources[0], targets=targets)
 
-    def subset(self, lang_ids: Optional[Sequence[str]]) -> Tuple[LanguageCorpus, ...]:
-        if lang_ids is None:
-            return self.targets
-        keep = set(lang_ids)
-        unknown = keep - {c.lang_id for c in self.targets}
-        if unknown:
-            raise ContractViolation(f"unknown target languages: {sorted(unknown)}")
-        return tuple(c for c in self.targets if c.lang_id in keep)
-
 
 @dataclass
 class RunResult:
@@ -204,7 +164,7 @@ class RunResult:
 class Run(NamedTuple):
     """The inputs of one training loop: SGD from `state0` over per-epoch
     reshuffles of the pool (drawn under `scope`), with the surgery decision
-    on every step when oracle batches and a policy are given."""
+    (probability `alpha`) on every step when oracle batches are given."""
 
     state0: ModelState
     pool: Split
@@ -214,7 +174,7 @@ class Run(NamedTuple):
     rng: RngStreams
     scope: str
     oracle: Optional[Dict[str, Split]] = None
-    policy: Optional[SurgeryPolicy] = None
+    alpha: float = 1.0
 
 
 Trained = Tuple[List[ModelState], Optional[List[TraceEntry]]]  # a chain and its trace
@@ -222,17 +182,15 @@ Trained = Tuple[List[ModelState], Optional[List[TraceEntry]]]  # a chain and its
 
 def stackable(runs: Sequence[Run]) -> bool:
     """Whether `train_lockstep` takes these runs: one run of either layout,
-    or two or more trained alike (spec, epochs, batch size, lr, surgery
-    policy) on dense pools of one size. Their oracle batches then have one
-    size too: one K and shot mode give every language the same number of
-    shots."""
+    or two or more trained alike (spec, epochs, batch size, lr, surgery or
+    none, alpha) on dense pools of one size. Their oracle batches then have
+    one size too: one K and shot mode give every language the same number
+    of shots."""
     if len(runs) <= 1:
         return len(runs) == 1
-    r0 = runs[0]
-    like = (r0.state0.spec, r0.epochs, r0.batch_size, r0.lr, r0.policy, len(r0.pool))
-    if any(run.pool.offsets is not None
-           or (run.state0.spec, run.epochs, run.batch_size, run.lr, run.policy, len(run.pool))
-           != like for run in runs):
+    like = {(run.state0.spec, run.epochs, run.batch_size, run.lr, run.oracle is None, run.alpha,
+             len(run.pool)) for run in runs}
+    if len(like) > 1 or any(run.pool.offsets is not None for run in runs):
         return False
     return len({len(batch) for run in runs if run.oracle is not None
                 for batch in run.oracle.values()}) <= 1
@@ -244,7 +202,7 @@ def train_lockstep(runs: Sequence[Run], step_hook: Optional[StepHook] = None) ->
     run's chain [state0, state after epoch 1, ..., after epoch `epochs`]
     and its surgery trace. A step stacks every run's batch for one
     forward/backward (`models.stack_grads`); with surgery, each run draws
-    (`surgery.pick`), the oracle gradients the coins need are one more
+    (`surgery.pick`), the picked languages' oracle gradients are one more
     stack, and `surgery.decide` decides for all runs; then one update of
     the (S, P) parameters. Each run gets the bits it gets alone. A single
     run, a ragged (tagger) pool among them, trains on its `batch_iter`
@@ -258,7 +216,7 @@ def train_lockstep(runs: Sequence[Run], step_hook: Optional[StepHook] = None) ->
     if step_hook is not None and len(runs) > 1:
         raise ContractViolation("a step hook needs a stack of one run")
     r0 = runs[0]
-    spec, policy, size, n = r0.state0.spec, r0.policy, r0.batch_size, len(r0.pool)
+    spec, surgery, size, n = r0.state0.spec, r0.oracle is not None, r0.batch_size, len(r0.pool)
     if r0.lr < 0:
         raise ContractViolation("lr must be non-negative")
     for run in runs:
@@ -269,7 +227,7 @@ def train_lockstep(runs: Sequence[Run], step_hook: Optional[StepHook] = None) ->
     one = len(runs) == 1
     if not one:
         X, y = (np.stack([getattr(run.pool, name) for run in runs]) for name in "Xy")
-    if policy is not None:  # every oracle batch, and its row per (run, language)
+    if surgery:  # every oracle batch, and its row per (run, language)
         pairs = [(i, lang) for i, run in enumerate(runs) for lang in run.oracle]
         batches = [runs[i].oracle[lang] for i, lang in pairs]
         for batch in batches:
@@ -279,7 +237,7 @@ def train_lockstep(runs: Sequence[Run], step_hook: Optional[StepHook] = None) ->
             OX, Oy = np.stack([b.X for b in batches]), np.stack([b.y for b in batches])
     theta = np.stack([run.state0.theta.values for run in runs])
     chains = [[run.state0] for run in runs]
-    traces = [[] if policy is not None else None for _ in runs]
+    traces = [[] if surgery else None for _ in runs]
     at = np.arange(len(runs))[:, None]
     step = 0
     for epoch in range(1, r0.epochs + 1):
@@ -294,17 +252,14 @@ def train_lockstep(runs: Sequence[Run], step_hook: Optional[StepHook] = None) ->
             if Xb.shape[1] == 0:
                 raise ContractViolation("batch contains no tokens")
             G = stack_grads(spec, theta, Xb, yb)
-            if policy is not None:
+            if surgery:
                 picks = [pick(run.oracle, run.rng) for run in runs]
-
-                def oracle_grads(need: List[int]) -> np.ndarray:
-                    rows = [row_of[i, picks[i][0]] for i in need]
-                    if one:
-                        return stack_grads(spec, theta, batches[rows[0]].X[None],
-                                           batches[rows[0]].y[None])
-                    return stack_grads(spec, theta[need], OX[rows], Oy[rows])
-
-                G, entries = decide(G, picks, step, policy, oracle_grads)
+                rows = [row_of[i, lang] for i, (lang, _) in enumerate(picks)]
+                if one:
+                    O = stack_grads(spec, theta, batches[rows[0]].X[None], batches[rows[0]].y[None])
+                else:
+                    O = stack_grads(spec, theta, OX[rows], Oy[rows])
+                G, entries = decide(G, O, picks, step, r0.alpha)
                 for trace, entry in zip(traces, entries):
                     trace.append(entry)
             theta = theta - r0.lr * G
@@ -392,15 +347,14 @@ def _pool_run(plan: TrainPlan, source: LanguageCorpus, targets: Sequence[Languag
               shots: Optional[ShotBank], rng: RngStreams, state0: ModelState) -> Run:
     """The run on the source pooled with the targets' shots (none for
     source training), with surgery for gradient_mix_train."""
-    oracle = policy = None
+    oracle = None
     if plan.strategy == "gradient_mix_train":
         if not targets or shots is None or not shots.lang_ids:
             raise ContractViolation("gradient_mix_train requires at least one target language")
         oracle = build_oracle_bank(shots, targets)
-        policy = SurgeryPolicy(alpha=plan.alpha, lazy=plan.lazy_surgery)
     pool = build_mixed_dataset(source, targets, shots)
     return Run(state0, pool, plan.source_epochs, plan.batch_size, plan.lr, rng, "pool",
-               oracle, policy)
+               oracle, plan.alpha)
 
 
 def run_mixed_training(
@@ -516,18 +470,16 @@ def stage_keys(plan: TrainPlan, task: Task) -> Dict[str, tuple]:
     looks up its shot bank ("shots") and the stages it shares ("source",
     "adapt", "one_step"). A key starts with its kind and names everything
     its entry depends on."""
-    ids = tuple(c.lang_id for c in task.subset(plan.language_subset))
     src = (plan.seed, plan.source_epochs, plan.batch_size, plan.lr, task.spec)
     keys = {} if plan.strategy == "zero_shot" else {
-        "shots": ("shots", plan.seed, plan.k, plan.shot_mode, ids)}
+        "shots": ("shots", plan.seed, plan.k, plan.shot_mode)}
     if plan.strategy in ONE_STEP:
-        keys["one_step"] = ("one_step", plan.strategy, plan.alpha, plan.lazy_surgery) + src + (
-            plan.k, plan.shot_mode, ids)
+        keys["one_step"] = ("one_step", plan.strategy, plan.alpha) + src + (plan.k, plan.shot_mode)
     else:
         keys["source"] = ("source",) + src
     if plan.strategy in TWO_STEP:
         keys["adapt"] = ("adapt",) + src + (ADAPT_FAMILY[plan.strategy], plan.k, plan.shot_mode,
-                                            plan.adapt_epochs, plan.effective_adapt_batch(), ids)
+                                            plan.adapt_epochs, plan.effective_adapt_batch())
     return keys
 
 
@@ -566,7 +518,7 @@ def _job(kind: str, plan: TrainPlan, task: Task, stages: Stages
     dev curves cover, by model key. Its draws come from a fresh
     `RngStreams` of the seed, so a job is the same whatever ran before."""
     rng = RngStreams(plan.seed)
-    source, targets = task.source, task.subset(plan.language_subset)
+    source, targets = task.source, task.targets
     keys = stage_keys(plan, task)
     if kind == "source":
         run = _pool_run(plan, source, [], None, rng, init_params(task.spec, rng))
@@ -588,8 +540,8 @@ def _made(kind: str, plans: Dict[tuple, TrainPlan], task: Task, stages: Stages,
     train in one stack if they are `stackable` and no hook is given, else
     one at a time."""
     if kind == "shots":
-        return {key: build_shot_bank(task.subset(plan.language_subset), plan.k, plan.shot_mode,
-                                     RngStreams(plan.seed)) for key, plan in plans.items()}
+        return {key: build_shot_bank(task.targets, plan.k, plan.shot_mode, RngStreams(plan.seed))
+                for key, plan in plans.items()}
     jobs = {}
     for key, plan in plans.items():  # a loop, so a failure's innermost frames name `_made`
         jobs[key] = _job(kind, plan, task, stages)
@@ -621,10 +573,7 @@ def prefill(plans: Sequence[TrainPlan], task: Task, stages: Stages,
     for kind in ("shots", "source", "adapt", "one_step"):
         todo: Dict[tuple, TrainPlan] = {}
         for plan in plans:
-            try:
-                key = stage_keys(plan, task).get(kind)
-            except ContractViolation:
-                continue  # an unknown target language: run_strategy raises it
+            key = stage_keys(plan, task).get(kind)
             if key is not None and key not in stages:
                 todo.setdefault(key, plan)
         try:
@@ -658,7 +607,7 @@ def run_strategy(
     if stages is None or step_hook is not None:
         stages = {}
     prefill([plan], task, stages, step_hook)
-    targets = task.subset(plan.language_subset)
+    targets = task.targets
     keys = stage_keys(plan, task)
     source = task.source
     all_langs = [source.lang_id] + [c.lang_id for c in targets]
@@ -669,7 +618,7 @@ def run_strategy(
         "strategy": plan.strategy,
         "k": plan.k,
         "seed": plan.seed,
-        "plan": plan.to_dict(),
+        "plan": asdict(plan),
         "source_lang": source.lang_id,
         "languages": all_langs,
         "shot_indices": {lang: list(shots.indices(lang)) for lang in shots.lang_ids}
@@ -694,7 +643,8 @@ def run_strategy(
         checkpoints.update(adapted.chains)
         epochs = plan.adapt_epochs
         curves = {lang: list(curve) for lang, curve in adapted.curves.items()}
-        selected = select_model(curves, plan.selection, epochs, langs=list(model_key_of))
+        selected = select_model(curves, _default_selection(plan.strategy), epochs,
+                                langs=list(model_key_of))
         model_key_of[source.lang_id] = "source"
         selected[source.lang_id] = src_epoch
         record["pool_size"] = sum(shots.size(lang) for lang in shots.lang_ids)
@@ -704,9 +654,8 @@ def run_strategy(
             curves.update(_dev_curves(chain, targets))
         checkpoints["model"] = chain
         epochs = plan.source_epochs
-        selected = select_model(
-            curves, plan.selection, epochs, source_lang=source.lang_id, langs=all_langs
-        )
+        selected = select_model(curves, _default_selection(plan.strategy), epochs,
+                                source_lang=source.lang_id, langs=all_langs)
         model_key_of = {lang: "model" for lang in all_langs}
         record["pool_size"] = len(source.train) + (
             sum(shots.size(lang) for lang in shots.lang_ids) if shots else 0

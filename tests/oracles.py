@@ -25,7 +25,7 @@ from gradmix import analysis
 from gradmix.corpora import LanguageCorpus, Split
 from gradmix.models import GradReport, ModelState, _logits, predict
 from gradmix.numcore import ContractViolation, ParamVec, dot
-from gradmix.surgery import SurgeryPolicy, TraceEntry, decide
+from gradmix.surgery import TraceEntry, decide
 
 
 def examples_of(split):
@@ -180,17 +180,15 @@ def project_gradient(g_s, g_t):
     return ParamVec(g_s.values - (dot(g_s, g_t) / denom) * g_t.values)
 
 
-def sgs_step(g_train, oracle, model, policy, rng, step=0):
+def sgs_step(g_train, oracle, model, alpha, rng, step=0):
     """`surgery.sgs_step` with 9 dots on an applied step (4 otherwise)."""
     langs = list(oracle)
     lang = langs[int(rng.lang_pick.integers(len(langs)))]
     p = float(rng.surgery_p.random())
-    if policy.lazy and p >= policy.alpha:
-        return g_train, TraceEntry(step, lang, p, False, False, None, None)
     g_oracle = loss_and_grad(model, oracle[lang]).grad
     cos_before = cosine_similarity(g_oracle, g_train)
     conflicted = dot(g_oracle, g_train) < 0.0
-    if conflicted and p < policy.alpha:
+    if conflicted and p < alpha:
         g_out = project_gradient(g_train, g_oracle)
         cos_after = cosine_similarity(g_oracle, g_out)
         return g_out, TraceEntry(step, lang, p, True, True, cos_before, cos_after)
@@ -201,16 +199,17 @@ def train_loop(run, step_hook=None):
     """`trainer.train_lockstep([run], step_hook)[0]` as one run's loop over
     the per-step path: fixed-epoch SGD over per-epoch reshuffles of the
     pool, with the surgery decision between backprop and the update when
-    the run has a policy. Returns the chain, epoch 0 first, and the trace."""
+    the run has oracle batches. Returns the chain, epoch 0 first, and the
+    trace."""
     state = run.state0
     chain = [state]
-    trace = [] if run.policy is not None else None
+    trace = [] if run.oracle is not None else None
     step = 0
     for epoch in range(1, run.epochs + 1):
         for batch in batch_iter(run.pool, run.batch_size, epoch, run.rng, scope=run.scope):
             grad = loss_and_grad(state, batch).grad
-            if run.policy is not None:
-                grad, entry = sgs_step(grad, run.oracle, state, run.policy, run.rng, step=step)
+            if run.oracle is not None:
+                grad, entry = sgs_step(grad, run.oracle, state, run.alpha, run.rng, step=step)
                 trace.append(entry)
             state = sgd_step(state, grad, run.lr)
             step += 1
@@ -278,8 +277,7 @@ def decide_one(g_train, g_oracle):
     two conflict, else g_train itself (bitwise no-op, same object); and the
     step's trace entry."""
     G = g_train.values[None]
-    G_out, [entry] = decide(G, [("t", 0.0)], 0, SurgeryPolicy(1.0),
-                            lambda need: g_oracle.values[None])
+    G_out, [entry] = decide(G, g_oracle.values[None], [("t", 0.0)], 0, 1.0)
     return (g_train if G_out is G else ParamVec(G_out[0])), entry
 
 

@@ -58,6 +58,23 @@ def small_config_doc(strategies=("zero_shot", "gradient_mix_train"), ks=(2,),
     }
 
 
+def source_only_doc(tmp_path, strategies, seeds):
+    """`small_config_doc` with a tsv benchmark of its source language alone:
+    a task with no targets."""
+    doc = small_config_doc(strategies=strategies, seeds=seeds)
+    source = build_benchmark(parse_config(doc))[0].source
+    splits = {}
+    for split in ("train", "dev", "test"):
+        data = source.split(split)
+        rows = ("\t".join(map(repr, x)) + f"\t{y}\n" for x, y in zip(data.X.tolist(),
+                                                                   data.y.tolist()))
+        splits[split] = str(tmp_path / f"s.{split}.tsv")
+        Path(splits[split]).write_text("".join(rows), encoding="utf-8")
+    doc["benchmark"] = {"kind": "tsv", "task": "classification", "num_classes": 3,
+                        "languages": [{"lang_id": "s", "role": "source", "splits": splits}]}
+    return doc
+
+
 def write_config(tmp_path, doc):
     p = tmp_path / "config.json"
     p.write_text(json.dumps(doc), encoding="utf-8")
@@ -123,6 +140,49 @@ class TestConfig:
         assert main(["run", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 2
         assert f"error: {error}" in capsys.readouterr().err
         assert not out.exists()
+
+    RETIRED_PLAN_KEYS = {"language_subset": ["t0"], "selection": "target_dev",
+                         "unrealistic_target_dev": True, "lazy_surgery": True}
+
+    @pytest.mark.parametrize("key", RETIRED_PLAN_KEYS)
+    def test_retired_plan_keys_exit_2(self, tmp_path, capsys, key):
+        doc = small_config_doc()
+        doc["plan"][key] = self.RETIRED_PLAN_KEYS[key]
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 2
+        assert f"error: unknown config key(s): plan.{key}\n" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_plan_fields_are_the_keys_of_the_default_config(self):
+        # a plan knob that no shipped config sets is a dead knob
+        doc = json.loads((ROOT / "configs" / "default.json").read_text(encoding="utf-8"))
+        assert list(cli.PLAN_FIELDS) == list(doc["plan"])
+
+    @pytest.mark.parametrize("block, key, value, error", [
+        ("analysis", "seed", -1, "analysis.seed: -1 is not an integer >= 0"),
+        ("analysis", "seed", 1.7, "analysis.seed: 1.7 is not an integer >= 0"),
+        ("analysis", "seed", "x", "analysis.seed: 'x' is not an integer >= 0"),
+        ("analysis", "source_batches", 0, "analysis.source_batches: 0 is not an integer >= 1"),
+        ("analysis", "source_batches", -5, "analysis.source_batches: -5 is not an integer >= 1"),
+        ("analysis", "sede", 1, "unknown config key(s): analysis.sede"),
+        ("model", "hidden_dim", 1.7, "model.hidden_dim: 1.7 is not an integer"),
+        ("model", "hidden_dim", -1, "hidden_dim must be non-negative"),
+        ("model", "family", "nope", "unknown family 'nope'"),
+        ("benchmark", "kind", "nope", "unknown benchmark kind 'nope'"),
+    ], ids=["seed-negative", "seed-float", "seed-string", "batches-zero", "batches-negative",
+            "analysis-unknown-key", "hidden-float", "hidden-negative", "family", "kind"])
+    def test_bad_block_value_refused_before_out_exists(self, tmp_path, capsys, block, key,
+                                                        value, error):
+        doc = small_config_doc(strategies=("zero_shot", "gradient_mix_train"))
+        doc[block][key] = value
+        out = tmp_path / "out"
+        argv = ["run", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"error: {error}\n" in err and "Traceback" not in err
+        assert not out.exists()
+        assert main(argv) == 2  # and a rerun is refused for the same reason
+        assert f"error: {error}\n" in capsys.readouterr().err
 
     @pytest.mark.parametrize("model", [None, {"family": "softmax_classifier"}])
     def test_model_defaults_resolved_once(self, model):
@@ -250,9 +310,8 @@ class TestRunExperiment:
         assert "time" not in text and "date" not in text
 
     def test_partial_failure_still_runs_other_cells(self, tmp_path):
-        # gradient_mix_train with an empty language subset fails; zero_shot runs
-        doc = small_config_doc(strategies=("zero_shot", "gradient_mix_train"), seeds=(1,))
-        doc["plan"]["language_subset"] = []
+        # gradient_mix_train on a task with no targets fails; zero_shot runs
+        doc = source_only_doc(tmp_path, ("zero_shot", "gradient_mix_train"), (1,))
         cfg = parse_config(doc)
         out = tmp_path / "out"
         rc = run_experiment(cfg, out)
@@ -284,6 +343,16 @@ class TestRunExperiment:
         assert "Traceback" not in err
         assert out.read_text(encoding="utf-8") == "not a run tree"
 
+    def test_out_under_a_file_refused(self, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("not a directory", encoding="utf-8")
+        p = write_config(tmp_path, small_config_doc(strategies=("zero_shot",), seeds=(1,)))
+        assert main(["run", "--config", str(p), "--out", str(afile / "sub")]) == 2
+        err = capsys.readouterr().err
+        assert f"error: cannot create --out {afile / 'sub'}: Not a directory" in err
+        assert "Traceback" not in err
+        assert afile.read_text(encoding="utf-8") == "not a directory"
+
     def test_empty_out_dir_allowed(self, tmp_path):
         out = tmp_path / "out"
         out.mkdir()
@@ -306,11 +375,8 @@ class TestRunExperiment:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_failures_listed_in_grid_order(self, tmp_path, jobs):
         # with no targets every strategy that trains on shots fails, except naive
-        doc = small_config_doc(
-            strategies=("zero_shot", "ord_fs", "naive_mix_train", "gradient_mix_train"),
-            seeds=(1, 2),
-        )
-        doc["plan"]["language_subset"] = []
+        doc = source_only_doc(
+            tmp_path, ("zero_shot", "ord_fs", "naive_mix_train", "gradient_mix_train"), (1, 2))
         out = tmp_path / "out"
         assert run_experiment(parse_config(doc), out, jobs=jobs) == 1
         manifest = json.loads((out / "manifest.json").read_text())
@@ -360,8 +426,7 @@ class TestRunExperiment:
             set(record["checkpoints"].values()))
 
     def test_failure_entries_same_under_jobs(self, tmp_path):
-        doc = small_config_doc(strategies=("zero_shot", "gradient_mix_train"), seeds=(1, 2))
-        doc["plan"]["language_subset"] = []
+        doc = source_only_doc(tmp_path, ("zero_shot", "gradient_mix_train"), (1, 2))
         cfg = parse_config(doc)
         out1, out2 = tmp_path / "seq", tmp_path / "par"
         assert run_experiment(cfg, out1, jobs=1) == 1

@@ -21,7 +21,7 @@ from gradmix.corpora import (
 )
 from gradmix.models import ModelSpec, ModelState, init_params
 from gradmix.numcore import ContractViolation, ParamVec, RngStreams, dot
-from gradmix.surgery import SurgeryPolicy, sgs_step
+from gradmix.surgery import sgs_step
 from gradmix.trainer import STRATEGIES, Task, TrainPlan, run_mixed_training, run_strategy
 
 from conftest import tiny_profile
@@ -74,11 +74,11 @@ def trace_text(trace):
 class TestTrainingPath:
     @pytest.mark.parametrize("family", ["classifier", "linear", "tagger"])
     @pytest.mark.parametrize("alpha", [0.0, 0.6, 1.0])
-    @pytest.mark.parametrize("lazy", [False, True])
-    def test_chain_and_trace_equal_reference(self, tasks, monkeypatch, family, alpha, lazy):
+    @pytest.mark.parametrize("one_shot", [False, True])  # K=1: one-example oracle batches
+    def test_chain_and_trace_equal_reference(self, tasks, monkeypatch, family, alpha, one_shot):
         task = tasks[family]
-        plan = TrainPlan(strategy="gradient_mix_train", seed=3, k=3, alpha=alpha,
-                         lazy_surgery=lazy, source_epochs=3, batch_size=7, lr=0.3)
+        plan = TrainPlan(strategy="gradient_mix_train", seed=3, k=1 if one_shot else 3,
+                         alpha=alpha, source_epochs=3, batch_size=7, lr=0.3)
         shots = build_shot_bank(task.targets, plan.k, plan.shot_mode, RngStreams(plan.seed))
         (chain, trace), (ref_chain, ref_trace) = on_both_paths(monkeypatch, lambda: (
             run_mixed_training(plan, task.source, task.targets, shots, spec=task.spec)))
@@ -86,6 +86,7 @@ class TestTrainingPath:
         assert trace_text(trace) == trace_text(ref_trace)
         if alpha > 0:
             assert any(entry.applied for entry in trace)
+        assert all(entry.cos_before is not None for entry in trace)  # every oracle measured
 
     def test_step_hook_sees_the_same_states(self, tasks, monkeypatch):
         plan = TrainPlan(strategy="gradient_mix_train", seed=1, k=3, alpha=0.6,
@@ -157,9 +158,9 @@ class TestSurgeryDots:
             g = ParamVec(np.random.default_rng(seed).normal(size=task.spec.param_dim))
             for alpha in (0.0, 1.0):
                 del calls[:]
-                out, entry = sgs_step(g, bank, model, SurgeryPolicy(alpha), RngStreams(seed))
+                out, entry = sgs_step(g, bank, model, alpha, RngStreams(seed))
                 ref_out, ref_entry = oracles.sgs_step(
-                    g, bank, model, SurgeryPolicy(alpha), RngStreams(seed))
+                    g, bank, model, alpha, RngStreams(seed))
                 assert out.tobytes() == ref_out.tobytes()
                 assert trace_text([entry]) == trace_text([ref_entry])
                 assert len(calls) == (5 if entry.applied else 3)
@@ -182,8 +183,8 @@ class TestSurgeryDots:
                  (model, oracle, 1.0, 1.0),  # identical bytes
                  (model, ParamVec(-oracle.values), "antiparallel", None)]  # projects to 0
         for state, g, cos_before, cos_after in cases:
-            out, entry = sgs_step(g, bank, state, SurgeryPolicy(1.0), RngStreams(0))
-            ref_out, ref_entry = oracles.sgs_step(g, bank, state, SurgeryPolicy(1.0),
+            out, entry = sgs_step(g, bank, state, 1.0, RngStreams(0))
+            ref_out, ref_entry = oracles.sgs_step(g, bank, state, 1.0,
                                                   RngStreams(0))
             assert out.tobytes() == ref_out.tobytes()
             assert trace_text([entry]) == trace_text([ref_entry])

@@ -22,7 +22,7 @@ from gradmix.corpora import (
 )
 from gradmix.models import ModelSpec, ModelState, init_params
 from gradmix.numcore import ContractViolation, ParamVec, RngStreams
-from gradmix.surgery import SurgeryPolicy, decide
+from gradmix.surgery import decide
 from gradmix.trainer import (
     STRATEGIES,
     Run,
@@ -99,18 +99,17 @@ def test_every_strategy_equals_per_run(corpora, monkeypatch, strategy, hidden, k
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.6, 1.0])
-@pytest.mark.parametrize("lazy", [False, True])
+@pytest.mark.parametrize("n_way", [False, True])  # n-way: K shots of each class per language
 @pytest.mark.parametrize("hidden", [0, 6])
-def test_surgery_equals_per_run(corpora, monkeypatch, alpha, lazy, hidden):
-    plans = column("gradient_mix_train", 2, (4, 5, 6), alpha=alpha, lazy_surgery=lazy,
-                   batch_size=5)
+def test_surgery_equals_per_run(corpora, monkeypatch, alpha, n_way, hidden):
+    plans = column("gradient_mix_train", 2, (4, 5, 6), alpha=alpha, batch_size=5,
+                   shot_mode="n_way_k_shot" if n_way else "k_shot")
     stages = check_column(make_task(corpora, hidden), plans, monkeypatch)
     traces = [stage.trace for key, stage in stages.items() if key[0] == "one_step"]
     entries = [entry for trace in traces for entry in trace]
     if alpha > 0:
         assert any(entry.applied for entry in entries)
-    if lazy and alpha < 1:
-        assert any(entry.cos_before is None for entry in entries)  # no oracle computed
+    assert all(entry.cos_before is not None for entry in entries)  # every oracle measured
 
 
 @pytest.mark.parametrize("n_seeds", [2, 3, 4, 5])
@@ -123,10 +122,12 @@ def test_stacks_of_two_to_five_seeds(corpora, monkeypatch, n_seeds, strategy):
 @pytest.mark.parametrize("strategy", ["ord_fs_dev", "mix_ft", "naive_mix_train",
                                       "gradient_mix_train"])
 def test_language_subset(corpora, monkeypatch, strategy):
-    task = make_task(corpora, 6)
-    stages = check_column(task, column(strategy, 2, (1, 2), language_subset=("t2", "t0")),
-                          monkeypatch)
-    assert all(key[-1] == ("t0", "t2") for key in stages if key[0] != "source")
+    # training on some targets is a task of those targets, in the order given
+    task = make_task([corpora[0], corpora[3], corpora[1]], 6)
+    check_column(task, column(strategy, 2, (1, 2)), monkeypatch)
+    record = run_strategy(column(strategy, 2, (1,))[0], task).record
+    assert record["languages"] == ["s", "t2", "t0"]
+    assert list(record["shot_indices"]) == ["t2", "t0"]
 
 
 def test_ord_fs_family_stacks_every_seed_and_language(corpora, monkeypatch):
@@ -175,12 +176,10 @@ def innermost(exc):
 def test_prefill_never_raises_and_cells_raise_what_it_could_not_make(corpora):
     task = make_task(corpora, 6)
     stages = {}
-    failing = {  # no targets: no oracle bank, nothing to adapt on; an unknown target
-        "requires at least one target language":
-            column("gradient_mix_train", 2, (1, 2), language_subset=()),
-        "target adapting requires a non-empty shot bank":
-            column("ord_fs", 2, (1, 2), language_subset=()),
-        "unknown target languages": column("ord_fs", 2, (1, 2), language_subset=("nope",)),
+    task = Task(task.spec, task.source, ())
+    failing = {  # no targets: no oracle bank, nothing to adapt on
+        "requires at least one target language": column("gradient_mix_train", 2, (1, 2)),
+        "target adapting requires a non-empty shot bank": column("ord_fs", 2, (1, 2)),
     }
     for plans in failing.values():
         prefill(plans, task, stages)
@@ -198,9 +197,9 @@ def test_prefill_never_raises_and_cells_raise_what_it_could_not_make(corpora):
 
 
 def test_a_stored_error_raises_the_same_frames_every_time(corpora):
-    task = make_task(corpora, 6)
+    task = make_task(corpora[:1], 6)  # no targets
     stages = {}
-    plans = column("ord_fs", 2, (1,), language_subset=())
+    plans = column("ord_fs", 2, (1,))
     prefill(plans, task, stages)
     raised = []
     for _ in range(4):
@@ -309,21 +308,11 @@ class TestDecide:
 
     def test_coin_equal_to_alpha_does_not_apply(self):
         G = np.array([[1.0, -2.0], [1.0, -2.0]])
-        O = -G
-        for lazy in (False, True):
-            out, entries = decide(G, [("t", 0.5), ("t", 0.25)], 7, SurgeryPolicy(0.5, lazy),
-                                  lambda need: O[need])
-            assert [(e.conflicted, e.applied) for e in entries] == [
-                (not lazy, False), (True, True)]
-            assert out[0].tobytes() == G[0].tobytes() and not out[1].any()
-            assert (entries[0].cos_before is None) == lazy
-            assert all(e.step == 7 for e in entries)
-
-    def test_nothing_needed_computes_no_oracle(self):
-        G = np.ones((3, 4))
-        out, entries = decide(G, [("a", 0.9)] * 3, 0, SurgeryPolicy(0.5, lazy=True),
-                              lambda need: pytest.fail("no oracle gradient is needed"))
-        assert out is G and all(e.cos_before is None for e in entries)
+        out, entries = decide(G, -G, [("t", 0.5), ("t", 0.25)], 7, 0.5)
+        assert [(e.conflicted, e.applied) for e in entries] == [(True, False), (True, True)]
+        assert out[0].tobytes() == G[0].tobytes() and not out[1].any()
+        assert entries[0].cos_before == entries[0].cos_after < -0.999  # measured, not applied
+        assert all(e.step == 7 for e in entries)
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",

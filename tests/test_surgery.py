@@ -4,7 +4,7 @@ import pytest
 from gradmix.corpora import LanguageCorpus, Split, build_oracle_bank, build_shot_bank
 from gradmix.models import ModelSpec, ModelState, loss_and_grad
 from gradmix.numcore import ContractViolation, ParamVec, RngStreams, dot
-from gradmix.surgery import SurgeryPolicy, TraceEntry, oracle_gradient, sgs_step
+from gradmix.surgery import TraceEntry, decide, oracle_gradient, sgs_step
 
 from oracles import decide_one, examples_of, norm, stack_batch
 
@@ -110,7 +110,7 @@ class TestSgsStep:
         g = ParamVec(np.random.default_rng(5).normal(size=model.theta.dim))
         rng = RngStreams(3)
         for step in range(20):
-            out, entry = sgs_step(g, oracle, model, SurgeryPolicy(alpha=0.0), rng, step)
+            out, entry = sgs_step(g, oracle, model, 0.0, rng, step)
             assert out is g
             assert not entry.applied
 
@@ -119,7 +119,7 @@ class TestSgsStep:
         model = make_model()
         g_oracle = oracle_gradient(model, oracle, "t0")
         g_train = ParamVec(-g_oracle.values)
-        out, entry = sgs_step(g_train, oracle, model, SurgeryPolicy(alpha=1.0), RngStreams(0))
+        out, entry = sgs_step(g_train, oracle, model, 1.0, RngStreams(0))
         assert entry.applied and entry.conflicted
         assert np.all(out.values == 0.0)
 
@@ -128,7 +128,7 @@ class TestSgsStep:
         model = make_model()
         g_oracle = oracle_gradient(model, oracle, "t0")
         g_train = ParamVec(g_oracle.values * 2.0)  # aligned, positive dot
-        out, entry = sgs_step(g_train, oracle, model, SurgeryPolicy(alpha=1.0), RngStreams(0))
+        out, entry = sgs_step(g_train, oracle, model, 1.0, RngStreams(0))
         assert out is g_train
         assert not entry.applied
         assert entry.cos_after == entry.cos_before
@@ -138,7 +138,7 @@ class TestSgsStep:
         model = make_model()
         g = ParamVec(np.ones(model.theta.dim))
         with pytest.raises(ContractViolation, match="empty"):
-            sgs_step(g, oracle, model, SurgeryPolicy(alpha=1.0), RngStreams(0))
+            sgs_step(g, oracle, model, 1.0, RngStreams(0))
 
     def test_two_draws_per_step_regardless_of_outcome(self):
         oracle, _ = make_oracle()
@@ -146,26 +146,13 @@ class TestSgsStep:
         g = ParamVec(np.random.default_rng(2).normal(size=model.theta.dim))
         consumed = RngStreams(11)
         for step in range(7):
-            sgs_step(g, oracle, model, SurgeryPolicy(alpha=0.5), consumed, step)
+            sgs_step(g, oracle, model, 0.5, consumed, step)
         fresh = RngStreams(11)
         fresh.lang_pick.integers(2, size=7)
         fresh.surgery_p.random(7)
         # both streams now at identical positions
         assert consumed.lang_pick.integers(1000) == fresh.lang_pick.integers(1000)
         assert consumed.surgery_p.random() == fresh.surgery_p.random()
-
-    def test_lazy_policy_same_output_trajectory(self):
-        oracle, _ = make_oracle(seed=4)
-        model = make_model(seed=9)
-        g = ParamVec(np.random.default_rng(8).normal(size=model.theta.dim))
-        outs_eager, outs_lazy = [], []
-        rng_e, rng_l = RngStreams(21), RngStreams(21)
-        for step in range(50):
-            oe, _ = sgs_step(g, oracle, model, SurgeryPolicy(alpha=0.3), rng_e, step)
-            ol, _ = sgs_step(g, oracle, model, SurgeryPolicy(alpha=0.3, lazy=True), rng_l, step)
-            outs_eager.append(oe.tobytes())
-            outs_lazy.append(ol.tobytes())
-        assert outs_eager == outs_lazy
 
     def test_oracle_gradient_matches_loss_and_grad_on_shots(self):
         oracle, targets = make_oracle(num_targets=1, k=4, seed=3)
@@ -184,7 +171,7 @@ class TestSgsStep:
             )
 
     def test_policy_alpha_range(self):
-        with pytest.raises(ContractViolation):
-            SurgeryPolicy(alpha=1.5)
-        with pytest.raises(ContractViolation):
-            SurgeryPolicy(alpha=-0.1)
+        G = O = np.ones((1, 3))
+        for alpha in (1.5, -0.1):
+            with pytest.raises(ContractViolation, match="alpha must be in"):
+                decide(G, O, [("t", 0.0)], 0, alpha)

@@ -12,7 +12,6 @@ from gradmix.corpora import (
 from gradmix.models import ModelSpec, init_params, loss_and_grad
 from gradmix.numcore import ContractViolation, RngStreams
 from gradmix.trainer import (
-    Failed,
     Task,
     TrainPlan,
     evaluate,
@@ -35,6 +34,15 @@ def tiny_task():
     return Task.from_corpora(SPEC, corpora)
 
 
+def first_best(curve):
+    """The 1-based epoch of a dev curve's maximum, the earliest on ties."""
+    return max(range(len(curve)), key=lambda i: (curve[i], -i)) + 1
+
+
+def selection_record(strategy, task):
+    return run_strategy(plan(strategy, source_epochs=6, adapt_epochs=6), task).record
+
+
 def plan(strategy, seed=1, **kw):
     base = dict(
         strategy=strategy, seed=seed, k=0 if strategy == "zero_shot" else 4,
@@ -49,40 +57,44 @@ class TestTrainPlan:
         with pytest.raises(ContractViolation):
             TrainPlan(strategy="zero_shot", seed=1, k=5)
 
-    def test_two_step_forbids_source_dev(self):
-        with pytest.raises(ContractViolation, match="source dev"):
+    # The selection policy follows from the strategy; no plan field sets it.
+    # Over 6 epochs, t1's own dev curve peaks at an epoch other than the one
+    # source-dev selection and the last checkpoint pick.
+
+    def test_two_step_forbids_source_dev(self, tiny_task):
+        for strategy in ("ord_fs", "mix_ft"):  # last checkpoint
+            rec = selection_record(strategy, tiny_task)
+            assert rec["selected_epochs"] == {"t0": 6, "t1": 6, "s": rec["source_selected_epoch"]}
+        with pytest.raises(TypeError, match="selection"):
             TrainPlan(strategy="ord_fs", seed=1, k=5, selection="source_dev")
 
-    def test_one_step_forbids_target_dev_without_flag(self):
-        with pytest.raises(ContractViolation, match="unrealistic_target_dev"):
-            TrainPlan(strategy="naive_mix_train", seed=1, k=5, selection="target_dev")
-        TrainPlan(
-            strategy="naive_mix_train", seed=1, k=5, selection="target_dev",
-            unrealistic_target_dev=True,
-        )
+    def test_one_step_forbids_target_dev_without_flag(self, tiny_task):
+        for strategy in ("naive_mix_train", "gradient_mix_train"):
+            rec = selection_record(strategy, tiny_task)
+            curves = rec["dev_curves"]
+            assert first_best(curves["t1"]) != first_best(curves["s"])
+            assert rec["selected_epochs"] == dict.fromkeys(("s", "t0", "t1"),
+                                                           first_best(curves["s"]))
+        with pytest.raises(TypeError, match="unrealistic_target_dev"):
+            TrainPlan(strategy="naive_mix_train", seed=1, k=5, unrealistic_target_dev=True)
 
-    def test_defaults_per_strategy(self):
-        assert TrainPlan(strategy="zero_shot", seed=1).selection == "source_dev"
-        assert TrainPlan(strategy="ord_fs", seed=1, k=5).selection == "last_checkpoint"
-        assert TrainPlan(strategy="ord_fs_dev", seed=1, k=5).selection == "target_dev"
-        assert TrainPlan(strategy="gradient_mix_train", seed=1, k=5).selection == "source_dev"
+    def test_defaults_per_strategy(self, tiny_task):
+        rec = selection_record("zero_shot", tiny_task)  # source dev, like the one-step ones
+        assert rec["selected_epochs"] == dict.fromkeys(("s", "t0", "t1"),
+                                                       first_best(rec["dev_curves"]["s"]))
+        assert "selection" not in rec["plan"]
 
-    def test_ord_fs_dev_selection_pinned(self):
-        with pytest.raises(ContractViolation):
-            TrainPlan(strategy="ord_fs_dev", seed=1, k=5, selection="last_checkpoint")
+    def test_ord_fs_dev_selection_pinned(self, tiny_task):
+        rec = selection_record("ord_fs_dev", tiny_task)  # each target's own dev curve
+        curves = rec["dev_curves"]
+        assert first_best(curves["t1"]) != 6
+        assert rec["selected_epochs"] == {"t0": first_best(curves["t0"]),
+                                          "t1": first_best(curves["t1"]),
+                                          "s": rec["source_selected_epoch"]}
 
     def test_bare_plan_uses_shipped_defaults(self):
         p = TrainPlan(strategy="zero_shot", seed=1)
         assert (p.lr, p.source_epochs, p.adapt_epochs, p.batch_size) == (0.5, 10, 10, 32)
-
-    def test_language_subset_rendered_as_given(self):
-        def rendered(subset):
-            p = TrainPlan(strategy="zero_shot", seed=1, language_subset=subset)
-            return p.to_dict()["language_subset"]
-
-        assert rendered(()) == []
-        assert rendered(None) is None
-        assert rendered(("t1",)) == ["t1"]
 
     @pytest.mark.parametrize("field, value", [("adapt_batch_size", 0), ("adapt_batch_size", -3),
                                               ("batch_size", 0)])
@@ -180,9 +192,10 @@ class TestMixedTraining:
         )
 
     def test_zero_targets_matches_source_only_bitwise(self, tiny_task):
-        p = plan("naive_mix_train", language_subset=())
+        no_targets = Task(SPEC, tiny_task.source, ())
         naive_steps = []
-        run_strategy(p, tiny_task, step_hook=lambda i, st: naive_steps.append(st.theta.tobytes()))
+        run_strategy(plan("naive_mix_train"), no_targets,
+                     step_hook=lambda i, st: naive_steps.append(st.theta.tobytes()))
         src_steps = []
         p2 = plan("zero_shot")
         run_strategy(p2, tiny_task, step_hook=lambda i, st: src_steps.append(st.theta.tobytes()))
@@ -190,22 +203,12 @@ class TestMixedTraining:
 
     def test_gradient_requires_targets(self, tiny_task):
         with pytest.raises(ContractViolation, match="target"):
-            run_strategy(plan("gradient_mix_train", language_subset=()), tiny_task)
-
-    def test_lazy_surgery_same_trajectory(self, tiny_task):
-        a, b = [], []
-        run_strategy(
-            plan("gradient_mix_train", alpha=0.4),
-            tiny_task, step_hook=lambda i, st: a.append(st.theta.tobytes()),
-        )
-        run_strategy(
-            plan("gradient_mix_train", alpha=0.4, lazy_surgery=True),
-            tiny_task, step_hook=lambda i, st: b.append(st.theta.tobytes()),
-        )
-        assert a == b
+            run_strategy(plan("gradient_mix_train"), Task(SPEC, tiny_task.source, ()))
 
     def test_language_subset_restricts_pool(self, tiny_task):
-        res = run_strategy(plan("gradient_mix_train", language_subset=("t0",)), tiny_task)
+        # training on some targets is a task of those targets
+        t0_only = Task(SPEC, tiny_task.source, tiny_task.targets[:1])
+        res = run_strategy(plan("gradient_mix_train"), t0_only)
         assert res.record["pool_size"] == len(tiny_task.source.train) + 4
         assert set(res.record["shot_indices"].keys()) == {"t0"}
 
@@ -390,17 +393,6 @@ class TestRunStrategy:
         for lang in ("t0", "t1"):
             assert abs(tm[lang] - tm["s"]) <= 0.12
 
-    def test_unrealistic_target_dev_selection(self, tiny_task):
-        res = run_strategy(
-            plan("naive_mix_train", selection="target_dev", unrealistic_target_dev=True),
-            tiny_task,
-        )
-        sel = res.record["selected_epochs"]
-        curves = res.record["dev_curves"]
-        for lang in ("t0", "t1"):
-            best = max(range(len(curves[lang])), key=lambda i: (curves[lang][i], -i)) + 1
-            assert sel[lang] == best
-
 
 class TestDevFreeTarget:
     """A target with train and test splits but no dev split."""
@@ -425,11 +417,6 @@ class TestDevFreeTarget:
         assert set(rec["test_metrics"]) == {"s", "t0", "t1"}
         bare = devfree_task.targets[0]
         assert rec["test_metrics"]["t0"] == evaluate(res.selected_model("t0"), bare, "test")
-
-    def test_one_step_target_dev_selection_names_target(self, devfree_task):
-        p = plan("naive_mix_train", selection="target_dev", unrealistic_target_dev=True)
-        with pytest.raises(ContractViolation, match="t0 has none"):
-            run_strategy(p, devfree_task)
 
 
 def kinds(stages):
@@ -477,22 +464,3 @@ class TestStages:
         ref = []
         run_strategy(plan("zero_shot"), tiny_task, step_hook=lambda i, st: ref.append(i))
         assert steps == ref and steps
-
-    @pytest.mark.parametrize("strategy", ["ord_fs", "mix_ft"])
-    def test_empty_subset_never_shares_the_all_targets_stage(self, tiny_task, strategy):
-        stages = {}
-        run_strategy(plan(strategy), tiny_task, stages=stages)
-        shared = dict(stages)
-        with pytest.raises(ContractViolation, match="non-empty shot bank"):
-            run_strategy(plan(strategy, language_subset=()), tiny_task, stages=stages)
-        subset = plan(strategy, language_subset=("t1",))
-        got = run_strategy(subset, tiny_task, stages=stages)
-        assert got.record == run_strategy(subset, tiny_task).record
-        # the empty subset's adapt entry is the error it raised, t1's adapt
-        # stage is new, and so are the empty subset's shot bank and t1's
-        [failed] = [key for key, entry in stages.items() if isinstance(entry, Failed)]
-        assert failed[0] == "adapt" and failed[-1] == ()
-        assert kinds(stages) == dict(kinds(shared), adapt=3, shots=3)
-        # the same targets named in another order resolve to the same stages
-        run_strategy(plan(strategy, language_subset=("t1", "t0")), tiny_task, stages=stages)
-        assert kinds(stages) == dict(kinds(shared), adapt=3, shots=3)
