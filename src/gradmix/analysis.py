@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .corpora import LanguageCorpus, ShotBank, Split
+from .corpora import LanguageCorpus, Shots, Split
 from .models import ModelState, batch_grads, loss_and_grad, write_atomic
 from .numcore import ContractViolation, ParamVec, cosine_from_dots, dot
 from .numcore import cosine_similarity  # noqa: F401  (traced by name in perfbench/tracing.py)
@@ -138,7 +138,7 @@ class SimMatrix:
 def similarity_matrix(
     checkpoints: Sequence[ModelState],
     corpora: Sequence[LanguageCorpus],
-    shots: ShotBank,
+    shots: Shots,
     rng: np.random.Generator,
     batch_size: int = 32,
     n_source_batches: int = 100,
@@ -155,7 +155,7 @@ def similarity_matrix(
     sums = [[0.0] * n for _ in range(n)]
     missing = [[False] * n for _ in range(n)]
     shot_data = {
-        c.lang_id: c.train.take(shots.indices(c.lang_id)) for c in corpora if c.role != "source"
+        c.lang_id: c.train.take(shots[c.lang_id]) for c in corpora if c.role != "source"
     }
     for model in checkpoints:
         grads: List[ParamVec] = []

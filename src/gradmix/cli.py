@@ -36,10 +36,11 @@ import numpy as np
 
 from . import analysis, corpora, models, trainer
 from .corpora import (
+    SPLITS,
+    LanguageCorpus,
     build_shot_bank,
     gen_synthetic_family,
     ingest_tsv,
-    merge_splits,
     profile_from_manifest,
 )
 from .models import ModelSpec, chain_digest, save_checkpoint, write_atomic
@@ -97,6 +98,9 @@ class ExperimentConfig:
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
+    for block in ("grid", "benchmark", "model", "plan", "analysis"):
+        if not isinstance(doc.get(block, {}), dict):
+            raise ContractViolation(f"{block}: {doc[block]!r} is not a JSON object")
     try:
         grid = doc["grid"]
         axes = {name: tuple(grid[name]) for name in ("strategies", "ks", "seeds")}
@@ -147,38 +151,59 @@ def load_config(path: Path) -> ExperimentConfig:
     return parse_config(doc)
 
 
+def _tsv_corpora(bench: dict) -> Tuple[List[LanguageCorpus], int, int]:
+    """The corpora of a `tsv` benchmark, one per `languages` entry, and the
+    input width and class count of its model: the one width of every
+    non-empty file, and `num_classes` if given, else 1 + the largest label
+    in any file, at least 2."""
+    schema, num_classes = bench.get("task", "classification"), bench.get("num_classes")
+    corp, widths, top = [], {}, 1  # top: the largest label, at least 1
+    for i, lang in enumerate(bench.get("languages", [])):
+        if not isinstance(lang, dict):
+            raise ContractViolation(f"benchmark.languages[{i}]: {lang!r} is not a JSON object")
+        where = f"tsv language {lang.get('lang_id', f'#{i}')}"
+        for key in ("lang_id", "role", "splits"):
+            if key not in lang:
+                raise ContractViolation(f"{where}: no {key!r} key")
+        if not isinstance(lang["splits"], dict):
+            raise ContractViolation(f"{where}: splits is not a JSON object")
+        splits = {}
+        for split, path in lang["splits"].items():
+            if split not in SPLITS:
+                raise ContractViolation(f"{where}: unknown split {split!r}, "
+                                        f"expected one of {', '.join(SPLITS)}")
+            try:
+                splits[split] = data = ingest_tsv(path, schema, num_classes)
+            except (OSError, UnicodeError, ContractViolation) as exc:
+                why = exc.strerror if isinstance(exc, OSError) else exc
+                raise ContractViolation(f"{where}: {split} file {path}: {why}") from None
+            if data.y.size:
+                widths[path] = data.X.shape[1]
+                top = max(top, int(data.y.max()))
+        corp.append(LanguageCorpus(lang["lang_id"], lang.get("script_tag", ""), lang["role"],
+                                   **splits))
+    if len(set(widths.values())) > 1:
+        raise ContractViolation("tsv files differ in feature width: " + ", ".join(
+            f"{path} has {width}" for path, width in widths.items()))
+    return corp, next(iter(widths.values()), 0), num_classes or 1 + top
+
+
 def build_benchmark(cfg: ExperimentConfig) -> Tuple[Task, Optional[dict]]:
+    """The config's `Task`, and the manifest of a generated benchmark. The
+    model's input width and class count come from the profile, or from the
+    files of a `tsv` benchmark (`_tsv_corpora`); `Task` checks the data."""
     kind = cfg.benchmark.get("kind", "default")
-    if kind == "default":
-        corp, manifest = corpora.default_benchmark()
-    elif kind == "synthetic":
-        profile = profile_from_manifest(cfg.benchmark["profile"])
+    manifest = None
+    if kind == "tsv":
+        corp, input_dim, num_classes = _tsv_corpora(cfg.benchmark)
+    elif kind in ("default", "synthetic"):
+        profile = (corpora.default_profile() if kind == "default"
+                   else profile_from_manifest(cfg.benchmark["profile"]))
         corp, manifest = gen_synthetic_family(profile)
-    elif kind == "tsv":
-        corp = []
-        manifest = None
-        task_kind = cfg.benchmark.get("task", "classification")
-        num_classes = cfg.benchmark.get("num_classes")
-        for lang in cfg.benchmark["languages"]:
-            parts = []
-            for split, p in lang["splits"].items():
-                parts.append(
-                    ingest_tsv(
-                        p, task_kind, lang_id=lang["lang_id"],
-                        script_tag=lang.get("script_tag", ""),
-                        role=lang["role"], split=split, num_classes=num_classes,
-                    )
-                )
-            corp.append(merge_splits(*parts))
+        input_dim, num_classes = profile.input_dim, profile.num_classes
     else:
         raise ContractViolation(f"unknown benchmark kind {kind!r}")
-    sample = corp[0]
-    spec = ModelSpec(
-        family=cfg.model["family"],
-        input_dim=sample.input_dim,
-        hidden_dim=cfg.model["hidden_dim"],
-        num_classes=sample.num_classes,
-    )
+    spec = ModelSpec(cfg.model["family"], input_dim, cfg.model["hidden_dim"], num_classes)
     return Task.from_corpora(spec, corp), manifest
 
 
@@ -321,7 +346,7 @@ def write_sim_matrices(cfg: ExperimentConfig, task: Task, records: Sequence[dict
         if r["strategy"] in SIM_MATRIX_KEYS and r["k"] > 0:
             groups.setdefault((r["strategy"], r["k"]), []).append(r)
     corp = [task.source] + list(task.targets)
-    banks: Dict[Tuple[int, str], corpora.ShotBank] = {}
+    banks: Dict[Tuple[int, str], corpora.Shots] = {}
     for (strategy, k), rs in sorted(groups.items()):
         rs = sorted(rs, key=lambda r: r["seed"])
         key = SIM_MATRIX_KEYS[strategy]
@@ -329,7 +354,8 @@ def write_sim_matrices(cfg: ExperimentConfig, task: Task, records: Sequence[dict
         plan = rs[0]["plan"]
         mode = plan["shot_mode"]
         if (k, mode) not in banks:
-            banks[k, mode] = build_shot_bank(task.targets, k, mode, RngStreams(cfg.analysis_seed))
+            banks[k, mode] = build_shot_bank(task.targets, k, mode, task.spec.num_classes,
+                                             RngStreams(cfg.analysis_seed))
         rng = np.random.default_rng(np.random.SeedSequence(cfg.analysis_seed))
         m = analysis.similarity_matrix(
             finals, corp, banks[k, mode], rng,

@@ -17,8 +17,10 @@ examples, not tokens. Corpus splits, the training pool
 Splits. A training batch is the pool rows of one sorted chunk of keys
 (`epoch_order`, `batch_iter`), so its loss does not depend on the order its
 examples were drawn in. Data from outside the program is checked once, as
-whole arrays, where it enters: `Split` and `LanguageCorpus` construction
-and `ingest_tsv`.
+whole arrays, where it enters: `Split` construction checks an array's
+shape and `ingest_tsv` a file's rows. A corpus carries only examples; the
+model's layout, width and class count belong to `trainer.Task`, which
+checks every split against them when it is built.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .numcore import ContractViolation, RngStreams
 TASKS = ("classification", "token_tags")
 ROLES = ("source", "target")
 SPLITS = ("train", "dev", "test")
+OUTSIDE_LABEL = 0  # token_tags: the tag that micro-F1 leaves out
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -112,46 +115,19 @@ class Split:
 
 @dataclass(frozen=True)
 class LanguageCorpus:
+    """One language's examples by split; a missing split is an empty one."""
+
     lang_id: str
     script_tag: str
     role: str
-    task: str
-    num_classes: int
-    input_dim: int
-    train: Optional[Split] = None  # None: no examples
+    train: Optional[Split] = None
     dev: Optional[Split] = None
     test: Optional[Split] = None
-    outside_label: int = 0  # token task: excluded from micro-F1
 
     def __post_init__(self) -> None:
-        if self.role not in ROLES:
-            raise ContractViolation(f"unknown role {self.role!r}")
-        if self.task not in TASKS:
-            raise ContractViolation(f"unknown task {self.task!r}")
-        tokens = self.task == "token_tags"
         for name in SPLITS:
-            data = getattr(self, name)
-            if data is None:
-                data = Split(np.empty((0, self.input_dim)), np.empty(0, dtype=np.int64),
-                             np.zeros(1, dtype=np.int64) if tokens else None)
-                object.__setattr__(self, name, data)
-            where = f"{self.lang_id} {name}"
-            if (data.offsets is not None) != tokens:
-                raise ContractViolation(
-                    f"{where}: token_tags splits need sequence offsets, "
-                    "classification splits have none"
-                )
-            if data.y.size == 0:
-                continue
-            if data.X.shape[1] != self.input_dim:
-                raise ContractViolation(
-                    f"{where}: features have dim {data.X.shape[1]}, expected {self.input_dim}"
-                )
-            bad = (data.y < 0) | (data.y >= self.num_classes)
-            if bad.any():
-                raise ContractViolation(
-                    f"{where}: label {int(data.y[bad][0])} out of range [0, {self.num_classes})"
-                )
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, Split(np.empty((0, 0)), np.empty(0)))
 
     def split(self, name: str) -> Split:
         if name not in SPLITS:
@@ -162,33 +138,7 @@ class LanguageCorpus:
 # --- shot sampling ----------------------------------------------------------
 
 SHOT_MODES = ("k_shot", "n_way_k_shot")
-
-
-@dataclass(frozen=True)
-class ShotBank:
-    """Per-language selection of training indices; the same bank feeds every
-    strategy for a given seed."""
-
-    k: int
-    mode: str
-    per_lang: Tuple[Tuple[str, Tuple[int, ...]], ...]
-
-    def __post_init__(self) -> None:
-        if self.mode not in SHOT_MODES:
-            raise ContractViolation(f"unknown shot mode {self.mode!r}")
-
-    @property
-    def lang_ids(self) -> Tuple[str, ...]:
-        return tuple(lang for lang, _ in self.per_lang)
-
-    def indices(self, lang_id: str) -> Tuple[int, ...]:
-        for lang, idx in self.per_lang:
-            if lang == lang_id:
-                return idx
-        raise ContractViolation(f"no shots for language {lang_id!r}")
-
-    def size(self, lang_id: str) -> int:
-        return len(self.indices(lang_id))
+Shots = Dict[str, Tuple[int, ...]]  # a shot bank: each target's train indices, in target order
 
 
 def sample_k_shots(corpus: LanguageCorpus, k: int, rng: RngStreams) -> Tuple[int, ...]:
@@ -203,13 +153,14 @@ def sample_k_shots(corpus: LanguageCorpus, k: int, rng: RngStreams) -> Tuple[int
     return tuple(int(i) for i in picked)
 
 
-def sample_n_way_k_shot(corpus: LanguageCorpus, k: int, rng: RngStreams) -> Tuple[int, ...]:
+def sample_n_way_k_shot(corpus: LanguageCorpus, k: int, num_classes: int,
+                        rng: RngStreams) -> Tuple[int, ...]:
     """k train indices per class (N*k total), deterministic per (seed, lang_id)."""
-    if corpus.task != "classification":
+    if corpus.train.offsets is not None:
         raise ContractViolation("n-way k-shot sampling applies to classification tasks")
     if k < 1:
         raise ContractViolation("k must be positive")
-    by_class: List[List[int]] = [[] for _ in range(corpus.num_classes)]
+    by_class: List[List[int]] = [[] for _ in range(num_classes)]
     for i, y in enumerate(corpus.train.y.tolist()):
         by_class[y].append(i)
     gen = rng.derived("shot_sample", corpus.lang_id)
@@ -222,22 +173,24 @@ def sample_n_way_k_shot(corpus: LanguageCorpus, k: int, rng: RngStreams) -> Tupl
     return tuple(picked)
 
 
-def build_shot_bank(
-    targets: Sequence[LanguageCorpus], k: int, mode: str, rng: RngStreams
-) -> ShotBank:
+def build_shot_bank(targets: Sequence[LanguageCorpus], k: int, mode: str, num_classes: int,
+                    rng: RngStreams) -> Shots:
+    """Each target's shots: k of its train examples (`k_shot`) or k of each
+    of the model's `num_classes` classes (`n_way_k_shot`). One seed's bank
+    feeds every strategy."""
     if mode not in SHOT_MODES:
         raise ContractViolation(f"unknown shot mode {mode!r}")
-    sampler = sample_k_shots if mode == "k_shot" else sample_n_way_k_shot
-    per_lang = tuple((c.lang_id, sampler(c, k, rng)) for c in targets)
-    return ShotBank(k=k, mode=mode, per_lang=per_lang)
+    if mode == "k_shot":
+        return {c.lang_id: sample_k_shots(c, k, rng) for c in targets}
+    return {c.lang_id: sample_n_way_k_shot(c, k, num_classes, rng) for c in targets}
 
 
-def build_oracle_bank(shots: ShotBank, targets: Sequence[LanguageCorpus]) -> Dict[str, Split]:
+def build_oracle_bank(shots: Shots, targets: Sequence[LanguageCorpus]) -> Dict[str, Split]:
     """Each language's oracle batch, by language in shot bank order: exactly
     its shot examples, in train index order, nothing external. Surgery takes
     the gradient of the picked language's batch."""
     by_id = {c.lang_id: c for c in targets}
-    return {lang: by_id[lang].train.take(sorted(idx)) for lang, idx in shots.per_lang}
+    return {lang: by_id[lang].train.take(sorted(idx)) for lang, idx in shots.items()}
 
 
 # --- the training pool & batching ---------------------------------------------
@@ -246,7 +199,7 @@ def build_oracle_bank(shots: ShotBank, targets: Sequence[LanguageCorpus]) -> Dic
 def build_mixed_dataset(
     source: Optional[LanguageCorpus],
     targets: Sequence[LanguageCorpus],
-    shots: Optional[ShotBank],
+    shots: Optional[Shots],
 ) -> Split:
     """The training pool: the full source train split followed by every
     target's shots, in shot bank order. An example's position in the pool is
@@ -255,7 +208,7 @@ def build_mixed_dataset(
     parts: List[Split] = [] if source is None else [source.train]
     if targets and shots is not None:
         by_id = {c.lang_id: c for c in targets}
-        parts += [by_id[lang].train.take(idx) for lang, idx in shots.per_lang if lang in by_id]
+        parts += [by_id[lang].train.take(idx) for lang, idx in shots.items() if lang in by_id]
     if not sum(map(len, parts)):
         raise ContractViolation("mixed dataset pool is empty")
     return Split.concat(parts)
@@ -388,19 +341,7 @@ def gen_synthetic_family(
             labels = _balanced_labels(size, profile.num_classes, gen)
             noise = gen.standard_normal((size, profile.input_dim))
             splits[split_name] = Split(means[labels] + profile.noise_sd * noise, labels)
-        corpora.append(
-            LanguageCorpus(
-                lang_id=lang.lang_id,
-                script_tag=lang.script_tag,
-                role=lang.role,
-                task="classification",
-                num_classes=profile.num_classes,
-                input_dim=profile.input_dim,
-                train=splits["train"],
-                dev=splits["dev"],
-                test=splits["test"],
-            )
-        )
+        corpora.append(LanguageCorpus(lang.lang_id, lang.script_tag, lang.role, **splits))
         manifest_langs.append(
             {
                 "lang_id": lang.lang_id,
@@ -506,20 +447,14 @@ def default_benchmark() -> Tuple[List[LanguageCorpus], Dict]:
 # --- TSV ingestion -------------------------------------------------------------
 
 
-def ingest_tsv(
-    path: Union[str, Path],
-    schema: str,
-    lang_id: str,
-    script_tag: str = "",
-    role: str = "target",
-    split: str = "train",
-    num_classes: Optional[int] = None,
-) -> LanguageCorpus:
-    """Parse a UTF-8 TSV file into a corpus with all examples in `split`.
+def ingest_tsv(path: Union[str, Path], schema: str, num_classes: Optional[int] = None) -> Split:
+    """Parse a UTF-8 TSV file into one split's examples.
 
     classification: one row per example, "f1<TAB>...<TAB>fD<TAB>label".
     token_tags: one token per line with the same shape; a blank line ends a
-    sequence. CRLF is accepted identically to LF.
+    sequence. CRLF is accepted identically to LF. A label must be a
+    non-negative integer, below `num_classes` if that is given. An empty
+    file gives an empty split of width 0.
     """
     if schema not in TASKS:
         raise ContractViolation(f"unknown schema {schema!r}")
@@ -529,10 +464,9 @@ def ingest_tsv(
         lines.pop()
 
     width: Optional[int] = None
-    max_label = -1
 
     def parse_row(line: str, lineno: int) -> Tuple[List[float], int]:
-        nonlocal width, max_label
+        nonlocal width
         parts = line.split("\t")
         if width is None:
             if len(parts) < 2:
@@ -553,7 +487,6 @@ def ingest_tsv(
             raise ContractViolation(f"line {lineno}: unknown label {raw!r}") from None
         if label < 0 or (num_classes is not None and label >= num_classes):
             raise ContractViolation(f"line {lineno}: unknown label {raw!r}")
-        max_label = max(max_label, label)
         return feats, label
 
     # One row per example (classification) or per token; for token_tags a
@@ -573,36 +506,8 @@ def ingest_tsv(
         offsets.append(len(labels))
 
     input_dim = (width - 1) if width is not None else 0
-    inferred = num_classes if num_classes is not None else max(max_label + 1, 2)
-    data = Split(
+    return Split(
         np.array(rows, dtype=np.float64).reshape(len(rows), input_dim),
         labels,
         offsets if schema == "token_tags" else None,
-    )
-    return LanguageCorpus(
-        lang_id=lang_id,
-        script_tag=script_tag,
-        role=role,
-        task=schema,
-        num_classes=inferred,
-        input_dim=input_dim,
-        **{split: data},
-    )
-
-
-def merge_splits(*corpora: LanguageCorpus) -> LanguageCorpus:
-    """Combine same-language corpora that each carry one split."""
-    base = corpora[0]
-    for c in corpora:
-        if c.lang_id != base.lang_id or c.task != base.task:
-            raise ContractViolation("merge_splits needs corpora of one language and task")
-    return LanguageCorpus(
-        lang_id=base.lang_id,
-        script_tag=base.script_tag,
-        role=base.role,
-        task=base.task,
-        num_classes=max(c.num_classes for c in corpora),
-        input_dim=max(c.input_dim for c in corpora),
-        **{name: Split.concat([c.split(name) for c in corpora]) for name in SPLITS},
-        outside_label=base.outside_label,
     )

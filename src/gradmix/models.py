@@ -144,13 +144,13 @@ def check_batch(spec: ModelSpec, batch: Split) -> None:
     of the model's width, labels in range."""
     if len(batch) == 0:
         raise ContractViolation("empty batch")
-    if (batch.offsets is None) != (spec.family == "softmax_classifier"):
-        raise ContractViolation(f"{spec.family} cannot take a batch of this layout")
+    tokens = batch.offsets is not None
+    if tokens == (spec.family == "softmax_classifier"):
+        raise ContractViolation(f"{spec.family} cannot take a batch of this layout "
+                                f"({'with' if tokens else 'without'} sequence offsets)")
     X, y = batch.X, batch.y
     if X.shape[1] != spec.input_dim:
-        raise ContractViolation(
-            f"features shape {X.shape}, expected (rows, {spec.input_dim})"
-        )
+        raise ContractViolation(f"features have dim {X.shape[1]}, expected {spec.input_dim}")
     if X.shape[0] == 0:
         raise ContractViolation("batch contains no tokens")
     # As unsigned, a negative label is huge: one reduction checks both ends.

@@ -52,8 +52,11 @@ import numpy as np
 
 from . import analysis
 from .corpora import (
+    OUTSIDE_LABEL,
+    ROLES,
+    SPLITS,
     LanguageCorpus,
-    ShotBank,
+    Shots,
     Split,
     batch_iter,
     build_mixed_dataset,
@@ -127,14 +130,30 @@ class TrainPlan:
 
 @dataclass(frozen=True)
 class Task:
-    """One benchmark: a model family plus one source and >= 1 target corpora."""
+    """One benchmark: a source and any number of target corpora, and the one
+    model trained on them all. Its `ModelSpec` owns the data's shape: the
+    family fixes the layout (sequence offsets or none), and every example
+    must fit the width and class count. Construction checks each split
+    that holds examples against it and names the language and split."""
 
     spec: ModelSpec
     source: LanguageCorpus
     targets: Tuple[LanguageCorpus, ...]
 
+    def __post_init__(self) -> None:
+        for corpus in (self.source, *self.targets):
+            for name in SPLITS:
+                try:
+                    if corpus.split(name).y.size:
+                        check_batch(self.spec, corpus.split(name))
+                except ContractViolation as exc:
+                    raise ContractViolation(f"{corpus.lang_id} {name}: {exc}") from None
+
     @staticmethod
     def from_corpora(spec: ModelSpec, corpora: Sequence[LanguageCorpus]) -> "Task":
+        for c in corpora:
+            if c.role not in ROLES:
+                raise ContractViolation(f"{c.lang_id}: unknown role {c.role!r}")
         sources = [c for c in corpora if c.role == "source"]
         if len(sources) != 1:
             raise ContractViolation(f"need exactly one source corpus, got {len(sources)}")
@@ -314,11 +333,11 @@ def _adapt_corpora(plan: TrainPlan,
     raise ContractViolation(f"{plan.strategy} has no target-adapting phase")
 
 
-def _adapt_runs(source_model: ModelState, shots: ShotBank, plan: TrainPlan,
+def _adapt_runs(source_model: ModelState, shots: Shots, plan: TrainPlan,
                 targets: Sequence[LanguageCorpus], rng: RngStreams) -> Dict[str, Run]:
     """The runs of the target-adapting phase, by model key, each starting
     from `source_model`."""
-    if not shots.lang_ids:
+    if not shots:
         raise ContractViolation("target adapting requires a non-empty shot bank")
     batch, mix = plan.effective_adapt_batch(), plan.strategy == "mix_ft"
     return {key: Run(source_model, build_mixed_dataset(None, corpora, shots), plan.adapt_epochs,
@@ -328,7 +347,7 @@ def _adapt_runs(source_model: ModelState, shots: ShotBank, plan: TrainPlan,
 
 def run_target_adapting(
     source_model: ModelState,
-    shots: ShotBank,
+    shots: Shots,
     plan: TrainPlan,
     targets: Sequence[LanguageCorpus],
     rng: Optional[RngStreams] = None,
@@ -344,12 +363,12 @@ def run_target_adapting(
 
 
 def _pool_run(plan: TrainPlan, source: LanguageCorpus, targets: Sequence[LanguageCorpus],
-              shots: Optional[ShotBank], rng: RngStreams, state0: ModelState) -> Run:
+              shots: Optional[Shots], rng: RngStreams, state0: ModelState) -> Run:
     """The run on the source pooled with the targets' shots (none for
     source training), with surgery for gradient_mix_train."""
     oracle = None
     if plan.strategy == "gradient_mix_train":
-        if not targets or shots is None or not shots.lang_ids:
+        if not targets or not shots:
             raise ContractViolation("gradient_mix_train requires at least one target language")
         oracle = build_oracle_bank(shots, targets)
     pool = build_mixed_dataset(source, targets, shots)
@@ -361,7 +380,7 @@ def run_mixed_training(
     plan: TrainPlan,
     source: LanguageCorpus,
     targets: Sequence[LanguageCorpus],
-    shots: Optional[ShotBank],
+    shots: Optional[Shots],
     rng: Optional[RngStreams] = None,
     state0: Optional[ModelState] = None,
     spec: Optional[ModelSpec] = None,
@@ -380,16 +399,17 @@ def run_mixed_training(
 
 
 def evaluate(model: ModelState, corpus: LanguageCorpus, split: str) -> float:
-    """Accuracy for classification; token-level micro-F1 (excluding the
-    outside label) for tagging. One forward pass over the whole split.
-    Pure: identical inputs, identical value."""
+    """The split's metric, by its layout: accuracy for classification
+    examples, token-level micro-F1 (leaving out `OUTSIDE_LABEL`) for token
+    sequences. One forward pass over the whole split. Pure: identical
+    inputs, identical value."""
     data = corpus.split(split)
     if len(data) == 0:
         raise ContractViolation(f"split {split!r} of {corpus.lang_id} is empty")
     pred = predict(model, data.X)
-    if corpus.task == "classification":
+    if data.offsets is None:
         return int((pred == data.y).sum()) / len(data)
-    return analysis.micro_f1(pred, data.y, outside_label=corpus.outside_label)
+    return analysis.micro_f1(pred, data.y, outside_label=OUTSIDE_LABEL)
 
 
 def select_model(
@@ -458,7 +478,7 @@ class Failed(NamedTuple):
 
 # One dict serves one Task and holds, by `stage_keys`, shot banks and stages,
 # or how an entry failed when it was made.
-Stages = Dict[tuple, Union[Stage, ShotBank, Failed]]
+Stages = Dict[tuple, Union[Stage, Shots, Failed]]
 
 # Strategies that train the same adapted chains: ord_fs and ord_fs_dev
 # differ only in selection.
@@ -534,13 +554,14 @@ def _job(kind: str, plan: TrainPlan, task: Task, stages: Stages
 
 
 def _made(kind: str, plans: Dict[tuple, TrainPlan], task: Task, stages: Stages,
-          step_hook: Optional[StepHook]) -> Dict[tuple, Union[Stage, ShotBank]]:
+          step_hook: Optional[StepHook]) -> Dict[tuple, Union[Stage, Shots]]:
     """The entry of `kind` of each plan, by key: a shot bank, or a stage
     with each chain's dev curves. The runs of every job are made afresh and
     train in one stack if they are `stackable` and no hook is given, else
     one at a time."""
     if kind == "shots":
-        return {key: build_shot_bank(task.targets, plan.k, plan.shot_mode, RngStreams(plan.seed))
+        return {key: build_shot_bank(task.targets, plan.k, plan.shot_mode, task.spec.num_classes,
+                                     RngStreams(plan.seed))
                 for key, plan in plans.items()}
     jobs = {}
     for key, plan in plans.items():  # a loop, so a failure's innermost frames name `_made`
@@ -611,7 +632,7 @@ def run_strategy(
     keys = stage_keys(plan, task)
     source = task.source
     all_langs = [source.lang_id] + [c.lang_id for c in targets]
-    shots: Optional[ShotBank] = _lookup(stages, keys["shots"]) if "shots" in keys else None
+    shots: Optional[Shots] = _lookup(stages, keys["shots"]) if "shots" in keys else None
 
     record: dict = {
         "format_version": 1,
@@ -621,9 +642,7 @@ def run_strategy(
         "plan": asdict(plan),
         "source_lang": source.lang_id,
         "languages": all_langs,
-        "shot_indices": {lang: list(shots.indices(lang)) for lang in shots.lang_ids}
-        if shots
-        else {},
+        "shot_indices": {lang: list(idx) for lang, idx in (shots or {}).items()},
     }
     checkpoints: Dict[str, List[ModelState]] = {}
 
@@ -647,7 +666,7 @@ def run_strategy(
                                 langs=list(model_key_of))
         model_key_of[source.lang_id] = "source"
         selected[source.lang_id] = src_epoch
-        record["pool_size"] = sum(shots.size(lang) for lang in shots.lang_ids)
+        record["pool_size"] = sum(map(len, shots.values()))
 
     else:  # zero_shot and the one-step strategies: one model for every language
         if plan.strategy == "zero_shot":
@@ -657,9 +676,7 @@ def run_strategy(
         selected = select_model(curves, _default_selection(plan.strategy), epochs,
                                 source_lang=source.lang_id, langs=all_langs)
         model_key_of = {lang: "model" for lang in all_langs}
-        record["pool_size"] = len(source.train) + (
-            sum(shots.size(lang) for lang in shots.lang_ids) if shots else 0
-        )
+        record["pool_size"] = len(source.train) + sum(map(len, (shots or {}).values()))
 
     record["epochs"] = epochs
     record["dev_curves"] = curves

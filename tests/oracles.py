@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from gradmix import analysis
-from gradmix.corpora import LanguageCorpus, Split
+from gradmix.corpora import OUTSIDE_LABEL, LanguageCorpus, Split
 from gradmix.models import GradReport, ModelState, _logits, predict
 from gradmix.numcore import ContractViolation, ParamVec, dot
 from gradmix.surgery import TraceEntry, decide
@@ -61,7 +61,7 @@ def stack_batch(examples, keys=None):
 def evaluate_per_example(model, corpus, split):
     """Accuracy or token micro-F1 with one `predict` call per example."""
     examples = examples_of(corpus.split(split))
-    if corpus.task == "classification":
+    if corpus.split(split).offsets is None:
         correct = 0
         for x, y in examples:
             if predict(model, x) == int(y):
@@ -69,7 +69,7 @@ def evaluate_per_example(model, corpus, split):
         return correct / len(examples)
     preds = [predict(model, x) for x, _ in examples]
     gold = [np.asarray(y) for _, y in examples]
-    return analysis.micro_f1(preds, gold, outside_label=corpus.outside_label)
+    return analysis.micro_f1(preds, gold, outside_label=OUTSIDE_LABEL)
 
 
 def micro_f1_loop(predictions, gold, outside_label):
@@ -308,7 +308,7 @@ def read_sim_matrix_csv(path):
 
 
 def class_counts(corpus: LanguageCorpus, split="train"):
-    return np.bincount(corpus.split(split).y, minlength=corpus.num_classes)
+    return np.bincount(corpus.split(split).y)
 
 
 # Targets rotated further than this from the source are the "distant" ones.

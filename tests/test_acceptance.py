@@ -217,10 +217,9 @@ def test_ac4_sampler_exactness():
         X = np.concatenate([rng.normal(size=(int(n), 2)) for n in counts])
         corpus = LanguageCorpus(
             lang_id=f"l{trial}", script_tag="x", role="target",
-            task="classification", num_classes=num_classes, input_dim=2,
             train=Split(X, np.repeat(np.arange(num_classes), counts)),
         )
-        picked = sample_n_way_k_shot(corpus, k, RngStreams(trial))
+        picked = sample_n_way_k_shot(corpus, k, num_classes, RngStreams(trial))
         hist = np.zeros(num_classes, dtype=int)
         for i in picked:
             hist[int(corpus.train.y[i])] += 1
@@ -283,9 +282,8 @@ def test_ac5_qualitative_ordering(benchmark_runs):
 def test_ac6_conflict_fraction_reduction(benchmark_runs):
     task, _, _, analysis_finals, _ = benchmark_runs
     corpora = [task.source] + list(task.targets)
-    bank = build_shot_bank(
-        task.targets, SHIPPED_K, SHIPPED_PLAN["shot_mode"], RngStreams(ANALYSIS_BANK_SEED)
-    )
+    bank = build_shot_bank(task.targets, SHIPPED_K, SHIPPED_PLAN["shot_mode"],
+                           task.spec.num_classes, RngStreams(ANALYSIS_BANK_SEED))
     fracs = {}
     for strategy, finals in analysis_finals.items():
         rng = np.random.default_rng(np.random.SeedSequence(ANALYSIS_RNG_SEED))

@@ -101,7 +101,7 @@ def small_world():
     spec = ModelSpec("softmax_classifier", 2, 6, 3)
     model = init_params(spec, RngStreams(7))
     targets = [c for c in corpora if c.role == "target"]
-    shots = build_shot_bank(targets, 3, "k_shot", RngStreams(7))
+    shots = build_shot_bank(targets, 3, "k_shot", 3, RngStreams(7))
     return corpora, model, shots
 
 
@@ -109,7 +109,7 @@ class TestLanguageGradient:
     def test_target_gradient_matches_loss_and_grad(self, small_world):
         corpora, model, shots = small_world
         target = corpora[1]
-        shot_data = target.train.take(shots.indices(target.lang_id))
+        shot_data = target.train.take(shots[target.lang_id])
         expected = loss_and_grad(model, stack_batch(examples_of(shot_data))).grad
         got = language_gradient(model, shot_data, "target")
         assert got.bitwise_equal(expected)
@@ -144,19 +144,15 @@ class TestSimilarityMatrix:
         src, t0, t1 = corpora
         # two byte-identical target corpora with identical shots
         t1_clone = LanguageCorpus(
-            lang_id="t1", script_tag=t0.script_tag, role="target", task=t0.task,
-            num_classes=t0.num_classes, input_dim=t0.input_dim,
+            lang_id="t1", script_tag=t0.script_tag, role="target",
             train=t0.train, dev=t0.dev, test=t0.test,
         )
         spec = ModelSpec("softmax_classifier", 2, 4, 3)
         model = init_params(spec, RngStreams(1))
         targets = [t0, t1_clone]
-        shots = build_shot_bank(targets, 3, "k_shot", RngStreams(1))
+        shots = build_shot_bank(targets, 3, "k_shot", 3, RngStreams(1))
         # force identical shot indices for the clone
-        from gradmix.corpora import ShotBank
-
-        idx = shots.indices("t0")
-        shots = ShotBank(k=3, mode="k_shot", per_lang=(("t0", idx), ("t1", idx)))
+        shots["t1"] = shots["t0"]
         m = similarity_matrix([model], targets, shots, np.random.default_rng(0))
         assert m.value("t0", "t1") == 1.0
 
@@ -183,13 +179,12 @@ class TestSimilarityMatrix:
 
         def corpus(lang_id, role, y):
             return LanguageCorpus(lang_id=lang_id, script_tag="x", role=role,
-                                  task="classification", num_classes=3, input_dim=2,
                                   train=Split(rng.normal(size=(len(y), 2)), y))
 
         # t's labels are all 0, so its gradient is exactly zero.
         corpora = [corpus("s", "source", [0, 1, 2] * 10), corpus("t", "target", [0] * 10),
                    corpus("u", "target", [1, 2] * 5)]
-        shots = build_shot_bank(corpora[1:], 2, "k_shot", RngStreams(0))
+        shots = build_shot_bank(corpora[1:], 2, "k_shot", 3, RngStreams(0))
         m = similarity_matrix([model], corpora, shots, np.random.default_rng(1),
                               batch_size=4, n_source_batches=3)
         assert [m.value("t", lang) for lang in ("s", "t", "u")] == [None, None, None]

@@ -58,18 +58,38 @@ def small_config_doc(strategies=("zero_shot", "gradient_mix_train"), ks=(2,),
     }
 
 
+def write_tsv(path, X, y):
+    """Write a classification TSV file, one example per row; returns its path."""
+    rows = ("\t".join(map(repr, x)) + f"\t{label}\n"
+            for x, label in zip(np.asarray(X).tolist(), np.asarray(y).tolist()))
+    path.write_text("".join(rows), encoding="utf-8")
+    return str(path)
+
+
+def tsv_doc(tmp_path, widths=(2, 2), classes=(3, 3), **benchmark):
+    """`small_config_doc` with a tsv benchmark of a source "s" and a target
+    "t": 24 examples per split, with the given feature widths and labels
+    0..classes-1."""
+    rng = np.random.default_rng(0)
+    languages = []
+    for lang, role, width, n in zip("st", ("source", "target"), widths, classes):
+        splits = {split: write_tsv(tmp_path / f"{lang}.{split}.tsv",
+                                   rng.normal(size=(24, width)), np.arange(24) % n)
+                  for split in ("train", "dev", "test")}
+        languages.append({"lang_id": lang, "role": role, "splits": splits})
+    doc = small_config_doc(seeds=(1,))
+    doc["benchmark"] = dict({"kind": "tsv", "task": "classification", "languages": languages},
+                            **benchmark)
+    return doc
+
+
 def source_only_doc(tmp_path, strategies, seeds):
     """`small_config_doc` with a tsv benchmark of its source language alone:
     a task with no targets."""
     doc = small_config_doc(strategies=strategies, seeds=seeds)
     source = build_benchmark(parse_config(doc))[0].source
-    splits = {}
-    for split in ("train", "dev", "test"):
-        data = source.split(split)
-        rows = ("\t".join(map(repr, x)) + f"\t{y}\n" for x, y in zip(data.X.tolist(),
-                                                                   data.y.tolist()))
-        splits[split] = str(tmp_path / f"s.{split}.tsv")
-        Path(splits[split]).write_text("".join(rows), encoding="utf-8")
+    splits = {split: write_tsv(tmp_path / f"s.{split}.tsv", source.split(split).X,
+                               source.split(split).y) for split in ("train", "dev", "test")}
     doc["benchmark"] = {"kind": "tsv", "task": "classification", "num_classes": 3,
                         "languages": [{"lang_id": "s", "role": "source", "splits": splits}]}
     return doc
@@ -184,6 +204,16 @@ class TestConfig:
         assert main(argv) == 2  # and a rerun is refused for the same reason
         assert f"error: {error}\n" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("block", ["benchmark", "model", "plan", "analysis"])
+    def test_block_that_is_not_an_object_refused(self, tmp_path, capsys, block):
+        doc = small_config_doc()
+        doc[block] = 5
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {block}: 5 is not a JSON object\n" in err and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("model", [None, {"family": "softmax_classifier"}])
     def test_model_defaults_resolved_once(self, model):
         doc = small_config_doc()
@@ -206,6 +236,85 @@ class TestConfig:
         for name in ("default.json", "quick.json"):
             cfg = load_config(root / "configs" / name)
             assert cfg.strategies
+
+
+class TestTsvBenchmark:
+    """A tsv benchmark's files decide its model's input width and class
+    count once, and building the `Task` checks every split against them."""
+
+    @staticmethod
+    def run(tmp_path, doc):
+        out = tmp_path / "out"
+        return main(["run", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]), out
+
+    def test_class_the_source_lacks_widens_the_model(self, tmp_path):
+        doc = tsv_doc(tmp_path, classes=(2, 3))
+        assert build_benchmark(parse_config(doc))[0].spec.num_classes == 3
+        code, out = self.run(tmp_path, doc)
+        assert code == 0
+        assert {load_checkpoint(p)[0].spec.num_classes for p in (out / "models").iterdir()} == {3}
+
+    @pytest.mark.parametrize("num_classes, classes, want", [(5, (3, 3), 5), (None, (1, 1), 2)],
+                             ids=["given", "at-least-two"])
+    def test_class_count_given_or_one_above_the_largest_label(self, tmp_path, num_classes,
+                                                               classes, want):
+        given = {} if num_classes is None else {"num_classes": num_classes}
+        doc = tsv_doc(tmp_path, classes=classes, **given)
+        assert build_benchmark(parse_config(doc))[0].spec.num_classes == want
+
+    def test_wider_target_refused_before_out_exists(self, tmp_path, capsys):
+        code, out = self.run(tmp_path, tsv_doc(tmp_path, widths=(2, 3)))
+        err = capsys.readouterr().err
+        assert code == 2 and not out.exists()
+        assert "error: tsv files differ in feature width: " in err
+        assert f"{tmp_path / 's.train.tsv'} has 2, " in err
+        assert f"{tmp_path / 't.train.tsv'} has 3" in err
+
+    def test_token_tags_for_a_classifier_refused_before_out_exists(self, tmp_path, capsys):
+        code, out = self.run(tmp_path, tsv_doc(tmp_path, task="token_tags"))
+        assert code == 2 and not out.exists()
+        assert ("error: s train: softmax_classifier cannot take a batch of this layout "
+                "(with sequence offsets)\n") in capsys.readouterr().err
+
+    def test_splits_come_from_their_files(self, tmp_path):
+        doc = tsv_doc(tmp_path)
+        write_tsv(tmp_path / "t.dev.tsv", [[1.0, 2.0]], [1])
+        del doc["benchmark"]["languages"][1]["splits"]["test"]
+        task, manifest = build_benchmark(parse_config(doc))
+        target = task.targets[0]
+        assert manifest is None
+        assert (len(target.train), len(target.dev), len(target.test)) == (24, 1, 0)
+        assert target.dev.X.tolist() == [[1.0, 2.0]] and target.dev.y.tolist() == [1]
+
+    @pytest.mark.parametrize("entry, error", [
+        ({"role": None}, "tsv language t: no 'role' key"),
+        ({"lang_id": None}, "tsv language #1: no 'lang_id' key"),
+        ({"splits": None}, "tsv language t: no 'splits' key"),
+        ({"splits": {"valid": "{tmp}/t.dev.tsv"}},
+         "tsv language t: unknown split 'valid', expected one of train, dev, test"),
+        ({"splits": {"train": "{tmp}/nowhere.tsv"}},
+         "tsv language t: train file {tmp}/nowhere.tsv: No such file or directory"),
+        ({"splits": {"train": "{tmp}/latin1.tsv"}}, "tsv language t: train file "
+         "{tmp}/latin1.tsv: 'utf-8' codec can't decode byte 0xe9 in position 4: invalid "
+         "continuation byte"),
+        ({"role": "tagret"}, "t: unknown role 'tagret'"),
+    ], ids=["no-role", "no-lang-id", "no-splits", "split-valid", "missing-file", "not-utf-8",
+            "bad-role"])
+    def test_bad_language_entry_refused_before_out_exists(self, tmp_path, capsys, entry, error):
+        doc = tsv_doc(tmp_path)
+        (tmp_path / "latin1.tsv").write_bytes("1.0\té\n".encode("latin-1"))
+        target = doc["benchmark"]["languages"][1]
+        for key, value in entry.items():
+            if value is None:
+                del target[key]
+            elif key == "splits":
+                target[key] = {split: p.format(tmp=tmp_path) for split, p in value.items()}
+            else:
+                target[key] = value
+        code, out = self.run(tmp_path, doc)
+        err = capsys.readouterr().err
+        assert code == 2 and not out.exists()
+        assert f"error: {error.format(tmp=tmp_path)}\n" in err and "Traceback" not in err
 
 
 class TestRunExperiment:
@@ -616,7 +725,7 @@ class TestLockstep:
             record = json.loads((out / "runs" / cli.cell_name(*cell) / "record.json").read_text())
             want = {} if cell[0] == "zero_shot" else {
                 lang: list(idx) for lang, idx in corpora.build_shot_bank(
-                    task.targets, cell[1], "k_shot", RngStreams(cell[2])).per_lang}
+                    task.targets, cell[1], "k_shot", 3, RngStreams(cell[2])).items()}
             assert record["shot_indices"] == want
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",

@@ -14,13 +14,13 @@ from gradmix.corpora import (
     epoch_order,
     gen_synthetic_family,
     ingest_tsv,
-    merge_splits,
     profile_from_manifest,
     sample_k_shots,
     sample_n_way_k_shot,
 )
 from gradmix.models import ModelSpec, init_params, loss_and_grad, stack_grads
 from gradmix.numcore import ContractViolation, RngStreams
+from gradmix.trainer import Task
 
 from oracles import distant_lang_ids, examples_of, stack_batch
 
@@ -43,15 +43,7 @@ def small_profile(**overrides):
 def make_cls_corpus(lang_id="t", n_train=20, num_classes=3, dim=2, seed=0, role="target"):
     rng = np.random.default_rng(seed)
     train = Split(rng.normal(size=(n_train, dim)), np.arange(n_train) % num_classes)
-    return LanguageCorpus(
-        lang_id=lang_id,
-        script_tag="scr",
-        role=role,
-        task="classification",
-        num_classes=num_classes,
-        input_dim=dim,
-        train=train,
-    )
+    return LanguageCorpus(lang_id=lang_id, script_tag="scr", role=role, train=train)
 
 
 class TestSyntheticGeneration:
@@ -181,7 +173,7 @@ class TestShotSampling:
 
     def test_n_way_cardinality(self):
         corpus = make_cls_corpus(n_train=30, num_classes=3)
-        picked = sample_n_way_k_shot(corpus, 1, RngStreams(5))
+        picked = sample_n_way_k_shot(corpus, 1, 3, RngStreams(5))
         assert len(picked) == 3
         labels = sorted(int(corpus.train.y[i]) for i in picked)
         assert labels == [0, 1, 2]
@@ -189,7 +181,7 @@ class TestShotSampling:
     def test_n_way_histogram_uniform(self):
         for seed in range(10):
             corpus = make_cls_corpus(n_train=40, num_classes=4, seed=seed)
-            picked = sample_n_way_k_shot(corpus, 3, RngStreams(seed))
+            picked = sample_n_way_k_shot(corpus, 3, 4, RngStreams(seed))
             counts = np.zeros(4, dtype=int)
             for i in picked:
                 counts[int(corpus.train.y[i])] += 1
@@ -199,44 +191,41 @@ class TestShotSampling:
     def test_n_way_insufficient_class_names_the_class(self):
         # class 1 has 4 examples, ask for 5
         train = Split(np.zeros((9, 2)), [0] * 5 + [1] * 4)
-        corpus = LanguageCorpus(
-            lang_id="t", script_tag="s", role="target", task="classification",
-            num_classes=2, input_dim=2, train=train,
-        )
+        corpus = LanguageCorpus(lang_id="t", script_tag="s", role="target", train=train)
         with pytest.raises(ContractViolation, match=r"class 1: 4 < 5"):
-            sample_n_way_k_shot(corpus, 5, RngStreams(0))
+            sample_n_way_k_shot(corpus, 5, 2, RngStreams(0))
 
     def test_bank_identical_across_strategy_agnostic_calls(self):
         targets = [make_cls_corpus(lang_id=f"t{i}", seed=i, n_train=30) for i in range(4)]
-        banks = [build_shot_bank(targets, 5, "k_shot", RngStreams(7)) for _ in range(3)]
+        banks = [build_shot_bank(targets, 5, "k_shot", 3, RngStreams(7)) for _ in range(3)]
         assert banks[0] == banks[1] == banks[2]
 
 
 class TestOracleBank:
     def test_oracle_equals_shots_index_for_index(self):
         targets = [make_cls_corpus(lang_id=f"t{i}", seed=i) for i in range(3)]
-        shots = build_shot_bank(targets, 4, "k_shot", RngStreams(1))
+        shots = build_shot_bank(targets, 4, "k_shot", 3, RngStreams(1))
         oracle = build_oracle_bank(shots, targets)
         by_id = {c.lang_id: c for c in targets}
-        assert list(oracle) == list(shots.lang_ids)
-        for lang in shots.lang_ids:
-            idx = sorted(shots.indices(lang))
+        assert list(oracle) == list(shots)
+        for lang, idx in shots.items():
+            idx = sorted(idx)
             batch = oracle[lang]
             assert np.array_equal(batch.X, by_id[lang].train.X[idx])
             assert np.array_equal(batch.y, by_id[lang].train.y[idx])
 
     def test_empty_target_set_gives_empty_bank(self):
-        shots = build_shot_bank([], 5, "k_shot", RngStreams(0))
+        shots = build_shot_bank([], 5, "k_shot", 3, RngStreams(0))
         oracle = build_oracle_bank(shots, [])
         assert len(oracle) == 0
 
     def test_views_are_immutable(self):
         targets = [make_cls_corpus()]
-        shots = build_shot_bank(targets, 3, "k_shot", RngStreams(2))
+        shots = build_shot_bank(targets, 3, "k_shot", 3, RngStreams(2))
         oracle = build_oracle_bank(shots, targets)
         with pytest.raises(ValueError):
             oracle["t"].X[0, 0] = 99.0
-        assert isinstance(shots.indices("t"), tuple)
+        assert isinstance(shots["t"], tuple)
 
 
 class TestMixedDataset:
@@ -251,7 +240,7 @@ class TestMixedDataset:
         corpora, _ = bench
         source = next(c for c in corpora if c.role == "source")
         targets = [c for c in corpora if c.role == "target"]
-        shots = build_shot_bank(targets, 5, "k_shot", RngStreams(1))
+        shots = build_shot_bank(targets, 5, "k_shot", 3, RngStreams(1))
         pool = build_mixed_dataset(source, targets, shots)
         assert len(pool) == 500 + 6 * 5
 
@@ -282,30 +271,30 @@ class TestMixedDataset:
     def test_mixed_tasks_rejected(self):
         source = make_cls_corpus(lang_id="s", role="source", n_train=6)
         tokens = LanguageCorpus(
-            lang_id="t", script_tag="x", role="target", task="token_tags", num_classes=3,
-            input_dim=2, train=Split(np.zeros((4, 2)), [0, 1, 2, 0], offsets=[0, 1, 4]),
+            lang_id="t", script_tag="x", role="target",
+            train=Split(np.zeros((4, 2)), [0, 1, 2, 0], offsets=[0, 1, 4]),
         )
-        shots = build_shot_bank([tokens], 1, "k_shot", RngStreams(0))
+        shots = build_shot_bank([tokens], 1, "k_shot", 3, RngStreams(0))
         with pytest.raises(ContractViolation, match="cannot pool"):
             build_mixed_dataset(source, [tokens], shots)
 
     def test_shots_dataset_subset(self):
         targets = [make_cls_corpus(lang_id=f"t{i}", seed=i) for i in range(3)]
-        shots = build_shot_bank(targets, 2, "k_shot", RngStreams(1))
+        shots = build_shot_bank(targets, 2, "k_shot", 3, RngStreams(1))
         pool = build_mixed_dataset(None, [targets[1]], shots)
         assert len(pool) == 2
-        idx = list(shots.indices("t1"))
+        idx = list(shots["t1"])
         assert np.array_equal(pool.X, targets[1].train.X[idx])
         assert np.array_equal(pool.y, targets[1].train.y[idx])
 
     def test_pool_concatenates_source_and_shots(self):
         source = make_cls_corpus(lang_id="s", role="source", n_train=12)
         targets = [make_cls_corpus(lang_id=f"t{i}", seed=i + 1) for i in range(2)]
-        shots = build_shot_bank(targets, 3, "k_shot", RngStreams(4))
+        shots = build_shot_bank(targets, 3, "k_shot", 3, RngStreams(4))
         pool = build_mixed_dataset(source, targets, shots)
         for name in ("X", "y"):
             parts = [getattr(source.train, name)] + [
-                getattr(t.train, name)[list(shots.indices(t.lang_id))] for t in targets]
+                getattr(t.train, name)[list(shots[t.lang_id])] for t in targets]
             assert np.array_equal(getattr(pool, name), np.concatenate(parts))
 
     def test_gathered_batches_match_tuple_stacking(self, tmp_path):
@@ -320,7 +309,7 @@ class TestMixedDataset:
                 lines.append(f"{rng.normal()}\t{rng.normal()}\t{int(rng.integers(3))}")
             lines.append("")
         p.write_text("\n".join(lines), encoding="utf-8")
-        tagger = ingest_tsv(p, "token_tags", lang_id="tok", role="source", num_classes=3)
+        tagger = LanguageCorpus("tok", "", "source", ingest_tsv(p, "token_tags", num_classes=3))
         for corpus, family in ((source, "softmax_classifier"), (tagger, "mlp_token_tagger")):
             state = init_params(ModelSpec(family, 2, 5, 3), RngStreams(2))
             pool = build_mixed_dataset(corpus, [], None)
@@ -342,45 +331,45 @@ class TestIngestTsv:
     def test_empty_file_is_valid(self, tmp_path):
         p = tmp_path / "x.tsv"
         p.write_text("", encoding="utf-8")
-        corpus = ingest_tsv(p, "classification", lang_id="x")
-        assert len(corpus.train) == 0
+        split = ingest_tsv(p, "classification")
+        assert len(split) == 0 and split.X.shape == (0, 0) and split.offsets is None
 
     def test_three_rows_dim_two(self, tmp_path):
         p = tmp_path / "x.tsv"
         p.write_text("1.0\t2.0\t0\n3.0\t4.0\t1\n5.0\t6.0\t2\n", encoding="utf-8")
-        corpus = ingest_tsv(p, "classification", lang_id="x")
-        assert len(corpus.train) == 3
-        assert corpus.input_dim == 2
-        assert np.array_equal(corpus.train.X[1], [3.0, 4.0])
-        assert corpus.train.y[2] == 2
+        split = ingest_tsv(p, "classification")
+        assert len(split) == 3
+        assert split.X.shape == (3, 2)
+        assert np.array_equal(split.X[1], [3.0, 4.0])
+        assert split.y[2] == 2
 
     def test_crlf_equals_lf(self, tmp_path):
         lf = tmp_path / "lf.tsv"
         crlf = tmp_path / "crlf.tsv"
         lf.write_text("1.0\t0\n2.0\t1\n", encoding="utf-8")
         crlf.write_bytes(b"1.0\t0\r\n2.0\t1\r\n")
-        a = ingest_tsv(lf, "classification", lang_id="x")
-        b = ingest_tsv(crlf, "classification", lang_id="x")
-        assert np.array_equal(a.train.X, b.train.X)
-        assert np.array_equal(a.train.y, b.train.y)
+        a = ingest_tsv(lf, "classification")
+        b = ingest_tsv(crlf, "classification")
+        assert np.array_equal(a.X, b.X)
+        assert np.array_equal(a.y, b.y)
 
     def test_ragged_row_reports_line_number(self, tmp_path):
         p = tmp_path / "x.tsv"
         p.write_text("1.0\t2.0\t0\n1.0\t1\n", encoding="utf-8")
         with pytest.raises(ContractViolation, match="line 2"):
-            ingest_tsv(p, "classification", lang_id="x")
+            ingest_tsv(p, "classification")
 
     def test_unknown_label(self, tmp_path):
         p = tmp_path / "x.tsv"
         p.write_text("1.0\tcat\n", encoding="utf-8")
         with pytest.raises(ContractViolation, match="unknown label 'cat'"):
-            ingest_tsv(p, "classification", lang_id="x")
+            ingest_tsv(p, "classification")
 
     def test_label_above_num_classes(self, tmp_path):
         p = tmp_path / "x.tsv"
         p.write_text("1.0\t5\n", encoding="utf-8")
         with pytest.raises(ContractViolation, match="unknown label"):
-            ingest_tsv(p, "classification", lang_id="x", num_classes=3)
+            ingest_tsv(p, "classification", num_classes=3)
 
     def test_token_tags_sequences(self, tmp_path):
         p = tmp_path / "x.tsv"
@@ -388,22 +377,11 @@ class TestIngestTsv:
             "1.0\t0.0\t1\n0.0\t1.0\t0\n\n2.0\t2.0\t2\n",
             encoding="utf-8",
         )
-        corpus = ingest_tsv(p, "token_tags", lang_id="x")
-        assert len(corpus.train) == 2
-        assert corpus.train.offsets.tolist() == [0, 2, 3]
-        assert corpus.train.X.tolist() == [[1.0, 0.0], [0.0, 1.0], [2.0, 2.0]]
-        assert corpus.train.y.tolist() == [1, 0, 2]
-
-    def test_merge_splits(self, tmp_path):
-        train = tmp_path / "train.tsv"
-        dev = tmp_path / "dev.tsv"
-        train.write_text("1.0\t0\n", encoding="utf-8")
-        dev.write_text("2.0\t1\n3.0\t1\n", encoding="utf-8")
-        merged = merge_splits(
-            ingest_tsv(train, "classification", lang_id="x", split="train"),
-            ingest_tsv(dev, "classification", lang_id="x", split="dev"),
-        )
-        assert len(merged.train) == 1 and len(merged.dev) == 2
+        split = ingest_tsv(p, "token_tags")
+        assert len(split) == 2
+        assert split.offsets.tolist() == [0, 2, 3]
+        assert split.X.tolist() == [[1.0, 0.0], [0.0, 1.0], [2.0, 2.0]]
+        assert split.y.tolist() == [1, 0, 2]
 
 
 class TestLanguageCorpus:
@@ -426,6 +404,10 @@ class TestLanguageCorpus:
         ],
     )
     def test_malformed_split_rejected(self, task, split, match):
-        with pytest.raises(ContractViolation, match=match):
-            LanguageCorpus(lang_id="x", script_tag="s", role="target", task=task,
-                           num_classes=3, input_dim=2, train=split)
+        # the task's spec owns layout, width and classes; the error names language and split
+        family = "softmax_classifier" if task == "classification" else "mlp_token_tagger"
+        spec = ModelSpec(family, 2, 0, 3)
+        fine = Split(np.zeros((2, 2)), [0, 1], None if task == "classification" else [0, 2])
+        source = LanguageCorpus("s", "s", "source", train=fine)
+        with pytest.raises(ContractViolation, match=f"^x dev: .*{match}"):
+            Task.from_corpora(spec, [source, LanguageCorpus("x", "s", "target", fine, split)])

@@ -32,9 +32,8 @@ def token_corpus(lang_id, role, n_seqs, rng):
         return Split(rng.normal(size=(lens.sum(), 3)), rng.integers(4, size=lens.sum()),
                      offsets=np.concatenate([[0], np.cumsum(lens)]))
 
-    return LanguageCorpus(lang_id=lang_id, script_tag="x", role=role, task="token_tags",
-                          num_classes=4, input_dim=3, train=split(n_seqs), dev=split(6),
-                          test=split(6))
+    return LanguageCorpus(lang_id=lang_id, script_tag="x", role=role, train=split(n_seqs),
+                          dev=split(6), test=split(6))
 
 
 @pytest.fixture(scope="module")
@@ -79,7 +78,8 @@ class TestTrainingPath:
         task = tasks[family]
         plan = TrainPlan(strategy="gradient_mix_train", seed=3, k=1 if one_shot else 3,
                          alpha=alpha, source_epochs=3, batch_size=7, lr=0.3)
-        shots = build_shot_bank(task.targets, plan.k, plan.shot_mode, RngStreams(plan.seed))
+        shots = build_shot_bank(task.targets, plan.k, plan.shot_mode, task.spec.num_classes,
+                                RngStreams(plan.seed))
         (chain, trace), (ref_chain, ref_trace) = on_both_paths(monkeypatch, lambda: (
             run_mixed_training(plan, task.source, task.targets, shots, spec=task.spec)))
         assert chain_bytes(chain) == chain_bytes(ref_chain)
@@ -94,7 +94,8 @@ class TestTrainingPath:
         # 2 epochs of ceil((50 + 2 * 3) / 16) steps; of ceil((40 + 2 * 3) / 16) for the tagger
         for family, steps in (("classifier", 2 * 4), ("tagger", 2 * 3)):
             task = tasks[family]
-            shots = build_shot_bank(task.targets, plan.k, plan.shot_mode, RngStreams(plan.seed))
+            shots = build_shot_bank(task.targets, plan.k, plan.shot_mode, task.spec.num_classes,
+                                RngStreams(plan.seed))
 
             def run():
                 seen = []
@@ -149,7 +150,7 @@ class TestSurgeryDots:
 
     def test_applied_step_takes_five_dots_else_three(self, tasks, monkeypatch):
         task = tasks["classifier"]
-        shots = build_shot_bank(task.targets, 3, "k_shot", RngStreams(1))
+        shots = build_shot_bank(task.targets, 3, "k_shot", task.spec.num_classes, RngStreams(1))
         bank = build_oracle_bank(shots, task.targets)
         calls = self.count_dots(monkeypatch)
         applied = skipped = 0
@@ -171,9 +172,8 @@ class TestSurgeryDots:
     def test_zero_norms_and_identical_bytes(self):
         spec = ModelSpec("softmax_classifier", 1, 0, 2)
         t = LanguageCorpus(lang_id="t", script_tag="x", role="target",
-                           task="classification", num_classes=2, input_dim=1,
                            train=Split(np.zeros((1, 1)), [0]))
-        bank = build_oracle_bank(build_shot_bank([t], 1, "k_shot", RngStreams(0)), [t])
+        bank = build_oracle_bank(build_shot_bank([t], 1, "k_shot", 2, RngStreams(0)), [t])
         # Bias 1000 on the gold class: softmax is exactly one-hot, the oracle
         # gradient exactly zero.
         certain = ModelState(spec=spec, theta=ParamVec(np.array([0.0, 0.0, 1000.0, 0.0])))
@@ -223,7 +223,7 @@ class TestSourceGradient:
     def test_similarity_matrix_equals_reference(self, tasks, monkeypatch, family):
         task = tasks[family]
         corpora = [task.source] + list(task.targets)
-        shots = build_shot_bank(task.targets, 3, "k_shot", RngStreams(1))
+        shots = build_shot_bank(task.targets, 3, "k_shot", task.spec.num_classes, RngStreams(1))
         models = [init_params(task.spec, RngStreams(s)) for s in (1, 2)]
 
         def run():

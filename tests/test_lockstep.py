@@ -184,7 +184,7 @@ def test_prefill_never_raises_and_cells_raise_what_it_could_not_make(corpora):
     for plans in failing.values():
         prefill(plans, task, stages)
     assert {(key[0], type(entry).__name__) for key, entry in stages.items()} == {
-        ("shots", "ShotBank"), ("source", "Stage"),
+        ("shots", "dict"), ("source", "Stage"),
         ("one_step", "Failed"), ("adapt", "Failed")}
     for match, plans in failing.items():
         for plan in plans:
@@ -214,8 +214,8 @@ def token_corpus(lang_id, role, rng):
     lens = rng.integers(1, 5, size=12)
     split = Split(rng.normal(size=(lens.sum(), 2)), rng.integers(3, size=lens.sum()),
                   offsets=np.concatenate([[0], np.cumsum(lens)]))
-    return LanguageCorpus(lang_id=lang_id, script_tag="x", role=role, task="token_tags",
-                          num_classes=3, input_dim=2, train=split, dev=split, test=split)
+    return LanguageCorpus(lang_id=lang_id, script_tag="x", role=role, train=split, dev=split,
+                          test=split)
 
 
 def source_runs(corpora, seeds, spec=ModelSpec("softmax_classifier", 2, 6, 3), **kw):
@@ -266,8 +266,7 @@ class TestStackable:
         lens = np.array([0, 2, 0, 3, 1, 0])
         split = Split(rng.normal(size=(lens.sum(), 2)), rng.integers(3, size=lens.sum()),
                       offsets=np.concatenate([[0], np.cumsum(lens)]))
-        corpus = LanguageCorpus(lang_id="s", script_tag="x", role="source", task="token_tags",
-                                num_classes=3, input_dim=2, train=split)
+        corpus = LanguageCorpus(lang_id="s", script_tag="x", role="source", train=split)
         runs = source_runs([corpus], (1,), spec=ModelSpec("mlp_token_tagger", 2, 4, 3),
                            batch_size=1)
         with pytest.raises(ContractViolation, match="batch contains no tokens"):
@@ -275,7 +274,7 @@ class TestStackable:
 
     def test_what_does_not_stack(self, corpora):
         runs = source_runs(corpora, (1, 2))
-        shots = build_shot_bank(corpora[1:2], 2, "k_shot", RngStreams(0))
+        shots = build_shot_bank(corpora[1:2], 2, "k_shot", 3, RngStreams(0))
         tagger = tagger_task(np.random.default_rng(0))
         ragged = source_runs([tagger.source], (1, 2), spec=tagger.spec)
         cases = {
@@ -299,7 +298,7 @@ class TestStackable:
         with pytest.raises(ContractViolation, match="out of range"):
             train_lockstep(wrong)
         narrow = source_runs(corpora, (1, 2), spec=ModelSpec("softmax_classifier", 3, 6, 3))
-        with pytest.raises(ContractViolation, match="features shape"):
+        with pytest.raises(ContractViolation, match="features have dim 2, expected 3"):
             train_lockstep(narrow)
 
 

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from gradmix.corpora import LanguageCorpus, ShotBank, Split, build_oracle_bank
+from gradmix.corpora import LanguageCorpus, Split, build_oracle_bank
 from gradmix.models import (
     ModelSpec,
     ModelState,
@@ -133,12 +133,9 @@ class TestLossAndGrad:
         # An oracle batch is the same whatever order its shots were drawn in.
         st = random_state(spec, 3)
         train = Split(*to_arrays(random_examples(spec, 4, n=8)))
-        task = "classification" if train.offsets is None else "token_tags"
-        corpus = LanguageCorpus(lang_id="t", script_tag="x", role="target", task=task,
-                                num_classes=spec.num_classes, input_dim=spec.input_dim,
-                                train=train)
+        corpus = LanguageCorpus(lang_id="t", script_tag="x", role="target", train=train)
         perm = tuple(np.random.default_rng(9).permutation(8).tolist())
-        shuffled = build_oracle_bank(ShotBank(8, "k_shot", (("t", perm),)), [corpus])["t"]
+        shuffled = build_oracle_bank({"t": perm}, [corpus])["t"]
         a = loss_and_grad(st, train)
         b = loss_and_grad(st, shuffled)
         assert a.loss == b.loss
@@ -169,7 +166,7 @@ class TestLossAndGrad:
 
     def test_feature_dim_mismatch(self):
         st = random_state(CLS, 1)
-        with pytest.raises(ContractViolation, match="features shape"):
+        with pytest.raises(ContractViolation, match="features have dim 5, expected 4"):
             loss_and_grad(st, Split(np.zeros((1, 5)), [0]))
 
     def test_layout_must_match_family(self):

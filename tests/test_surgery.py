@@ -88,12 +88,9 @@ def make_oracle(num_targets=2, k=3, seed=0, dim=2, num_classes=3):
     for i in range(num_targets):
         train = Split(rng.normal(size=(10, dim)), np.arange(10) % num_classes)
         targets.append(
-            LanguageCorpus(
-                lang_id=f"t{i}", script_tag="s", role="target", task="classification",
-                num_classes=num_classes, input_dim=dim, train=train,
-            )
+            LanguageCorpus(lang_id=f"t{i}", script_tag="s", role="target", train=train)
         )
-    shots = build_shot_bank(targets, k, "k_shot", RngStreams(seed))
+    shots = build_shot_bank(targets, k, "k_shot", num_classes, RngStreams(seed))
     return build_oracle_bank(shots, targets), targets
 
 
@@ -157,7 +154,7 @@ class TestSgsStep:
     def test_oracle_gradient_matches_loss_and_grad_on_shots(self):
         oracle, targets = make_oracle(num_targets=1, k=4, seed=3)
         model = make_model(seed=3)
-        idx = build_shot_bank(targets, 4, "k_shot", RngStreams(3)).indices("t0")
+        idx = build_shot_bank(targets, 4, "k_shot", 3, RngStreams(3))["t0"]
         pool = examples_of(targets[0].train)
         batch = stack_batch([pool[i] for i in idx], keys=idx)
         expected = loss_and_grad(model, batch).grad

@@ -109,6 +109,25 @@ class TestTrainPlan:
         ).effective_adapt_batch() == 3
 
 
+class TestTask:
+    """The spec owns the data's shape: building a Task checks every split
+    that holds examples against its layout, width and class count."""
+
+    @pytest.mark.parametrize("spec, error", [
+        (ModelSpec("mlp_token_tagger", 2, 4, 3),
+         "s train: mlp_token_tagger cannot take a batch of this layout (without sequence offsets)"),
+        (ModelSpec("softmax_classifier", 3, 4, 3), "s train: features have dim 2, expected 3"),
+        (ModelSpec("softmax_classifier", 2, 4, 2), "s train: label 2 out of range [0, 2)"),
+    ], ids=["layout", "width", "classes"])
+    def test_spec_that_disagrees_with_the_corpora_refused(self, spec, error):
+        corpora, _ = gen_synthetic_family(tiny_profile())
+        for build in (lambda: Task.from_corpora(spec, corpora),
+                      lambda: Task(spec, corpora[0], tuple(corpora[1:]))):
+            with pytest.raises(ContractViolation) as refused:
+                build()
+            assert str(refused.value) == error
+
+
 class TestSourceTraining:
     def test_zero_epochs_returns_initial(self, tiny_task):
         p = plan("zero_shot", source_epochs=0)
@@ -141,7 +160,7 @@ class TestTargetAdapting:
         p = plan("ord_fs")
         rng = RngStreams(p.seed)
         source_model = init_params(SPEC, rng)
-        shots = build_shot_bank(tiny_task.targets, p.k, p.shot_mode, rng)
+        shots = build_shot_bank(tiny_task.targets, p.k, p.shot_mode, SPEC.num_classes, rng)
         adapted = run_target_adapting(source_model, shots, p, tiny_task.targets, rng=rng)
         assert set(adapted.keys()) == {"t0", "t1"}
         for chain in adapted.values():
@@ -153,7 +172,7 @@ class TestTargetAdapting:
         p = plan("mix_ft")
         rng = RngStreams(p.seed)
         source_model = init_params(SPEC, rng)
-        shots = build_shot_bank(tiny_task.targets, p.k, p.shot_mode, rng)
+        shots = build_shot_bank(tiny_task.targets, p.k, p.shot_mode, SPEC.num_classes, rng)
         adapted = run_target_adapting(source_model, shots, p, tiny_task.targets, rng=rng)
         assert set(adapted.keys()) == {"adapted"}
         assert len(adapted["adapted"]) == p.adapt_epochs + 1
@@ -224,8 +243,7 @@ class TestEvaluate:
         from gradmix.models import predict
 
         relabeled = LanguageCorpus(
-            lang_id="self", script_tag="x", role="target", task="classification",
-            num_classes=3, input_dim=2,
+            lang_id="self", script_tag="x", role="target",
             test=Split(corpus.test.X, [predict(model, x) for x in corpus.test.X]),
         )
         assert evaluate(model, relabeled, "test") == 1.0
@@ -251,10 +269,7 @@ class TestEvaluate:
         assert a == b
 
     def test_empty_split_rejected(self):
-        corpus = LanguageCorpus(
-            lang_id="e", script_tag="x", role="target", task="classification",
-            num_classes=2, input_dim=2,
-        )
+        corpus = LanguageCorpus(lang_id="e", script_tag="x", role="target")
         model = init_params(ModelSpec("softmax_classifier", 2, 0, 2), RngStreams(0))
         with pytest.raises(ContractViolation, match="empty"):
             evaluate(model, corpus, "test")
@@ -267,8 +282,7 @@ class TestEvaluate:
 
         seqs = [rng.normal(size=(4, 2)) for _ in range(5)]
         corpus = LanguageCorpus(
-            lang_id="tok", script_tag="x", role="target", task="token_tags",
-            num_classes=3, input_dim=2,
+            lang_id="tok", script_tag="x", role="target",
             test=Split(np.concatenate(seqs), np.concatenate([predict(model, x) for x in seqs]),
                        offsets=np.arange(0, 21, 4)),
         )
@@ -294,8 +308,7 @@ class TestEvaluate:
         spec = ModelSpec("mlp_token_tagger", 3, 6, 4)
         lens = rng.integers(1, 9, size=40)
         corpus = LanguageCorpus(
-            lang_id="tok", script_tag="x", role="target", task="token_tags",
-            num_classes=4, input_dim=3,
+            lang_id="tok", script_tag="x", role="target",
             test=Split(rng.normal(size=(lens.sum(), 3)), rng.integers(4, size=lens.sum()),
                        offsets=np.concatenate([[0], np.cumsum(lens)])),
         )
@@ -364,10 +377,8 @@ class TestRunStrategy:
     def test_ord_fs_dev_needs_dev_split(self):
         corpora, _ = gen_synthetic_family(tiny_profile())
         src = corpora[0]
-        bare = LanguageCorpus(
-            lang_id="t0", script_tag="x", role="target", task="classification",
-            num_classes=3, input_dim=2, train=corpora[1].train, test=corpora[1].test,
-        )
+        bare = LanguageCorpus(lang_id="t0", script_tag="x", role="target",
+                              train=corpora[1].train, test=corpora[1].test)
         task = Task.from_corpora(SPEC, [src, bare])
         with pytest.raises(ContractViolation, match="t0 has none"):
             run_strategy(plan("ord_fs_dev"), task)
@@ -376,8 +387,7 @@ class TestRunStrategy:
         corpora, _ = gen_synthetic_family(tiny_profile())
         src = corpora[0]
         bare = LanguageCorpus(
-            lang_id="s", script_tag="sc0", role="source", task="classification",
-            num_classes=3, input_dim=2, train=src.train, test=src.test,
+            lang_id="s", script_tag="sc0", role="source", train=src.train, test=src.test,
         )
         task = Task.from_corpora(SPEC, [bare] + list(corpora[1:]))
         with pytest.raises(ContractViolation, match="s has none"):
@@ -400,10 +410,8 @@ class TestDevFreeTarget:
     @pytest.fixture(scope="class")
     def devfree_task(self):
         corpora, _ = gen_synthetic_family(tiny_profile())
-        bare = LanguageCorpus(
-            lang_id="t0", script_tag="x", role="target", task="classification",
-            num_classes=3, input_dim=2, train=corpora[1].train, test=corpora[1].test,
-        )
+        bare = LanguageCorpus(lang_id="t0", script_tag="x", role="target",
+                              train=corpora[1].train, test=corpora[1].test)
         return Task.from_corpora(SPEC, [corpora[0], bare, corpora[2]])
 
     @pytest.mark.parametrize(
