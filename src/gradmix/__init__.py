@@ -21,4 +21,4 @@ from .models import (GradReport, ModelSpec, ModelState, init_params, load_checkp
 from .numcore import ContractViolation, ParamVec, RngStreams, cosine_similarity, dot
 from .surgery import TraceEntry, sgs_step
 from .trainer import (Task, TrainPlan, evaluate, run_mixed_training, run_source_training,
-                      run_strategy, run_target_adapting, select_model)
+                      run_strategy, run_target_adapting)

@@ -44,7 +44,7 @@ from .corpora import (
     profile_from_manifest,
 )
 from .models import ModelSpec, chain_digest, save_checkpoint, write_atomic
-from .numcore import ContractViolation, RngStreams
+from .numcore import ContractViolation, RngStreams, is_int
 from .trainer import Stages, Task, TrainPlan, run_strategy
 
 # Strategies whose run produces one final model covering every language;
@@ -61,11 +61,6 @@ MODEL_DEFAULTS = {"family": "softmax_classifier", "hidden_dim": 64}
 # The config's `analysis` block: its keys, their defaults and least values.
 ANALYSIS_DEFAULTS = {"seed": 0, "source_batches": 100}
 ANALYSIS_LEAST = {"seed": 0, "source_batches": 1}
-
-
-def _is_int(v) -> bool:
-    """Whether a JSON value is an integer (bool is an int in Python, not in JSON)."""
-    return isinstance(v, int) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -98,23 +93,25 @@ class ExperimentConfig:
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
+    if not isinstance(doc, dict):
+        raise ContractViolation(f"config: {doc!r} is not a JSON object")
     for block in ("grid", "benchmark", "model", "plan", "analysis"):
         if not isinstance(doc.get(block, {}), dict):
             raise ContractViolation(f"{block}: {doc[block]!r} is not a JSON object")
     try:
         grid = doc["grid"]
-        axes = {name: tuple(grid[name]) for name in ("strategies", "ks", "seeds")}
+        axes = {name: grid[name] for name in ("strategies", "ks", "seeds")}
     except KeyError as exc:
         raise ContractViolation(f"config missing grid section/key: {exc}") from None
-    for (name, values), one in zip(axes.items(), ("strategy", "K", "seed")):
-        if not values:
-            raise ContractViolation(f"config needs at least one {one}")
+    for name, values in axes.items():
+        if not isinstance(values, list) or not values:
+            raise ContractViolation(f"grid {name}: {values!r} is not a non-empty JSON list")
         for i, v in enumerate(values):  # TrainPlan checks the values of each cell below
-            if name != "strategies" and not _is_int(v):
+            if name != "strategies" and not is_int(v):
                 raise ContractViolation(f"grid {name}: {v!r} is not an integer")
             if v in values[:i]:
                 raise ContractViolation(f"grid {name}: {v!r} is listed twice")
-    strategies, ks, seeds = axes.values()
+    strategies, ks, seeds = map(tuple, axes.values())
     plan = dict(doc.get("plan", {}))
     model = dict(MODEL_DEFAULTS, **doc.get("model", {}))
     ana = dict(ANALYSIS_DEFAULTS, **doc.get("analysis", {}))
@@ -123,10 +120,10 @@ def parse_config(doc: dict) -> ExperimentConfig:
     unknown += [f"analysis.{key}" for key in ana if key not in ANALYSIS_DEFAULTS]
     if unknown:
         raise ContractViolation(f"unknown config key(s): {', '.join(unknown)}")
-    if not _is_int(model["hidden_dim"]):
+    if not is_int(model["hidden_dim"]):
         raise ContractViolation(f"model.hidden_dim: {model['hidden_dim']!r} is not an integer")
     for key, least in ANALYSIS_LEAST.items():
-        if not _is_int(ana[key]) or ana[key] < least:
+        if not is_int(ana[key]) or ana[key] < least:
             raise ContractViolation(f"analysis.{key}: {ana[key]!r} is not an integer >= {least}")
     cfg = ExperimentConfig(
         benchmark=doc.get("benchmark", {"kind": "default"}),
@@ -157,8 +154,16 @@ def _tsv_corpora(bench: dict) -> Tuple[List[LanguageCorpus], int, int]:
     non-empty file, and `num_classes` if given, else 1 + the largest label
     in any file, at least 2."""
     schema, num_classes = bench.get("task", "classification"), bench.get("num_classes")
+    langs = bench.get("languages")
+    if schema not in corpora.TASKS:
+        raise ContractViolation(f"benchmark.task: unknown task {schema!r}, "
+                                f"expected one of {', '.join(corpora.TASKS)}")
+    if num_classes is not None and not (is_int(num_classes) and num_classes >= 2):
+        raise ContractViolation(f"benchmark.num_classes: {num_classes!r} is not an integer >= 2")
+    if not isinstance(langs, list) or not langs:
+        raise ContractViolation(f"benchmark.languages: {langs!r} is not a non-empty JSON list")
     corp, widths, top = [], {}, 1  # top: the largest label, at least 1
-    for i, lang in enumerate(bench.get("languages", [])):
+    for i, lang in enumerate(langs):
         if not isinstance(lang, dict):
             raise ContractViolation(f"benchmark.languages[{i}]: {lang!r} is not a JSON object")
         where = f"tsv language {lang.get('lang_id', f'#{i}')}"
@@ -197,8 +202,14 @@ def build_benchmark(cfg: ExperimentConfig) -> Tuple[Task, Optional[dict]]:
     if kind == "tsv":
         corp, input_dim, num_classes = _tsv_corpora(cfg.benchmark)
     elif kind in ("default", "synthetic"):
-        profile = (corpora.default_profile() if kind == "default"
-                   else profile_from_manifest(cfg.benchmark["profile"]))
+        profile = cfg.benchmark.get("profile")
+        if kind == "synthetic" and not isinstance(profile, dict):
+            raise ContractViolation(f"benchmark.profile: {profile!r} is not a JSON object")
+        try:
+            profile = (corpora.default_profile() if kind == "default"
+                       else profile_from_manifest(profile))
+        except KeyError as exc:
+            raise ContractViolation(f"benchmark.profile: no {exc.args[0]!r} key") from None
         corp, manifest = gen_synthetic_family(profile)
         input_dim, num_classes = profile.input_dim, profile.num_classes
     else:

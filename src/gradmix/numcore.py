@@ -28,6 +28,11 @@ class ContractViolation(ValueError):
     """An operation was called outside its stated preconditions."""
 
 
+def is_int(v) -> bool:
+    """Whether a JSON value is an integer (bool is an int in Python, not in JSON)."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True, eq=False)
 class ParamVec:
     """Immutable 1-D float64 vector holding model parameters or a gradient."""

@@ -34,10 +34,11 @@ the bits it gets alone. The same loop trains, one run at a time, what does
 not stack (ragged tagger pools) and a run with a `step_hook`; a stack that
 raises is trained again job by job.
 
-Every strategy trains on all of the task's targets, and its selection
-policy follows from it (`_default_selection`). One-step strategies select
-their epoch on the source dev set only, so one model serves every target,
-including one without a dev split. Target dev data is consumed solely by
+Every strategy trains on all of the task's targets, and one rule picks each
+language's epoch (`_best_epoch`, on the dev curve the strategy names):
+zero_shot and the one-step strategies pick on the source's only, so one
+model serves every target, including one without a dev split; ord_fs and
+mix_ft take the last checkpoint. Target dev data is consumed solely by
 ord_fs_dev, since realistically-sized target dev sets would be smaller than
 the training shots themselves.
 """
@@ -54,6 +55,7 @@ from . import analysis
 from .corpora import (
     OUTSIDE_LABEL,
     ROLES,
+    SHOT_MODES,
     SPLITS,
     LanguageCorpus,
     Shots,
@@ -66,7 +68,7 @@ from .corpora import (
 )
 from .models import ModelSpec, ModelState, check_batch, init_params, predict, stack_grads
 from .models import loss_and_grad, sgd_step  # noqa: F401  (traced by name in perfbench/tracing.py)
-from .numcore import ContractViolation, ParamVec, RngStreams
+from .numcore import ContractViolation, ParamVec, RngStreams, is_int
 from .surgery import TraceEntry, decide, pick
 from .surgery import sgs_step  # noqa: F401  (traced by name in perfbench/tracing.py)
 
@@ -82,14 +84,6 @@ ONE_STEP = ("naive_mix_train", "gradient_mix_train")
 TWO_STEP = ("ord_fs", "ord_fs_dev", "mix_ft")
 
 StepHook = Callable[[int, ModelState], None]
-
-
-def _default_selection(strategy: str) -> str:
-    if strategy in ("zero_shot",) + ONE_STEP:
-        return "source_dev"
-    if strategy == "ord_fs_dev":
-        return "target_dev"
-    return "last_checkpoint"
 
 
 @dataclass(frozen=True)
@@ -108,21 +102,27 @@ class TrainPlan:
     def __post_init__(self) -> None:
         if self.strategy not in STRATEGIES:
             raise ContractViolation(f"unknown strategy {self.strategy!r}")
-        if self.seed < 0:
-            raise ContractViolation("seed must be >= 0")
+        if self.shot_mode not in SHOT_MODES:
+            raise ContractViolation(f"unknown shot_mode {self.shot_mode!r}, "
+                                    f"expected one of {', '.join(SHOT_MODES)}")
+        least = {"seed": 0, "k": 0 if self.strategy == "zero_shot" else 1, "source_epochs": 0,
+                 "adapt_epochs": 0, "batch_size": 1, "adapt_batch_size": 1}
+        for name, low in least.items():
+            value = getattr(self, name)
+            if not (is_int(value) or name == "adapt_batch_size" and value is None):
+                raise ContractViolation(f"{name} must be an integer, got {value!r}")
+            if value is not None and value < low:
+                raise ContractViolation(f"{name} must be >= {low}")
+        for name in ("alpha", "lr"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ContractViolation(f"{name} must be a number, got {value!r}")
         if self.strategy == "zero_shot" and self.k != 0:
             raise ContractViolation("zero_shot requires k = 0")
-        if self.strategy != "zero_shot" and self.k < 1:
-            raise ContractViolation(f"{self.strategy} requires k >= 1")
-        for name in ("source_epochs", "adapt_epochs"):
-            if getattr(self, name) < 0:
-                raise ContractViolation(f"{name} must be >= 0")
-        if self.batch_size < 1:
-            raise ContractViolation("batch_size must be >= 1")
-        if self.adapt_batch_size is not None and self.adapt_batch_size < 1:
-            raise ContractViolation("adapt_batch_size must be >= 1")
         if not 0.0 <= self.alpha <= 1.0:
             raise ContractViolation("alpha must be in [0, 1]")
+        if not 0.0 <= self.lr < float("inf"):
+            raise ContractViolation(f"lr must be finite and non-negative, got {self.lr!r}")
 
     def effective_adapt_batch(self) -> int:
         return self.adapt_batch_size if self.adapt_batch_size is not None else max(self.k, 1)
@@ -412,48 +412,6 @@ def evaluate(model: ModelState, corpus: LanguageCorpus, split: str) -> float:
     return analysis.micro_f1(pred, data.y, outside_label=OUTSIDE_LABEL)
 
 
-def select_model(
-    curves: Dict[str, List[float]],
-    policy: str,
-    epochs: int,
-    source_lang: Optional[str] = None,
-    langs: Optional[Sequence[str]] = None,
-) -> Dict[str, int]:
-    """Map each language of `langs` (default: those with a curve) to its
-    selected epoch (0 = the state training started from).
-
-    source_dev: argmax of the source language's dev curve, shared by all.
-    target_dev: per-language argmax of that language's own dev curve.
-    last_checkpoint: the final epoch for everyone. Ties break earliest.
-    A language without a dev curve gets the shared epoch of source_dev and
-    last_checkpoint; target_dev refuses it.
-    """
-    for lang, curve in curves.items():
-        if len(curve) != epochs:
-            raise ContractViolation(
-                f"dev curve for {lang} has {len(curve)} entries, expected {epochs}"
-            )
-    langs = list(curves) if langs is None else list(langs)
-    if policy == "last_checkpoint":
-        return {lang: epochs for lang in langs}
-    if policy == "source_dev":
-        if source_lang is None or source_lang not in curves:
-            raise ContractViolation("source_dev selection needs the source dev curve")
-        epoch = analysis.argmax_earliest(curves[source_lang]) if epochs > 0 else 0
-        return {lang: epoch for lang in langs}
-    if policy == "target_dev":
-        for lang in langs:
-            if lang not in curves:
-                raise ContractViolation(
-                    f"target_dev selection needs a dev split, but {lang} has none"
-                )
-        return {
-            lang: (analysis.argmax_earliest(curves[lang]) if epochs > 0 else 0)
-            for lang in langs
-        }
-    raise ContractViolation(f"unknown selection policy {policy!r}")
-
-
 # --- stages and prefill ---------------------------------------------------------
 
 
@@ -521,15 +479,15 @@ def _dev_curves(
     }
 
 
-def _source_selection(plan: TrainPlan, source: LanguageCorpus, src: Stage) -> Tuple[int, list]:
-    """The selected source epoch of a two-step plan, and its dev curve."""
-    if source.lang_id not in src.curves and plan.source_epochs > 0:
-        raise ContractViolation(
-            f"two-step strategies select the source model on its dev split, "
-            f"but {source.lang_id} has none"
-        )
-    curve = list(src.curves.get(source.lang_id, []))
-    return (analysis.argmax_earliest(curve) if plan.source_epochs > 0 else 0), curve
+def _best_epoch(curves: Dict[str, List[float]], lang: str, epochs: int) -> int:
+    """The earliest peak of `lang`'s dev curve over `epochs` epochs, or 0
+    (the state training started from) when there are none."""
+    if epochs == 0:
+        return 0
+    if lang not in curves:
+        raise ContractViolation(f"picking one of {epochs} epochs needs a dev split, "
+                                f"but {lang} has none")
+    return analysis.argmax_earliest(curves[lang])
 
 
 def _job(kind: str, plan: TrainPlan, task: Task, stages: Stages
@@ -548,8 +506,8 @@ def _job(kind: str, plan: TrainPlan, task: Task, stages: Stages
         run = _pool_run(plan, source, targets, shots, rng, init_params(task.spec, rng))
         return {"model": run}, {"model": [source, *targets]}
     src = _lookup(stages, keys["source"])
-    src_epoch, _ = _source_selection(plan, source, src)
-    runs = _adapt_runs(src.chains["source"][src_epoch], shots, plan, targets, rng)
+    start = src.chains["source"][_best_epoch(src.curves, source.lang_id, plan.source_epochs)]
+    runs = _adapt_runs(start, shots, plan, targets, rng)
     return runs, _adapt_corpora(plan, targets)
 
 
@@ -652,18 +610,18 @@ def run_strategy(
     curves = {lang: list(curve) for lang, curve in stage.curves.items()}
 
     if plan.strategy in TWO_STEP:
-        src_epoch, src_curve = _source_selection(plan, source, stage)
+        src_epoch = _best_epoch(curves, source.lang_id, plan.source_epochs)
         checkpoints["source"] = chain
         record["source_selected_epoch"] = src_epoch
-        record["source_dev_curve"] = src_curve
+        record["source_dev_curve"] = curves.get(source.lang_id, [])
         model_key_of = {c.lang_id: key for key, corpora in _adapt_corpora(plan, targets).items()
                         for c in corpora}
         adapted = _lookup(stages, keys["adapt"])
         checkpoints.update(adapted.chains)
         epochs = plan.adapt_epochs
         curves = {lang: list(curve) for lang, curve in adapted.curves.items()}
-        selected = select_model(curves, _default_selection(plan.strategy), epochs,
-                                langs=list(model_key_of))
+        selected = {lang: _best_epoch(curves, lang, epochs) if plan.strategy == "ord_fs_dev"
+                    else epochs for lang in model_key_of}
         model_key_of[source.lang_id] = "source"
         selected[source.lang_id] = src_epoch
         record["pool_size"] = sum(map(len, shots.values()))
@@ -673,8 +631,7 @@ def run_strategy(
             curves.update(_dev_curves(chain, targets))
         checkpoints["model"] = chain
         epochs = plan.source_epochs
-        selected = select_model(curves, _default_selection(plan.strategy), epochs,
-                                source_lang=source.lang_id, langs=all_langs)
+        selected = dict.fromkeys(all_langs, _best_epoch(curves, source.lang_id, epochs))
         model_key_of = {lang: "model" for lang in all_langs}
         record["pool_size"] = len(source.train) + sum(map(len, (shots or {}).values()))
 

@@ -135,14 +135,30 @@ class TestConfig:
         assert "plan.learning_rate, model.width" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("field, value", [("adapt_batch_size", 0), ("adapt_batch_size", -3),
-                                              ("batch_size", 0)])
-    def test_plan_value_refused_before_any_cell_runs(self, tmp_path, capsys, field, value):
+    @pytest.mark.parametrize("field, value, error", [
+        ("adapt_batch_size", 0, "adapt_batch_size must be >= 1"),
+        ("adapt_batch_size", -3, "adapt_batch_size must be >= 1"),
+        ("batch_size", 0, "batch_size must be >= 1"),
+        ("lr", -1, "lr must be finite and non-negative, got -1"),
+        ("lr", float("nan"), "lr must be finite and non-negative, got nan"),
+        ("lr", float("inf"), "lr must be finite and non-negative, got inf"),
+        ("lr", "0.5", "lr must be a number, got '0.5'"),
+        ("alpha", "0.6", "alpha must be a number, got '0.6'"),
+        ("batch_size", 2.5, "batch_size must be an integer, got 2.5"),
+        ("batch_size", True, "batch_size must be an integer, got True"),
+        ("source_epochs", 1.0, "source_epochs must be an integer, got 1.0"),
+        ("adapt_batch_size", "4", "adapt_batch_size must be an integer, got '4'"),
+        ("shot_mode", "kshot", "unknown shot_mode 'kshot', expected one of k_shot, n_way_k_shot"),
+    ], ids=["adapt_batch_size-0", "adapt_batch_size--3", "batch_size-0", "lr-negative", "lr-nan",
+            "lr-inf", "lr-string", "alpha-string", "batch_size-float", "batch_size-bool",
+            "source_epochs-float", "adapt_batch_size-string", "shot_mode-unknown"])
+    def test_plan_value_refused_before_any_cell_runs(self, tmp_path, capsys, field, value, error):
         doc = small_config_doc(strategies=("zero_shot", "ord_fs"))
         doc["plan"][field] = value
         out = tmp_path / "out"
         assert main(["run", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 2
-        assert f"error: {field} must be >= 1" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"error: {error}\n" in err and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("field, values, error", [
@@ -152,7 +168,10 @@ class TestConfig:
         ("ks", [1.7], "grid ks: 1.7 is not an integer"),
         ("seeds", [1.5], "grid seeds: 1.5 is not an integer"),
         ("seeds", [-1], "seed must be >= 0"),
-    ], ids=["twice-strategy", "twice-k", "twice-seed", "float-k", "float-seed", "negative-seed"])
+        ("strategies", "zero_shot", "grid strategies: 'zero_shot' is not a non-empty JSON list"),
+        ("ks", 5, "grid ks: 5 is not a non-empty JSON list"),
+    ], ids=["twice-strategy", "twice-k", "twice-seed", "float-k", "float-seed", "negative-seed",
+            "string-strategies", "int-ks"])
     def test_bad_grid_refused_before_any_cell_runs(self, tmp_path, capsys, field, values, error):
         doc = small_config_doc(strategies=("zero_shot", "ord_fs"))
         doc["grid"][field] = values
@@ -204,14 +223,32 @@ class TestConfig:
         assert main(argv) == 2  # and a rerun is refused for the same reason
         assert f"error: {error}\n" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("block", ["benchmark", "model", "plan", "analysis"])
+    @pytest.mark.parametrize("block", ["benchmark", "model", "plan", "analysis", "grid",
+                                       "benchmark.profile"])
     def test_block_that_is_not_an_object_refused(self, tmp_path, capsys, block):
         doc = small_config_doc()
-        doc[block] = 5
+        *outer, key = block.split(".")
+        (doc[outer[0]] if outer else doc)[key] = 5
         out = tmp_path / "out"
         assert main(["run", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert f"error: {block}: 5 is not a JSON object\n" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_document_that_is_not_an_object_refused(self, tmp_path, capsys):
+        config, out = write_config(tmp_path, [1, 2]), tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error: config: [1, 2] is not a JSON object\n" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_profile_without_a_key_refused_by_name(self, tmp_path, capsys):
+        doc = small_config_doc()
+        del doc["benchmark"]["profile"]["num_classes"]
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error: benchmark.profile: no 'num_classes' key\n" in err and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("model", [None, {"family": "softmax_classifier"}])
@@ -275,6 +312,26 @@ class TestTsvBenchmark:
         assert code == 2 and not out.exists()
         assert ("error: s train: softmax_classifier cannot take a batch of this layout "
                 "(with sequence offsets)\n") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value, error", [
+        ("num_classes", "5", "benchmark.num_classes: '5' is not an integer >= 2"),
+        ("num_classes", True, "benchmark.num_classes: True is not an integer >= 2"),
+        ("num_classes", 1, "benchmark.num_classes: 1 is not an integer >= 2"),
+        ("task", "tokens",
+         "benchmark.task: unknown task 'tokens', expected one of classification, token_tags"),
+        ("languages", [], "benchmark.languages: [] is not a non-empty JSON list"),
+        ("languages", 5, "benchmark.languages: 5 is not a non-empty JSON list"),
+    ], ids=["classes-string", "classes-bool", "classes-one", "task", "languages-empty",
+            "languages-int"])
+    def test_bad_block_key_refused_before_any_file_is_read(self, tmp_path, capsys, key, value,
+                                                            error):
+        doc = tsv_doc(tmp_path, **{key: value})
+        for path in tmp_path.glob("*.tsv"):  # a file read would now fail on its own
+            path.unlink()
+        code, out = self.run(tmp_path, doc)
+        err = capsys.readouterr().err
+        assert code == 2 and not out.exists()
+        assert f"error: {error}\n" in err and "Traceback" not in err
 
     def test_splits_come_from_their_files(self, tmp_path):
         doc = tsv_doc(tmp_path)

@@ -3,6 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from gradmix.analysis import argmax_earliest
 from gradmix.corpora import (
     LanguageCorpus,
     Split,
@@ -19,7 +20,6 @@ from gradmix.trainer import (
     run_source_training,
     run_strategy,
     run_target_adapting,
-    select_model,
 )
 
 from conftest import tiny_profile
@@ -317,30 +317,45 @@ class TestEvaluate:
             assert evaluate(model, corpus, "test") == evaluate_per_example(model, corpus, "test")
 
 
-class TestSelectModel:
-    def test_monotone_curve_selects_last(self):
-        sel = select_model({"s": [0.1, 0.2, 0.3]}, "source_dev", 3, source_lang="s")
-        assert sel["s"] == 3
+class TestEpochSelection:
+    """One rule picks every selected epoch: the earliest peak of one dev
+    curve (`argmax_earliest`, 1-based), or epoch 0 when there are no
+    epochs to pick from."""
 
-    def test_peak_then_fall_selects_peak(self):
-        sel = select_model({"s": [0.9, 0.5, 0.4]}, "source_dev", 3, source_lang="s")
-        assert sel["s"] == 1
+    @pytest.mark.parametrize("curve, epoch", [
+        ([0.1, 0.2, 0.3], 3), ([0.9, 0.5, 0.4], 1), ([0.2, 0.7, 0.4], 2), ([0.5, 0.5, 0.5], 1),
+        ([0.1, 0.6, 0.6, 0.2], 2),
+    ], ids=["rising-selects-last", "peak-then-fall", "peak-inside", "all-equal-selects-first",
+            "tie-selects-earliest"])
+    def test_earliest_peak(self, curve, epoch):
+        assert argmax_earliest(curve) == epoch
 
-    def test_all_equal_selects_first(self):
-        sel = select_model({"s": [0.5, 0.5, 0.5]}, "source_dev", 3, source_lang="s")
-        assert sel["s"] == 1
+    @pytest.mark.parametrize("strategy", ["ord_fs", "ord_fs_dev", "mix_ft"])
+    def test_source_epoch_starts_every_adapted_chain(self, tiny_task, strategy):
+        res = run_strategy(plan(strategy, source_epochs=6, adapt_epochs=2), tiny_task)
+        rec = res.record
+        src_epoch = rec["source_selected_epoch"]
+        assert src_epoch == first_best(rec["source_dev_curve"]) == rec["selected_epochs"]["s"]
+        start = res.checkpoints["source"][src_epoch]
+        for key in set(rec["model_key_of"].values()) - {"source"}:
+            assert res.checkpoints[key][0].theta.bitwise_equal(start.theta)
 
-    def test_last_checkpoint(self):
-        sel = select_model({"a": [0.9, 0.1], "b": [0.1, 0.2]}, "last_checkpoint", 2)
-        assert sel == {"a": 2, "b": 2}
-
-    def test_target_dev_per_language(self):
-        sel = select_model({"a": [0.9, 0.1], "b": [0.1, 0.2]}, "target_dev", 2)
-        assert sel == {"a": 1, "b": 2}
-
-    def test_curve_length_validated(self):
-        with pytest.raises(ContractViolation, match="dev curve"):
-            select_model({"s": [0.5]}, "last_checkpoint", 3)
+    # With no epochs to pick from, no dev curve is needed: each case runs
+    # on a corpus without a dev split and selects epoch 0.
+    @pytest.mark.parametrize("strategy, epochs, bare, zero", [
+        ("zero_shot", {"source_epochs": 0}, "s", ("s", "t0", "t1")),
+        ("naive_mix_train", {"source_epochs": 0}, "s", ("s", "t0", "t1")),
+        ("ord_fs", {"source_epochs": 0}, "s", ("s",)),
+        ("ord_fs_dev", {"adapt_epochs": 0}, "t0", ("t0", "t1")),
+    ], ids=["zero_shot", "naive_mix_train", "ord_fs", "ord_fs_dev"])
+    def test_zero_epochs_select_epoch_zero_without_a_dev_split(self, strategy, epochs, bare,
+                                                                zero):
+        corpora, _ = gen_synthetic_family(tiny_profile())
+        corpora = [LanguageCorpus(c.lang_id, c.script_tag, c.role, train=c.train, test=c.test)
+                   if c.lang_id == bare else c for c in corpora]
+        rec = run_strategy(plan(strategy, **epochs), Task.from_corpora(SPEC, corpora)).record
+        assert bare not in rec["dev_curves"]
+        assert {lang: rec["selected_epochs"][lang] for lang in zero} == dict.fromkeys(zero, 0)
 
 
 class TestRunStrategy:
