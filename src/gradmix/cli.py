@@ -6,15 +6,21 @@ deterministic artifact tree; `export` re-emits the aggregate table and the
 gradient-similarity CSVs from an existing tree. Canonical artifacts carry
 no timestamps, so rerunning a config reproduces every file byte for byte.
 
-The unit of work is a chunk of seeds: all seeds at `--jobs 1`, and
-min(jobs, seeds) contiguous chunks, one pool task each, under `--jobs N`.
-A chunk runs its cells column by column ((strategy, K) over its seeds)
-with one `trainer.Stages` dict: `trainer.prefill` trains a column's
-stages in lockstep across the chunk's seeds, a chain that several cells
-share is trained once (see `trainer.run_strategy`), and each stage is
-dropped after its last column. Trained chains go to one content-addressed
-store, `models/<chain_digest>.json`, written once per distinct chain; a
-record's `checkpoints` map points into it. Every file is written through
+The unit of work is a set of grid columns ((strategy, K), all seeds) that
+shares no trained stage with any other unit (`stage_units`): zero_shot and
+the two-step columns share the source stage, and each one-step column
+stands alone. A unit runs its cells column by column with one
+`trainer.Stages` dict: `trainer.prefill` trains a column's stages in
+lockstep across seeds, a chain that several cells share is trained once
+(see `trainer.run_strategy`), and each stage is dropped after its last
+column. The unit then writes the similarity CSV of each of its (strategy,
+K) groups. At `--jobs 1` the units run in sequence over one dict; under
+`--jobs N` each unit is a task of a pool of min(jobs, units) workers,
+largest first, and the parent writes only the report, the table and the
+manifest. Trained chains go to one content-addressed store,
+`models/<chain_digest>.json`, written once per distinct chain; a record's
+`checkpoints` map points into it, and when every unit has ended, a chain
+no record references is removed. Every file is written through
 `models.write_atomic`, so a name only ever holds a whole file.
 """
 
@@ -27,7 +33,6 @@ import json
 import shutil
 import sys
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -61,6 +66,16 @@ MODEL_DEFAULTS = {"family": "softmax_classifier", "hidden_dim": 64}
 # The config's `analysis` block: its keys, their defaults and least values.
 ANALYSIS_DEFAULTS = {"seed": 0, "source_batches": 100}
 ANALYSIS_LEAST = {"seed": 0, "source_batches": 1}
+
+
+def __getattr__(name: str):
+    """`ProcessPoolExecutor`, imported when first looked up (PEP 562), so a
+    run that makes no pool does not pay for the import. The benchmark's
+    tracer (`perfbench/tracing.py`) replaces it on the module by name."""
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ProcessPoolExecutor
+    return globals().setdefault(name, ProcessPoolExecutor)
 
 
 @dataclass(frozen=True)
@@ -210,6 +225,8 @@ def build_benchmark(cfg: ExperimentConfig) -> Tuple[Task, Optional[dict]]:
                        else profile_from_manifest(profile))
         except KeyError as exc:
             raise ContractViolation(f"benchmark.profile: no {exc.args[0]!r} key") from None
+        except ContractViolation as exc:
+            raise ContractViolation(f"benchmark.profile.{exc}") from None
         corp, manifest = gen_synthetic_family(profile)
         input_dim, num_classes = profile.input_dim, profile.num_classes
     else:
@@ -234,19 +251,8 @@ def cell_name(strategy: str, k: int, seed: int) -> str:
     return f"{strategy}_k{k}_seed{seed}"
 
 
-def seed_chunks(cells: Sequence[Tuple[str, int, int]],
-                n_chunks: int) -> List[List[Tuple[str, int, int]]]:
-    """The cells of min(n_chunks, seeds) contiguous chunks of the seeds (in
-    order of first appearance), sizes differing by at most one, each
-    chunk's cells in the given order."""
-    seeds = list(dict.fromkeys(cell[2] for cell in cells))
-    chunks = np.array_split(seeds, min(n_chunks, len(seeds)))
-    return [[cell for cell in cells if cell[2] in chunk]
-            for chunk in (set(part.tolist()) for part in chunks)]
-
-
 def columns(cells: Sequence[Tuple[str, int, int]]) -> List[List[Tuple[str, int, int]]]:
-    """The cells by (strategy, K), in the order a chunk runs them: grid
+    """The cells by (strategy, K), in the order a unit runs them: grid
     order, except that columns which share an adapt stage (ord_fs and
     ord_fs_dev at one K) run back to back, so that stage is dropped
     sooner."""
@@ -262,6 +268,25 @@ def make_plan(cfg: ExperimentConfig, strategy: str, k: int, seed: int) -> TrainP
     return TrainPlan(strategy=strategy, k=k, seed=seed, **cfg.plan)
 
 
+def stage_units(cfg: ExperimentConfig, task: Task,
+                cells: Sequence[Tuple[str, int, int]]) -> List[List[Tuple[str, int, int]]]:
+    """The cells in units that share no trained stage: two columns are in
+    one unit when their cells share a `trainer.stage_keys` key other than
+    "shots" (a shot bank is a cheap pure function of (seed, K, shot mode),
+    so each unit may draw its own). Units come in the order of their first
+    column, and a unit's cells in `columns` order."""
+    cols = columns(cells)
+    keys = [{key for cell in column
+             for kind, key in trainer.stage_keys(make_plan(cfg, *cell), task).items()
+             if kind != "shots"} for column in cols]
+    units: List[List[int]] = []  # column indices, ascending
+    for i in range(len(cols)):
+        joined = [unit for unit in units if any(keys[i] & keys[j] for j in unit)]
+        units = [unit for unit in units if unit not in joined]
+        units.append(sorted([i] + [j for unit in joined for j in unit]))
+    return [[cell for i in unit for cell in cols[i]] for unit in sorted(units)]
+
+
 def write_json(path: Path, obj) -> None:
     write_atomic(path, (json.dumps(obj, indent=2, allow_nan=False) + "\n").encode("utf-8"))
 
@@ -271,8 +296,9 @@ def run_cell(cfg: ExperimentConfig, task: Task, strategy: str, k: int, seed: int
     """Run one grid cell and write its trace, then its chains, then its
     record; returns the record. Cells given one `stages` dict share trained
     phases. A cell directory with a record is complete: if a write fails,
-    the chain files this call created and the cell directory are removed,
-    so `models/` keeps only chains some record references."""
+    the cell directory is removed. Its chains stay, since another cell may
+    have written or may read the same file; `run_experiment` removes those
+    that no record references."""
     plan = make_plan(cfg, strategy, k, seed)
     result = run_strategy(plan, task, stages=stages)
     cell_dir = out / "runs" / cell_name(strategy, k, seed)
@@ -284,18 +310,14 @@ def run_cell(cfg: ExperimentConfig, task: Task, strategy: str, k: int, seed: int
         (json.dumps(entry.to_json_dict()) + "\n").encode("utf-8") for entry in result.trace)
     result.record["surgery_trace"] = None if trace is None else "surgery_trace.jsonl"
 
-    created: List[Path] = []
     try:
         if trace is not None:
             write_atomic(cell_dir / "surgery_trace.jsonl", trace)
         for key, rel in rel_of.items():
             if not (out / rel).exists():
                 save_checkpoint(result.checkpoints[key], out / rel)
-                created.append(out / rel)
         write_json(cell_dir / "record.json", result.record)
     except BaseException:
-        for path in created:
-            path.unlink(missing_ok=True)
         shutil.rmtree(cell_dir, ignore_errors=True)
         raise
     return result.record
@@ -314,81 +336,92 @@ def failure_entry(cell: str, exc: BaseException) -> dict:
             "frames": frames[-FAILURE_FRAMES:]}
 
 
-def run_chunk(cfg: ExperimentConfig, task: Task, cells: Sequence[Tuple[str, int, int]],
-              out: Path) -> List[Tuple[Tuple[str, int, int], Optional[dict], Optional[dict]]]:
-    """Run one chunk's cells column by column (`columns`) with one stages
-    dict: `trainer.prefill` fills a column's stages before its cells run,
-    and each entry is dropped after the last column that uses it. Returns
-    (cell, record, None) for each cell that succeeded and (cell, None,
-    failure entry) for each that failed; the entry is made here, so a pool
+def run_units(cfg: ExperimentConfig, task: Task, units: Sequence[Sequence[Tuple[str, int, int]]],
+              out: Path) -> Tuple[list, list]:
+    """Run the units (`stage_units`) in sequence with one stages dict. A
+    unit runs its cells column by column (`columns`): `trainer.prefill`
+    fills a column's stages before its cells run, and each entry is dropped
+    after the last column that uses it. Then the unit writes the similarity
+    CSVs of its groups (`write_sim_matrices`). Returns, first, (cell,
+    record, None) for each cell that succeeded and (cell, None, failure
+    entry) for each that failed; second, ((strategy, K), failure entry) for
+    each group whose CSV failed. The entries are made here, so a pool
     worker's traceback survives."""
-    todo = columns(cells)
-    plans = {cell: make_plan(cfg, *cell) for cell in cells}
-    last_use = {}
-    for i, column in enumerate(todo):
+    todo = [columns(unit) for unit in units]
+    plans = {cell: make_plan(cfg, *cell) for unit in units for cell in unit}
+    last_use = {}  # stage key -> the run-order index of the last column using it
+    for i, column in enumerate(column for unit in todo for column in unit):
         for cell in column:
             last_use.update(dict.fromkeys(trainer.stage_keys(plans[cell], task).values(), i))
     stages: Stages = {}
-    outcomes = []
-    for i, column in enumerate(todo):
-        trainer.prefill([plans[cell] for cell in column], task, stages)
-        for cell in column:
-            try:
-                outcomes.append((cell, run_cell(cfg, task, *cell, out, stages=stages), None))
-            except Exception as exc:
-                outcomes.append((cell, None, failure_entry(cell_name(*cell), exc)))
-        for key in [key for key, last in last_use.items() if last == i]:
-            stages.pop(key, None)
-    return outcomes
+    outcomes, sim_failures, i = [], [], 0
+    for unit in todo:
+        records = []
+        for column in unit:
+            trainer.prefill([plans[cell] for cell in column], task, stages)
+            for cell in column:
+                try:
+                    records.append(run_cell(cfg, task, *cell, out, stages=stages))
+                    outcomes.append((cell, records[-1], None))
+                except Exception as exc:
+                    outcomes.append((cell, None, failure_entry(cell_name(*cell), exc)))
+            for key in [key for key, last in last_use.items() if last == i]:
+                stages.pop(key, None)
+            i += 1
+        sim_failures += [(group, failure_entry("aggregate", exc))
+                         for group, exc in write_sim_matrices(cfg, task, records, out)]
+    return outcomes, sim_failures
+
+
+def write_sim_matrix(cfg: ExperimentConfig, task: Task, records: Sequence[dict],
+                     out: Path) -> None:
+    """Write the similarity-matrix CSV of one (strategy, K) group, from the
+    records of its seeds: the last state of each seed's chain, read from
+    `models/`, measured against one analysis shot bank of the group's K
+    and shot mode. Batch size and shot mode are the ones the group's runs
+    resolved and recorded."""
+    records = sorted(records, key=lambda r: r["seed"])
+    strategy, k, plan = records[0]["strategy"], records[0]["k"], records[0]["plan"]
+    finals = [models.load_checkpoint(out / r["checkpoints"][SIM_MATRIX_KEYS[strategy]])[-1]
+              for r in records]
+    shots = build_shot_bank(task.targets, k, plan["shot_mode"], task.spec.num_classes,
+                            RngStreams(cfg.analysis_seed))
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.analysis_seed))
+    m = analysis.similarity_matrix(
+        finals, [task.source, *task.targets], shots, rng,
+        batch_size=plan["batch_size"],
+        n_source_batches=cfg.analysis_source_batches,
+    )
+    analysis.write_sim_matrix_csv(m, out / "aggregate" / f"simmatrix_{strategy}_k{k}.csv")
 
 
 def write_sim_matrices(cfg: ExperimentConfig, task: Task, records: Sequence[dict],
-                       out: Path) -> List[Path]:
-    """One similarity-matrix CSV per (strategy, k) group with a single final
-    model per run: the last state of each seed's checkpoint chain, measured
-    against one analysis shot bank, drawn once per (K, shot mode). Batch
-    size and shot mode are the ones the group's runs resolved and
-    recorded."""
-    agg_dir = out / "aggregate"
-    agg_dir.mkdir(parents=True, exist_ok=True)
-    written = []
+                       out: Path) -> List[Tuple[Tuple[str, int], Exception]]:
+    """Write the CSV of each (strategy, K) group of `records` with a single
+    final model per run and K > 0 (`write_sim_matrix`). Returns, in
+    (strategy, K) order, the group and exception of each group that raised;
+    such a group leaves no CSV, and the others are still written."""
     groups: Dict[Tuple[str, int], List[dict]] = {}
     for r in records:
         if r["strategy"] in SIM_MATRIX_KEYS and r["k"] > 0:
             groups.setdefault((r["strategy"], r["k"]), []).append(r)
-    corp = [task.source] + list(task.targets)
-    banks: Dict[Tuple[int, str], corpora.Shots] = {}
-    for (strategy, k), rs in sorted(groups.items()):
-        rs = sorted(rs, key=lambda r: r["seed"])
-        key = SIM_MATRIX_KEYS[strategy]
-        finals = [models.load_checkpoint(out / r["checkpoints"][key])[-1] for r in rs]
-        plan = rs[0]["plan"]
-        mode = plan["shot_mode"]
-        if (k, mode) not in banks:
-            banks[k, mode] = build_shot_bank(task.targets, k, mode, task.spec.num_classes,
-                                             RngStreams(cfg.analysis_seed))
-        rng = np.random.default_rng(np.random.SeedSequence(cfg.analysis_seed))
-        m = analysis.similarity_matrix(
-            finals, corp, banks[k, mode], rng,
-            batch_size=plan["batch_size"],
-            n_source_batches=cfg.analysis_source_batches,
-        )
-        path = agg_dir / f"simmatrix_{strategy}_k{k}.csv"
-        analysis.write_sim_matrix_csv(m, path)
-        written.append(path)
-    return written
+    failed = []
+    for group, rs in sorted(groups.items()):
+        try:
+            write_sim_matrix(cfg, task, rs, out)
+        except Exception as exc:
+            failed.append((group, exc))
+    return failed
 
 
-def write_aggregate(cfg: ExperimentConfig, task: Task, records: Sequence[dict],
-                    out: Path) -> str:
-    """Write `aggregate/`: report.json, table.txt and the similarity CSVs
-    of the given run records. Returns the table."""
+def write_report(records: Sequence[dict], out: Path) -> str:
+    """Write `aggregate/report.json` and `aggregate/table.txt` of the given
+    run records. Returns the table."""
     records = sorted(records, key=lambda r: (r["strategy"], r["k"], r["seed"]))
     report = analysis.aggregate_runs(records)
     write_json(out / "aggregate" / "report.json", report)
     table = format_table(report, records[0]["source_lang"])
     write_atomic(out / "aggregate" / "table.txt", table.encode("utf-8"))
-    write_sim_matrices(cfg, task, records, out)
     return table
 
 
@@ -462,30 +495,38 @@ def run_experiment(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> int:
         write_json(out / "benchmark" / "manifest.json", manifest)
 
     cells = grid_cells(cfg)
-    outcomes: Dict[Tuple[str, int, int], Tuple[Optional[dict], Optional[dict]]] = {}
-    chunks = seed_chunks(cells, jobs)
-    if len(chunks) > 1:
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            futures = [(pool.submit(run_chunk, cfg, task, chunk, out), chunk)
-                       for chunk in chunks]
-            for fut, chunk in futures:
+    units = stage_units(cfg, task, cells)
+    workers = min(jobs, len(units))
+    if workers > 1:
+        # the module's pool class, imported on first use (`__getattr__`)
+        with __getattr__("ProcessPoolExecutor")(max_workers=workers) as pool:
+            futures = [(pool.submit(run_units, cfg, task, [unit], out), unit)
+                       for unit in sorted(units, key=len, reverse=True)]
+            results = []
+            for fut, unit in futures:
                 try:
-                    for cell, record, failure in fut.result():
-                        outcomes[cell] = (record, failure)
+                    results.append(fut.result())
                 except Exception as exc:  # the worker itself failed
-                    for cell in chunk:
-                        outcomes[cell] = (None, failure_entry(cell_name(*cell), exc))
+                    results.append(([(cell, None, failure_entry(cell_name(*cell), exc))
+                                     for cell in unit], []))
     else:
-        for cell, record, failure in run_chunk(cfg, task, cells, out):
-            outcomes[cell] = (record, failure)
+        results = [run_units(cfg, task, units, out)]
+    outcomes = {cell: (record, failure) for done, _ in results for cell, record, failure in done}
     records = [outcomes[cell][0] for cell in cells if outcomes[cell][0] is not None]
     failures = [outcomes[cell][1] for cell in cells if outcomes[cell][1] is not None]
 
+    referenced = {out / rel for r in records for rel in r["checkpoints"].values()}
+    for path in out.glob("models/*.json"):  # a failed cell's chain, unless a record has it
+        if path not in referenced:
+            path.unlink()
+    aggregate = [entry for _, entry in sorted(  # by group: (strategy, K)
+        (pair for _, failed in results for pair in failed), key=lambda pair: pair[0])]
     if records:
         try:
-            write_aggregate(cfg, task, records, out)
+            write_report(records, out)
         except Exception as exc:
-            failures.append(failure_entry("aggregate", exc))
+            aggregate.insert(0, failure_entry("aggregate", exc))
+    failures += aggregate[:1]
     write_manifest(out, failures)
     for f in failures:
         where = f" (at {f['frames'][-1]})" if f["frames"] else ""
@@ -495,7 +536,8 @@ def run_experiment(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> int:
 
 def export_artifacts(out: Path) -> int:
     """Rebuild the aggregate report, the text table, and the similarity CSVs
-    from a completed run tree, and print the table."""
+    from a completed run tree, and print the table. A group whose CSV
+    fails raises, after the other groups' CSVs are written."""
     config_path = out / "config.json"
     if not config_path.exists():
         raise ContractViolation(f"no config.json under {out}; not a run tree")
@@ -512,7 +554,11 @@ def export_artifacts(out: Path) -> int:
     if missing:
         raise ContractViolation(f"missing run records: {', '.join(missing)}")
     task, _ = build_benchmark(cfg)
-    print(write_aggregate(cfg, task, records, out))
+    table = write_report(records, out)
+    failed = write_sim_matrices(cfg, task, records, out)
+    if failed:
+        raise failed[0][1]
+    print(table)
     return 0
 
 

@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .numcore import ContractViolation, RngStreams
+from .numcore import ContractViolation, RngStreams, is_int, is_number
 
 TASKS = ("classification", "token_tags")
 ROLES = ("source", "target")
@@ -325,6 +325,8 @@ def gen_synthetic_family(
         by_script[l.script_tag] = l.angle_deg
     if profile.input_dim < 2:
         raise ContractViolation("input_dim must be >= 2 (rotation plane)")
+    if profile.num_classes < 2:
+        raise ContractViolation("num_classes must be >= 2")
 
     rng = RngStreams(profile.seed)
     corpora: List[LanguageCorpus] = []
@@ -366,27 +368,48 @@ def gen_synthetic_family(
     return corpora, manifest
 
 
+_IS = {"an integer": is_int, "a number": is_number, "a string": lambda v: isinstance(v, str),
+       "a JSON object": lambda v: isinstance(v, dict), "a JSON list": lambda v: isinstance(v, list),
+       "a list of numbers": lambda v: isinstance(v, list) and all(map(is_number, v))}
+
+
+def _get(doc: Dict, key: str, kind: str, where: str = ""):
+    """`doc[key]` if it is `kind` (a key of `_IS`); raises KeyError if it
+    is missing and a ContractViolation naming `where + key` if it is not."""
+    value = doc[key]
+    if not _IS[kind](value):
+        raise ContractViolation(f"{where}{key}: {value!r} is not {kind}")
+    return value
+
+
 def profile_from_manifest(manifest: Dict) -> SyntheticProfile:
-    langs = tuple(
-        LanguageProfile(
-            lang_id=l["lang_id"],
-            script_tag=l["script_tag"],
-            role=l["role"],
-            angle_deg=float(l["angle_deg"]),
-            translation=tuple(float(v) for v in l["translation"]),
-            train_size=int(l["sizes"]["train"]),
-            dev_size=int(l["sizes"]["dev"]),
-            test_size=int(l["sizes"]["test"]),
-        )
-        for l in manifest["languages"]
-    )
+    """The profile that a synthetic-benchmark manifest, or a config's
+    `profile` block, describes. A value of the wrong JSON type is refused
+    by its key path ("languages[0].sizes.train: 2.5 is not an integer"),
+    never converted; a missing key raises KeyError. A number is stored as
+    a float, as the manifest writes it."""
+    langs = []
+    for i, lang in enumerate(_get(manifest, "languages", "a JSON list")):
+        if not isinstance(lang, dict):
+            raise ContractViolation(f"languages[{i}]: {lang!r} is not a JSON object")
+        where = f"languages[{i}]."
+        sizes = _get(lang, "sizes", "a JSON object", where)
+        langs.append(LanguageProfile(
+            lang_id=_get(lang, "lang_id", "a string", where),
+            script_tag=_get(lang, "script_tag", "a string", where),
+            role=_get(lang, "role", "a string", where),
+            angle_deg=float(_get(lang, "angle_deg", "a number", where)),
+            translation=tuple(map(float, _get(lang, "translation", "a list of numbers", where))),
+            **{f"{split}_size": _get(sizes, split, "an integer", f"{where}sizes.")
+               for split in SPLITS},
+        ))
     return SyntheticProfile(
-        languages=langs,
-        num_classes=int(manifest["num_classes"]),
-        input_dim=int(manifest["input_dim"]),
-        mean_radius=float(manifest["mean_radius"]),
-        noise_sd=float(manifest["noise_sd"]),
-        seed=int(manifest["seed"]),
+        languages=tuple(langs),
+        num_classes=_get(manifest, "num_classes", "an integer"),
+        input_dim=_get(manifest, "input_dim", "an integer"),
+        mean_radius=float(_get(manifest, "mean_radius", "a number")),
+        noise_sd=float(_get(manifest, "noise_sd", "a number")),
+        seed=_get(manifest, "seed", "an integer"),
     )
 
 

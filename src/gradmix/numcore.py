@@ -33,6 +33,11 @@ def is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def is_number(v) -> bool:
+    """Whether a JSON value is a number (an integer or a float, not a bool)."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True, eq=False)
 class ParamVec:
     """Immutable 1-D float64 vector holding model parameters or a gradient."""

@@ -68,7 +68,7 @@ from .corpora import (
 )
 from .models import ModelSpec, ModelState, check_batch, init_params, predict, stack_grads
 from .models import loss_and_grad, sgd_step  # noqa: F401  (traced by name in perfbench/tracing.py)
-from .numcore import ContractViolation, ParamVec, RngStreams, is_int
+from .numcore import ContractViolation, ParamVec, RngStreams, is_int, is_number
 from .surgery import TraceEntry, decide, pick
 from .surgery import sgs_step  # noqa: F401  (traced by name in perfbench/tracing.py)
 
@@ -115,7 +115,7 @@ class TrainPlan:
                 raise ContractViolation(f"{name} must be >= {low}")
         for name in ("alpha", "lr"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
+            if not is_number(value):
                 raise ContractViolation(f"{name} must be a number, got {value!r}")
         if self.strategy == "zero_shot" and self.k != 0:
             raise ContractViolation("zero_shot requires k = 0")

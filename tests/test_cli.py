@@ -20,7 +20,7 @@ from gradmix.cli import (
     main,
     parse_config,
     run_experiment,
-    seed_chunks,
+    stage_units,
 )
 from gradmix.models import chain_digest, load_checkpoint
 from gradmix.numcore import ContractViolation, ParamVec, RngStreams
@@ -249,6 +249,33 @@ class TestConfig:
         assert main(["run", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "error: benchmark.profile: no 'num_classes' key\n" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("path, value, error", [
+        ("num_classes", "x", "benchmark.profile.num_classes: 'x' is not an integer"),
+        ("num_classes", 2.7, "benchmark.profile.num_classes: 2.7 is not an integer"),
+        ("num_classes", 0, "num_classes must be >= 2"),
+        ("noise_sd", "a", "benchmark.profile.noise_sd: 'a' is not a number"),
+        ("languages", [5], "benchmark.profile.languages[0]: 5 is not a JSON object"),
+        ("languages.0.translation", "ab",
+         "benchmark.profile.languages[0].translation: 'ab' is not a list of numbers"),
+        ("languages.0.translation", [0.0, "x"],
+         "benchmark.profile.languages[0].translation: [0.0, 'x'] is not a list of numbers"),
+        ("languages.1.sizes.dev", 2.5,
+         "benchmark.profile.languages[1].sizes.dev: 2.5 is not an integer"),
+    ], ids=["classes-string", "classes-float", "classes-zero", "noise-string",
+            "language-not-object", "translation-string", "translation-entry", "size-float"])
+    def test_bad_profile_value_refused_by_name(self, tmp_path, capsys, path, value, error):
+        doc = small_config_doc()
+        *outer, key = path.split(".")
+        node = doc["benchmark"]["profile"]
+        for part in outer:
+            node = node[int(part) if part.isdigit() else part]
+        node[key] = value
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {error}\n" in err and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("model", [None, {"family": "softmax_classifier"}])
@@ -527,7 +554,7 @@ class TestRunExperiment:
 
     def test_jobs_parallel_same_bytes(self, tmp_path):
         cfg = parse_config(small_config_doc(seeds=(1, 2, 3)))
-        assert len(seed_chunks(grid_cells(cfg), 2)) >= 2
+        assert len(stage_units(cfg, build_benchmark(cfg)[0], grid_cells(cfg))) >= 2
         outs = {jobs: tmp_path / f"jobs{jobs}" for jobs in (1, 2, 3)}
         for jobs, out in outs.items():
             assert run_experiment(cfg, out, jobs=jobs) == 0
@@ -591,6 +618,20 @@ class TestRunExperiment:
         assert sorted(f"models/{p.name}" for p in (out / "models").iterdir()) == sorted(
             set(record["checkpoints"].values()))
 
+    def test_chain_another_unit_shares_survives_a_failed_cell(self, tmp_path, monkeypatch):
+        # At alpha 0 a gradient_mix_train chain is bitwise its naive_mix_train
+        # twin, so two units, run at once, write the same file.
+        fail_writes_half_way(monkeypatch, "gradient_mix_train_k2_seed1/.record.json")
+        cfg = parse_config(small_config_doc(
+            strategies=("naive_mix_train", "gradient_mix_train"), seeds=(1,), alpha=0.0))
+        out = tmp_path / "out"
+        assert run_experiment(cfg, out, jobs=2) == 1
+        assert not (out / "runs" / "gradient_mix_train_k2_seed1").exists()
+        record = json.loads((out / "runs" / "naive_mix_train_k2_seed1" / "record.json").read_text())
+        assert sorted(f"models/{p.name}" for p in (out / "models").iterdir()) == sorted(
+            set(record["checkpoints"].values())) != []
+        assert (out / "aggregate" / "simmatrix_naive_mix_train_k2.csv").exists()
+
     def test_failure_entries_same_under_jobs(self, tmp_path):
         doc = source_only_doc(tmp_path, ("zero_shot", "gradient_mix_train"), (1, 2))
         cfg = parse_config(doc)
@@ -607,6 +648,52 @@ class TestRunExperiment:
             # made by prefill, raised by the cell that looks the stage up
             assert [frame.rsplit(":", 1)[0] for frame in f["frames"]] == [
                 "gradmix.trainer:_made", "gradmix.trainer:_job", "gradmix.trainer:_pool_run"]
+
+
+class TestStageUnits:
+    """The grid splits into units of columns that share no trained stage."""
+
+    GRID = dict(ks=(1, 2), seeds=(1, 2))
+
+    def units(self, strategies):
+        cfg = parse_config(small_config_doc(strategies=strategies, **self.GRID))
+        task = build_benchmark(cfg)[0]
+        return cfg, task, stage_units(cfg, task, grid_cells(cfg))
+
+    def test_units_partition_the_cells(self):
+        cfg, _, units = self.units(STRATEGIES)
+        cells = [cell for unit in units for cell in unit]
+        assert sorted(cells) == sorted(grid_cells(cfg)) and len(set(cells)) == len(cells)
+
+    def test_no_stage_but_a_shot_bank_in_two_units(self):
+        cfg, task, units = self.units(STRATEGIES)
+        units_of = {}
+        for i, unit in enumerate(units):
+            for cell in unit:
+                for key in trainer.stage_keys(cli.make_plan(cfg, *cell), task).values():
+                    units_of.setdefault(key, set()).add(i)
+        shared = [key for key, owners in units_of.items() if len(owners) > 1]
+        assert shared and {key[0] for key in shared} == {"shots"}  # a key starts with its kind
+
+    @pytest.mark.parametrize("strategies, want", [
+        (("ord_fs", "ord_fs_dev"), [["ord_fs_k1", "ord_fs_dev_k1", "ord_fs_k2", "ord_fs_dev_k2"]]),
+        (("zero_shot", "mix_ft", "ord_fs_dev"),
+         [["zero_shot_k0", "mix_ft_k1", "mix_ft_k2", "ord_fs_dev_k1", "ord_fs_dev_k2"]]),
+        (("naive_mix_train", "gradient_mix_train"),
+         [["naive_mix_train_k1"], ["naive_mix_train_k2"],
+          ["gradient_mix_train_k1"], ["gradient_mix_train_k2"]]),
+        (STRATEGIES,
+         [["zero_shot_k0", "ord_fs_k1", "ord_fs_dev_k1", "ord_fs_k2", "ord_fs_dev_k2",
+           "mix_ft_k1", "mix_ft_k2"],
+          ["naive_mix_train_k1"], ["naive_mix_train_k2"],
+          ["gradient_mix_train_k1"], ["gradient_mix_train_k2"]]),
+    ], ids=["ord-fs-family", "zero-shot-joins-two-step", "one-step-alone", "every-strategy"])
+    def test_units_by_column(self, strategies, want):
+        _, _, units = self.units(strategies)
+        assert [list(dict.fromkeys(f"{s}_k{k}" for s, k, _ in unit)) for unit in units] == want
+        for unit in units:  # every seed of a column is in its unit
+            assert Counter(cell[:2] for cell in unit) == dict.fromkeys(
+                {cell[:2] for cell in unit}, len(self.GRID["seeds"]))
 
 
 class TestExport:
@@ -633,21 +720,38 @@ class TestExport:
         assert export_artifacts(out) == 0
         assert {p.name: p.read_bytes() for p in agg.iterdir()} == before
 
-    def test_aggregate_failure_recorded_by_run_raised_by_export(self, tmp_path, monkeypatch):
-        def fail(*args):
-            raise RuntimeError("similarity failed")
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_aggregate_failure_recorded_by_run_raised_by_export(self, tmp_path, monkeypatch,
+                                                                 jobs):
+        write = cli.write_sim_matrix
 
-        monkeypatch.setattr(cli, "write_sim_matrices", fail)
-        cfg = parse_config(small_config_doc(seeds=(1,)))
+        def fail(cfg, task, records, out):
+            if records[0]["strategy"] != "gradient_mix_train":
+                raise RuntimeError(f"similarity failed: {records[0]['strategy']}")
+            return write(cfg, task, records, out)
+
+        monkeypatch.setattr(cli, "write_sim_matrix", fail)
+        cfg = parse_config(small_config_doc(
+            strategies=("zero_shot", "mix_ft", "naive_mix_train", "gradient_mix_train"),
+            seeds=(1,)))
         out = tmp_path / "out"
-        assert run_experiment(cfg, out) == 1
+        assert run_experiment(cfg, out, jobs=jobs) == 1
         manifest = json.loads((out / "manifest.json").read_text())
+        # no cell fails; the first failing group in (strategy, K) order is named
         [failure] = manifest["failures"]
         assert failure["cell"] == "aggregate"
-        assert (failure["type"], failure["error"]) == ("RuntimeError", "similarity failed")
+        assert (failure["type"], failure["error"]) == ("RuntimeError",
+                                                       "similarity failed: mix_ft")
         assert failure["frames"][-1].startswith("test_cli:fail:")
-        assert (out / "aggregate" / "report.json").exists()
-        with pytest.raises(RuntimeError, match="similarity failed"):
+        assert len(list((out / "runs").iterdir())) == 4
+        # the failing groups leave no CSV; the others are written
+        assert sorted(p.name for p in (out / "aggregate").iterdir()) == [
+            "report.json", "simmatrix_gradient_mix_train_k2.csv", "table.txt"]
+        if jobs > 1:
+            assert run_experiment(cfg, tmp_path / "seq", jobs=1) == 1
+            assert (out / "manifest.json").read_bytes() == (
+                tmp_path / "seq" / "manifest.json").read_bytes()
+        with pytest.raises(RuntimeError, match="similarity failed: mix_ft"):
             export_artifacts(out)
 
     def test_missing_records_listed(self, tmp_path):
@@ -774,9 +878,10 @@ class TestLockstep:
         cfg = parse_config(small_config_doc(**self.DOC))
         out = tmp_path / "out"
         assert run_experiment(cfg, out) == 0
-        # cells: one bank of 2 targets per (seed, K); the similarity tail: one
-        # per K, shared by mix_ft, naive_mix_train and gradient_mix_train
-        assert len(draws) == 2 * 2 * 2 + 2 * 2
+        # cells: one bank of 2 targets per (seed, K); the similarity CSVs: one
+        # per (strategy, K) group of mix_ft, naive_mix_train and
+        # gradient_mix_train, each drawn where its group is written
+        assert len(draws) == 2 * 2 * 2 + 3 * 2 * 2
         task, _ = build_benchmark(cfg)
         for cell in grid_cells(cfg):
             record = json.loads((out / "runs" / cli.cell_name(*cell) / "record.json").read_text())
