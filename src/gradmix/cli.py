@@ -49,23 +49,40 @@ from .corpora import (
     profile_from_manifest,
 )
 from .models import ModelSpec, chain_digest, save_checkpoint, write_atomic
-from .numcore import ContractViolation, RngStreams, is_int
+from .numcore import REQUIRED, ContractViolation, RngStreams, read_object
 from .trainer import Stages, Task, TrainPlan, run_strategy
 
 # Strategies whose run produces one final model covering every language;
 # only these feed the gradient-similarity matrices.
 SIM_MATRIX_KEYS = {"mix_ft": "adapted", "naive_mix_train": "model", "gradient_mix_train": "model"}
 
-# The config's `plan` sets TrainPlan fields; the grid sets the other three.
-PLAN_FIELDS = tuple(
-    f.name for f in dataclasses.fields(TrainPlan) if f.name not in ("strategy", "seed", "k")
-)
-# The config's `model` block: its keys and their defaults. Input width and
-# class count come from the benchmark.
-MODEL_DEFAULTS = {"family": "softmax_classifier", "hidden_dim": 64}
-# The config's `analysis` block: its keys, their defaults and least values.
-ANALYSIS_DEFAULTS = {"seed": 0, "source_batches": 100}
-ANALYSIS_LEAST = {"seed": 0, "source_batches": 1}
+# The `read_object` table of each object of a config document, by path. `plan`
+# takes TrainPlan's defaults, and its kinds from the annotations; the grid sets
+# the other three fields. The benchmark's objects depend on its kind.
+PLAN_KIND = {"int": "an integer", "float": "a number", "str": "a string",
+             "Optional[int]": "an integer or null"}
+CONFIG = {
+    "": {"format_version": ("an integer", 1), "benchmark": ("a JSON object", {"kind": "default"}),
+         "grid": ("a JSON object", REQUIRED), "model": ("a JSON object", {}),
+         "plan": ("a JSON object", {}), "analysis": ("a JSON object", {})},
+    "grid": {"strategies": ("a non-empty list of strings", REQUIRED),
+             "ks": ("a non-empty list of integers", REQUIRED),
+             "seeds": ("a non-empty list of integers", REQUIRED)},
+    "model": {"family": ("a string", "softmax_classifier"), "hidden_dim": ("an integer", 64)},
+    "plan": {f.name: (PLAN_KIND[f.type], f.default) for f in dataclasses.fields(TrainPlan)
+             if f.name not in ("strategy", "seed", "k")},
+    "analysis": {"seed": ("an integer >= 0", 0), "source_batches": ("an integer >= 1", 100)},
+}
+BENCHMARKS = {
+    "default": {"kind": ("a string", "default")},
+    "synthetic": {"kind": ("a string", REQUIRED), "profile": ("a JSON object", REQUIRED)},
+    "tsv": {"kind": ("a string", REQUIRED), "task": ("a string", "classification"),
+            "num_classes": ("an integer >= 2", None),
+            "languages": ("a non-empty JSON list", REQUIRED)},
+}
+TSV_LANGUAGE = {"lang_id": ("a string", REQUIRED), "role": ("a string", REQUIRED),
+                "script_tag": ("a string", ""), "splits": ("a JSON object", REQUIRED)}
+TSV_SPLITS = dict.fromkeys(SPLITS, ("a string", None))  # a split without a file is empty
 
 
 def __getattr__(name: str):
@@ -80,77 +97,39 @@ def __getattr__(name: str):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A config as `parse_config` read it: `model`, `plan` and `analysis`
+    hold every key of their tables; `benchmark` is kept as given and read
+    by `build_benchmark`."""
+
     benchmark: dict
     model: dict
     strategies: Tuple[str, ...]
     ks: Tuple[int, ...]
     seeds: Tuple[int, ...]
     plan: dict
-    analysis_seed: int
-    analysis_source_batches: int
+    analysis: dict
 
     def canonical_dict(self) -> dict:
-        return {
-            "format_version": 1,
-            "benchmark": self.benchmark,
-            "model": self.model,
-            "grid": {
-                "strategies": list(self.strategies),
-                "ks": list(self.ks),
-                "seeds": list(self.seeds),
-            },
-            "plan": {k: self.plan.get(k) for k in PLAN_FIELDS if k in self.plan},
-            "analysis": {
-                "seed": self.analysis_seed,
-                "source_batches": self.analysis_source_batches,
-            },
-        }
+        grid = {"strategies": list(self.strategies), "ks": list(self.ks), "seeds": list(self.seeds)}
+        return {"format_version": 1, "benchmark": self.benchmark, "model": self.model,
+                "grid": grid, "plan": self.plan, "analysis": self.analysis}
 
 
-def parse_config(doc: dict) -> ExperimentConfig:
-    if not isinstance(doc, dict):
-        raise ContractViolation(f"config: {doc!r} is not a JSON object")
-    for block in ("grid", "benchmark", "model", "plan", "analysis"):
-        if not isinstance(doc.get(block, {}), dict):
-            raise ContractViolation(f"{block}: {doc[block]!r} is not a JSON object")
-    try:
-        grid = doc["grid"]
-        axes = {name: grid[name] for name in ("strategies", "ks", "seeds")}
-    except KeyError as exc:
-        raise ContractViolation(f"config missing grid section/key: {exc}") from None
-    for name, values in axes.items():
-        if not isinstance(values, list) or not values:
-            raise ContractViolation(f"grid {name}: {values!r} is not a non-empty JSON list")
-        for i, v in enumerate(values):  # TrainPlan checks the values of each cell below
-            if name != "strategies" and not is_int(v):
-                raise ContractViolation(f"grid {name}: {v!r} is not an integer")
+def parse_config(doc) -> ExperimentConfig:
+    """The config of a JSON document, each object read against its `CONFIG`
+    table; then every grid cell's plan is made, so a value TrainPlan refuses
+    stops the run here."""
+    top = read_object(doc, "", CONFIG[""])
+    if top["format_version"] != 1:
+        raise ContractViolation(f"format_version: {top['format_version']!r} is not 1")
+    grid, model, plan, ana = (read_object(top[name], name, CONFIG[name])
+                              for name in ("grid", "model", "plan", "analysis"))
+    for name, values in grid.items():
+        for i, v in enumerate(values):
             if v in values[:i]:
-                raise ContractViolation(f"grid {name}: {v!r} is listed twice")
-    strategies, ks, seeds = map(tuple, axes.values())
-    plan = dict(doc.get("plan", {}))
-    model = dict(MODEL_DEFAULTS, **doc.get("model", {}))
-    ana = dict(ANALYSIS_DEFAULTS, **doc.get("analysis", {}))
-    unknown = [f"plan.{key}" for key in plan if key not in PLAN_FIELDS]
-    unknown += [f"model.{key}" for key in model if key not in MODEL_DEFAULTS]
-    unknown += [f"analysis.{key}" for key in ana if key not in ANALYSIS_DEFAULTS]
-    if unknown:
-        raise ContractViolation(f"unknown config key(s): {', '.join(unknown)}")
-    if not is_int(model["hidden_dim"]):
-        raise ContractViolation(f"model.hidden_dim: {model['hidden_dim']!r} is not an integer")
-    for key, least in ANALYSIS_LEAST.items():
-        if not is_int(ana[key]) or ana[key] < least:
-            raise ContractViolation(f"analysis.{key}: {ana[key]!r} is not an integer >= {least}")
-    cfg = ExperimentConfig(
-        benchmark=doc.get("benchmark", {"kind": "default"}),
-        model=model,
-        strategies=strategies,
-        ks=ks,
-        seeds=seeds,
-        plan=plan,
-        analysis_seed=ana["seed"],
-        analysis_source_batches=ana["source_batches"],
-    )
-    for cell in grid_cells(cfg):  # a plan value TrainPlan refuses stops the run here
+                raise ContractViolation(f"grid.{name}: {v!r} is listed twice")
+    cfg = ExperimentConfig(top["benchmark"], model, *map(tuple, grid.values()), plan, ana)
+    for cell in grid_cells(cfg):
         make_plan(cfg, *cell)
     return cfg
 
@@ -164,44 +143,31 @@ def load_config(path: Path) -> ExperimentConfig:
 
 
 def _tsv_corpora(bench: dict) -> Tuple[List[LanguageCorpus], int, int]:
-    """The corpora of a `tsv` benchmark, one per `languages` entry, and the
-    input width and class count of its model: the one width of every
-    non-empty file, and `num_classes` if given, else 1 + the largest label
-    in any file, at least 2."""
-    schema, num_classes = bench.get("task", "classification"), bench.get("num_classes")
-    langs = bench.get("languages")
+    """The corpora of a `tsv` benchmark (read against `BENCHMARKS["tsv"]`),
+    one per `languages` entry, and the input width and class count of its
+    model: the one width of every non-empty file, and `num_classes` if
+    given, else 1 + the largest label in any file, at least 2."""
+    schema, num_classes = bench["task"], bench["num_classes"]
     if schema not in corpora.TASKS:
         raise ContractViolation(f"benchmark.task: unknown task {schema!r}, "
                                 f"expected one of {', '.join(corpora.TASKS)}")
-    if num_classes is not None and not (is_int(num_classes) and num_classes >= 2):
-        raise ContractViolation(f"benchmark.num_classes: {num_classes!r} is not an integer >= 2")
-    if not isinstance(langs, list) or not langs:
-        raise ContractViolation(f"benchmark.languages: {langs!r} is not a non-empty JSON list")
     corp, widths, top = [], {}, 1  # top: the largest label, at least 1
-    for i, lang in enumerate(langs):
-        if not isinstance(lang, dict):
-            raise ContractViolation(f"benchmark.languages[{i}]: {lang!r} is not a JSON object")
-        where = f"tsv language {lang.get('lang_id', f'#{i}')}"
-        for key in ("lang_id", "role", "splits"):
-            if key not in lang:
-                raise ContractViolation(f"{where}: no {key!r} key")
-        if not isinstance(lang["splits"], dict):
-            raise ContractViolation(f"{where}: splits is not a JSON object")
+    for i, entry in enumerate(bench["languages"]):
+        where = f"benchmark.languages[{i}]"
+        lang = read_object(entry, where, TSV_LANGUAGE)
         splits = {}
-        for split, path in lang["splits"].items():
-            if split not in SPLITS:
-                raise ContractViolation(f"{where}: unknown split {split!r}, "
-                                        f"expected one of {', '.join(SPLITS)}")
+        for split, path in read_object(lang["splits"], where + ".splits", TSV_SPLITS).items():
+            if path is None:
+                continue
             try:
                 splits[split] = data = ingest_tsv(path, schema, num_classes)
             except (OSError, UnicodeError, ContractViolation) as exc:
                 why = exc.strerror if isinstance(exc, OSError) else exc
-                raise ContractViolation(f"{where}: {split} file {path}: {why}") from None
+                raise ContractViolation(f"{where}.splits.{split}: {path}: {why}") from None
             if data.y.size:
                 widths[path] = data.X.shape[1]
                 top = max(top, int(data.y.max()))
-        corp.append(LanguageCorpus(lang["lang_id"], lang.get("script_tag", ""), lang["role"],
-                                   **splits))
+        corp.append(LanguageCorpus(lang["lang_id"], lang["script_tag"], lang["role"], **splits))
     if len(set(widths.values())) > 1:
         raise ContractViolation("tsv files differ in feature width: " + ", ".join(
             f"{path} has {width}" for path, width in widths.items()))
@@ -210,27 +176,21 @@ def _tsv_corpora(bench: dict) -> Tuple[List[LanguageCorpus], int, int]:
 
 def build_benchmark(cfg: ExperimentConfig) -> Tuple[Task, Optional[dict]]:
     """The config's `Task`, and the manifest of a generated benchmark. The
-    model's input width and class count come from the profile, or from the
-    files of a `tsv` benchmark (`_tsv_corpora`); `Task` checks the data."""
+    `benchmark` object is read against the table of its kind. The model's
+    input width and class count come from the profile, or from the files of
+    a `tsv` benchmark (`_tsv_corpora`); `Task` checks the data."""
     kind = cfg.benchmark.get("kind", "default")
+    if not (isinstance(kind, str) and kind in BENCHMARKS):
+        raise ContractViolation(f"benchmark.kind: {kind!r} is not one of {', '.join(BENCHMARKS)}")
+    bench = read_object(cfg.benchmark, "benchmark", BENCHMARKS[kind])
     manifest = None
     if kind == "tsv":
-        corp, input_dim, num_classes = _tsv_corpora(cfg.benchmark)
-    elif kind in ("default", "synthetic"):
-        profile = cfg.benchmark.get("profile")
-        if kind == "synthetic" and not isinstance(profile, dict):
-            raise ContractViolation(f"benchmark.profile: {profile!r} is not a JSON object")
-        try:
-            profile = (corpora.default_profile() if kind == "default"
-                       else profile_from_manifest(profile))
-        except KeyError as exc:
-            raise ContractViolation(f"benchmark.profile: no {exc.args[0]!r} key") from None
-        except ContractViolation as exc:
-            raise ContractViolation(f"benchmark.profile.{exc}") from None
+        corp, input_dim, num_classes = _tsv_corpora(bench)
+    else:
+        profile = (corpora.default_profile() if kind == "default"
+                   else profile_from_manifest(bench["profile"], "benchmark.profile"))
         corp, manifest = gen_synthetic_family(profile)
         input_dim, num_classes = profile.input_dim, profile.num_classes
-    else:
-        raise ContractViolation(f"unknown benchmark kind {kind!r}")
     spec = ModelSpec(cfg.model["family"], input_dim, cfg.model["hidden_dim"], num_classes)
     return Task.from_corpora(spec, corp), manifest
 
@@ -385,12 +345,12 @@ def write_sim_matrix(cfg: ExperimentConfig, task: Task, records: Sequence[dict],
     finals = [models.load_checkpoint(out / r["checkpoints"][SIM_MATRIX_KEYS[strategy]])[-1]
               for r in records]
     shots = build_shot_bank(task.targets, k, plan["shot_mode"], task.spec.num_classes,
-                            RngStreams(cfg.analysis_seed))
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.analysis_seed))
+                            RngStreams(cfg.analysis["seed"]))
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.analysis["seed"]))
     m = analysis.similarity_matrix(
         finals, [task.source, *task.targets], shots, rng,
         batch_size=plan["batch_size"],
-        n_source_batches=cfg.analysis_source_batches,
+        n_source_batches=cfg.analysis["source_batches"],
     )
     analysis.write_sim_matrix_csv(m, out / "aggregate" / f"simmatrix_{strategy}_k{k}.csv")
 
@@ -476,8 +436,8 @@ def run_experiment(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> int:
 
     `out` must be missing or empty: the manifest lists every file under it,
     so a used tree would mix another run's artifacts into this one's. The
-    Task is built before `out` is made, so a benchmark or model it refuses
-    leaves nothing behind.
+    Task, and one shot bank per K, are made before `out` is, so a benchmark,
+    model or K they refuse leaves nothing behind.
     """
     if jobs < 1:
         raise ContractViolation(f"--jobs must be at least 1, got {jobs}")
@@ -486,6 +446,13 @@ def run_experiment(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> int:
     if out.exists() and not out.is_dir():
         raise ContractViolation(f"--out {out} is a file; choose a new --out")
     task, manifest = build_benchmark(cfg)
+    cells = grid_cells(cfg)
+    for k in sorted({k for _, k, _ in cells if k > 0}):  # the data decides, whatever the seed
+        try:
+            build_shot_bank(task.targets, k, cfg.plan["shot_mode"], task.spec.num_classes,
+                            RngStreams(cfg.seeds[0]))
+        except ContractViolation as exc:
+            raise ContractViolation(f"grid.ks: {exc}") from None
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -494,7 +461,6 @@ def run_experiment(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> int:
     if manifest is not None:
         write_json(out / "benchmark" / "manifest.json", manifest)
 
-    cells = grid_cells(cfg)
     units = stage_units(cfg, task, cells)
     workers = min(jobs, len(units))
     if workers > 1:

@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .numcore import ContractViolation, RngStreams, is_int, is_number
+from .numcore import REQUIRED, ContractViolation, RngStreams, read_object
 
 TASKS = ("classification", "token_tags")
 ROLES = ("source", "target")
@@ -167,7 +167,7 @@ def sample_n_way_k_shot(corpus: LanguageCorpus, k: int, num_classes: int,
     picked: List[int] = []
     for c, pool in enumerate(by_class):
         if len(pool) < k:
-            raise ContractViolation(f"class {c}: {len(pool)} < {k}")
+            raise ContractViolation(f"{corpus.lang_id}: class {c}: {len(pool)} < {k}")
         sel = gen.choice(len(pool), size=k, replace=False)
         picked.extend(pool[int(j)] for j in sel)
     return tuple(picked)
@@ -368,49 +368,37 @@ def gen_synthetic_family(
     return corpora, manifest
 
 
-_IS = {"an integer": is_int, "a number": is_number, "a string": lambda v: isinstance(v, str),
-       "a JSON object": lambda v: isinstance(v, dict), "a JSON list": lambda v: isinstance(v, list),
-       "a list of numbers": lambda v: isinstance(v, list) and all(map(is_number, v))}
+# A synthetic profile's `read_object` tables: the keys of the manifest that
+# `gen_synthetic_family` writes, of which those derived from the rest are not read.
+PROFILE_KEYS = {"languages": ("a non-empty JSON list", REQUIRED),
+                "num_classes": ("an integer", REQUIRED), "input_dim": ("an integer", REQUIRED),
+                "mean_radius": ("a number", REQUIRED), "noise_sd": ("a number", REQUIRED),
+                "seed": ("an integer", REQUIRED), "kind": ("a string", None),
+                "n_langs": ("an integer", None)}
+PROFILE_LANGUAGE_KEYS = {
+    "lang_id": ("a string", REQUIRED), "script_tag": ("a string", REQUIRED),
+    "role": ("a string", REQUIRED), "angle_deg": ("a number", REQUIRED),
+    "translation": ("a list of numbers", REQUIRED), "sizes": ("a JSON object", REQUIRED),
+    "class_means": ("a non-empty JSON list", None)}
+SIZES_KEYS = dict.fromkeys(SPLITS, ("an integer", REQUIRED))
 
 
-def _get(doc: Dict, key: str, kind: str, where: str = ""):
-    """`doc[key]` if it is `kind` (a key of `_IS`); raises KeyError if it
-    is missing and a ContractViolation naming `where + key` if it is not."""
-    value = doc[key]
-    if not _IS[kind](value):
-        raise ContractViolation(f"{where}{key}: {value!r} is not {kind}")
-    return value
-
-
-def profile_from_manifest(manifest: Dict) -> SyntheticProfile:
+def profile_from_manifest(manifest: Dict, path: str = "") -> SyntheticProfile:
     """The profile that a synthetic-benchmark manifest, or a config's
-    `profile` block, describes. A value of the wrong JSON type is refused
-    by its key path ("languages[0].sizes.train: 2.5 is not an integer"),
-    never converted; a missing key raises KeyError. A number is stored as
-    a float, as the manifest writes it."""
+    `profile` block at dotted `path`, describes, read with `read_object`
+    ("languages[0].sizes.train: 2.5 is not an integer"; nothing is
+    converted). A number is stored as a float, as the manifest writes it."""
+    where = path + "." if path else ""
+    doc = read_object(manifest, path, PROFILE_KEYS)
     langs = []
-    for i, lang in enumerate(_get(manifest, "languages", "a JSON list")):
-        if not isinstance(lang, dict):
-            raise ContractViolation(f"languages[{i}]: {lang!r} is not a JSON object")
-        where = f"languages[{i}]."
-        sizes = _get(lang, "sizes", "a JSON object", where)
+    for i, entry in enumerate(doc["languages"]):
+        lang = read_object(entry, f"{where}languages[{i}]", PROFILE_LANGUAGE_KEYS)
+        sizes = read_object(lang["sizes"], f"{where}languages[{i}].sizes", SIZES_KEYS)
         langs.append(LanguageProfile(
-            lang_id=_get(lang, "lang_id", "a string", where),
-            script_tag=_get(lang, "script_tag", "a string", where),
-            role=_get(lang, "role", "a string", where),
-            angle_deg=float(_get(lang, "angle_deg", "a number", where)),
-            translation=tuple(map(float, _get(lang, "translation", "a list of numbers", where))),
-            **{f"{split}_size": _get(sizes, split, "an integer", f"{where}sizes.")
-               for split in SPLITS},
-        ))
-    return SyntheticProfile(
-        languages=tuple(langs),
-        num_classes=_get(manifest, "num_classes", "an integer"),
-        input_dim=_get(manifest, "input_dim", "an integer"),
-        mean_radius=float(_get(manifest, "mean_radius", "a number")),
-        noise_sd=float(_get(manifest, "noise_sd", "a number")),
-        seed=_get(manifest, "seed", "an integer"),
-    )
+            lang["lang_id"], lang["script_tag"], lang["role"], float(lang["angle_deg"]),
+            tuple(map(float, lang["translation"])), sizes["train"], sizes["dev"], sizes["test"]))
+    return SyntheticProfile(tuple(langs), doc["num_classes"], doc["input_dim"],
+                            float(doc["mean_radius"]), float(doc["noise_sd"]), doc["seed"])
 
 
 # --- shipped default benchmark ------------------------------------------------

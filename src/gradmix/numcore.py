@@ -8,6 +8,9 @@ Two shortcuts keep every bit: `ParamVec._adopt` wraps an array its caller
 has just computed (a gradient, a theta, a projection) without the public
 constructor's copy but with its checks, and `cosine_from_dots` reuses dots
 a caller already holds.
+
+`read_object` reads every JSON object of a config document against its key
+table, and every refusal names the dotted path.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -36,6 +39,46 @@ def is_int(v) -> bool:
 def is_number(v) -> bool:
     """Whether a JSON value is a number (an integer or a float, not a bool)."""
     return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# The JSON kinds a key table may ask of a value, by the words a refusal uses.
+KINDS = {
+    "an integer": is_int,
+    **{f"an integer >= {least}": lambda v, least=least: is_int(v) and v >= least
+       for least in (0, 1, 2)},
+    "an integer or null": lambda v: v is None or is_int(v),
+    "a number": is_number,
+    "a string": lambda v: isinstance(v, str),
+    "a JSON object": lambda v: isinstance(v, dict),
+    "a non-empty JSON list": lambda v: isinstance(v, list) and len(v) > 0,
+    "a non-empty list of integers": lambda v: isinstance(v, list) and v and all(map(is_int, v)),
+    "a non-empty list of strings": lambda v: (isinstance(v, list) and v
+                                              and all(isinstance(s, str) for s in v)),
+    "a list of numbers": lambda v: isinstance(v, list) and all(map(is_number, v)),
+}
+REQUIRED = object()  # the default of a key that must be given
+
+
+def read_object(value, path: str, table: Dict[str, Tuple[str, object]]) -> dict:
+    """Every key of `table`, in its order, with its value in the JSON object
+    `value` or its default. `table` gives each key the object may hold its
+    kind (a key of `KINDS`) and its default, or `REQUIRED`. A non-object, the
+    unknown keys, a missing required key and a value of the wrong kind are
+    refused by their dotted path below `path` ("" is the document, "config")."""
+    where = path + "." if path else ""
+    if not isinstance(value, dict):
+        raise ContractViolation(f"{path or 'config'}: {value!r} is not a JSON object")
+    unknown = [where + key for key in value if key not in table]
+    if unknown:
+        raise ContractViolation(f"unknown config key(s): {', '.join(unknown)}")
+    out = {}
+    for key, (kind, default) in table.items():
+        if key not in value and default is REQUIRED:
+            raise ContractViolation(f"{path or 'config'}: no {key!r} key")
+        out[key] = value.get(key, default)
+        if key in value and not KINDS[kind](out[key]):
+            raise ContractViolation(f"{where}{key}: {out[key]!r} is not {kind}")
+    return out
 
 
 @dataclass(frozen=True, eq=False)

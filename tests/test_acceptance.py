@@ -38,7 +38,7 @@ from gradmix.models import (
     loss_and_grad,
 )
 from gradmix.numcore import ParamVec, RngStreams, dot
-from gradmix.trainer import Task, TrainPlan, run_strategy
+from gradmix.trainer import Task, TrainPlan, prefill, run_strategy
 from gradmix.cli import load_config, run_experiment
 
 from oracles import decide_one, distant_lang_ids, finite_diff_grad, norm, to_arrays
@@ -77,24 +77,27 @@ def make_plan(strategy, seed, **overrides):
 
 @pytest.fixture(scope="module")
 def benchmark_runs():
-    """All strategy runs used by the ordering and conflict criteria."""
+    """All strategy runs used by the ordering and conflict criteria. As in
+    `cli.run_units`, one stages dict serves every column (a strategy over
+    the seeds), whose stages `prefill` trains in lockstep; each run is
+    bitwise the run alone."""
     t0 = time.monotonic()
     task, manifest = shipped_task()
+    stages = {}
+
+    def column(strategy, **overrides):
+        plans = [make_plan(strategy, seed, **overrides) for seed in SHIPPED_SEEDS]
+        prefill(plans, task, stages)
+        return [run_strategy(plan, task, stages=stages) for plan in plans]
+
     runs = {}
     for strategy in ("zero_shot", "ord_fs", "naive_mix_train", "gradient_mix_train"):
-        for seed in SHIPPED_SEEDS:
-            runs[(strategy, seed)] = run_strategy(make_plan(strategy, seed), task)
-    analysis_finals = {}
-    for strategy in ("naive_mix_train", "gradient_mix_train"):
-        finals = []
-        for seed in SHIPPED_SEEDS:
-            res = run_strategy(
-                make_plan(strategy, seed, source_epochs=ANALYSIS_EPOCHS,
-                          alpha=ANALYSIS_ALPHA),
-                task,
-            )
-            finals.append(res.checkpoints["model"][-1])
-        analysis_finals[strategy] = finals
+        for seed, res in zip(SHIPPED_SEEDS, column(strategy)):
+            runs[(strategy, seed)] = res
+    analysis_finals = {
+        strategy: [res.checkpoints["model"][-1] for res in column(
+            strategy, source_epochs=ANALYSIS_EPOCHS, alpha=ANALYSIS_ALPHA)]
+        for strategy in ("naive_mix_train", "gradient_mix_train")}
     elapsed = time.monotonic() - t0
     return task, manifest, runs, analysis_finals, elapsed
 

@@ -1,6 +1,9 @@
+import functools
 import importlib.util
 import json
+import operator
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -132,7 +135,10 @@ class TestConfig:
         doc["model"]["width"] = 8
         out = tmp_path / "out"
         assert main(["run", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 2
-        assert "plan.learning_rate, model.width" in capsys.readouterr().err
+        assert "error: unknown config key(s): model.width\n" in capsys.readouterr().err
+        del doc["model"]["width"]  # each object's unknown keys are refused in turn
+        assert main(["run", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 2
+        assert "error: unknown config key(s): plan.learning_rate\n" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("field, value, error", [
@@ -142,12 +148,12 @@ class TestConfig:
         ("lr", -1, "lr must be finite and non-negative, got -1"),
         ("lr", float("nan"), "lr must be finite and non-negative, got nan"),
         ("lr", float("inf"), "lr must be finite and non-negative, got inf"),
-        ("lr", "0.5", "lr must be a number, got '0.5'"),
-        ("alpha", "0.6", "alpha must be a number, got '0.6'"),
-        ("batch_size", 2.5, "batch_size must be an integer, got 2.5"),
-        ("batch_size", True, "batch_size must be an integer, got True"),
-        ("source_epochs", 1.0, "source_epochs must be an integer, got 1.0"),
-        ("adapt_batch_size", "4", "adapt_batch_size must be an integer, got '4'"),
+        ("lr", "0.5", "plan.lr: '0.5' is not a number"),
+        ("alpha", "0.6", "plan.alpha: '0.6' is not a number"),
+        ("batch_size", 2.5, "plan.batch_size: 2.5 is not an integer"),
+        ("batch_size", True, "plan.batch_size: True is not an integer"),
+        ("source_epochs", 1.0, "plan.source_epochs: 1.0 is not an integer"),
+        ("adapt_batch_size", "4", "plan.adapt_batch_size: '4' is not an integer or null"),
         ("shot_mode", "kshot", "unknown shot_mode 'kshot', expected one of k_shot, n_way_k_shot"),
     ], ids=["adapt_batch_size-0", "adapt_batch_size--3", "batch_size-0", "lr-negative", "lr-nan",
             "lr-inf", "lr-string", "alpha-string", "batch_size-float", "batch_size-bool",
@@ -162,14 +168,15 @@ class TestConfig:
         assert not out.exists()
 
     @pytest.mark.parametrize("field, values, error", [
-        ("strategies", ["zero_shot", "zero_shot"], "grid strategies: 'zero_shot' is listed twice"),
-        ("ks", [2, 2], "grid ks: 2 is listed twice"),
-        ("seeds", [1, 1], "grid seeds: 1 is listed twice"),
-        ("ks", [1.7], "grid ks: 1.7 is not an integer"),
-        ("seeds", [1.5], "grid seeds: 1.5 is not an integer"),
+        ("strategies", ["zero_shot", "zero_shot"], "grid.strategies: 'zero_shot' is listed twice"),
+        ("ks", [2, 2], "grid.ks: 2 is listed twice"),
+        ("seeds", [1, 1], "grid.seeds: 1 is listed twice"),
+        ("ks", [1.7], "grid.ks: [1.7] is not a non-empty list of integers"),
+        ("seeds", [1.5], "grid.seeds: [1.5] is not a non-empty list of integers"),
         ("seeds", [-1], "seed must be >= 0"),
-        ("strategies", "zero_shot", "grid strategies: 'zero_shot' is not a non-empty JSON list"),
-        ("ks", 5, "grid ks: 5 is not a non-empty JSON list"),
+        ("strategies", "zero_shot",
+         "grid.strategies: 'zero_shot' is not a non-empty list of strings"),
+        ("ks", 5, "grid.ks: 5 is not a non-empty list of integers"),
     ], ids=["twice-strategy", "twice-k", "twice-seed", "float-k", "float-seed", "negative-seed",
             "string-strategies", "int-ks"])
     def test_bad_grid_refused_before_any_cell_runs(self, tmp_path, capsys, field, values, error):
@@ -195,7 +202,7 @@ class TestConfig:
     def test_plan_fields_are_the_keys_of_the_default_config(self):
         # a plan knob that no shipped config sets is a dead knob
         doc = json.loads((ROOT / "configs" / "default.json").read_text(encoding="utf-8"))
-        assert list(cli.PLAN_FIELDS) == list(doc["plan"])
+        assert list(cli.CONFIG["plan"]) == list(doc["plan"])
 
     @pytest.mark.parametrize("block, key, value, error", [
         ("analysis", "seed", -1, "analysis.seed: -1 is not an integer >= 0"),
@@ -207,13 +214,18 @@ class TestConfig:
         ("model", "hidden_dim", 1.7, "model.hidden_dim: 1.7 is not an integer"),
         ("model", "hidden_dim", -1, "hidden_dim must be non-negative"),
         ("model", "family", "nope", "unknown family 'nope'"),
-        ("benchmark", "kind", "nope", "unknown benchmark kind 'nope'"),
+        ("benchmark", "kind", "nope",
+         "benchmark.kind: 'nope' is not one of default, synthetic, tsv"),
+        ("benchmark", "kind", "default", "unknown config key(s): benchmark.profile"),
+        ("", "format_version", 7, "format_version: 7 is not 1"),
+        ("", "format_version", True, "format_version: True is not an integer"),
     ], ids=["seed-negative", "seed-float", "seed-string", "batches-zero", "batches-negative",
-            "analysis-unknown-key", "hidden-float", "hidden-negative", "family", "kind"])
+            "analysis-unknown-key", "hidden-float", "hidden-negative", "family", "kind",
+            "profile-of-default-kind", "format-version-7", "format-version-bool"])
     def test_bad_block_value_refused_before_out_exists(self, tmp_path, capsys, block, key,
                                                         value, error):
         doc = small_config_doc(strategies=("zero_shot", "gradient_mix_train"))
-        doc[block][key] = value
+        (doc[block] if block else doc)[key] = value
         out = tmp_path / "out"
         argv = ["run", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]
         assert main(argv) == 2
@@ -301,6 +313,109 @@ class TestConfig:
             cfg = load_config(root / "configs" / name)
             assert cfg.strategies
 
+    @pytest.mark.parametrize("k, shot_mode, error", [
+        (31, "k_shot", "grid.ks: k=31 exceeds train size 30 for t0"),
+        (11, "n_way_k_shot", "grid.ks: t0: class 0: 10 < 11"),
+    ], ids=["k_shot", "n_way_k_shot"])
+    def test_k_the_targets_cannot_give_refused_before_out_exists(self, tmp_path, capsys, k,
+                                                                  shot_mode, error):
+        # each target has 30 train examples, 10 of each class
+        doc = small_config_doc(strategies=("zero_shot", "naive_mix_train"), ks=(2, k))
+        doc["plan"]["shot_mode"] = shot_mode
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {error}\n" in err and "Traceback" not in err
+        assert not out.exists()
+
+
+# The keys a config must hold, by dotted path with list indices left out.
+REQUIRED_KEYS = {"grid", "grid.strategies", "grid.ks", "grid.seeds", "benchmark.profile"} | {
+    f"benchmark.profile.{key}" for key in ("languages", "num_classes", "input_dim",
+                                           "mean_radius", "noise_sd", "seed")} | {
+    f"benchmark.profile.languages[].{key}" for key in ("lang_id", "script_tag", "role",
+                                                       "angle_deg", "translation", "sizes")} | {
+    f"benchmark.profile.languages[].sizes.{split}" for split in ("train", "dev", "test")} | {
+    "benchmark.languages", "benchmark.languages[].lang_id", "benchmark.languages[].role",
+    "benchmark.languages[].splits"}
+
+
+def config_keys(node, steps=(), path=""):
+    """(steps to the object, its dotted path, key) of every key of a config
+    document, depth first; each entry of a list of objects is an object,
+    named path[i]."""
+    for key, value in node.items():
+        yield steps, path, key
+        at = f"{path}.{key}" if path else key
+        if isinstance(value, list) and value and all(isinstance(v, dict) for v in value):
+            for i, entry in enumerate(value):
+                yield from config_keys(entry, steps + (key, i), f"{at}[{i}]")
+        elif isinstance(value, dict):
+            yield from config_keys(value, steps + (key,), at)
+
+
+def wrong_kinds(value):
+    """Values of another JSON kind than `value`: a list of scalars also
+    gets one whose entry is of another kind than its first."""
+    if isinstance(value, str):
+        return [7]
+    if isinstance(value, int) and not isinstance(value, bool):
+        return ["7", 2.5]
+    if isinstance(value, list) and value and not isinstance(value[0], dict):
+        return ["7", [wrong_kinds(value[0])[0]]]
+    return ["7"]
+
+
+class TestConfigBoundary:
+    """Every key of four config documents, through `main`: a value of
+    another JSON kind, the key deleted where it is required, and an unknown
+    key beside it each exit 2 with an error naming the path, no traceback
+    and no `--out`."""
+
+    @staticmethod
+    def cases(doc):
+        """(document, expected error) of each case of `doc`."""
+        def copy_at(steps):
+            bad = json.loads(json.dumps(doc))
+            return bad, functools.reduce(operator.getitem, steps, bad)
+
+        cases, parents = [], []
+        for steps, parent, key in config_keys(doc):
+            where = f"{parent}.{key}" if parent else key
+            for value in wrong_kinds(copy_at(steps)[1][key]):
+                bad, obj = copy_at(steps)
+                obj[key] = value
+                cases.append((bad, f"error: {where}: "))
+            if re.sub(r"\[\d+\]", "[]", where) in REQUIRED_KEYS:
+                bad, obj = copy_at(steps)
+                del obj[key]
+                cases.append((bad, f"error: {parent or 'config'}: no {key!r} key\n"))
+            if parent not in parents:  # the same input for every key of one object
+                parents.append(parent)
+                bad, obj = copy_at(steps)
+                obj["zz_unknown"] = 1
+                where = f"{parent}.zz_unknown" if parent else "zz_unknown"
+                cases.append((bad, f"error: unknown config key(s): {where}\n"))
+        return cases
+
+    @pytest.mark.parametrize("name", ["default.json", "quick.json", "small_config_doc",
+                                      "tsv_doc"])
+    def test_every_key_refused_by_path(self, tmp_path, capsys, name):
+        if name == "small_config_doc":
+            doc = small_config_doc()
+        elif name == "tsv_doc":
+            doc = tsv_doc(tmp_path)
+        else:
+            doc = json.loads((ROOT / "configs" / name).read_text(encoding="utf-8"))
+        wrong = []
+        for i, (bad, error) in enumerate(self.cases(doc)):
+            out = tmp_path / f"out{i}"
+            code = main(["run", "--config", str(write_config(tmp_path, bad)), "--out", str(out)])
+            err = capsys.readouterr().err
+            if code != 2 or error not in err or "Traceback" in err or out.exists():
+                wrong.append((error, code, err))
+        assert not wrong, wrong[:5]
+
 
 class TestTsvBenchmark:
     """A tsv benchmark's files decide its model's input width and class
@@ -371,14 +486,14 @@ class TestTsvBenchmark:
         assert target.dev.X.tolist() == [[1.0, 2.0]] and target.dev.y.tolist() == [1]
 
     @pytest.mark.parametrize("entry, error", [
-        ({"role": None}, "tsv language t: no 'role' key"),
-        ({"lang_id": None}, "tsv language #1: no 'lang_id' key"),
-        ({"splits": None}, "tsv language t: no 'splits' key"),
+        ({"role": None}, "benchmark.languages[1]: no 'role' key"),
+        ({"lang_id": None}, "benchmark.languages[1]: no 'lang_id' key"),
+        ({"splits": None}, "benchmark.languages[1]: no 'splits' key"),
         ({"splits": {"valid": "{tmp}/t.dev.tsv"}},
-         "tsv language t: unknown split 'valid', expected one of train, dev, test"),
+         "unknown config key(s): benchmark.languages[1].splits.valid"),
         ({"splits": {"train": "{tmp}/nowhere.tsv"}},
-         "tsv language t: train file {tmp}/nowhere.tsv: No such file or directory"),
-        ({"splits": {"train": "{tmp}/latin1.tsv"}}, "tsv language t: train file "
+         "benchmark.languages[1].splits.train: {tmp}/nowhere.tsv: No such file or directory"),
+        ({"splits": {"train": "{tmp}/latin1.tsv"}}, "benchmark.languages[1].splits.train: "
          "{tmp}/latin1.tsv: 'utf-8' codec can't decode byte 0xe9 in position 4: invalid "
          "continuation byte"),
         ({"role": "tagret"}, "t: unknown role 'tagret'"),
@@ -878,10 +993,11 @@ class TestLockstep:
         cfg = parse_config(small_config_doc(**self.DOC))
         out = tmp_path / "out"
         assert run_experiment(cfg, out) == 0
-        # cells: one bank of 2 targets per (seed, K); the similarity CSVs: one
-        # per (strategy, K) group of mix_ft, naive_mix_train and
-        # gradient_mix_train, each drawn where its group is written
-        assert len(draws) == 2 * 2 * 2 + 3 * 2 * 2
+        # before --out exists: one bank of 2 targets per K; cells: one per
+        # (seed, K); the similarity CSVs: one per (strategy, K) group of
+        # mix_ft, naive_mix_train and gradient_mix_train, each drawn where its
+        # group is written
+        assert len(draws) == 2 * 2 + 2 * 2 * 2 + 3 * 2 * 2
         task, _ = build_benchmark(cfg)
         for cell in grid_cells(cfg):
             record = json.loads((out / "runs" / cli.cell_name(*cell) / "record.json").read_text())
