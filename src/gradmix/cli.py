@@ -27,7 +27,6 @@ no record references is removed. Every file is written through
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import shutil
@@ -48,19 +47,18 @@ from .corpora import (
     ingest_tsv,
     profile_from_manifest,
 )
-from .models import ModelSpec, chain_digest, save_checkpoint, write_atomic
-from .numcore import REQUIRED, ContractViolation, RngStreams, read_object
-from .trainer import Stages, Task, TrainPlan, run_strategy
+from .models import SPEC_KEYS, ModelSpec, chain_digest, save_checkpoint, write_atomic
+from .numcore import REQUIRED, ContractViolation, RngStreams, check, read_object
+from .trainer import PLAN_KEYS, Stages, Task, TrainPlan, run_strategy
 
 # Strategies whose run produces one final model covering every language;
 # only these feed the gradient-similarity matrices.
 SIM_MATRIX_KEYS = {"mix_ft": "adapted", "naive_mix_train": "model", "gradient_mix_train": "model"}
 
-# The `read_object` table of each object of a config document, by path. `plan`
-# takes TrainPlan's defaults, and its kinds from the annotations; the grid sets
-# the other three fields. The benchmark's objects depend on its kind.
-PLAN_KIND = {"int": "an integer", "float": "a number", "str": "a string",
-             "Optional[int]": "an integer or null"}
+# The `read_object` table of each object of a config document, by path: each
+# key's kind (a `numcore.KINDS` key, or the allowed values) and default.
+# `plan` is TrainPlan's table less the fields the grid sets, and `model`
+# takes ModelSpec's kinds. The benchmark's objects depend on its kind.
 CONFIG = {
     "": {"format_version": ("an integer", 1), "benchmark": ("a JSON object", {"kind": "default"}),
          "grid": ("a JSON object", REQUIRED), "model": ("a JSON object", {}),
@@ -68,19 +66,23 @@ CONFIG = {
     "grid": {"strategies": ("a non-empty list of strings", REQUIRED),
              "ks": ("a non-empty list of integers", REQUIRED),
              "seeds": ("a non-empty list of integers", REQUIRED)},
-    "model": {"family": ("a string", "softmax_classifier"), "hidden_dim": ("an integer", 64)},
-    "plan": {f.name: (PLAN_KIND[f.type], f.default) for f in dataclasses.fields(TrainPlan)
-             if f.name not in ("strategy", "seed", "k")},
+    "model": {"family": (SPEC_KEYS["family"][0], "softmax_classifier"),
+              "hidden_dim": (SPEC_KEYS["hidden_dim"][0], 64)},
+    "plan": {key: entry for key, entry in PLAN_KEYS.items()
+             if key not in ("strategy", "seed", "k")},
     "analysis": {"seed": ("an integer >= 0", 0), "source_batches": ("an integer >= 1", 100)},
 }
+# The kind of each grid entry: every K is for a strategy that takes shots.
+GRID_ENTRY = {"strategies": PLAN_KEYS["strategy"][0], "ks": "an integer >= 1",
+              "seeds": PLAN_KEYS["seed"][0]}
 BENCHMARKS = {
     "default": {"kind": ("a string", "default")},
     "synthetic": {"kind": ("a string", REQUIRED), "profile": ("a JSON object", REQUIRED)},
-    "tsv": {"kind": ("a string", REQUIRED), "task": ("a string", "classification"),
+    "tsv": {"kind": ("a string", REQUIRED), "task": (corpora.TASKS, "classification"),
             "num_classes": ("an integer >= 2", None),
             "languages": ("a non-empty JSON list", REQUIRED)},
 }
-TSV_LANGUAGE = {"lang_id": ("a string", REQUIRED), "role": ("a string", REQUIRED),
+TSV_LANGUAGE = {"lang_id": ("a string", REQUIRED), "role": (corpora.ROLES, REQUIRED),
                 "script_tag": ("a string", ""), "splits": ("a JSON object", REQUIRED)}
 TSV_SPLITS = dict.fromkeys(SPLITS, ("a string", None))  # a split without a file is empty
 
@@ -117,8 +119,8 @@ class ExperimentConfig:
 
 def parse_config(doc) -> ExperimentConfig:
     """The config of a JSON document, each object read against its `CONFIG`
-    table; then every grid cell's plan is made, so a value TrainPlan refuses
-    stops the run here."""
+    table and each grid entry against its `GRID_ENTRY` kind. Those tables
+    hold TrainPlan's kinds, so every grid cell's plan can be made."""
     top = read_object(doc, "", CONFIG[""])
     if top["format_version"] != 1:
         raise ContractViolation(f"format_version: {top['format_version']!r} is not 1")
@@ -126,12 +128,10 @@ def parse_config(doc) -> ExperimentConfig:
                               for name in ("grid", "model", "plan", "analysis"))
     for name, values in grid.items():
         for i, v in enumerate(values):
+            check(v, GRID_ENTRY[name], f"grid.{name}")
             if v in values[:i]:
                 raise ContractViolation(f"grid.{name}: {v!r} is listed twice")
-    cfg = ExperimentConfig(top["benchmark"], model, *map(tuple, grid.values()), plan, ana)
-    for cell in grid_cells(cfg):
-        make_plan(cfg, *cell)
-    return cfg
+    return ExperimentConfig(top["benchmark"], model, *map(tuple, grid.values()), plan, ana)
 
 
 def load_config(path: Path) -> ExperimentConfig:
@@ -148,9 +148,6 @@ def _tsv_corpora(bench: dict) -> Tuple[List[LanguageCorpus], int, int]:
     model: the one width of every non-empty file, and `num_classes` if
     given, else 1 + the largest label in any file, at least 2."""
     schema, num_classes = bench["task"], bench["num_classes"]
-    if schema not in corpora.TASKS:
-        raise ContractViolation(f"benchmark.task: unknown task {schema!r}, "
-                                f"expected one of {', '.join(corpora.TASKS)}")
     corp, widths, top = [], {}, 1  # top: the largest label, at least 1
     for i, entry in enumerate(bench["languages"]):
         where = f"benchmark.languages[{i}]"
@@ -180,8 +177,7 @@ def build_benchmark(cfg: ExperimentConfig) -> Tuple[Task, Optional[dict]]:
     input width and class count come from the profile, or from the files of
     a `tsv` benchmark (`_tsv_corpora`); `Task` checks the data."""
     kind = cfg.benchmark.get("kind", "default")
-    if not (isinstance(kind, str) and kind in BENCHMARKS):
-        raise ContractViolation(f"benchmark.kind: {kind!r} is not one of {', '.join(BENCHMARKS)}")
+    check(kind, tuple(BENCHMARKS), "benchmark.kind")
     bench = read_object(cfg.benchmark, "benchmark", BENCHMARKS[kind])
     manifest = None
     if kind == "tsv":
@@ -437,7 +433,9 @@ def run_experiment(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> int:
     `out` must be missing or empty: the manifest lists every file under it,
     so a used tree would mix another run's artifacts into this one's. The
     Task, and one shot bank per K, are made before `out` is, so a benchmark,
-    model or K they refuse leaves nothing behind.
+    model or K they refuse leaves nothing behind; so is a source with no dev
+    split when there is a source epoch to pick on its dev curve, as every
+    strategy does.
     """
     if jobs < 1:
         raise ContractViolation(f"--jobs must be at least 1, got {jobs}")
@@ -453,6 +451,10 @@ def run_experiment(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> int:
                             RngStreams(cfg.seeds[0]))
         except ContractViolation as exc:
             raise ContractViolation(f"grid.ks: {exc}") from None
+    epochs = cfg.plan["source_epochs"]
+    if epochs and not len(task.source.dev):
+        raise ContractViolation(f"plan.source_epochs: picking one of {epochs} epochs needs a "
+                                f"dev split, but {task.source.lang_id} has none")
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:

@@ -305,8 +305,18 @@ def gen_synthetic_family(
     profile: SyntheticProfile,
 ) -> Tuple[List[LanguageCorpus], Dict]:
     """Deterministic corpora for every language in the profile, plus a
-    manifest that fully reproduces them."""
+    manifest that fully reproduces them. The profile is checked in the
+    manifest's form, by `profile_from_manifest`, before anything is drawn."""
     langs = profile.languages
+    manifest = {"kind": "synthetic-benchmark", "n_langs": len(langs),
+                "num_classes": profile.num_classes, "input_dim": profile.input_dim,
+                "mean_radius": profile.mean_radius, "noise_sd": profile.noise_sd,
+                "seed": profile.seed, "languages": [
+                    {"lang_id": l.lang_id, "script_tag": l.script_tag, "role": l.role,
+                     "angle_deg": l.angle_deg, "translation": list(l.translation),
+                     "sizes": {"train": l.train_size, "dev": l.dev_size, "test": l.test_size}}
+                    for l in langs]}
+    profile_from_manifest(manifest)
     if len(langs) < 2:
         raise ContractViolation("need at least two languages (one source, one target)")
     ids = [l.lang_id for l in langs]
@@ -316,84 +326,59 @@ def gen_synthetic_family(
         raise ContractViolation("exactly one language must have role 'source'")
     by_script: Dict[str, float] = {}
     for l in langs:
-        if l.train_size < 0 or l.dev_size < 0 or l.test_size < 0:
-            raise ContractViolation(f"negative split size for {l.lang_id}")
         if l.script_tag in by_script and by_script[l.script_tag] != l.angle_deg:
             raise ContractViolation(
                 f"languages sharing script {l.script_tag!r} must share the rotation angle"
             )
         by_script[l.script_tag] = l.angle_deg
-    if profile.input_dim < 2:
-        raise ContractViolation("input_dim must be >= 2 (rotation plane)")
-    if profile.num_classes < 2:
-        raise ContractViolation("num_classes must be >= 2")
 
     rng = RngStreams(profile.seed)
     corpora: List[LanguageCorpus] = []
-    manifest_langs = []
-    for lang in langs:
+    for lang, entry in zip(langs, manifest["languages"]):
         means = _class_means(profile, lang)
         gen = rng.derived("synth_data", lang.lang_id)
         splits = {}
-        for split_name, size in (
-            ("train", lang.train_size),
-            ("dev", lang.dev_size),
-            ("test", lang.test_size),
-        ):
+        for split_name, size in entry["sizes"].items():
             labels = _balanced_labels(size, profile.num_classes, gen)
             noise = gen.standard_normal((size, profile.input_dim))
             splits[split_name] = Split(means[labels] + profile.noise_sd * noise, labels)
         corpora.append(LanguageCorpus(lang.lang_id, lang.script_tag, lang.role, **splits))
-        manifest_langs.append(
-            {
-                "lang_id": lang.lang_id,
-                "script_tag": lang.script_tag,
-                "role": lang.role,
-                "angle_deg": lang.angle_deg,
-                "translation": list(lang.translation),
-                "sizes": {"train": lang.train_size, "dev": lang.dev_size, "test": lang.test_size},
-                "class_means": [[repr(float(v)) for v in row] for row in means.tolist()],
-            }
-        )
-    manifest = {
-        "kind": "synthetic-benchmark",
-        "n_langs": len(langs),
-        "num_classes": profile.num_classes,
-        "input_dim": profile.input_dim,
-        "mean_radius": profile.mean_radius,
-        "noise_sd": profile.noise_sd,
-        "seed": profile.seed,
-        "languages": manifest_langs,
-    }
+        entry["class_means"] = [[repr(float(v)) for v in row] for row in means.tolist()]
     return corpora, manifest
 
 
 # A synthetic profile's `read_object` tables: the keys of the manifest that
 # `gen_synthetic_family` writes, of which those derived from the rest are not read.
 PROFILE_KEYS = {"languages": ("a non-empty JSON list", REQUIRED),
-                "num_classes": ("an integer", REQUIRED), "input_dim": ("an integer", REQUIRED),
+                "num_classes": ("an integer >= 2", REQUIRED),
+                "input_dim": ("an integer >= 2", REQUIRED),  # the rotation plane
                 "mean_radius": ("a number", REQUIRED), "noise_sd": ("a number", REQUIRED),
-                "seed": ("an integer", REQUIRED), "kind": ("a string", None),
+                "seed": ("an integer >= 0", REQUIRED), "kind": ("a string", None),
                 "n_langs": ("an integer", None)}
 PROFILE_LANGUAGE_KEYS = {
     "lang_id": ("a string", REQUIRED), "script_tag": ("a string", REQUIRED),
-    "role": ("a string", REQUIRED), "angle_deg": ("a number", REQUIRED),
+    "role": (ROLES, REQUIRED), "angle_deg": ("a number", REQUIRED),
     "translation": ("a list of numbers", REQUIRED), "sizes": ("a JSON object", REQUIRED),
     "class_means": ("a non-empty JSON list", None)}
-SIZES_KEYS = dict.fromkeys(SPLITS, ("an integer", REQUIRED))
+SIZES_KEYS = dict.fromkeys(SPLITS, ("an integer >= 0", REQUIRED))
 
 
 def profile_from_manifest(manifest: Dict, path: str = "") -> SyntheticProfile:
     """The profile that a synthetic-benchmark manifest, or a config's
     `profile` block at dotted `path`, describes, read with `read_object`
-    ("languages[0].sizes.train: 2.5 is not an integer"; nothing is
-    converted). A number is stored as a float, as the manifest writes it."""
+    ("languages[0].sizes.train: 2.5 is not an integer >= 0"; nothing is
+    converted). A translation may not have more values than `input_dim`.
+    A number is stored as a float, as the manifest writes it."""
     where = path + "." if path else ""
     doc = read_object(manifest, path, PROFILE_KEYS)
     langs = []
     for i, entry in enumerate(doc["languages"]):
-        lang = read_object(entry, f"{where}languages[{i}]", PROFILE_LANGUAGE_KEYS)
-        sizes = read_object(lang["sizes"], f"{where}languages[{i}].sizes", SIZES_KEYS)
+        at = f"{where}languages[{i}]"
+        lang = read_object(entry, at, PROFILE_LANGUAGE_KEYS)
+        sizes = read_object(lang["sizes"], f"{at}.sizes", SIZES_KEYS)
+        if len(lang["translation"]) > doc["input_dim"]:
+            raise ContractViolation(f"{at}.translation: {lang['translation']!r} has more "
+                                    f"values than input_dim ({doc['input_dim']})")
         langs.append(LanguageProfile(
             lang["lang_id"], lang["script_tag"], lang["role"], float(lang["angle_deg"]),
             tuple(map(float, lang["translation"])), sizes["train"], sizes["dev"], sizes["test"]))

@@ -31,27 +31,24 @@ from typing import Iterable, List, Sequence, Union
 import numpy as np
 
 from .corpora import Split
-from .numcore import ContractViolation, ParamVec, RngStreams
+from .numcore import REQUIRED, ContractViolation, ParamVec, RngStreams, read_object
 
 FAMILIES = ("softmax_classifier", "mlp_token_tagger")
+# ModelSpec's key table (see `numcore.read_object`): every field is required.
+SPEC_KEYS = {"family": (FAMILIES, REQUIRED), "input_dim": ("an integer >= 1", REQUIRED),
+             "hidden_dim": ("an integer >= 0", REQUIRED),  # 0 means linear
+             "num_classes": ("an integer >= 2", REQUIRED)}
 
 
 @dataclass(frozen=True)
 class ModelSpec:
     family: str
     input_dim: int
-    hidden_dim: int  # 0 means linear
+    hidden_dim: int
     num_classes: int
 
     def __post_init__(self) -> None:
-        if self.family not in FAMILIES:
-            raise ContractViolation(f"unknown family {self.family!r}")
-        if self.input_dim < 1:
-            raise ContractViolation("input_dim must be positive")
-        if self.hidden_dim < 0:
-            raise ContractViolation("hidden_dim must be non-negative")
-        if self.num_classes < 2:
-            raise ContractViolation("num_classes must be at least 2")
+        read_object(vars(self), "", SPEC_KEYS)
 
     @property
     def param_dim(self) -> int:
@@ -69,13 +66,9 @@ class ModelSpec:
         }
 
     @staticmethod
-    def from_dict(d: dict) -> "ModelSpec":
-        return ModelSpec(
-            family=d["family"],
-            input_dim=int(d["input_dim"]),
-            hidden_dim=int(d["hidden_dim"]),
-            num_classes=int(d["num_classes"]),
-        )
+    def from_dict(d, path: str = "") -> "ModelSpec":
+        """The spec of a JSON object, read against `SPEC_KEYS` at dotted `path`."""
+        return ModelSpec(**read_object(d, path, SPEC_KEYS))
 
 
 @dataclass(frozen=True)
@@ -331,7 +324,10 @@ def load_checkpoint(path: Union[str, Path]) -> List[ModelState]:
         raise ContractViolation(
             f"{path} is a version-{version} checkpoint; expected version {CHECKPOINT_VERSION}"
         )
-    spec = ModelSpec.from_dict(payload["spec"])
+    try:
+        spec = ModelSpec.from_dict(payload.get("spec"), "spec")
+    except ContractViolation as exc:
+        raise ContractViolation(f"{path}: {exc}") from None
     chain = []
     for row in payload["states"]:
         values = np.frombuffer(binascii.a2b_base64(row), dtype="<f8")

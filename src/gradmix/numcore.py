@@ -9,8 +9,10 @@ has just computed (a gradient, a theta, a projection) without the public
 constructor's copy but with its checks, and `cosine_from_dots` reuses dots
 a caller already holds.
 
-`read_object` reads every JSON object of a config document against its key
-table, and every refusal names the dotted path.
+`read_object` reads a JSON object against its key table, which states
+each key's kind (JSON kind, range or allowed values) and default; config
+documents, synthetic profiles, `TrainPlan` and `ModelSpec` are all read
+this way, and every refusal names the dotted path.
 """
 
 from __future__ import annotations
@@ -37,17 +39,20 @@ def is_int(v) -> bool:
 
 
 def is_number(v) -> bool:
-    """Whether a JSON value is a number (an integer or a float, not a bool)."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """Whether a JSON value is a number: an integer or a finite float, not a
+    bool (Python's `json` also reads NaN and Infinity, which JSON has not)."""
+    return is_int(v) or isinstance(v, float) and math.isfinite(v)
 
 
-# The JSON kinds a key table may ask of a value, by the words a refusal uses.
+# The kinds a key table may ask of a value, by the words a refusal uses.
 KINDS = {
     "an integer": is_int,
     **{f"an integer >= {least}": lambda v, least=least: is_int(v) and v >= least
        for least in (0, 1, 2)},
-    "an integer or null": lambda v: v is None or is_int(v),
+    "an integer >= 1 or null": lambda v: v is None or is_int(v) and v >= 1,
     "a number": is_number,
+    "a number in [0, 1]": lambda v: is_number(v) and 0 <= v <= 1,
+    "a finite number >= 0": lambda v: is_number(v) and 0 <= v < math.inf,
     "a string": lambda v: isinstance(v, str),
     "a JSON object": lambda v: isinstance(v, dict),
     "a non-empty JSON list": lambda v: isinstance(v, list) and len(v) > 0,
@@ -59,12 +64,23 @@ KINDS = {
 REQUIRED = object()  # the default of a key that must be given
 
 
-def read_object(value, path: str, table: Dict[str, Tuple[str, object]]) -> dict:
+def check(value, kind, path: str) -> None:
+    """Refuse `value`, by its dotted `path`, unless it is of `kind`: a key
+    of `KINDS`, or a tuple of the values allowed."""
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise ContractViolation(f"{path}: {value!r} is not one of {', '.join(kind)}")
+    elif not KINDS[kind](value):
+        raise ContractViolation(f"{path}: {value!r} is not {kind}")
+
+
+def read_object(value, path: str, table: Dict[str, Tuple[object, object]]) -> dict:
     """Every key of `table`, in its order, with its value in the JSON object
     `value` or its default. `table` gives each key the object may hold its
-    kind (a key of `KINDS`) and its default, or `REQUIRED`. A non-object, the
-    unknown keys, a missing required key and a value of the wrong kind are
-    refused by their dotted path below `path` ("" is the document, "config")."""
+    kind (see `check`) and its default, or `REQUIRED`. A non-object, the
+    unknown keys, a missing required key and a given value not of its kind
+    are refused by their dotted path below `path` ("" is the document,
+    "config")."""
     where = path + "." if path else ""
     if not isinstance(value, dict):
         raise ContractViolation(f"{path or 'config'}: {value!r} is not a JSON object")
@@ -73,11 +89,11 @@ def read_object(value, path: str, table: Dict[str, Tuple[str, object]]) -> dict:
         raise ContractViolation(f"unknown config key(s): {', '.join(unknown)}")
     out = {}
     for key, (kind, default) in table.items():
-        if key not in value and default is REQUIRED:
+        if key in value:
+            check(value[key], kind, where + key)
+        elif default is REQUIRED:
             raise ContractViolation(f"{path or 'config'}: no {key!r} key")
         out[key] = value.get(key, default)
-        if key in value and not KINDS[kind](out[key]):
-            raise ContractViolation(f"{where}{key}: {out[key]!r} is not {kind}")
     return out
 
 

@@ -45,7 +45,7 @@ the training shots themselves.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from types import TracebackType
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -68,7 +68,7 @@ from .corpora import (
 )
 from .models import ModelSpec, ModelState, check_batch, init_params, predict, stack_grads
 from .models import loss_and_grad, sgd_step  # noqa: F401  (traced by name in perfbench/tracing.py)
-from .numcore import ContractViolation, ParamVec, RngStreams, is_int, is_number
+from .numcore import REQUIRED, ContractViolation, ParamVec, RngStreams, read_object
 from .surgery import TraceEntry, decide, pick
 from .surgery import sgs_step  # noqa: F401  (traced by name in perfbench/tracing.py)
 
@@ -100,32 +100,24 @@ class TrainPlan:
     shot_mode: str = "k_shot"
 
     def __post_init__(self) -> None:
-        if self.strategy not in STRATEGIES:
-            raise ContractViolation(f"unknown strategy {self.strategy!r}")
-        if self.shot_mode not in SHOT_MODES:
-            raise ContractViolation(f"unknown shot_mode {self.shot_mode!r}, "
-                                    f"expected one of {', '.join(SHOT_MODES)}")
-        least = {"seed": 0, "k": 0 if self.strategy == "zero_shot" else 1, "source_epochs": 0,
-                 "adapt_epochs": 0, "batch_size": 1, "adapt_batch_size": 1}
-        for name, low in least.items():
-            value = getattr(self, name)
-            if not (is_int(value) or name == "adapt_batch_size" and value is None):
-                raise ContractViolation(f"{name} must be an integer, got {value!r}")
-            if value is not None and value < low:
-                raise ContractViolation(f"{name} must be >= {low}")
-        for name in ("alpha", "lr"):
-            value = getattr(self, name)
-            if not is_number(value):
-                raise ContractViolation(f"{name} must be a number, got {value!r}")
-        if self.strategy == "zero_shot" and self.k != 0:
-            raise ContractViolation("zero_shot requires k = 0")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ContractViolation("alpha must be in [0, 1]")
-        if not 0.0 <= self.lr < float("inf"):
-            raise ContractViolation(f"lr must be finite and non-negative, got {self.lr!r}")
+        read_object(vars(self), "", PLAN_KEYS)
+        if (self.k == 0) != (self.strategy == "zero_shot"):  # the one rule across fields
+            want = "0" if self.strategy == "zero_shot" else "an integer >= 1"
+            raise ContractViolation(f"k: {self.k!r} is not {want} for {self.strategy}")
 
     def effective_adapt_batch(self) -> int:
         return self.adapt_batch_size if self.adapt_batch_size is not None else max(self.k, 1)
+
+
+# TrainPlan's key table (see `numcore.read_object`): each field's kind, and
+# its default; `cli` reads a config's `plan` object against it too.
+_PLAN_KINDS = dict(strategy=STRATEGIES, seed="an integer >= 0", k="an integer >= 0",
+                   alpha="a number in [0, 1]", source_epochs="an integer >= 0",
+                   adapt_epochs="an integer >= 0", batch_size="an integer >= 1",
+                   adapt_batch_size="an integer >= 1 or null", lr="a finite number >= 0",
+                   shot_mode=SHOT_MODES)
+PLAN_KEYS = {f.name: (_PLAN_KINDS[f.name], REQUIRED if f.default is MISSING else f.default)
+             for f in fields(TrainPlan)}
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gradmix import cli, corpora, models, trainer
+from gradmix import cli, corpora, models, numcore, trainer
 from gradmix.cli import (
     ExperimentConfig,
     build_benchmark,
@@ -142,19 +142,20 @@ class TestConfig:
         assert not out.exists()
 
     @pytest.mark.parametrize("field, value, error", [
-        ("adapt_batch_size", 0, "adapt_batch_size must be >= 1"),
-        ("adapt_batch_size", -3, "adapt_batch_size must be >= 1"),
-        ("batch_size", 0, "batch_size must be >= 1"),
-        ("lr", -1, "lr must be finite and non-negative, got -1"),
-        ("lr", float("nan"), "lr must be finite and non-negative, got nan"),
-        ("lr", float("inf"), "lr must be finite and non-negative, got inf"),
-        ("lr", "0.5", "plan.lr: '0.5' is not a number"),
-        ("alpha", "0.6", "plan.alpha: '0.6' is not a number"),
-        ("batch_size", 2.5, "plan.batch_size: 2.5 is not an integer"),
-        ("batch_size", True, "plan.batch_size: True is not an integer"),
-        ("source_epochs", 1.0, "plan.source_epochs: 1.0 is not an integer"),
-        ("adapt_batch_size", "4", "plan.adapt_batch_size: '4' is not an integer or null"),
-        ("shot_mode", "kshot", "unknown shot_mode 'kshot', expected one of k_shot, n_way_k_shot"),
+        ("adapt_batch_size", 0, "plan.adapt_batch_size: 0 is not an integer >= 1 or null"),
+        ("adapt_batch_size", -3, "plan.adapt_batch_size: -3 is not an integer >= 1 or null"),
+        ("batch_size", 0, "plan.batch_size: 0 is not an integer >= 1"),
+        ("lr", -1, "plan.lr: -1 is not a finite number >= 0"),
+        ("lr", float("nan"), "plan.lr: nan is not a finite number >= 0"),
+        ("lr", float("inf"), "plan.lr: inf is not a finite number >= 0"),
+        ("lr", "0.5", "plan.lr: '0.5' is not a finite number >= 0"),
+        ("alpha", "0.6", "plan.alpha: '0.6' is not a number in [0, 1]"),
+        ("batch_size", 2.5, "plan.batch_size: 2.5 is not an integer >= 1"),
+        ("batch_size", True, "plan.batch_size: True is not an integer >= 1"),
+        ("source_epochs", 1.0, "plan.source_epochs: 1.0 is not an integer >= 0"),
+        ("adapt_batch_size", "4",
+         "plan.adapt_batch_size: '4' is not an integer >= 1 or null"),
+        ("shot_mode", "kshot", "plan.shot_mode: 'kshot' is not one of k_shot, n_way_k_shot"),
     ], ids=["adapt_batch_size-0", "adapt_batch_size--3", "batch_size-0", "lr-negative", "lr-nan",
             "lr-inf", "lr-string", "alpha-string", "batch_size-float", "batch_size-bool",
             "source_epochs-float", "adapt_batch_size-string", "shot_mode-unknown"])
@@ -173,7 +174,7 @@ class TestConfig:
         ("seeds", [1, 1], "grid.seeds: 1 is listed twice"),
         ("ks", [1.7], "grid.ks: [1.7] is not a non-empty list of integers"),
         ("seeds", [1.5], "grid.seeds: [1.5] is not a non-empty list of integers"),
-        ("seeds", [-1], "seed must be >= 0"),
+        ("seeds", [-1], "grid.seeds: -1 is not an integer >= 0"),
         ("strategies", "zero_shot",
          "grid.strategies: 'zero_shot' is not a non-empty list of strings"),
         ("ks", 5, "grid.ks: 5 is not a non-empty list of integers"),
@@ -211,9 +212,10 @@ class TestConfig:
         ("analysis", "source_batches", 0, "analysis.source_batches: 0 is not an integer >= 1"),
         ("analysis", "source_batches", -5, "analysis.source_batches: -5 is not an integer >= 1"),
         ("analysis", "sede", 1, "unknown config key(s): analysis.sede"),
-        ("model", "hidden_dim", 1.7, "model.hidden_dim: 1.7 is not an integer"),
-        ("model", "hidden_dim", -1, "hidden_dim must be non-negative"),
-        ("model", "family", "nope", "unknown family 'nope'"),
+        ("model", "hidden_dim", 1.7, "model.hidden_dim: 1.7 is not an integer >= 0"),
+        ("model", "hidden_dim", -1, "model.hidden_dim: -1 is not an integer >= 0"),
+        ("model", "family", "nope",
+         "model.family: 'nope' is not one of softmax_classifier, mlp_token_tagger"),
         ("benchmark", "kind", "nope",
          "benchmark.kind: 'nope' is not one of default, synthetic, tsv"),
         ("benchmark", "kind", "default", "unknown config key(s): benchmark.profile"),
@@ -264,19 +266,26 @@ class TestConfig:
         assert not out.exists()
 
     @pytest.mark.parametrize("path, value, error", [
-        ("num_classes", "x", "benchmark.profile.num_classes: 'x' is not an integer"),
-        ("num_classes", 2.7, "benchmark.profile.num_classes: 2.7 is not an integer"),
-        ("num_classes", 0, "num_classes must be >= 2"),
+        ("num_classes", "x", "benchmark.profile.num_classes: 'x' is not an integer >= 2"),
+        ("num_classes", 2.7, "benchmark.profile.num_classes: 2.7 is not an integer >= 2"),
+        ("num_classes", 0, "benchmark.profile.num_classes: 0 is not an integer >= 2"),
         ("noise_sd", "a", "benchmark.profile.noise_sd: 'a' is not a number"),
+        ("noise_sd", float("nan"), "benchmark.profile.noise_sd: nan is not a number"),
+        ("languages.1.angle_deg", float("inf"),
+         "benchmark.profile.languages[1].angle_deg: inf is not a number"),
         ("languages", [5], "benchmark.profile.languages[0]: 5 is not a JSON object"),
         ("languages.0.translation", "ab",
          "benchmark.profile.languages[0].translation: 'ab' is not a list of numbers"),
         ("languages.0.translation", [0.0, "x"],
          "benchmark.profile.languages[0].translation: [0.0, 'x'] is not a list of numbers"),
         ("languages.1.sizes.dev", 2.5,
-         "benchmark.profile.languages[1].sizes.dev: 2.5 is not an integer"),
-    ], ids=["classes-string", "classes-float", "classes-zero", "noise-string",
-            "language-not-object", "translation-string", "translation-entry", "size-float"])
+         "benchmark.profile.languages[1].sizes.dev: 2.5 is not an integer >= 0"),
+        ("languages.0.translation", [0.0, 0.0, 1.0],
+         "benchmark.profile.languages[0].translation: [0.0, 0.0, 1.0] has more values than "
+         "input_dim (2)"),
+    ], ids=["classes-string", "classes-float", "classes-zero", "noise-string", "noise-nan",
+            "angle-inf", "language-not-object", "translation-string", "translation-entry",
+            "size-float", "translation-wider"])
     def test_bad_profile_value_refused_by_name(self, tmp_path, capsys, path, value, error):
         doc = small_config_doc()
         *outer, key = path.split(".")
@@ -327,6 +336,25 @@ class TestConfig:
         err = capsys.readouterr().err
         assert f"error: {error}\n" in err and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["synthetic", "tsv"])
+    def test_source_without_dev_split_refused_before_out_exists(self, tmp_path, capsys, kind):
+        # every strategy picks its source epoch on the source dev curve
+        if kind == "synthetic":
+            doc = small_config_doc()
+            doc["benchmark"]["profile"]["languages"][0]["sizes"]["dev"] = 0
+        else:
+            doc = tsv_doc(tmp_path)
+            del doc["benchmark"]["languages"][0]["splits"]["dev"]
+        out = tmp_path / "out"
+        argv = ["run", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert ("error: plan.source_epochs: picking one of 2 epochs needs a dev split, "
+                "but s has none\n") in err and "Traceback" not in err
+        assert not out.exists()
+        doc["plan"]["source_epochs"] = 0  # no epoch to pick: the run needs no dev split
+        assert main(["run", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 0
 
 
 # The keys a config must hold, by dotted path with list indices left out.
@@ -416,6 +444,65 @@ class TestConfigBoundary:
                 wrong.append((error, code, err))
         assert not wrong, wrong[:5]
 
+    @pytest.mark.parametrize("path, value, error", [
+        ("plan.alpha", 1.5, "1.5 is not a number in [0, 1]"),
+        ("plan.source_epochs", -1, "-1 is not an integer >= 0"),
+        ("plan.adapt_epochs", -1, "-1 is not an integer >= 0"),
+        ("plan.batch_size", 0, "0 is not an integer >= 1"),
+        ("plan.adapt_batch_size", 0, "0 is not an integer >= 1 or null"),
+        ("plan.lr", -1, "-1 is not a finite number >= 0"),
+        ("plan.shot_mode", "kshot", "'kshot' is not one of k_shot, n_way_k_shot"),
+        ("model.hidden_dim", -1, "-1 is not an integer >= 0"),
+        ("model.family", "nope", "'nope' is not one of softmax_classifier, mlp_token_tagger"),
+        ("grid.strategies", ["nope"], "'nope' is not one of " + ", ".join(STRATEGIES)),
+        ("grid.ks", [0], "0 is not an integer >= 1"),
+        ("grid.seeds", [-1], "-1 is not an integer >= 0"),
+        ("analysis.seed", -1, "-1 is not an integer >= 0"),
+        ("analysis.source_batches", 0, "0 is not an integer >= 1"),
+        ("benchmark.kind", "nope", "'nope' is not one of default, synthetic, tsv"),
+        ("benchmark.profile.num_classes", 1, "1 is not an integer >= 2"),
+        ("benchmark.profile.input_dim", 1, "1 is not an integer >= 2"),
+        ("benchmark.profile.seed", -1, "-1 is not an integer >= 0"),
+        ("benchmark.profile.languages[1].role", "tagret", "'tagret' is not one of source, target"),
+        ("benchmark.profile.languages[0].sizes.train", -1, "-1 is not an integer >= 0"),
+        ("benchmark.task", "tokens", "'tokens' is not one of classification, token_tags"),
+        ("benchmark.num_classes", 1, "1 is not an integer >= 2"),
+        ("benchmark.languages[1].role", "tagret", "'tagret' is not one of source, target"),
+    ])
+    def test_value_just_outside_its_kind_refused_by_path(self, tmp_path, capsys, path, value,
+                                                         error):
+        """Each key whose kind has a bound or a set of allowed values."""
+        tsv = path in ("benchmark.task", "benchmark.num_classes", "benchmark.languages[1].role")
+        doc = tsv_doc(tmp_path) if tsv else small_config_doc()
+        *steps, key = [int(s) if s.isdigit() else s for s in re.findall(r"[^.\[\]]+", path)]
+        functools.reduce(operator.getitem, steps, doc)[key] = value
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(write_config(tmp_path, doc)), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2 and not out.exists()
+        assert f"error: {path}: {error}\n" in err and "Traceback" not in err
+
+
+def test_every_kind_of_every_key_table_is_known():
+    """A kind is looked up only when a config sets its key, so a mistyped
+    one would fail only then: every kind must be a `numcore.KINDS` key or a
+    tuple of allowed strings, and every `KINDS` key is some table's."""
+    tables = {**{f"cli.CONFIG[{name!r}]": table for name, table in cli.CONFIG.items()},
+              **{f"cli.BENCHMARKS[{name!r}]": table for name, table in cli.BENCHMARKS.items()},
+              "cli.TSV_LANGUAGE": cli.TSV_LANGUAGE, "cli.TSV_SPLITS": cli.TSV_SPLITS,
+              "corpora.PROFILE_KEYS": corpora.PROFILE_KEYS,
+              "corpora.PROFILE_LANGUAGE_KEYS": corpora.PROFILE_LANGUAGE_KEYS,
+              "corpora.SIZES_KEYS": corpora.SIZES_KEYS, "trainer.PLAN_KEYS": trainer.PLAN_KEYS,
+              "models.SPEC_KEYS": models.SPEC_KEYS}
+    kinds = {(f"{name}[{key!r}]", kind) for name, table in tables.items()
+             for key, (kind, _) in table.items()}
+    kinds |= {(f"cli.GRID_ENTRY[{key!r}]", kind) for key, kind in cli.GRID_ENTRY.items()}
+    unknown = [(where, kind) for where, kind in kinds
+               if not (kind in numcore.KINDS if isinstance(kind, str) else
+                       isinstance(kind, tuple) and kind and all(isinstance(v, str) for v in kind))]
+    assert not unknown
+    assert set(numcore.KINDS) == {kind for _, kind in kinds if isinstance(kind, str)}
+
 
 class TestTsvBenchmark:
     """A tsv benchmark's files decide its model's input width and class
@@ -459,8 +546,7 @@ class TestTsvBenchmark:
         ("num_classes", "5", "benchmark.num_classes: '5' is not an integer >= 2"),
         ("num_classes", True, "benchmark.num_classes: True is not an integer >= 2"),
         ("num_classes", 1, "benchmark.num_classes: 1 is not an integer >= 2"),
-        ("task", "tokens",
-         "benchmark.task: unknown task 'tokens', expected one of classification, token_tags"),
+        ("task", "tokens", "benchmark.task: 'tokens' is not one of classification, token_tags"),
         ("languages", [], "benchmark.languages: [] is not a non-empty JSON list"),
         ("languages", 5, "benchmark.languages: 5 is not a non-empty JSON list"),
     ], ids=["classes-string", "classes-bool", "classes-one", "task", "languages-empty",
@@ -496,7 +582,7 @@ class TestTsvBenchmark:
         ({"splits": {"train": "{tmp}/latin1.tsv"}}, "benchmark.languages[1].splits.train: "
          "{tmp}/latin1.tsv: 'utf-8' codec can't decode byte 0xe9 in position 4: invalid "
          "continuation byte"),
-        ({"role": "tagret"}, "t: unknown role 'tagret'"),
+        ({"role": "tagret"}, "benchmark.languages[1].role: 'tagret' is not one of source, target"),
     ], ids=["no-role", "no-lang-id", "no-splits", "split-valid", "missing-file", "not-utf-8",
             "bad-role"])
     def test_bad_language_entry_refused_before_out_exists(self, tmp_path, capsys, entry, error):

@@ -93,8 +93,21 @@ class TestSyntheticGeneration:
                 LanguageProfile("t", "b", "target", 0.0, (0.0, 0.0), 10, 2, 2),
             )
         )
-        with pytest.raises(ContractViolation, match="negative"):
+        with pytest.raises(ContractViolation,
+                           match=r"^languages\[0\]\.sizes\.train: -1 is not an integer >= 0$"):
             gen_synthetic_family(profile)
+
+    def test_translation_wider_than_the_input_rejected(self):
+        profile = small_profile(
+            languages=(
+                LanguageProfile("s", "a", "source", 0.0, (0.0, 0.0, 1.0), 10, 2, 2),
+                LanguageProfile("t", "b", "target", 0.0, (0.0, 0.0), 10, 2, 2),
+            )
+        )
+        with pytest.raises(ContractViolation) as refused:
+            gen_synthetic_family(profile)
+        assert str(refused.value) == ("languages[0].translation: [0.0, 0.0, 1.0] has more "
+                                      "values than input_dim (2)")
 
     def test_shared_script_requires_shared_angle(self):
         profile = small_profile(

@@ -322,6 +322,20 @@ class TestCheckpoints:
         with pytest.raises(ContractViolation, match=f"{CLS.param_dim - 1} values"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("value, error", [
+        (2.9, "spec.input_dim: 2.9 is not an integer >= 1"),
+        ("x", "spec.input_dim: 'x' is not an integer >= 1"),
+    ], ids=["float", "string"])
+    def test_spec_read_through_its_table(self, tmp_path, value, error):
+        path = tmp_path / "model.json"
+        save_checkpoint(sgd_chain(CLS, 17, epochs=1), path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload["spec"]["input_dim"] = value
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ContractViolation) as refused:
+            load_checkpoint(path)
+        assert str(refused.value) == f"{path}: {error}"
+
     def test_digest_names_equal_chains_alike(self):
         chain = sgd_chain(CLS_MLP, 18)
         copy = [ModelState(spec=s.spec, theta=ParamVec(s.theta.values.copy())) for s in chain]

@@ -99,7 +99,7 @@ class TestTrainPlan:
     @pytest.mark.parametrize("field, value", [("adapt_batch_size", 0), ("adapt_batch_size", -3),
                                               ("batch_size", 0)])
     def test_batch_sizes_below_one_refused_by_name(self, field, value):
-        with pytest.raises(ContractViolation, match=f"^{field} must be >= 1"):
+        with pytest.raises(ContractViolation, match=f"^{field}: {value} is not an integer >= 1"):
             TrainPlan(strategy="ord_fs", seed=1, k=2, **{field: value})
 
     def test_adapt_batch_defaults_to_k(self):
