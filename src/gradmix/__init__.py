@@ -12,10 +12,9 @@ __version__ = "0.1.0"
 
 from .analysis import (SimMatrix, aggregate_runs, conflict_fraction, language_gradient, micro_f1,
                        overfit_flags, similarity_matrix)
-from .corpora import (OUTSIDE_LABEL, LanguageCorpus, LanguageProfile, Split, SyntheticProfile,
-                      batch_iter, build_mixed_dataset, build_oracle_bank, build_shot_bank,
-                      default_benchmark, default_profile, gen_synthetic_family, ingest_tsv,
-                      sample_k_shots, sample_n_way_k_shot)
+from .corpora import (OUTSIDE_LABEL, LanguageCorpus, Split, batch_iter, build_mixed_dataset,
+                      build_oracle_bank, build_shot_bank, default_benchmark, default_profile,
+                      gen_synthetic_family, ingest_tsv, sample_k_shots, sample_n_way_k_shot)
 from .models import (GradReport, ModelSpec, ModelState, init_params, load_checkpoint,
                      loss_and_grad, predict, save_checkpoint, sgd_step)
 from .numcore import ContractViolation, ParamVec, RngStreams, cosine_similarity, dot

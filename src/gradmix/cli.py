@@ -5,6 +5,10 @@ seed) grid, and the plan defaults; `run` executes every cell and writes a
 deterministic artifact tree; `export` re-emits the aggregate table and the
 gradient-similarity CSVs from an existing tree. Canonical artifacts carry
 no timestamps, so rerunning a config reproduces every file byte for byte.
+A config is the JSON document itself, as `parse_config` reads it: each
+object checked against its `CONFIG` table, with every default filled in.
+`run` writes it as `config.json`, which reads back to the same dict; a
+generated benchmark's profile is read by `corpora.gen_synthetic_family`.
 
 The unit of work is a set of grid columns ((strategy, K), all seeds) that
 shares no trained stage with any other unit (`stage_units`): zero_shot and
@@ -32,21 +36,13 @@ import json
 import shutil
 import sys
 import traceback
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import analysis, corpora, models, trainer
-from .corpora import (
-    SPLITS,
-    LanguageCorpus,
-    build_shot_bank,
-    gen_synthetic_family,
-    ingest_tsv,
-    profile_from_manifest,
-)
+from .corpora import SPLITS, LanguageCorpus, build_shot_bank, gen_synthetic_family, ingest_tsv
 from .models import SPEC_KEYS, ModelSpec, chain_digest, save_checkpoint, write_atomic
 from .numcore import REQUIRED, ContractViolation, RngStreams, check, read_object
 from .trainer import PLAN_KEYS, Stages, Task, TrainPlan, run_strategy
@@ -61,7 +57,7 @@ SIM_MATRIX_KEYS = {"mix_ft": "adapted", "naive_mix_train": "model", "gradient_mi
 # takes ModelSpec's kinds. The benchmark's objects depend on its kind.
 CONFIG = {
     "": {"format_version": ("an integer", 1), "benchmark": ("a JSON object", {"kind": "default"}),
-         "grid": ("a JSON object", REQUIRED), "model": ("a JSON object", {}),
+         "model": ("a JSON object", {}), "grid": ("a JSON object", REQUIRED),
          "plan": ("a JSON object", {}), "analysis": ("a JSON object", {})},
     "grid": {"strategies": ("a non-empty list of strings", REQUIRED),
              "ks": ("a non-empty list of integers", REQUIRED),
@@ -97,44 +93,28 @@ def __getattr__(name: str):
     return globals().setdefault(name, ProcessPoolExecutor)
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """A config as `parse_config` read it: `model`, `plan` and `analysis`
-    hold every key of their tables; `benchmark` is kept as given and read
-    by `build_benchmark`."""
-
-    benchmark: dict
-    model: dict
-    strategies: Tuple[str, ...]
-    ks: Tuple[int, ...]
-    seeds: Tuple[int, ...]
-    plan: dict
-    analysis: dict
-
-    def canonical_dict(self) -> dict:
-        grid = {"strategies": list(self.strategies), "ks": list(self.ks), "seeds": list(self.seeds)}
-        return {"format_version": 1, "benchmark": self.benchmark, "model": self.model,
-                "grid": grid, "plan": self.plan, "analysis": self.analysis}
-
-
-def parse_config(doc) -> ExperimentConfig:
-    """The config of a JSON document, each object read against its `CONFIG`
-    table and each grid entry against its `GRID_ENTRY` kind. Those tables
-    hold TrainPlan's kinds, so every grid cell's plan can be made."""
-    top = read_object(doc, "", CONFIG[""])
-    if top["format_version"] != 1:
-        raise ContractViolation(f"format_version: {top['format_version']!r} is not 1")
-    grid, model, plan, ana = (read_object(top[name], name, CONFIG[name])
-                              for name in ("grid", "model", "plan", "analysis"))
-    for name, values in grid.items():
+def parse_config(doc) -> dict:
+    """The config of a JSON document: the document read against `CONFIG[""]`,
+    with `grid`, `model`, `plan` and `analysis` (read in that order) each
+    replaced by what its `CONFIG` table reads and each grid entry checked
+    against its `GRID_ENTRY` kind; `benchmark` is kept as given and read by
+    `build_benchmark`. Those tables hold TrainPlan's kinds, so every grid
+    cell's plan can be made. The result is what `config.json` holds, and
+    reads back to itself."""
+    cfg = read_object(doc, "", CONFIG[""])
+    if cfg["format_version"] != 1:
+        raise ContractViolation(f"format_version: {cfg['format_version']!r} is not 1")
+    for name in ("grid", "model", "plan", "analysis"):
+        cfg[name] = read_object(cfg[name], name, CONFIG[name])
+    for name, values in cfg["grid"].items():
         for i, v in enumerate(values):
             check(v, GRID_ENTRY[name], f"grid.{name}")
             if v in values[:i]:
                 raise ContractViolation(f"grid.{name}: {v!r} is listed twice")
-    return ExperimentConfig(top["benchmark"], model, *map(tuple, grid.values()), plan, ana)
+    return cfg
 
 
-def load_config(path: Path) -> ExperimentConfig:
+def load_config(path: Path) -> dict:
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
@@ -165,40 +145,43 @@ def _tsv_corpora(bench: dict) -> Tuple[List[LanguageCorpus], int, int]:
                 widths[path] = data.X.shape[1]
                 top = max(top, int(data.y.max()))
         corp.append(LanguageCorpus(lang["lang_id"], lang["script_tag"], lang["role"], **splits))
+    if not widths:
+        raise ContractViolation("benchmark.languages: no file holds an example")
     if len(set(widths.values())) > 1:
         raise ContractViolation("tsv files differ in feature width: " + ", ".join(
             f"{path} has {width}" for path, width in widths.items()))
-    return corp, next(iter(widths.values()), 0), num_classes or 1 + top
+    return corp, next(iter(widths.values())), num_classes or 1 + top
 
 
-def build_benchmark(cfg: ExperimentConfig) -> Tuple[Task, Optional[dict]]:
+def build_benchmark(cfg: dict) -> Tuple[Task, Optional[dict]]:
     """The config's `Task`, and the manifest of a generated benchmark. The
     `benchmark` object is read against the table of its kind. The model's
-    input width and class count come from the profile, or from the files of
-    a `tsv` benchmark (`_tsv_corpora`); `Task` checks the data."""
-    kind = cfg.benchmark.get("kind", "default")
+    input width and class count come from the generated manifest, or from
+    the files of a `tsv` benchmark (`_tsv_corpora`); `Task` checks the data,
+    the language ids and the one source included."""
+    kind = cfg["benchmark"].get("kind", "default")
     check(kind, tuple(BENCHMARKS), "benchmark.kind")
-    bench = read_object(cfg.benchmark, "benchmark", BENCHMARKS[kind])
+    bench = read_object(cfg["benchmark"], "benchmark", BENCHMARKS[kind])
     manifest = None
     if kind == "tsv":
         corp, input_dim, num_classes = _tsv_corpora(bench)
     else:
-        profile = (corpora.default_profile() if kind == "default"
-                   else profile_from_manifest(bench["profile"], "benchmark.profile"))
-        corp, manifest = gen_synthetic_family(profile)
-        input_dim, num_classes = profile.input_dim, profile.num_classes
-    spec = ModelSpec(cfg.model["family"], input_dim, cfg.model["hidden_dim"], num_classes)
+        corp, manifest = (gen_synthetic_family(bench["profile"], "benchmark.profile")
+                          if kind == "synthetic" else corpora.default_benchmark())
+        input_dim, num_classes = manifest["input_dim"], manifest["num_classes"]
+    spec = ModelSpec(cfg["model"]["family"], input_dim, cfg["model"]["hidden_dim"], num_classes)
     return Task.from_corpora(spec, corp), manifest
 
 
-def grid_cells(cfg: ExperimentConfig) -> List[Tuple[str, int, int]]:
+def grid_cells(cfg: dict) -> List[Tuple[str, int, int]]:
     """zero_shot ignores K and runs once per seed; everything else spans the
     full K grid."""
     cells = []
-    for strategy in cfg.strategies:
-        ks = (0,) if strategy == "zero_shot" else cfg.ks
+    grid = cfg["grid"]
+    for strategy in grid["strategies"]:
+        ks = (0,) if strategy == "zero_shot" else grid["ks"]
         for k in ks:
-            for seed in cfg.seeds:
+            for seed in grid["seeds"]:
                 cells.append((strategy, k, seed))
     return cells
 
@@ -220,11 +203,11 @@ def columns(cells: Sequence[Tuple[str, int, int]]) -> List[List[Tuple[str, int, 
         (trainer.ADAPT_FAMILY.get(c[0], c[0]), c[1]), len(first)))]
 
 
-def make_plan(cfg: ExperimentConfig, strategy: str, k: int, seed: int) -> TrainPlan:
-    return TrainPlan(strategy=strategy, k=k, seed=seed, **cfg.plan)
+def make_plan(cfg: dict, strategy: str, k: int, seed: int) -> TrainPlan:
+    return TrainPlan(strategy=strategy, k=k, seed=seed, **cfg["plan"])
 
 
-def stage_units(cfg: ExperimentConfig, task: Task,
+def stage_units(cfg: dict, task: Task,
                 cells: Sequence[Tuple[str, int, int]]) -> List[List[Tuple[str, int, int]]]:
     """The cells in units that share no trained stage: two columns are in
     one unit when their cells share a `trainer.stage_keys` key other than
@@ -247,7 +230,7 @@ def write_json(path: Path, obj) -> None:
     write_atomic(path, (json.dumps(obj, indent=2, allow_nan=False) + "\n").encode("utf-8"))
 
 
-def run_cell(cfg: ExperimentConfig, task: Task, strategy: str, k: int, seed: int,
+def run_cell(cfg: dict, task: Task, strategy: str, k: int, seed: int,
              out: Path, stages: Optional[Stages] = None) -> dict:
     """Run one grid cell and write its trace, then its chains, then its
     record; returns the record. Cells given one `stages` dict share trained
@@ -292,7 +275,7 @@ def failure_entry(cell: str, exc: BaseException) -> dict:
             "frames": frames[-FAILURE_FRAMES:]}
 
 
-def run_units(cfg: ExperimentConfig, task: Task, units: Sequence[Sequence[Tuple[str, int, int]]],
+def run_units(cfg: dict, task: Task, units: Sequence[Sequence[Tuple[str, int, int]]],
               out: Path) -> Tuple[list, list]:
     """Run the units (`stage_units`) in sequence with one stages dict. A
     unit runs its cells column by column (`columns`): `trainer.prefill`
@@ -329,7 +312,7 @@ def run_units(cfg: ExperimentConfig, task: Task, units: Sequence[Sequence[Tuple[
     return outcomes, sim_failures
 
 
-def write_sim_matrix(cfg: ExperimentConfig, task: Task, records: Sequence[dict],
+def write_sim_matrix(cfg: dict, task: Task, records: Sequence[dict],
                      out: Path) -> None:
     """Write the similarity-matrix CSV of one (strategy, K) group, from the
     records of its seeds: the last state of each seed's chain, read from
@@ -341,17 +324,17 @@ def write_sim_matrix(cfg: ExperimentConfig, task: Task, records: Sequence[dict],
     finals = [models.load_checkpoint(out / r["checkpoints"][SIM_MATRIX_KEYS[strategy]])[-1]
               for r in records]
     shots = build_shot_bank(task.targets, k, plan["shot_mode"], task.spec.num_classes,
-                            RngStreams(cfg.analysis["seed"]))
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.analysis["seed"]))
+                            RngStreams(cfg["analysis"]["seed"]))
+    rng = np.random.default_rng(np.random.SeedSequence(cfg["analysis"]["seed"]))
     m = analysis.similarity_matrix(
         finals, [task.source, *task.targets], shots, rng,
         batch_size=plan["batch_size"],
-        n_source_batches=cfg.analysis["source_batches"],
+        n_source_batches=cfg["analysis"]["source_batches"],
     )
     analysis.write_sim_matrix_csv(m, out / "aggregate" / f"simmatrix_{strategy}_k{k}.csv")
 
 
-def write_sim_matrices(cfg: ExperimentConfig, task: Task, records: Sequence[dict],
+def write_sim_matrices(cfg: dict, task: Task, records: Sequence[dict],
                        out: Path) -> List[Tuple[Tuple[str, int], Exception]]:
     """Write the CSV of each (strategy, K) group of `records` with a single
     final model per run and K > 0 (`write_sim_matrix`). Returns, in
@@ -427,15 +410,16 @@ def write_manifest(out: Path, failures: List[dict]) -> Path:
     return path
 
 
-def run_experiment(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> int:
+def run_experiment(cfg: dict, out: Path, jobs: int = 1) -> int:
     """Execute the full grid; returns 0 iff every cell succeeded.
 
     `out` must be missing or empty: the manifest lists every file under it,
     so a used tree would mix another run's artifacts into this one's. The
     Task, and one shot bank per K, are made before `out` is, so a benchmark,
-    model or K they refuse leaves nothing behind; so is a source with no dev
-    split when there is a source epoch to pick on its dev curve, as every
-    strategy does.
+    model or K they refuse leaves nothing behind; so is a language with no
+    dev split whose dev curve picks an epoch: the source's when there is a
+    source epoch to pick, as every strategy does, and each target's when
+    `ord_fs_dev` has an adapt epoch to pick.
     """
     if jobs < 1:
         raise ContractViolation(f"--jobs must be at least 1, got {jobs}")
@@ -447,19 +431,23 @@ def run_experiment(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> int:
     cells = grid_cells(cfg)
     for k in sorted({k for _, k, _ in cells if k > 0}):  # the data decides, whatever the seed
         try:
-            build_shot_bank(task.targets, k, cfg.plan["shot_mode"], task.spec.num_classes,
-                            RngStreams(cfg.seeds[0]))
+            build_shot_bank(task.targets, k, cfg["plan"]["shot_mode"], task.spec.num_classes,
+                            RngStreams(cfg["grid"]["seeds"][0]))
         except ContractViolation as exc:
             raise ContractViolation(f"grid.ks: {exc}") from None
-    epochs = cfg.plan["source_epochs"]
-    if epochs and not len(task.source.dev):
-        raise ContractViolation(f"plan.source_epochs: picking one of {epochs} epochs needs a "
-                                f"dev split, but {task.source.lang_id} has none")
+    picks = [("source_epochs", task.source)]  # (plan key, language) of each epoch-picking curve
+    if "ord_fs_dev" in cfg["grid"]["strategies"]:
+        picks += [("adapt_epochs", target) for target in task.targets]
+    for key, corpus in picks:
+        epochs = cfg["plan"][key]
+        if epochs and not len(corpus.dev):
+            raise ContractViolation(f"plan.{key}: picking one of {epochs} epochs needs a "
+                                    f"dev split, but {corpus.lang_id} has none")
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ContractViolation(f"cannot create --out {out}: {exc.strerror}") from None
-    write_json(out / "config.json", cfg.canonical_dict())
+    write_json(out / "config.json", cfg)
     if manifest is not None:
         write_json(out / "benchmark" / "manifest.json", manifest)
 

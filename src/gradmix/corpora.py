@@ -5,7 +5,10 @@ Synthetic languages are class-conditional Gaussians whose class means are a
 rotated and translated copy of the source means: languages sharing a script
 tag share the rotation and differ only by translation, and distance from
 the source is the rotation angle. That gives a controllable desk-scale
-analog of cross-language distribution shift.
+analog of cross-language distribution shift. A synthetic profile is a JSON
+object in the form of the manifest it generates: `gen_synthetic_family`
+reads it once, against its key tables, and builds the manifest and the
+corpora from what it read.
 
 Array layout. This module owns the one format examples take everywhere:
 a `Split` of read-only arrays. For classification it is `X` (n, D)
@@ -249,104 +252,6 @@ def batch_iter(pool: Split, batch_size: int, epoch: int, rng: RngStreams,
 
 # --- synthetic generation ----------------------------------------------------
 
-
-@dataclass(frozen=True)
-class LanguageProfile:
-    lang_id: str
-    script_tag: str
-    role: str
-    angle_deg: float
-    translation: Tuple[float, ...]
-    train_size: int
-    dev_size: int
-    test_size: int
-
-
-@dataclass(frozen=True)
-class SyntheticProfile:
-    languages: Tuple[LanguageProfile, ...]
-    num_classes: int = 3
-    input_dim: int = 2
-    mean_radius: float = 2.0
-    noise_sd: float = 1.0
-    seed: int = 0
-
-
-def _class_means(profile: SyntheticProfile, lang: LanguageProfile) -> np.ndarray:
-    """Source means sit on a circle in the first two feature dims; each
-    language rotates them by its angle and adds its translation."""
-    C, D = profile.num_classes, profile.input_dim
-    base = np.zeros((C, D))
-    for c in range(C):
-        phi = 2.0 * math.pi * c / C
-        base[c, 0] = profile.mean_radius * math.cos(phi)
-        base[c, 1] = profile.mean_radius * math.sin(phi)
-    a = math.radians(lang.angle_deg)
-    rot = np.eye(D)
-    rot[0, 0] = math.cos(a)
-    rot[0, 1] = -math.sin(a)
-    rot[1, 0] = math.sin(a)
-    rot[1, 1] = math.cos(a)
-    t = np.zeros(D)
-    t[: len(lang.translation)] = lang.translation
-    return base @ rot.T + t
-
-
-def _balanced_labels(n: int, num_classes: int, gen: np.random.Generator) -> np.ndarray:
-    """Near-equal class counts in shuffled order (exact balance keeps the
-    n-way sampler's per-class precondition easy to satisfy)."""
-    reps = [c for c in range(num_classes) for _ in range((n + num_classes - 1) // num_classes)]
-    labels = np.array(reps[:n], dtype=np.int64)
-    gen.shuffle(labels)
-    return labels
-
-
-def gen_synthetic_family(
-    profile: SyntheticProfile,
-) -> Tuple[List[LanguageCorpus], Dict]:
-    """Deterministic corpora for every language in the profile, plus a
-    manifest that fully reproduces them. The profile is checked in the
-    manifest's form, by `profile_from_manifest`, before anything is drawn."""
-    langs = profile.languages
-    manifest = {"kind": "synthetic-benchmark", "n_langs": len(langs),
-                "num_classes": profile.num_classes, "input_dim": profile.input_dim,
-                "mean_radius": profile.mean_radius, "noise_sd": profile.noise_sd,
-                "seed": profile.seed, "languages": [
-                    {"lang_id": l.lang_id, "script_tag": l.script_tag, "role": l.role,
-                     "angle_deg": l.angle_deg, "translation": list(l.translation),
-                     "sizes": {"train": l.train_size, "dev": l.dev_size, "test": l.test_size}}
-                    for l in langs]}
-    profile_from_manifest(manifest)
-    if len(langs) < 2:
-        raise ContractViolation("need at least two languages (one source, one target)")
-    ids = [l.lang_id for l in langs]
-    if len(set(ids)) != len(ids):
-        raise ContractViolation("language ids must be unique")
-    if sum(1 for l in langs if l.role == "source") != 1:
-        raise ContractViolation("exactly one language must have role 'source'")
-    by_script: Dict[str, float] = {}
-    for l in langs:
-        if l.script_tag in by_script and by_script[l.script_tag] != l.angle_deg:
-            raise ContractViolation(
-                f"languages sharing script {l.script_tag!r} must share the rotation angle"
-            )
-        by_script[l.script_tag] = l.angle_deg
-
-    rng = RngStreams(profile.seed)
-    corpora: List[LanguageCorpus] = []
-    for lang, entry in zip(langs, manifest["languages"]):
-        means = _class_means(profile, lang)
-        gen = rng.derived("synth_data", lang.lang_id)
-        splits = {}
-        for split_name, size in entry["sizes"].items():
-            labels = _balanced_labels(size, profile.num_classes, gen)
-            noise = gen.standard_normal((size, profile.input_dim))
-            splits[split_name] = Split(means[labels] + profile.noise_sd * noise, labels)
-        corpora.append(LanguageCorpus(lang.lang_id, lang.script_tag, lang.role, **splits))
-        entry["class_means"] = [[repr(float(v)) for v in row] for row in means.tolist()]
-    return corpora, manifest
-
-
 # A synthetic profile's `read_object` tables: the keys of the manifest that
 # `gen_synthetic_family` writes, of which those derived from the rest are not read.
 PROFILE_KEYS = {"languages": ("a non-empty JSON list", REQUIRED),
@@ -363,27 +268,84 @@ PROFILE_LANGUAGE_KEYS = {
 SIZES_KEYS = dict.fromkeys(SPLITS, ("an integer >= 0", REQUIRED))
 
 
-def profile_from_manifest(manifest: Dict, path: str = "") -> SyntheticProfile:
-    """The profile that a synthetic-benchmark manifest, or a config's
-    `profile` block at dotted `path`, describes, read with `read_object`
-    ("languages[0].sizes.train: 2.5 is not an integer >= 0"; nothing is
-    converted). A translation may not have more values than `input_dim`.
-    A number is stored as a float, as the manifest writes it."""
+def _class_means(num_classes: int, input_dim: int, mean_radius: float, angle_deg: float,
+                 translation: Sequence[float]) -> np.ndarray:
+    """Source means sit on a circle in the first two feature dims; each
+    language rotates them by its angle and adds its translation."""
+    base = np.zeros((num_classes, input_dim))
+    for c in range(num_classes):
+        phi = 2.0 * math.pi * c / num_classes
+        base[c, 0] = mean_radius * math.cos(phi)
+        base[c, 1] = mean_radius * math.sin(phi)
+    a = math.radians(angle_deg)
+    rot = np.eye(input_dim)
+    rot[0, 0] = math.cos(a)
+    rot[0, 1] = -math.sin(a)
+    rot[1, 0] = math.sin(a)
+    rot[1, 1] = math.cos(a)
+    t = np.zeros(input_dim)
+    t[: len(translation)] = translation
+    return base @ rot.T + t
+
+
+def _balanced_labels(n: int, num_classes: int, gen: np.random.Generator) -> np.ndarray:
+    """Near-equal class counts in shuffled order (exact balance keeps the
+    n-way sampler's per-class precondition easy to satisfy)."""
+    reps = [c for c in range(num_classes) for _ in range((n + num_classes - 1) // num_classes)]
+    labels = np.array(reps[:n], dtype=np.int64)
+    gen.shuffle(labels)
+    return labels
+
+
+def gen_synthetic_family(profile: Dict, path: str = "") -> Tuple[List[LanguageCorpus], Dict]:
+    """Deterministic corpora for every language of a synthetic profile, plus
+    the manifest that fully reproduces them. The profile (a config's
+    `benchmark.profile` at dotted `path`, a manifest, or `default_profile()`)
+    is read once against `PROFILE_KEYS`, each language against
+    `PROFILE_LANGUAGE_KEYS` and its sizes against `SIZES_KEYS`
+    ("languages[0].sizes.train: 2.5 is not an integer >= 0"), and a number
+    is stored as a float, as the manifest writes it. A profile needs two or
+    more languages, one angle per script tag and no translation with more
+    values than `input_dim`; `trainer.Task` checks the ids and roles."""
     where = path + "." if path else ""
-    doc = read_object(manifest, path, PROFILE_KEYS)
-    langs = []
+    doc = read_object(profile, path, PROFILE_KEYS)
+    C, D = doc["num_classes"], doc["input_dim"]
+    langs: List[Dict] = []
+    manifest = {"kind": "synthetic-benchmark", "n_langs": len(doc["languages"]),
+                "num_classes": C, "input_dim": D, "mean_radius": float(doc["mean_radius"]),
+                "noise_sd": float(doc["noise_sd"]), "seed": doc["seed"], "languages": langs}
     for i, entry in enumerate(doc["languages"]):
         at = f"{where}languages[{i}]"
         lang = read_object(entry, at, PROFILE_LANGUAGE_KEYS)
-        sizes = read_object(lang["sizes"], f"{at}.sizes", SIZES_KEYS)
-        if len(lang["translation"]) > doc["input_dim"]:
+        if len(lang["translation"]) > D:
             raise ContractViolation(f"{at}.translation: {lang['translation']!r} has more "
-                                    f"values than input_dim ({doc['input_dim']})")
-        langs.append(LanguageProfile(
-            lang["lang_id"], lang["script_tag"], lang["role"], float(lang["angle_deg"]),
-            tuple(map(float, lang["translation"])), sizes["train"], sizes["dev"], sizes["test"]))
-    return SyntheticProfile(tuple(langs), doc["num_classes"], doc["input_dim"],
-                            float(doc["mean_radius"]), float(doc["noise_sd"]), doc["seed"])
+                                    f"values than input_dim ({D})")
+        langs.append({"lang_id": lang["lang_id"], "script_tag": lang["script_tag"],
+                      "role": lang["role"], "angle_deg": float(lang["angle_deg"]),
+                      "translation": [float(v) for v in lang["translation"]],
+                      "sizes": read_object(lang["sizes"], f"{at}.sizes", SIZES_KEYS)})
+    if len(langs) < 2:
+        raise ContractViolation("need at least two languages (one source, one target)")
+    by_script: Dict[str, float] = {}
+    for l in langs:
+        if by_script.setdefault(l["script_tag"], l["angle_deg"]) != l["angle_deg"]:
+            raise ContractViolation(
+                f"languages sharing script {l['script_tag']!r} must share the rotation angle"
+            )
+
+    rng = RngStreams(doc["seed"])
+    corpora: List[LanguageCorpus] = []
+    for l in langs:
+        means = _class_means(C, D, manifest["mean_radius"], l["angle_deg"], l["translation"])
+        gen = rng.derived("synth_data", l["lang_id"])
+        splits = {}
+        for split_name, size in l["sizes"].items():
+            labels = _balanced_labels(size, C, gen)
+            noise = gen.standard_normal((size, D))
+            splits[split_name] = Split(means[labels] + manifest["noise_sd"] * noise, labels)
+        corpora.append(LanguageCorpus(l["lang_id"], l["script_tag"], l["role"], **splits))
+        l["class_means"] = [[repr(float(v)) for v in row] for row in means.tolist()]
+    return corpora, manifest
 
 
 # --- shipped default benchmark ------------------------------------------------
@@ -401,39 +363,32 @@ DEFAULT_BENCHMARK_SEED = 7021
 _FAR_RAY_DEG = 60.0  # direction of a source class boundary
 
 
-def _ray(deg: float, dist: float) -> Tuple[float, float]:
-    return (dist * math.cos(math.radians(deg)), dist * math.sin(math.radians(deg)))
+def _ray(deg: float, dist: float) -> List[float]:
+    return [dist * math.cos(math.radians(deg)), dist * math.sin(math.radians(deg))]
 
 
-def default_profile() -> SyntheticProfile:
-    def lp(lang_id, script, role, angle, trans, train):
-        return LanguageProfile(
-            lang_id=lang_id,
-            script_tag=script,
-            role=role,
-            angle_deg=angle,
-            translation=trans,
-            train_size=train,
-            dev_size=100,
-            test_size=100,
-        )
+def default_profile() -> Dict:
+    """The shipped benchmark's profile, in the form `gen_synthetic_family` reads."""
+    def lang(lang_id, script, role, angle, translation, train):
+        return {"lang_id": lang_id, "script_tag": script, "role": role, "angle_deg": angle,
+                "translation": translation, "sizes": {"train": train, "dev": 100, "test": 100}}
 
-    return SyntheticProfile(
-        languages=(
-            lp("src", "scr-src", "source", 0.0, (0.0, 0.0), 500),
-            lp("near-a", "scr-near", "target", 12.0, (0.25, 0.0), 100),
-            lp("near-b", "scr-near", "target", 12.0, (0.0, 0.25), 100),
-            lp("near-c", "scr-near", "target", 12.0, (-0.175, 0.175), 100),
-            lp("far-a", "scr-far", "target", 22.0, _ray(_FAR_RAY_DEG, 4.8), 100),
-            lp("far-b", "scr-far", "target", 22.0, _ray(_FAR_RAY_DEG, 6.0), 100),
-            lp("far-c", "scr-far", "target", 22.0, _ray(_FAR_RAY_DEG, 7.2), 100),
-        ),
-        num_classes=3,
-        input_dim=2,
-        mean_radius=2.0,
-        noise_sd=1.25,
-        seed=DEFAULT_BENCHMARK_SEED,
-    )
+    return {
+        "languages": [
+            lang("src", "scr-src", "source", 0.0, [0.0, 0.0], 500),
+            lang("near-a", "scr-near", "target", 12.0, [0.25, 0.0], 100),
+            lang("near-b", "scr-near", "target", 12.0, [0.0, 0.25], 100),
+            lang("near-c", "scr-near", "target", 12.0, [-0.175, 0.175], 100),
+            lang("far-a", "scr-far", "target", 22.0, _ray(_FAR_RAY_DEG, 4.8), 100),
+            lang("far-b", "scr-far", "target", 22.0, _ray(_FAR_RAY_DEG, 6.0), 100),
+            lang("far-c", "scr-far", "target", 22.0, _ray(_FAR_RAY_DEG, 7.2), 100),
+        ],
+        "num_classes": 3,
+        "input_dim": 2,
+        "mean_radius": 2.0,
+        "noise_sd": 1.25,
+        "seed": DEFAULT_BENCHMARK_SEED,
+    }
 
 
 def default_benchmark() -> Tuple[List[LanguageCorpus], Dict]:

@@ -3,7 +3,7 @@ import builtins
 import pytest
 
 from gradmix import models
-from gradmix.corpora import LanguageProfile, SyntheticProfile, default_benchmark
+from gradmix.corpora import default_benchmark
 
 
 @pytest.fixture(scope="session")
@@ -13,17 +13,23 @@ def bench():
     return corpora, manifest
 
 
+def language(lang_id, script_tag, role, angle_deg, translation, train, dev, test):
+    """One `languages` entry of a synthetic profile."""
+    return {"lang_id": lang_id, "script_tag": script_tag, "role": role, "angle_deg": angle_deg,
+            "translation": list(translation), "sizes": {"train": train, "dev": dev, "test": test}}
+
+
 def tiny_profile(n_targets=2, seed=3, train=60, identical=False):
     """Small fast synthetic world for unit tests."""
-    langs = [LanguageProfile("s", "sc0", "source", 0.0, (0.0, 0.0), train, 30, 30)]
+    langs = [language("s", "sc0", "source", 0.0, (0.0, 0.0), train, 30, 30)]
     for i in range(n_targets):
         angle = 0.0 if identical else 15.0
         trans = (0.0, 0.0) if identical else (0.3 * (i + 1), 0.1)
         langs.append(
-            LanguageProfile(f"t{i}", "sc1", "target", angle, trans, train, 30, 30)
+            language(f"t{i}", "sc1", "target", angle, trans, train, 30, 30)
         )
-    return SyntheticProfile(
-        languages=tuple(langs), num_classes=3, input_dim=2, mean_radius=2.0,
+    return dict(
+        languages=langs, num_classes=3, input_dim=2, mean_radius=2.0,
         noise_sd=0.8, seed=seed,
     )
 

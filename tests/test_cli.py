@@ -14,7 +14,6 @@ import pytest
 
 from gradmix import cli, corpora, models, numcore, trainer
 from gradmix.cli import (
-    ExperimentConfig,
     build_benchmark,
     export_artifacts,
     format_table,
@@ -306,21 +305,47 @@ class TestConfig:
         if model is not None:
             doc["model"] = model
         cfg = parse_config(doc)
-        assert cfg.model == {"family": "softmax_classifier", "hidden_dim": 64}
+        assert cfg["model"] == {"family": "softmax_classifier", "hidden_dim": 64}
         assert build_benchmark(cfg)[0].spec.hidden_dim == 64
 
     def test_default_config_round_trips(self, tmp_path):
         root = Path(__file__).resolve().parents[1]
-        doc = load_config(root / "configs" / "default.json").canonical_dict()
+        doc = load_config(root / "configs" / "default.json")
         p = write_config(tmp_path, doc)
         cfg = load_config(p)
-        assert cfg.canonical_dict() == doc
+        assert cfg == doc
 
     def test_shipped_config_files_parse(self):
         root = Path(__file__).resolve().parents[1]
         for name in ("default.json", "quick.json"):
             cfg = load_config(root / "configs" / name)
-            assert cfg.strategies
+            assert cfg["grid"]["strategies"]
+            assert parse_config(cfg) == cfg  # a read config reads to itself
+
+    def test_run_config_json_reads_back_to_the_config(self, tmp_path):
+        doc = small_config_doc(strategies=("zero_shot",), seeds=(1,))
+        del doc["analysis"], doc["plan"]["lr"]  # defaults are written out
+        cfg, out = parse_config(doc), tmp_path / "out"
+        assert run_experiment(cfg, out) == 0
+        written = (out / "config.json").read_text(encoding="utf-8")
+        assert list(json.loads(written)) == ["format_version", "benchmark", "model", "grid",
+                                             "plan", "analysis"]
+        assert load_config(out / "config.json") == cfg
+        assert cfg["analysis"] == {"seed": 0, "source_batches": 100} and cfg["plan"]["lr"] == 0.5
+
+    @pytest.mark.parametrize("change, error", [
+        ({"role": "source"}, "need exactly one source corpus, got 2"),
+        ({"lang_id": "t1"}, "language ids must be unique"),
+    ], ids=["two-sources", "repeated-id"])
+    def test_profile_the_task_refuses_exits_2_before_out_exists(self, tmp_path, capsys, change,
+                                                                error):
+        doc = small_config_doc()
+        doc["benchmark"]["profile"]["languages"][1].update(change)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {error}\n" in err and "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("k, shot_mode, error", [
         (31, "k_shot", "grid.ks: k=31 exceeds train size 30 for t0"),
@@ -354,6 +379,21 @@ class TestConfig:
                 "but s has none\n") in err and "Traceback" not in err
         assert not out.exists()
         doc["plan"]["source_epochs"] = 0  # no epoch to pick: the run needs no dev split
+        assert main(["run", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 0
+
+    def test_ord_fs_dev_target_without_dev_split_refused_before_out_exists(self, tmp_path,
+                                                                          capsys):
+        # ord_fs_dev picks each target's adapt epoch on that target's dev curve
+        doc = small_config_doc(strategies=["ord_fs_dev"])
+        doc["benchmark"]["profile"]["languages"][1]["sizes"]["dev"] = 0
+        out = tmp_path / "out"
+        argv = ["run", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert ("error: plan.adapt_epochs: picking one of 2 epochs needs a dev split, "
+                "but t0 has none\n") in err and "Traceback" not in err
+        assert not out.exists()
+        doc["plan"]["adapt_epochs"] = 0  # no adapt epoch to pick: t0 needs no dev split
         assert main(["run", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 0
 
 
@@ -535,6 +575,16 @@ class TestTsvBenchmark:
         assert "error: tsv files differ in feature width: " in err
         assert f"{tmp_path / 's.train.tsv'} has 2, " in err
         assert f"{tmp_path / 't.train.tsv'} has 3" in err
+
+    def test_every_file_empty_refused_by_languages(self, tmp_path, capsys):
+        doc = tsv_doc(tmp_path)
+        for path in tmp_path.glob("*.tsv"):
+            path.write_text("", encoding="utf-8")
+        code, out = self.run(tmp_path, doc)
+        err = capsys.readouterr().err
+        assert code == 2 and not out.exists()
+        assert "error: benchmark.languages: no file holds an example\n" in err
+        assert "Traceback" not in err
 
     def test_token_tags_for_a_classifier_refused_before_out_exists(self, tmp_path, capsys):
         code, out = self.run(tmp_path, tsv_doc(tmp_path, task="token_tags"))

@@ -1,20 +1,20 @@
+import json
+
 import numpy as np
 import pytest
 
 from gradmix.corpora import (
     LanguageCorpus,
-    LanguageProfile,
     Split,
-    SyntheticProfile,
     batch_iter,
     build_mixed_dataset,
     build_oracle_bank,
     build_shot_bank,
     default_benchmark,
+    default_profile,
     epoch_order,
     gen_synthetic_family,
     ingest_tsv,
-    profile_from_manifest,
     sample_k_shots,
     sample_n_way_k_shot,
 )
@@ -22,22 +22,25 @@ from gradmix.models import ModelSpec, init_params, loss_and_grad, stack_grads
 from gradmix.numcore import ContractViolation, RngStreams
 from gradmix.trainer import Task
 
+from conftest import language
 from oracles import distant_lang_ids, examples_of, stack_batch
 
 
 def small_profile(**overrides):
     kwargs = dict(
         languages=(
-            LanguageProfile("s", "scr-0", "source", 0.0, (0.0, 0.0), 40, 10, 10),
-            LanguageProfile("t1", "scr-1", "target", 30.0, (1.0, 0.0), 30, 10, 10),
-            LanguageProfile("t2", "scr-1", "target", 30.0, (0.0, 1.0), 30, 10, 10),
+            language("s", "scr-0", "source", 0.0, (0.0, 0.0), 40, 10, 10),
+            language("t1", "scr-1", "target", 30.0, (1.0, 0.0), 30, 10, 10),
+            language("t2", "scr-1", "target", 30.0, (0.0, 1.0), 30, 10, 10),
         ),
         num_classes=3,
         input_dim=2,
+        mean_radius=2.0,
+        noise_sd=1.0,
         seed=11,
     )
     kwargs.update(overrides)
-    return SyntheticProfile(**kwargs)
+    return dict(kwargs, languages=list(kwargs["languages"]))
 
 
 def make_cls_corpus(lang_id="t", n_train=20, num_classes=3, dim=2, seed=0, role="target"):
@@ -65,8 +68,8 @@ class TestSyntheticGeneration:
     def test_zero_rotation_means_identical_up_to_translation_zero(self):
         profile = small_profile(
             languages=(
-                LanguageProfile("s", "a", "source", 0.0, (0.0, 0.0), 20, 5, 5),
-                LanguageProfile("t", "b", "target", 0.0, (0.0, 0.0), 20, 5, 5),
+                language("s", "a", "source", 0.0, (0.0, 0.0), 20, 5, 5),
+                language("t", "b", "target", 0.0, (0.0, 0.0), 20, 5, 5),
             )
         )
         _, manifest = gen_synthetic_family(profile)
@@ -78,9 +81,9 @@ class TestSyntheticGeneration:
     def test_degenerate_identical_languages_allowed(self):
         profile = small_profile(
             languages=(
-                LanguageProfile("s", "a", "source", 0.0, (0.0, 0.0), 10, 2, 2),
-                LanguageProfile("t1", "a", "target", 0.0, (0.0, 0.0), 10, 2, 2),
-                LanguageProfile("t2", "a", "target", 0.0, (0.0, 0.0), 10, 2, 2),
+                language("s", "a", "source", 0.0, (0.0, 0.0), 10, 2, 2),
+                language("t1", "a", "target", 0.0, (0.0, 0.0), 10, 2, 2),
+                language("t2", "a", "target", 0.0, (0.0, 0.0), 10, 2, 2),
             )
         )
         corpora, _ = gen_synthetic_family(profile)
@@ -89,8 +92,8 @@ class TestSyntheticGeneration:
     def test_negative_counts_rejected(self):
         profile = small_profile(
             languages=(
-                LanguageProfile("s", "a", "source", 0.0, (0.0, 0.0), -1, 2, 2),
-                LanguageProfile("t", "b", "target", 0.0, (0.0, 0.0), 10, 2, 2),
+                language("s", "a", "source", 0.0, (0.0, 0.0), -1, 2, 2),
+                language("t", "b", "target", 0.0, (0.0, 0.0), 10, 2, 2),
             )
         )
         with pytest.raises(ContractViolation,
@@ -100,8 +103,8 @@ class TestSyntheticGeneration:
     def test_translation_wider_than_the_input_rejected(self):
         profile = small_profile(
             languages=(
-                LanguageProfile("s", "a", "source", 0.0, (0.0, 0.0, 1.0), 10, 2, 2),
-                LanguageProfile("t", "b", "target", 0.0, (0.0, 0.0), 10, 2, 2),
+                language("s", "a", "source", 0.0, (0.0, 0.0, 1.0), 10, 2, 2),
+                language("t", "b", "target", 0.0, (0.0, 0.0), 10, 2, 2),
             )
         )
         with pytest.raises(ContractViolation) as refused:
@@ -112,9 +115,9 @@ class TestSyntheticGeneration:
     def test_shared_script_requires_shared_angle(self):
         profile = small_profile(
             languages=(
-                LanguageProfile("s", "a", "source", 0.0, (0.0, 0.0), 10, 2, 2),
-                LanguageProfile("t1", "b", "target", 10.0, (0.0, 0.0), 10, 2, 2),
-                LanguageProfile("t2", "b", "target", 20.0, (0.0, 0.0), 10, 2, 2),
+                language("s", "a", "source", 0.0, (0.0, 0.0), 10, 2, 2),
+                language("t1", "b", "target", 10.0, (0.0, 0.0), 10, 2, 2),
+                language("t2", "b", "target", 20.0, (0.0, 0.0), 10, 2, 2),
             )
         )
         with pytest.raises(ContractViolation, match="share the rotation"):
@@ -123,20 +126,28 @@ class TestSyntheticGeneration:
     def test_duplicate_ids_rejected(self):
         profile = small_profile(
             languages=(
-                LanguageProfile("s", "a", "source", 0.0, (0.0, 0.0), 10, 2, 2),
-                LanguageProfile("s", "b", "target", 0.0, (0.0, 0.0), 10, 2, 2),
+                language("s", "a", "source", 0.0, (0.0, 0.0), 10, 2, 2),
+                language("s", "b", "target", 0.0, (0.0, 0.0), 10, 2, 2),
             )
         )
+        corpora, _ = gen_synthetic_family(profile)  # ids and roles are the Task's to check
         with pytest.raises(ContractViolation, match="unique"):
-            gen_synthetic_family(profile)
+            Task.from_corpora(ModelSpec("softmax_classifier", 2, 0, 3), corpora)
 
     def test_manifest_round_trip(self):
-        profile = small_profile()
-        corpora, manifest = gen_synthetic_family(profile)
-        again, _ = gen_synthetic_family(profile_from_manifest(manifest))
-        for ca, cb in zip(corpora, again):
-            assert ca.lang_id == cb.lang_id
-            assert np.array_equal(ca.test.X, cb.test.X)
+        """A manifest is a profile that reads to itself: the same manifest
+        bytes and bitwise the same corpora."""
+        for profile in (small_profile(), default_profile()):
+            corpora, manifest = gen_synthetic_family(profile)
+            again, manifest_again = gen_synthetic_family(manifest)
+            assert json.dumps(manifest_again).encode() == json.dumps(manifest).encode()
+            assert len(again) == len(corpora)
+            for ca, cb in zip(corpora, again):
+                assert (ca.lang_id, ca.script_tag, ca.role) == (cb.lang_id, cb.script_tag,
+                                                                cb.role)
+                for split in ("train", "dev", "test"):
+                    a, b = ca.split(split), cb.split(split)
+                    assert a.X.tobytes() == b.X.tobytes() and a.y.tobytes() == b.y.tobytes()
 
     def test_default_benchmark_shape(self, bench):
         corpora, manifest = bench
