@@ -15,9 +15,9 @@ from .analysis import (SimMatrix, aggregate_runs, conflict_fraction, language_gr
 from .corpora import (OUTSIDE_LABEL, LanguageCorpus, Split, batch_iter, build_mixed_dataset,
                       build_oracle_bank, build_shot_bank, default_benchmark, default_profile,
                       gen_synthetic_family, ingest_tsv, sample_k_shots, sample_n_way_k_shot)
-from .models import (GradReport, ModelSpec, ModelState, init_params, load_checkpoint,
+from .models import (Chain, GradReport, ModelSpec, ModelState, init_params, load_checkpoint,
                      loss_and_grad, predict, save_checkpoint, sgd_step)
-from .numcore import ContractViolation, ParamVec, RngStreams, cosine_similarity, dot
+from .numcore import ContractViolation, RngStreams, cosine_similarity, dot
 from .surgery import TraceEntry, sgs_step
 from .trainer import (Task, TrainPlan, evaluate, run_mixed_training, run_source_training,
                       run_strategy, run_target_adapting)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .corpora import LanguageCorpus, Shots, Split
 from .models import ModelState, batch_grads, loss_and_grad, write_atomic
-from .numcore import ContractViolation, ParamVec, cosine_from_dots, dot
+from .numcore import ContractViolation, cosine_from_dots, dot, frozen
 from .numcore import cosine_similarity  # noqa: F401  (traced by name in perfbench/tracing.py)
 
 SOURCE_STACK = 10  # source batches per `batch_grads` call (see the module docstring)
@@ -78,8 +78,8 @@ def language_gradient(
     rng: Optional[np.random.Generator] = None,
     batch_size: int = 32,
     n_batches: int = 100,
-) -> ParamVec:
-    """A language's gradient at a checkpoint.
+) -> np.ndarray:
+    """A language's gradient at a checkpoint, a read-only (P,) array.
 
     source: mean gradient over `n_batches` uniformly sampled train batches
     (requires `rng`), added up in draw order. target: full-batch gradient
@@ -94,17 +94,17 @@ def language_gradient(
         if rng is None:
             raise ContractViolation("source gradient sampling needs an rng")
         size = min(batch_size, n)
-        acc = np.zeros(model.theta.dim)
+        acc = np.zeros(model.theta.size)
         for start in range(0, n_batches, SOURCE_STACK):
             keys = np.sort([rng.choice(n, size=size, replace=False)
                             for _ in range(min(SOURCE_STACK, n_batches - start))])
             if data.train.offsets is None:
                 grads = batch_grads(model, data.train, keys)
             else:  # ragged token batches: one at a time
-                grads = [loss_and_grad(model, data.train.take(k)).grad.values for k in keys]
+                grads = [loss_and_grad(model, data.train.take(k)).grad for k in keys]
             for grad in grads:
                 acc += grad
-        return ParamVec(acc / n_batches)
+        return frozen(acc / n_batches)
     if role == "target":
         if len(data) == 0:
             raise ContractViolation("target gradient needs at least one example")
@@ -158,7 +158,7 @@ def similarity_matrix(
         c.lang_id: c.train.take(shots[c.lang_id]) for c in corpora if c.role != "source"
     }
     for model in checkpoints:
-        grads: List[ParamVec] = []
+        grads: List[np.ndarray] = []
         for c in corpora:
             if c.role == "source":
                 g = language_gradient(

@@ -158,7 +158,7 @@ def build_benchmark(cfg: dict) -> Tuple[Task, Optional[dict]]:
     `benchmark` object is read against the table of its kind. The model's
     input width and class count come from the generated manifest, or from
     the files of a `tsv` benchmark (`_tsv_corpora`); `Task` checks the data,
-    the language ids and the one source included."""
+    and the ids and the one source by the config path of the languages."""
     kind = cfg["benchmark"].get("kind", "default")
     check(kind, tuple(BENCHMARKS), "benchmark.kind")
     bench = read_object(cfg["benchmark"], "benchmark", BENCHMARKS[kind])
@@ -170,7 +170,8 @@ def build_benchmark(cfg: dict) -> Tuple[Task, Optional[dict]]:
                           if kind == "synthetic" else corpora.default_benchmark())
         input_dim, num_classes = manifest["input_dim"], manifest["num_classes"]
     spec = ModelSpec(cfg["model"]["family"], input_dim, cfg["model"]["hidden_dim"], num_classes)
-    return Task.from_corpora(spec, corp), manifest
+    languages = {"tsv": "benchmark.languages", "synthetic": "benchmark.profile.languages"}
+    return Task.from_corpora(spec, corp, languages.get(kind, "")), manifest
 
 
 def grid_cells(cfg: dict) -> List[Tuple[str, int, int]]:
@@ -321,7 +322,7 @@ def write_sim_matrix(cfg: dict, task: Task, records: Sequence[dict],
     resolved and recorded."""
     records = sorted(records, key=lambda r: r["seed"])
     strategy, k, plan = records[0]["strategy"], records[0]["k"], records[0]["plan"]
-    finals = [models.load_checkpoint(out / r["checkpoints"][SIM_MATRIX_KEYS[strategy]])[-1]
+    finals = [models.load_checkpoint(out / r["checkpoints"][SIM_MATRIX_KEYS[strategy]]).state(-1)
               for r in records]
     shots = build_shot_bank(task.targets, k, plan["shot_mode"], task.spec.num_classes,
                             RngStreams(cfg["analysis"]["seed"]))
@@ -416,8 +417,9 @@ def run_experiment(cfg: dict, out: Path, jobs: int = 1) -> int:
     `out` must be missing or empty: the manifest lists every file under it,
     so a used tree would mix another run's artifacts into this one's. The
     Task, and one shot bank per K, are made before `out` is, so a benchmark,
-    model or K they refuse leaves nothing behind; so is a language with no
-    dev split whose dev curve picks an epoch: the source's when there is a
+    model or K they refuse leaves nothing behind; so is a source with no
+    train example (every strategy pools from it) and a language with no dev
+    split whose dev curve picks an epoch: the source's when there is a
     source epoch to pick, as every strategy does, and each target's when
     `ord_fs_dev` has an adapt epoch to pick.
     """
@@ -435,6 +437,8 @@ def run_experiment(cfg: dict, out: Path, jobs: int = 1) -> int:
                             RngStreams(cfg["grid"]["seeds"][0]))
         except ContractViolation as exc:
             raise ContractViolation(f"grid.ks: {exc}") from None
+    if not len(task.source.train):
+        raise ContractViolation(f"{task.source.lang_id} train: the source has no example")
     picks = [("source_epochs", task.source)]  # (plan key, language) of each epoch-picking curve
     if "ord_fs_dev" in cfg["grid"]["strategies"]:
         picks += [("adapt_epochs", target) for target in task.targets]

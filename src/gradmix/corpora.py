@@ -297,13 +297,14 @@ def _balanced_labels(n: int, num_classes: int, gen: np.random.Generator) -> np.n
     return labels
 
 
-def gen_synthetic_family(profile: Dict, path: str = "") -> Tuple[List[LanguageCorpus], Dict]:
+def gen_synthetic_family(profile: Dict,
+                         path: str = "profile") -> Tuple[List[LanguageCorpus], Dict]:
     """Deterministic corpora for every language of a synthetic profile, plus
     the manifest that fully reproduces them. The profile (a config's
     `benchmark.profile` at dotted `path`, a manifest, or `default_profile()`)
     is read once against `PROFILE_KEYS`, each language against
     `PROFILE_LANGUAGE_KEYS` and its sizes against `SIZES_KEYS`
-    ("languages[0].sizes.train: 2.5 is not an integer >= 0"), and a number
+    ("profile.languages[0].sizes.train: 2.5 is not an integer >= 0"), and a number
     is stored as a float, as the manifest writes it. A profile needs two or
     more languages, one angle per script tag and no translation with more
     values than `input_dim`; `trainer.Task` checks the ids and roles."""

@@ -2,8 +2,8 @@
 
 Two families stand in for task heads at desk scale: a softmax classifier
 over fixed feature vectors and a per-token MLP tagger over token-feature
-sequences. Parameters live in one flat vector so the surgery kernel can
-treat gradients uniformly.
+sequences. Parameters live in one flat read-only (P,) array
+(`numcore.frozen`), as does a gradient, so surgery treats them uniformly.
 
 A batch is a `corpora.Split` whose examples are in canonical key order
 (see `corpora`), which makes loss and gradient bitwise invariant to the
@@ -12,9 +12,10 @@ One kernel computes them, for one batch or, slice by slice, for a stack:
 of batches (`batch_grads`) or of parameter vectors each on its own batch
 (`stack_grads`, lockstep training), each slice with the bits it gets alone.
 
-A trained model is a chain of states, epoch 0 first (see `trainer`);
-`save_checkpoint` writes one chain to one file and `load_checkpoint` reads
-it back bit for bit. `write_atomic` is the one way files are written.
+A trained model is a `Chain`, one read-only (E+1, P) array of states,
+epoch 0 first (see `trainer`); `save_checkpoint` writes one chain to one
+file and `load_checkpoint` reads it back bit for bit. `write_atomic` is
+the one way files are written.
 """
 
 from __future__ import annotations
@@ -26,12 +27,12 @@ import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, List, Sequence, Union
+from typing import Iterable, NamedTuple, Union
 
 import numpy as np
 
 from .corpora import Split
-from .numcore import REQUIRED, ContractViolation, ParamVec, RngStreams, read_object
+from .numcore import REQUIRED, ContractViolation, RngStreams, check, frozen, read_object
 
 FAMILIES = ("softmax_classifier", "mlp_token_tagger")
 # ModelSpec's key table (see `numcore.read_object`): every field is required.
@@ -71,22 +72,34 @@ class ModelSpec:
         return ModelSpec(**read_object(d, path, SPEC_KEYS))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelState:
+    """A model: its spec and its parameters theta, a read-only (P,) array."""
+
     spec: ModelSpec
-    theta: ParamVec
+    theta: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.theta.dim != self.spec.param_dim:
-            raise ContractViolation(
-                f"theta has dim {self.theta.dim}, spec needs {self.spec.param_dim}"
-            )
+        object.__setattr__(self, "theta", frozen(self.theta))
+        want = (self.spec.param_dim,)
+        if self.theta.shape != want:
+            raise ContractViolation(f"theta has shape {self.theta.shape}, not {want}")
 
 
-@dataclass(frozen=True)
-class GradReport:
+class Chain(NamedTuple):
+    """A trained model's states, epoch 0 (the state training started from)
+    first: one read-only (E+1, P) array of one spec."""
+
+    spec: ModelSpec
+    states: np.ndarray
+
+    def state(self, epoch: int) -> ModelState:
+        return ModelState(self.spec, self.states[epoch])
+
+
+class GradReport(NamedTuple):
     loss: float
-    grad: ParamVec
+    grad: np.ndarray  # read-only (P,)
 
 
 def init_params(spec: ModelSpec, rng: RngStreams) -> ModelState:
@@ -109,7 +122,7 @@ def init_params(spec: ModelSpec, rng: RngStreams) -> ModelState:
         s2 = 1.0 / math.sqrt(h)
         parts.append(gen.uniform(-s2, s2, size=c * h))
         parts.append(np.zeros(c))
-    return ModelState(spec=spec, theta=ParamVec(np.concatenate(parts)))
+    return ModelState(spec=spec, theta=np.concatenate(parts))
 
 
 def _unpack(spec: ModelSpec, v: np.ndarray):
@@ -125,8 +138,8 @@ def _unpack(spec: ModelSpec, v: np.ndarray):
             v[..., o : o + c * h].reshape(lead + (c, h)), v[..., o + c * h :].reshape(lead + (1, c)))
 
 
-def _logits(spec: ModelSpec, theta: ParamVec, X: np.ndarray) -> np.ndarray:
-    *hidden, W, b = _unpack(spec, theta.values)
+def _logits(spec: ModelSpec, theta: np.ndarray, X: np.ndarray) -> np.ndarray:
+    *hidden, W, b = _unpack(spec, theta)
     if hidden:
         X = np.tanh(X @ hidden[0].swapaxes(-1, -2) + hidden[1])
     return X @ W.swapaxes(-1, -2) + b
@@ -203,10 +216,10 @@ def loss_and_grad(state: ModelState, batch: Split) -> GradReport:
     """Mean cross-entropy over the batch (tagger: over all tokens) and its
     analytic gradient, flattened in parameter order."""
     check_batch(state.spec, batch)
-    loss, grad = _forward_backward(state.spec, state.theta.values, batch.X, batch.y)
+    loss, grad = _forward_backward(state.spec, state.theta, batch.X, batch.y)
     if not math.isfinite(loss):
         raise ContractViolation("non-finite loss")
-    return GradReport(loss=float(loss), grad=ParamVec._adopt(grad))
+    return GradReport(loss=float(loss), grad=frozen(grad))
 
 
 def stack_grads(spec: ModelSpec, thetas: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -228,16 +241,16 @@ def batch_grads(state: ModelState, data: Split, keys: np.ndarray) -> np.ndarray:
     for classifier keys (s, size) sorted by row. The split is checked once,
     as a whole, with the checks `loss_and_grad` makes per batch."""
     check_batch(state.spec, data)
-    return stack_grads(state.spec, state.theta.values, data.X[keys], data.y[keys])
+    return stack_grads(state.spec, state.theta, data.X[keys], data.y[keys])
 
 
-def sgd_step(state: ModelState, grad: ParamVec, lr: float) -> ModelState:
+def sgd_step(state: ModelState, grad: np.ndarray, lr: float) -> ModelState:
     """theta' = theta - lr * grad, elementwise."""
-    if grad.dim != state.theta.dim:
-        raise ContractViolation(f"grad dim {grad.dim} != theta dim {state.theta.dim}")
+    if grad.shape != state.theta.shape:
+        raise ContractViolation(f"grad shape {grad.shape} != theta shape {state.theta.shape}")
     if lr < 0:
         raise ContractViolation("lr must be non-negative")
-    return ModelState(spec=state.spec, theta=ParamVec._adopt(state.theta.values - lr * grad.values))
+    return ModelState(spec=state.spec, theta=state.theta - lr * grad)
 
 
 def predict(state: ModelState, x: np.ndarray):
@@ -284,56 +297,42 @@ def write_atomic(path: Union[str, Path], data: Union[bytes, Iterable[bytes]]) ->
         raise
 
 
-def _check_chain(chain: Sequence[ModelState]) -> None:
-    if not chain or any(state.spec != chain[0].spec for state in chain):
-        raise ContractViolation("a checkpoint chain needs one or more states of one spec")
-
-
-def chain_digest(chain: Sequence[ModelState]) -> str:
+def chain_digest(chain: Chain) -> str:
     """16 hex digits of the sha256 of a chain's spec and raw states: the
     store name, the same for equal chains (64 bits make a clash between
     different chains negligible)."""
-    _check_chain(chain)
-    h = hashlib.sha256(json.dumps(chain[0].spec.to_dict(), sort_keys=True).encode())
-    for state in chain:
-        h.update(state.theta.tobytes())
+    h = hashlib.sha256(json.dumps(chain.spec.to_dict(), sort_keys=True).encode())
+    h.update(chain.states.tobytes())
     return h.hexdigest()[:16]
 
 
-def save_checkpoint(chain: Sequence[ModelState], path: Union[str, Path]) -> None:
+def save_checkpoint(chain: Chain, path: Union[str, Path]) -> None:
     """Write a model's chain of states, epoch 0 first, to one compact file."""
-    _check_chain(chain)
     payload = {
         "format_version": CHECKPOINT_VERSION,
         "kind": "model-chain",
-        "spec": chain[0].spec.to_dict(),
-        "states": [
-            binascii.b2a_base64(state.theta.values.astype("<f8").tobytes(), newline=False)
-            .decode("ascii")
-            for state in chain
-        ],
+        "spec": chain.spec.to_dict(),
+        "states": [binascii.b2a_base64(row.astype("<f8").tobytes(), newline=False).decode("ascii")
+                   for row in chain.states],
     }
     write_atomic(path, (json.dumps(payload, separators=(",", ":")) + "\n").encode("utf-8"))
 
 
-def load_checkpoint(path: Union[str, Path]) -> List[ModelState]:
-    """Read the chain of a file written by `save_checkpoint`."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    version = payload.get("format_version")
-    if version != CHECKPOINT_VERSION:
-        raise ContractViolation(
-            f"{path} is a version-{version} checkpoint; expected version {CHECKPOINT_VERSION}"
-        )
+def load_checkpoint(path: Union[str, Path]) -> Chain:
+    """Read the chain of a file written by `save_checkpoint`. Every refusal
+    of what the file holds starts with `path`."""
     try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        check(payload, "a JSON object", "checkpoint")
+        if payload.get("format_version") != CHECKPOINT_VERSION:
+            raise ContractViolation(f"a version-{payload.get('format_version')} checkpoint; "
+                                    f"expected version {CHECKPOINT_VERSION}")
         spec = ModelSpec.from_dict(payload.get("spec"), "spec")
-    except ContractViolation as exc:
+        check(payload.get("states"), "a non-empty list of strings", "states")
+        rows = [np.frombuffer(binascii.a2b_base64(row), dtype="<f8") for row in payload["states"]]
+        bad = [row.size for row in rows if row.size != spec.param_dim]
+        if bad:
+            raise ContractViolation(f"a state has {bad[0]} values, spec needs {spec.param_dim}")
+        return Chain(spec, frozen(np.stack(rows)))
+    except ValueError as exc:  # a ContractViolation, or no JSON, base64 or f64 rows
         raise ContractViolation(f"{path}: {exc}") from None
-    chain = []
-    for row in payload["states"]:
-        values = np.frombuffer(binascii.a2b_base64(row), dtype="<f8")
-        if values.size != spec.param_dim:
-            raise ContractViolation(
-                f"{path}: a state has {values.size} values, spec needs {spec.param_dim}"
-            )
-        chain.append(ModelState(spec=spec, theta=ParamVec(values)))
-    return chain

@@ -4,10 +4,10 @@ Everything here is 64-bit float with fixed accumulation order so that two
 runs of the same code produce bit-identical results. The training loop and
 the trajectory-equivalence tests rely on that.
 
-Two shortcuts keep every bit: `ParamVec._adopt` wraps an array its caller
-has just computed (a gradient, a theta, a projection) without the public
-constructor's copy but with its checks, and `cosine_from_dots` reuses dots
-a caller already holds.
+A parameter vector or a gradient is a (P,) float64 array and a chain of
+states an (E+1, P) one, each checked by `frozen` (non-empty, finite) and
+made read-only in place, without a copy. `dot` takes two vectors or two
+stacks of them; `cosine_from_dots` reuses dots a caller already holds.
 
 `read_object` reads a JSON object against its key table, which states
 each key's kind (JSON kind, range or allowed values) and default; config
@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -79,14 +78,14 @@ def read_object(value, path: str, table: Dict[str, Tuple[object, object]]) -> di
     `value` or its default. `table` gives each key the object may hold its
     kind (see `check`) and its default, or `REQUIRED`. A non-object, the
     unknown keys, a missing required key and a given value not of its kind
-    are refused by their dotted path below `path` ("" is the document,
-    "config")."""
+    are refused by their dotted path below `path` ("" is a config document,
+    called "config" where no key is named)."""
     where = path + "." if path else ""
     if not isinstance(value, dict):
         raise ContractViolation(f"{path or 'config'}: {value!r} is not a JSON object")
     unknown = [where + key for key in value if key not in table]
     if unknown:
-        raise ContractViolation(f"unknown config key(s): {', '.join(unknown)}")
+        raise ContractViolation(f"unknown key(s): {', '.join(unknown)}")
     out = {}
     for key, (kind, default) in table.items():
         if key in value:
@@ -97,60 +96,23 @@ def read_object(value, path: str, table: Dict[str, Tuple[object, object]]) -> di
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class ParamVec:
-    """Immutable 1-D float64 vector holding model parameters or a gradient."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = _checked(np.array(self.values, dtype=np.float64, copy=True).reshape(-1))
-        object.__setattr__(self, "values", arr)
-
-    @classmethod
-    def _adopt(cls, arr: np.ndarray) -> "ParamVec":
-        """A ParamVec over `arr` itself, a fresh 1-D float64 array no one
-        else holds: the public constructor's checks without its copy."""
-        vec = object.__new__(cls)
-        object.__setattr__(vec, "values", _checked(arr))
-        return vec
-
-    @property
-    def dim(self) -> int:
-        return int(self.values.shape[0])
-
-    def tobytes(self) -> bytes:
-        return self.values.tobytes()
-
-    def bitwise_equal(self, other: "ParamVec") -> bool:
-        return self.dim == other.dim and self.tobytes() == other.tobytes()
-
-    def __repr__(self) -> str:  # keep test failure output short
-        head = ", ".join(repr(v) for v in self.values[:4].tolist())
-        tail = ", ..." if self.dim > 4 else ""
-        return f"ParamVec([{head}{tail}], dim={self.dim})"
-
-
-def _checked(arr: np.ndarray) -> np.ndarray:
-    """`arr`, made read-only, once it is known to be non-empty and finite."""
+def frozen(arr) -> np.ndarray:
+    """`arr` as float64 (no copy if it is), made read-only once known non-empty
+    and finite: the one check of parameter vectors, gradients and chains."""
+    arr = np.asarray(arr, dtype=np.float64)
     if arr.size == 0:
-        raise ContractViolation("ParamVec must be non-empty")
+        raise ContractViolation("an empty array of parameters")
     if not np.isfinite(arr).all():
-        bad = int(np.flatnonzero(~np.isfinite(arr))[0])
-        raise ContractViolation(f"non-finite entry at index {bad}")
+        bad = np.argwhere(~np.isfinite(arr))[0].tolist()  # one index per axis
+        raise ContractViolation(f"non-finite entry at index {', '.join(map(str, bad))}")
     arr.setflags(write=False)
     return arr
 
 
-def _check_dims(a: ParamVec, b: ParamVec) -> None:
-    if a.dim != b.dim:
-        raise ContractViolation(f"dimension mismatch: {a.dim} != {b.dim}")
-
-
-def dot(a, b):
+def dot(a: np.ndarray, b: np.ndarray):
     """Inner product with strict sequential left-to-right f64 accumulation:
-    of two ParamVecs, as a float, or of each row pair of two (m, P) stacks
-    of vectors, as an (m,) array with each row's bits.
+    of two (P,) vectors, as a float, or of each row pair of two (m, P)
+    stacks of vectors, as an (m,) array with each row's bits.
 
     Deliberately not BLAS: the accumulation order is part of the contract,
     which keeps the result independent of library reduction strategies.
@@ -159,27 +121,25 @@ def dot(a, b):
     an all-negative-zero sum into +0.0, as a loop whose accumulator starts
     at 0.0 gives.
     """
-    if not isinstance(a, ParamVec):
-        return np.add.accumulate(a * b, axis=-1)[:, -1] + 0.0
-    _check_dims(a, b)
-    return float(np.add.accumulate(a.values * b.values)[-1]) + 0.0
+    if a.shape != b.shape:
+        raise ContractViolation(f"dimension mismatch: {a.shape} != {b.shape}")
+    d = np.add.accumulate(a * b, axis=-1)[..., -1] + 0.0
+    return d if d.ndim else float(d)
 
 
-def cosine_similarity(a: ParamVec, b: ParamVec) -> Optional[float]:
+def cosine_similarity(a: np.ndarray, b: np.ndarray) -> Optional[float]:
     """Cosine of the angle between a and b, clamped to [-1, 1].
 
     Returns None ("missing") when either vector has zero norm; callers
     serialize that as an explicit null rather than letting NaN propagate.
     """
-    _check_dims(a, b)
     return cosine_from_dots(a, b, dot(a, a), dot(a, b), dot(b, b))
 
 
-def cosine_from_dots(a: Union[ParamVec, np.ndarray], b: Union[ParamVec, np.ndarray],
+def cosine_from_dots(a: np.ndarray, b: np.ndarray,
                      aa: float, ab: float, bb: float) -> Optional[float]:
     """`cosine_similarity(a, b)` from the dots aa = a.a, ab = a.b and
-    bb = b.b, which a caller that needs them anyway computes once. a and b
-    are ParamVecs or 1-D arrays (rows of a stack)."""
+    bb = b.b, which a caller that needs them anyway computes once."""
     na = math.sqrt(aa)
     nb = math.sqrt(bb)
     if na == 0.0 or nb == 0.0:

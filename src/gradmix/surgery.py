@@ -19,7 +19,8 @@ conflict and cosines. It computes each distinct dot once (o.o, o.g, g.g,
 and on an applied step o.g' and g'.g': 5 dots, not 9) and gets the bits of
 a step that takes every cosine with `cosine_similarity` and projects with
 two more dots, since `dot` is symmetric: a.b and b.a multiply the same
-pairs in the same order. Each dot is one `dot` call over all the stack's
+pairs in the same order. A gradient is a (P,) array and a stack of runs'
+gradients an (m, P) one; each dot is one `dot` call over all the stack's
 rows, each row with the bits of a `dot` of two vectors.
 """
 
@@ -32,7 +33,7 @@ import numpy as np
 
 from .corpora import Split
 from .models import ModelState, loss_and_grad
-from .numcore import ContractViolation, ParamVec, RngStreams, cosine_from_dots, dot
+from .numcore import ContractViolation, RngStreams, cosine_from_dots, dot, frozen
 from .numcore import cosine_similarity  # noqa: F401  (traced by name in perfbench/tracing.py)
 
 
@@ -62,7 +63,7 @@ class TraceEntry:
         }
 
 
-def oracle_gradient(model: ModelState, oracle: Dict[str, Split], lang_id: str) -> ParamVec:
+def oracle_gradient(model: ModelState, oracle: Dict[str, Split], lang_id: str) -> np.ndarray:
     """Full-batch gradient over one language's oracle examples."""
     return loss_and_grad(model, oracle[lang_id]).grad
 
@@ -124,18 +125,17 @@ def decide(
 
 
 def sgs_step(
-    g_train: ParamVec,
+    g_train: np.ndarray,
     oracle: Dict[str, Split],
     model: ModelState,
     alpha: float,
     rng: RngStreams,
     step: int = 0,
-) -> Tuple[ParamVec, TraceEntry]:
+) -> Tuple[np.ndarray, TraceEntry]:
     """One stochastic-surgery decision for the current training step of
     one run: `pick`, the picked language's `oracle_gradient`, then
     `decide`."""
     lang, p = pick(oracle, rng)
-    G = g_train.values[None]
-    O = oracle_gradient(model, oracle, lang).values[None]
-    G_out, [entry] = decide(G, O, [(lang, p)], step, alpha)
-    return (g_train if G_out is G else ParamVec._adopt(G_out[0])), entry
+    G = g_train[None]
+    G_out, [entry] = decide(G, oracle_gradient(model, oracle, lang)[None], [(lang, p)], step, alpha)
+    return (g_train if G_out is G else frozen(G_out[0])), entry

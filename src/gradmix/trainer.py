@@ -12,11 +12,11 @@ Five strategies around one training loop, `train_lockstep`:
                        target's shots
   gradient_mix_train   naive_mix_train plus stochastic gradient surgery
 
-Every trained model is a chain of states, epoch 0 first: the state that
-training started from (the initialization, or the selected source model for
-an adapted model), then one state per epoch end. Selecting epoch e of a
-model is `chain[e]`, and `cli` writes each distinct chain to one
-checkpoint file.
+Every trained model is a `models.Chain`, one read-only (E+1, P) array of
+states, epoch 0 first: the state that training started from (the
+initialization, or the selected source model for an adapted model), then
+one state per epoch end. Selecting epoch e of a model is `chain.state(e)`,
+and `cli` writes each distinct chain to one checkpoint file.
 
 The cells of one seed repeat work: zero_shot and every two-step cell train
 the same source chain, and ord_fs and ord_fs_dev train the same adapted
@@ -66,9 +66,9 @@ from .corpora import (
     build_shot_bank,
     epoch_order,
 )
-from .models import ModelSpec, ModelState, check_batch, init_params, predict, stack_grads
+from .models import Chain, ModelSpec, ModelState, check_batch, init_params, predict, stack_grads
 from .models import loss_and_grad, sgd_step  # noqa: F401  (traced by name in perfbench/tracing.py)
-from .numcore import REQUIRED, ContractViolation, ParamVec, RngStreams, read_object
+from .numcore import REQUIRED, ContractViolation, RngStreams, frozen, read_object
 from .surgery import TraceEntry, decide, pick
 from .surgery import sgs_step  # noqa: F401  (traced by name in perfbench/tracing.py)
 
@@ -142,16 +142,21 @@ class Task:
                     raise ContractViolation(f"{corpus.lang_id} {name}: {exc}") from None
 
     @staticmethod
-    def from_corpora(spec: ModelSpec, corpora: Sequence[LanguageCorpus]) -> "Task":
+    def from_corpora(spec: ModelSpec, corpora: Sequence[LanguageCorpus], path: str = "") -> "Task":
+        """The task of `corpora`: one source and unique ids, else refused by
+        `path`, the place of the language list (`cli` passes its config path)."""
+        where = f"{path}: " if path else ""
         for c in corpora:
             if c.role not in ROLES:
-                raise ContractViolation(f"{c.lang_id}: unknown role {c.role!r}")
+                raise ContractViolation(f"{where}{c.lang_id}: unknown role {c.role!r}")
         sources = [c for c in corpora if c.role == "source"]
         if len(sources) != 1:
-            raise ContractViolation(f"need exactly one source corpus, got {len(sources)}")
+            raise ContractViolation(f"{where}need exactly one source corpus, got "
+                                    f"{[c.lang_id for c in sources]}")
         ids = [c.lang_id for c in corpora]
-        if len(set(ids)) != len(ids):
-            raise ContractViolation("language ids must be unique")
+        repeated = [lang for i, lang in enumerate(ids) if lang in ids[:i]]
+        if repeated:
+            raise ContractViolation(f"{where}language id {repeated[0]!r} is not unique")
         targets = tuple(c for c in corpora if c.role == "target")
         return Task(spec=spec, source=sources[0], targets=targets)
 
@@ -161,12 +166,12 @@ class RunResult:
     """Everything a strategy run produced, before serialization."""
 
     record: dict
-    checkpoints: Dict[str, List[ModelState]]  # model key -> chain, epoch 0 first
+    checkpoints: Dict[str, Chain]  # by model key
     trace: Optional[List[TraceEntry]]
 
     def selected_model(self, lang_id: str) -> ModelState:
         key = self.record["model_key_of"][lang_id]
-        return self.checkpoints[key][self.record["selected_epochs"][lang_id]]
+        return self.checkpoints[key].state(self.record["selected_epochs"][lang_id])
 
 
 # --- core loop ---------------------------------------------------------------
@@ -188,7 +193,7 @@ class Run(NamedTuple):
     alpha: float = 1.0
 
 
-Trained = Tuple[List[ModelState], Optional[List[TraceEntry]]]  # a chain and its trace
+Trained = Tuple[Chain, Optional[List[TraceEntry]]]  # a chain and its trace
 
 
 def stackable(runs: Sequence[Run]) -> bool:
@@ -210,17 +215,18 @@ def stackable(runs: Sequence[Run]) -> bool:
 def train_lockstep(runs: Sequence[Run], step_hook: Optional[StepHook] = None) -> List[Trained]:
     """The one training loop: fixed-epoch SGD of `stackable` runs, each over
     per-epoch reshuffles of its pool (`corpora.epoch_order`), returning each
-    run's chain [state0, state after epoch 1, ..., after epoch `epochs`]
-    and its surgery trace. A step stacks every run's batch for one
+    run's chain [state0, state after epoch 1, ..., after epoch `epochs`] and
+    its surgery trace. A step stacks every run's batch for one
     forward/backward (`models.stack_grads`); with surgery, each run draws
     (`surgery.pick`), the picked languages' oracle gradients are one more
-    stack, and `surgery.decide` decides for all runs; then one update of
-    the (S, P) parameters. Each run gets the bits it gets alone. A single
-    run, a ragged (tagger) pool among them, trains on its `batch_iter`
-    batches, gathered once per epoch and cut at the batch bounds. Every pool
-    and oracle batch is checked once, every slice's loss and gradient and
-    every update is checked finite, lr must be non-negative and a batch must
-    hold tokens. `step_hook(step, state)` sees every step of a single run."""
+    stack, and `surgery.decide` decides for all runs; then one update of the
+    (S, P) parameters, each row copied at each epoch end into its run's chain.
+    Each run gets the bits it gets alone. A single run, a ragged (tagger)
+    pool among them, trains on its `batch_iter` batches, gathered once per
+    epoch and cut at the batch bounds. Every pool and oracle batch is
+    checked once, every slice's loss and gradient and every update is
+    checked finite, lr must be non-negative and a batch must hold tokens.
+    `step_hook(step, state)` sees every step of a single run."""
     if not stackable(runs):
         raise ContractViolation("lockstep training needs one run, or two or more runs "
                                 "trained alike on dense pools of one size")
@@ -246,8 +252,10 @@ def train_lockstep(runs: Sequence[Run], step_hook: Optional[StepHook] = None) ->
         row_of = {pair: row for row, pair in enumerate(pairs)}
         if not one:
             OX, Oy = np.stack([b.X for b in batches]), np.stack([b.y for b in batches])
-    theta = np.stack([run.state0.theta.values for run in runs])
-    chains = [[run.state0] for run in runs]
+    theta = np.stack([run.state0.theta for run in runs])
+    # One array per run: freeing one (S, E+1, P) block would raise glibc's
+    # mmap threshold, and grid-default's peak RSS by 1 MB.
+    chains = [np.repeat(run.state0.theta[None], r0.epochs + 1, axis=0) for run in runs]
     traces = [[] if surgery else None for _ in runs]
     at = np.arange(len(runs))[:, None]
     step = 0
@@ -278,11 +286,10 @@ def train_lockstep(runs: Sequence[Run], step_hook: Optional[StepHook] = None) ->
                 raise ContractViolation("non-finite parameters after an update")
             step += 1
             if step_hook is not None:
-                step_hook(step, ModelState(spec=spec, theta=ParamVec._adopt(theta[0])))
-        # A fresh theta is made on every step, so these rows stay as they are.
-        for chain, values in zip(chains, theta):
-            chain.append(ModelState(spec=spec, theta=ParamVec._adopt(values)))
-    return list(zip(chains, traces))
+                step_hook(step, ModelState(spec=spec, theta=theta[0]))
+        for chain, row in zip(chains, theta):
+            chain[epoch] = row
+    return [(Chain(spec, frozen(chain)), trace) for chain, trace in zip(chains, traces)]
 
 
 # --- spec operations ----------------------------------------------------------
@@ -304,7 +311,7 @@ def run_source_training(
     state0: Optional[ModelState] = None,
     spec: Optional[ModelSpec] = None,
     step_hook: Optional[StepHook] = None,
-) -> List[ModelState]:
+) -> Chain:
     """Fine-tune on the source language alone; returns the chain, epoch 0
     (the initial state) first."""
     if rng is None:
@@ -343,7 +350,7 @@ def run_target_adapting(
     plan: TrainPlan,
     targets: Sequence[LanguageCorpus],
     rng: Optional[RngStreams] = None,
-) -> Dict[str, List[ModelState]]:
+) -> Dict[str, Chain]:
     """Fine-tune the source-trained model on target shots; every returned
     chain starts from `source_model` at epoch 0.
 
@@ -413,7 +420,7 @@ class Stage(NamedTuple):
     stages) the surgery trace. States are immutable, so sharing a chain is
     safe; a cell copies the curves into its own record."""
 
-    chains: Dict[str, List[ModelState]]
+    chains: Dict[str, Chain]
     curves: Dict[str, List[float]]
     trace: Optional[List[TraceEntry]] = None
 
@@ -462,13 +469,10 @@ def _lookup(stages: Stages, key: tuple):
     return entry
 
 
-def _dev_curves(
-    chain: List[ModelState], corpora: Sequence[LanguageCorpus]
-) -> Dict[str, List[float]]:
+def _dev_curves(chain: Chain, corpora: Sequence[LanguageCorpus]) -> Dict[str, List[float]]:
     """Dev curve over epochs 1..E of a chain, for each corpus with a dev split."""
-    return {
-        c.lang_id: [evaluate(m, c, "dev") for m in chain[1:]] for c in corpora if len(c.dev) > 0
-    }
+    models = [chain.state(e) for e in range(1, len(chain.states))]
+    return {c.lang_id: [evaluate(m, c, "dev") for m in models] for c in corpora if len(c.dev) > 0}
 
 
 def _best_epoch(curves: Dict[str, List[float]], lang: str, epochs: int) -> int:
@@ -498,8 +502,8 @@ def _job(kind: str, plan: TrainPlan, task: Task, stages: Stages
         run = _pool_run(plan, source, targets, shots, rng, init_params(task.spec, rng))
         return {"model": run}, {"model": [source, *targets]}
     src = _lookup(stages, keys["source"])
-    start = src.chains["source"][_best_epoch(src.curves, source.lang_id, plan.source_epochs)]
-    runs = _adapt_runs(start, shots, plan, targets, rng)
+    epoch = _best_epoch(src.curves, source.lang_id, plan.source_epochs)
+    runs = _adapt_runs(src.chains["source"].state(epoch), shots, plan, targets, rng)
     return runs, _adapt_corpora(plan, targets)
 
 
@@ -594,7 +598,7 @@ def run_strategy(
         "languages": all_langs,
         "shot_indices": {lang: list(idx) for lang, idx in (shots or {}).items()},
     }
-    checkpoints: Dict[str, List[ModelState]] = {}
+    checkpoints: Dict[str, Chain] = {}
 
     stage = _lookup(stages, keys["one_step" if plan.strategy in ONE_STEP else "source"])
     chain = stage.chains["model" if plan.strategy in ONE_STEP else "source"]

@@ -7,11 +7,11 @@ They keep the earlier formulations:
   `predict` call per example;
 - the scalar loop that defines `dot`'s accumulation order, and the token
   loop that defines `micro_f1`'s counts;
-- the per-step training path before the lean hot path: a copying
-  `ParamVec` for every gradient and state, one numpy call per operation in
-  `loss_and_grad`, one gather per batch in `batch_iter`, the 9-dot surgery
-  step built from `cosine_similarity`, a dot-product conflict test and
-  `project_gradient`, and the per-batch source-gradient loop;
+- the per-step training path before the lean hot path: one numpy call
+  per operation in `loss_and_grad`, one gather per batch in `batch_iter`,
+  the 9-dot surgery step built from `cosine_similarity`, a dot-product
+  conflict test and `project_gradient`, and the per-batch source-gradient
+  loop;
 - the per-run training loop built from those steps (`train_loop`), the
   reference for `trainer.train_lockstep`.
 """
@@ -23,8 +23,8 @@ import numpy as np
 
 from gradmix import analysis
 from gradmix.corpora import OUTSIDE_LABEL, LanguageCorpus, Split
-from gradmix.models import GradReport, ModelState, _logits, predict
-from gradmix.numcore import ContractViolation, ParamVec, dot
+from gradmix.models import Chain, GradReport, ModelState, _logits, predict
+from gradmix.numcore import ContractViolation, dot, frozen
 from gradmix.surgery import TraceEntry, decide
 
 
@@ -97,10 +97,10 @@ def micro_f1_loop(predictions, gold, outside_label):
 
 
 def dot_loop(a, b):
-    """Inner product of two ParamVecs by a Python loop: strict left-to-right
+    """Inner product of two vectors by a Python loop: strict left-to-right
     f64 accumulation from 0.0."""
     acc = 0.0
-    for x, y in zip(a.values.tolist(), b.values.tolist()):
+    for x, y in zip(a.tolist(), b.tolist()):
         acc += x * y
     return acc
 
@@ -109,13 +109,13 @@ def dot_loop(a, b):
 
 
 def loss_and_grad(state, batch):
-    """`models.loss_and_grad` with one numpy call per operation and a
-    copying ParamVec (no batch checks: they do not change a result)."""
+    """`models.loss_and_grad` with one numpy call per operation (no batch
+    checks: they do not change a result)."""
     spec = state.spec
     X, y = batch.X, batch.y
     n = X.shape[0]
     d, h, c = spec.input_dim, spec.hidden_dim, spec.num_classes
-    v = state.theta.values
+    v = state.theta
     if h == 0:
         W = v[: c * d].reshape(c, d)
         b = v[c * d : c * d + c]
@@ -145,12 +145,12 @@ def loss_and_grad(state, batch):
         )
     if not math.isfinite(loss):
         raise ContractViolation("non-finite loss")
-    return GradReport(loss=loss, grad=ParamVec(grad))
+    return GradReport(loss=loss, grad=frozen(grad))
 
 
 def sgd_step(state, grad, lr):
-    """`models.sgd_step` through the copying ParamVec constructor."""
-    return ModelState(spec=state.spec, theta=ParamVec(state.theta.values - lr * grad.values))
+    """`models.sgd_step` without its checks."""
+    return ModelState(spec=state.spec, theta=state.theta - lr * grad)
 
 
 def batch_iter(pool, batch_size, epoch, rng, scope="pool"):
@@ -177,7 +177,7 @@ def project_gradient(g_s, g_t):
     denom = dot(g_t, g_t)
     if denom == 0.0:
         raise ContractViolation("cannot project onto the normal plane of a zero vector")
-    return ParamVec(g_s.values - (dot(g_s, g_t) / denom) * g_t.values)
+    return frozen(g_s - (dot(g_s, g_t) / denom) * g_t)
 
 
 def sgs_step(g_train, oracle, model, alpha, rng, step=0):
@@ -216,7 +216,7 @@ def train_loop(run, step_hook=None):
             if step_hook is not None:
                 step_hook(step, state)
         chain.append(state)
-    return chain, trace
+    return Chain(state.spec, frozen(np.stack([s.theta for s in chain]))), trace
 
 
 def train_one_by_one(runs, step_hook=None):
@@ -228,11 +228,11 @@ def source_gradient(model, corpus, rng, batch_size=32, n_batches=100):
     """`analysis.language_gradient` of a source: one batch at a time."""
     n = len(corpus.train)
     size = min(batch_size, n)
-    acc = np.zeros(model.theta.dim)
+    acc = np.zeros(model.theta.size)
     for _ in range(n_batches):
         idx = rng.choice(n, size=size, replace=False)
-        acc += loss_and_grad(model, corpus.train.take(np.sort(idx))).grad.values
-    return ParamVec(acc / n_batches)
+        acc += loss_and_grad(model, corpus.train.take(np.sort(idx))).grad
+    return frozen(acc / n_batches)
 
 
 # --- helpers only tests use -------------------------------------------------
@@ -242,8 +242,9 @@ def norm(a):
     return math.sqrt(dot(a, a))
 
 
-def as_paramvec(v):
-    return v if isinstance(v, ParamVec) else ParamVec(np.asarray(v, dtype=np.float64))
+def bitwise_equal(a, b):
+    """Whether two arrays hold the same values bit for bit, shape included."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def finite_diff_grad(loss_fn, theta, h=None):
@@ -255,20 +256,20 @@ def finite_diff_grad(loss_fn, theta, h=None):
     """
     if h is not None and h <= 0.0:
         raise ContractViolation(f"h must be positive, got {h}")
-    base = theta.values
-    grad = np.empty(theta.dim, dtype=np.float64)
-    for i in range(theta.dim):
+    base = theta
+    grad = np.empty(theta.size, dtype=np.float64)
+    for i in range(theta.size):
         step = h if h is not None else 1e-5 * max(1.0, abs(float(base[i])))
         plus = base.copy()
         minus = base.copy()
         plus[i] += step
         minus[i] -= step
-        lp = float(loss_fn(ParamVec(plus)))
-        lm = float(loss_fn(ParamVec(minus)))
+        lp = float(loss_fn(frozen(plus)))
+        lm = float(loss_fn(frozen(minus)))
         if not (math.isfinite(lp) and math.isfinite(lm)):
             raise ContractViolation(f"non-finite loss probing coordinate {i}")
         grad[i] = (lp - lm) / (2.0 * step)
-    return ParamVec(grad)
+    return frozen(grad)
 
 
 def decide_one(g_train, g_oracle):
@@ -276,9 +277,9 @@ def decide_one(g_train, g_oracle):
     lands under alpha: g_train projected onto g_oracle's normal plane if the
     two conflict, else g_train itself (bitwise no-op, same object); and the
     step's trace entry."""
-    G = g_train.values[None]
-    G_out, [entry] = decide(G, g_oracle.values[None], [("t", 0.0)], 0, 1.0)
-    return (g_train if G_out is G else ParamVec(G_out[0])), entry
+    G = g_train[None]
+    G_out, [entry] = decide(G, g_oracle[None], [("t", 0.0)], 0, 1.0)
+    return (g_train if G_out is G else frozen(G_out[0])), entry
 
 
 def predict_proba(state, x):

@@ -37,7 +37,7 @@ from gradmix.models import (
     ModelState,
     loss_and_grad,
 )
-from gradmix.numcore import ParamVec, RngStreams, dot
+from gradmix.numcore import RngStreams, dot, frozen
 from gradmix.trainer import Task, TrainPlan, prefill, run_strategy
 from gradmix.cli import load_config, run_experiment
 
@@ -95,7 +95,7 @@ def benchmark_runs():
         for seed, res in zip(SHIPPED_SEEDS, column(strategy)):
             runs[(strategy, seed)] = res
     analysis_finals = {
-        strategy: [res.checkpoints["model"][-1] for res in column(
+        strategy: [res.checkpoints["model"].state(-1) for res in column(
             strategy, source_epochs=ANALYSIS_EPOCHS, alpha=ANALYSIS_ALPHA)]
         for strategy in ("naive_mix_train", "gradient_mix_train")}
     elapsed = time.monotonic() - t0
@@ -119,7 +119,7 @@ def test_ac1_gradient_correctness():
     for spec in specs:
         for trial in range(20):
             rng = np.random.default_rng(1000 + 31 * trial + spec.param_dim)
-            theta = ParamVec(rng.normal(scale=0.7, size=spec.param_dim))
+            theta = rng.normal(scale=0.7, size=spec.param_dim)
             state = ModelState(spec=spec, theta=theta)
             examples = []
             for _ in range(6):
@@ -140,8 +140,8 @@ def test_ac1_gradient_correctness():
                 return loss_and_grad(ModelState(spec=_spec, theta=t), _batch).loss
 
             fd = finite_diff_grad(loss_fn, theta)
-            rel = np.linalg.norm(analytic.values - fd.values) / max(
-                np.linalg.norm(analytic.values), 1e-12
+            rel = np.linalg.norm(analytic - fd) / max(
+                np.linalg.norm(analytic), 1e-12
             )
             worst = max(worst, rel)
     elapsed = time.monotonic() - t0
@@ -157,16 +157,16 @@ def test_ac2_surgery_kernel_properties():
     for dim in (2, 10, 1000):
         rng = np.random.default_rng(31337 + dim)
         for _ in range(1000):
-            g_s = ParamVec(rng.normal(size=dim))
-            g_t = ParamVec(rng.normal(size=dim))
+            g_s = frozen(rng.normal(size=dim))
+            g_t = frozen(rng.normal(size=dim))
             out, entry = decide_one(g_s, g_t)
             if entry.conflicted:
                 if abs(dot(out, g_t)) > 1e-9 * norm(g_s) * norm(g_t):
                     failures.append(f"orthogonality dim {dim}")
                 again, _ = decide_one(out, g_t)
-                if norm(ParamVec((again.values - out.values) + 0.0)) > 1e-12 * max(
+                if norm((again - out) + 0.0) > 1e-12 * max(
                     norm(g_s), 1.0
-                ) and not np.array_equal(again.values, out.values):
+                ) and not np.array_equal(again, out):
                     failures.append(f"idempotence dim {dim}")
                 if norm(out) > norm(g_s):
                     failures.append(f"norm contraction dim {dim}")

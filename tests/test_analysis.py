@@ -18,9 +18,9 @@ from gradmix.corpora import (
     gen_synthetic_family,
 )
 from gradmix.models import ModelSpec, ModelState, init_params, loss_and_grad
-from gradmix.numcore import ContractViolation, ParamVec, RngStreams
+from gradmix.numcore import ContractViolation, RngStreams
 from conftest import tiny_profile
-from oracles import examples_of, micro_f1_loop, read_sim_matrix_csv, stack_batch
+from oracles import bitwise_equal, examples_of, micro_f1_loop, read_sim_matrix_csv, stack_batch
 
 
 class TestMicroF1:
@@ -112,7 +112,7 @@ class TestLanguageGradient:
         shot_data = target.train.take(shots[target.lang_id])
         expected = loss_and_grad(model, stack_batch(examples_of(shot_data))).grad
         got = language_gradient(model, shot_data, "target")
-        assert got.bitwise_equal(expected)
+        assert bitwise_equal(got, expected)
 
     def test_source_estimate_approximates_full_gradient(self, small_world):
         corpora, model, _ = small_world
@@ -130,7 +130,7 @@ class TestLanguageGradient:
         corpora, model, _ = small_world
         a = language_gradient(model, corpora[0], "source", rng=np.random.default_rng(5))
         b = language_gradient(model, corpora[0], "source", rng=np.random.default_rng(5))
-        assert a.bitwise_equal(b)
+        assert bitwise_equal(a, b)
 
     def test_empty_data_rejected(self, small_world):
         _, model, _ = small_world
@@ -174,7 +174,7 @@ class TestSimilarityMatrix:
         spec = ModelSpec("softmax_classifier", 2, 0, 3)
         theta = np.zeros(spec.param_dim)
         theta[6] = 1000.0  # class 0's bias: the softmax is exactly one-hot
-        model = ModelState(spec=spec, theta=ParamVec(theta))
+        model = ModelState(spec=spec, theta=theta)
         rng = np.random.default_rng(0)
 
         def corpus(lang_id, role, y):

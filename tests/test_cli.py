@@ -25,7 +25,7 @@ from gradmix.cli import (
     stage_units,
 )
 from gradmix.models import chain_digest, load_checkpoint
-from gradmix.numcore import ContractViolation, ParamVec, RngStreams
+from gradmix.numcore import ContractViolation, RngStreams
 from gradmix.trainer import STRATEGIES, evaluate
 
 from conftest import fail_writes_half_way
@@ -134,10 +134,10 @@ class TestConfig:
         doc["model"]["width"] = 8
         out = tmp_path / "out"
         assert main(["run", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 2
-        assert "error: unknown config key(s): model.width\n" in capsys.readouterr().err
+        assert "error: unknown key(s): model.width\n" in capsys.readouterr().err
         del doc["model"]["width"]  # each object's unknown keys are refused in turn
         assert main(["run", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 2
-        assert "error: unknown config key(s): plan.learning_rate\n" in capsys.readouterr().err
+        assert "error: unknown key(s): plan.learning_rate\n" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("field, value, error", [
@@ -196,7 +196,7 @@ class TestConfig:
         doc["plan"][key] = self.RETIRED_PLAN_KEYS[key]
         out = tmp_path / "out"
         assert main(["run", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 2
-        assert f"error: unknown config key(s): plan.{key}\n" in capsys.readouterr().err
+        assert f"error: unknown key(s): plan.{key}\n" in capsys.readouterr().err
         assert not out.exists()
 
     def test_plan_fields_are_the_keys_of_the_default_config(self):
@@ -210,14 +210,14 @@ class TestConfig:
         ("analysis", "seed", "x", "analysis.seed: 'x' is not an integer >= 0"),
         ("analysis", "source_batches", 0, "analysis.source_batches: 0 is not an integer >= 1"),
         ("analysis", "source_batches", -5, "analysis.source_batches: -5 is not an integer >= 1"),
-        ("analysis", "sede", 1, "unknown config key(s): analysis.sede"),
+        ("analysis", "sede", 1, "unknown key(s): analysis.sede"),
         ("model", "hidden_dim", 1.7, "model.hidden_dim: 1.7 is not an integer >= 0"),
         ("model", "hidden_dim", -1, "model.hidden_dim: -1 is not an integer >= 0"),
         ("model", "family", "nope",
          "model.family: 'nope' is not one of softmax_classifier, mlp_token_tagger"),
         ("benchmark", "kind", "nope",
          "benchmark.kind: 'nope' is not one of default, synthetic, tsv"),
-        ("benchmark", "kind", "default", "unknown config key(s): benchmark.profile"),
+        ("benchmark", "kind", "default", "unknown key(s): benchmark.profile"),
         ("", "format_version", 7, "format_version: 7 is not 1"),
         ("", "format_version", True, "format_version: True is not an integer"),
     ], ids=["seed-negative", "seed-float", "seed-string", "batches-zero", "batches-negative",
@@ -334,8 +334,9 @@ class TestConfig:
         assert cfg["analysis"] == {"seed": 0, "source_batches": 100} and cfg["plan"]["lr"] == 0.5
 
     @pytest.mark.parametrize("change, error", [
-        ({"role": "source"}, "need exactly one source corpus, got 2"),
-        ({"lang_id": "t1"}, "language ids must be unique"),
+        ({"role": "source"}, "benchmark.profile.languages: need exactly one source corpus, "
+                             "got ['s', 't0']"),
+        ({"lang_id": "t1"}, "benchmark.profile.languages: language id 't1' is not unique"),
     ], ids=["two-sources", "repeated-id"])
     def test_profile_the_task_refuses_exits_2_before_out_exists(self, tmp_path, capsys, change,
                                                                 error):
@@ -380,6 +381,24 @@ class TestConfig:
         assert not out.exists()
         doc["plan"]["source_epochs"] = 0  # no epoch to pick: the run needs no dev split
         assert main(["run", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("strategy", ["zero_shot", "gradient_mix_train"])
+    @pytest.mark.parametrize("kind", ["synthetic", "tsv"])
+    def test_source_without_train_example_refused_before_out_exists(self, tmp_path, capsys,
+                                                                    kind, strategy):
+        # every strategy pools from the source, and the similarity CSVs sample from it
+        if kind == "synthetic":
+            doc = small_config_doc(strategies=[strategy])
+            doc["benchmark"]["profile"]["languages"][0]["sizes"]["train"] = 0
+        else:
+            doc = tsv_doc(tmp_path)
+            doc["grid"]["strategies"] = [strategy]
+            del doc["benchmark"]["languages"][0]["splits"]["train"]
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error: s train: the source has no example\n" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_ord_fs_dev_target_without_dev_split_refused_before_out_exists(self, tmp_path,
                                                                           capsys):
@@ -463,7 +482,7 @@ class TestConfigBoundary:
                 bad, obj = copy_at(steps)
                 obj["zz_unknown"] = 1
                 where = f"{parent}.zz_unknown" if parent else "zz_unknown"
-                cases.append((bad, f"error: unknown config key(s): {where}\n"))
+                cases.append((bad, f"error: unknown key(s): {where}\n"))
         return cases
 
     @pytest.mark.parametrize("name", ["default.json", "quick.json", "small_config_doc",
@@ -553,12 +572,24 @@ class TestTsvBenchmark:
         out = tmp_path / "out"
         return main(["run", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]), out
 
+    @pytest.mark.parametrize("change, error", [
+        ({"role": "source"}, "need exactly one source corpus, got ['s', 't']"),
+        ({"lang_id": "s"}, "language id 's' is not unique"),
+    ], ids=["two-sources", "repeated-id"])
+    def test_languages_the_task_refuses_exit_2_by_path(self, tmp_path, capsys, change, error):
+        doc = tsv_doc(tmp_path)
+        doc["benchmark"]["languages"][1].update(change)
+        code, out = self.run(tmp_path, doc)
+        assert code == 2 and not out.exists()
+        err = capsys.readouterr().err
+        assert f"error: benchmark.languages: {error}\n" in err and "Traceback" not in err
+
     def test_class_the_source_lacks_widens_the_model(self, tmp_path):
         doc = tsv_doc(tmp_path, classes=(2, 3))
         assert build_benchmark(parse_config(doc))[0].spec.num_classes == 3
         code, out = self.run(tmp_path, doc)
         assert code == 0
-        assert {load_checkpoint(p)[0].spec.num_classes for p in (out / "models").iterdir()} == {3}
+        assert {load_checkpoint(p).spec.num_classes for p in (out / "models").iterdir()} == {3}
 
     @pytest.mark.parametrize("num_classes, classes, want", [(5, (3, 3), 5), (None, (1, 1), 2)],
                              ids=["given", "at-least-two"])
@@ -626,7 +657,7 @@ class TestTsvBenchmark:
         ({"lang_id": None}, "benchmark.languages[1]: no 'lang_id' key"),
         ({"splits": None}, "benchmark.languages[1]: no 'splits' key"),
         ({"splits": {"valid": "{tmp}/t.dev.tsv"}},
-         "unknown config key(s): benchmark.languages[1].splits.valid"),
+         "unknown key(s): benchmark.languages[1].splits.valid"),
         ({"splits": {"train": "{tmp}/nowhere.tsv"}},
          "benchmark.languages[1].splits.train: {tmp}/nowhere.tsv: No such file or directory"),
         ({"splits": {"train": "{tmp}/latin1.tsv"}}, "benchmark.languages[1].splits.train: "
@@ -680,7 +711,7 @@ class TestRunExperiment:
         assert sorted(p.name for p in cell.iterdir()) == ["record.json", "surgery_trace.jsonl"]
         chain = load_checkpoint(out / rec["checkpoints"]["model"])
         assert rec["checkpoints"] == {"model": f"models/{chain_digest(chain)}.json"}
-        assert len(chain) == rec["epochs"] + 1
+        assert len(chain.states) == rec["epochs"] + 1
         assert not list(out.rglob("epoch_*.json"))
         assert not list(out.rglob("checkpoints"))
 
@@ -701,7 +732,7 @@ class TestRunExperiment:
             for lang, metric in rec["test_metrics"].items():
                 key = rec["model_key_of"][lang]
                 chain = load_checkpoint(out / rec["checkpoints"][key])
-                model = chain[rec["selected_epochs"][lang]]
+                model = chain.state(rec["selected_epochs"][lang])
                 assert evaluate(model, corpora[lang], "test") == metric
         assert {str(p.relative_to(out)) for p in (out / "models").iterdir()} == stored
 
@@ -1154,7 +1185,7 @@ class TestLockstep:
             state = init(spec, rng)
             if rng.master_seed != 2:
                 return state
-            return models.ModelState(spec, ParamVec(np.full(spec.param_dim, 1.5e308)))
+            return models.ModelState(spec, np.full(spec.param_dim, 1.5e308))
 
         monkeypatch.setattr(trainer, "init_params", init_params)
         cfg = parse_config(small_config_doc(**self.DOC))

@@ -96,9 +96,18 @@ class TestSyntheticGeneration:
                 language("t", "b", "target", 0.0, (0.0, 0.0), 10, 2, 2),
             )
         )
-        with pytest.raises(ContractViolation,
-                           match=r"^languages\[0\]\.sizes\.train: -1 is not an integer >= 0$"):
+        with pytest.raises(ContractViolation, match=(
+                r"^profile\.languages\[0\]\.sizes\.train: -1 is not an integer >= 0$")):
             gen_synthetic_family(profile)
+
+    @pytest.mark.parametrize("profile, error", [
+        ([], "profile: [] is not a JSON object"),
+        (dict(small_profile(), colour=1), "unknown key(s): profile.colour"),
+    ], ids=["not-an-object", "unknown-key"])
+    def test_a_library_callers_profile_is_no_config(self, profile, error):
+        with pytest.raises(ContractViolation) as refused:
+            gen_synthetic_family(profile)
+        assert str(refused.value) == error
 
     def test_translation_wider_than_the_input_rejected(self):
         profile = small_profile(
@@ -109,8 +118,8 @@ class TestSyntheticGeneration:
         )
         with pytest.raises(ContractViolation) as refused:
             gen_synthetic_family(profile)
-        assert str(refused.value) == ("languages[0].translation: [0.0, 0.0, 1.0] has more "
-                                      "values than input_dim (2)")
+        assert str(refused.value) == ("profile.languages[0].translation: [0.0, 0.0, 1.0] has "
+                                      "more values than input_dim (2)")
 
     def test_shared_script_requires_shared_angle(self):
         profile = small_profile(
@@ -346,7 +355,7 @@ class TestMixedDataset:
                 batch_keys = keys[a : a + 7][::-1]
                 ref = stack_batch([examples[k] for k in batch_keys], batch_keys)
                 assert np.array_equal(X, ref.X) and np.array_equal(y, ref.y)
-                got = stack_grads(state.spec, state.theta.values, X[None], y[None])
+                got = stack_grads(state.spec, state.theta, X[None], y[None])
                 want = loss_and_grad(state, ref)
                 assert got[0].tobytes() == want.grad.tobytes()
 

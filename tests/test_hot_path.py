@@ -20,7 +20,7 @@ from gradmix.corpora import (
     gen_synthetic_family,
 )
 from gradmix.models import ModelSpec, ModelState, init_params
-from gradmix.numcore import ContractViolation, ParamVec, RngStreams, dot
+from gradmix.numcore import ContractViolation, RngStreams, dot, frozen
 from gradmix.surgery import sgs_step
 from gradmix.trainer import STRATEGIES, Task, TrainPlan, run_mixed_training, run_strategy
 
@@ -63,7 +63,7 @@ def on_both_paths(monkeypatch, run):
 
 
 def chain_bytes(chain):
-    return [state.theta.tobytes() for state in chain]
+    return chain.states.tobytes()
 
 
 def trace_text(trace):
@@ -156,7 +156,7 @@ class TestSurgeryDots:
         applied = skipped = 0
         for seed in range(30):
             model = init_params(task.spec, RngStreams(seed))
-            g = ParamVec(np.random.default_rng(seed).normal(size=task.spec.param_dim))
+            g = frozen(np.random.default_rng(seed).normal(size=task.spec.param_dim))
             for alpha in (0.0, 1.0):
                 del calls[:]
                 out, entry = sgs_step(g, bank, model, alpha, RngStreams(seed))
@@ -176,12 +176,12 @@ class TestSurgeryDots:
         bank = build_oracle_bank(build_shot_bank([t], 1, "k_shot", 2, RngStreams(0)), [t])
         # Bias 1000 on the gold class: softmax is exactly one-hot, the oracle
         # gradient exactly zero.
-        certain = ModelState(spec=spec, theta=ParamVec(np.array([0.0, 0.0, 1000.0, 0.0])))
+        certain = ModelState(spec=spec, theta=np.array([0.0, 0.0, 1000.0, 0.0]))
         model = init_params(spec, RngStreams(0))
         oracle = surgery.oracle_gradient(model, bank, "t")
-        cases = [(certain, ParamVec(np.array([1.0, -2.0, 3.0, -4.0])), None, None),
+        cases = [(certain, frozen(np.array([1.0, -2.0, 3.0, -4.0])), None, None),
                  (model, oracle, 1.0, 1.0),  # identical bytes
-                 (model, ParamVec(-oracle.values), "antiparallel", None)]  # projects to 0
+                 (model, frozen(-oracle), "antiparallel", None)]  # projects to 0
         for state, g, cos_before, cos_after in cases:
             out, entry = sgs_step(g, bank, state, 1.0, RngStreams(0))
             ref_out, ref_entry = oracles.sgs_step(g, bank, state, 1.0,

@@ -21,7 +21,7 @@ from gradmix.corpora import (
     gen_synthetic_family,
 )
 from gradmix.models import ModelSpec, ModelState, init_params
-from gradmix.numcore import ContractViolation, ParamVec, RngStreams
+from gradmix.numcore import ContractViolation, RngStreams
 from gradmix.surgery import decide
 from gradmix.trainer import (
     STRATEGIES,
@@ -55,7 +55,7 @@ def column(strategy, k, seeds, **kw):
 
 
 def chain_bytes(chain):
-    return [state.theta.tobytes() for state in chain]
+    return chain.states.tobytes()
 
 
 def trace_text(trace):
@@ -243,6 +243,15 @@ class TestStackable:
         want = [oracles.train_loop(run) for run in source_runs(corpora, (1, 2))]
         assert [chain_bytes(c) for c, _ in got] == [chain_bytes(c) for c, _ in want]
 
+    def test_chains_are_read_only(self, corpora):
+        runs = source_runs(corpora, (1, 2))
+        for (chain, _), run in zip(train_lockstep(runs), runs):
+            assert chain.states.shape == (run.epochs + 1, run.state0.spec.param_dim)
+            assert not chain.states.flags.writeable
+            with pytest.raises(ValueError):
+                chain.states[-1, 0] = 0.0
+            assert chain.states[0].tobytes() == run.state0.theta.tobytes()
+
     def test_one_run_of_either_layout_stacks(self, corpora):
         tagger = tagger_task(np.random.default_rng(0))
         for spec, corpus in ((ModelSpec("softmax_classifier", 2, 6, 3), corpora[0]),
@@ -319,8 +328,8 @@ class TestDecide:
 class TestNonFinite:
     def test_non_finite_loss_of_one_slice_raises(self, corpora):
         runs = source_runs(corpora, (1, 2))
-        huge = runs[1].state0.theta.values * 0 + 1.5e308
-        runs[1] = runs[1]._replace(state0=ModelState(runs[1].state0.spec, ParamVec(huge)))
+        huge = runs[1].state0.theta * 0 + 1.5e308
+        runs[1] = runs[1]._replace(state0=ModelState(runs[1].state0.spec, huge))
         with pytest.raises(ContractViolation, match="non-finite loss"):
             train_lockstep(runs)
 

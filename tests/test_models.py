@@ -1,4 +1,5 @@
 import base64
+import hashlib
 import json
 import math
 import re
@@ -8,6 +9,7 @@ import pytest
 
 from gradmix.corpora import LanguageCorpus, Split, build_oracle_bank
 from gradmix.models import (
+    Chain,
     ModelSpec,
     ModelState,
     chain_digest,
@@ -19,10 +21,10 @@ from gradmix.models import (
     sgd_step,
     write_atomic,
 )
-from gradmix.numcore import ContractViolation, ParamVec, RngStreams
+from gradmix.numcore import ContractViolation, RngStreams, frozen
 
 from conftest import fail_writes_half_way
-from oracles import finite_diff_grad, predict_proba, stack_batch, to_arrays
+from oracles import bitwise_equal, finite_diff_grad, predict_proba, stack_batch, to_arrays
 
 CLS = ModelSpec(family="softmax_classifier", input_dim=4, hidden_dim=0, num_classes=3)
 CLS_MLP = ModelSpec(family="softmax_classifier", input_dim=4, hidden_dim=6, num_classes=3)
@@ -31,7 +33,7 @@ TAG = ModelSpec(family="mlp_token_tagger", input_dim=3, hidden_dim=5, num_classe
 
 def random_state(spec, seed):
     rng = np.random.default_rng(seed)
-    return ModelState(spec=spec, theta=ParamVec(rng.normal(scale=0.7, size=spec.param_dim)))
+    return ModelState(spec=spec, theta=rng.normal(scale=0.7, size=spec.param_dim))
 
 
 def random_examples(spec, seed, n=6):
@@ -73,11 +75,11 @@ class TestInitParams:
     def test_deterministic_under_seed(self):
         a = init_params(CLS_MLP, RngStreams(42))
         b = init_params(CLS_MLP, RngStreams(42))
-        assert a.theta.bitwise_equal(b.theta)
+        assert bitwise_equal(a.theta, b.theta)
 
     def test_param_dim(self):
         st = init_params(CLS, RngStreams(0))
-        assert st.theta.dim == 15
+        assert st.theta.shape == (15,) and not st.theta.flags.writeable
 
     def test_unaffected_by_other_substreams(self):
         r1 = RngStreams(42)
@@ -85,12 +87,12 @@ class TestInitParams:
         r1.shot_sample.integers(0, 10, size=50)
         a = init_params(CLS_MLP, r1)
         b = init_params(CLS_MLP, RngStreams(42))
-        assert a.theta.bitwise_equal(b.theta)
+        assert bitwise_equal(a.theta, b.theta)
 
     def test_biases_zero_weights_bounded(self):
         st = init_params(CLS, RngStreams(3))
-        W = st.theta.values[:12]
-        b = st.theta.values[12:]
+        W = st.theta[:12]
+        b = st.theta[12:]
         assert np.all(b == 0.0)
         assert np.all(np.abs(W) <= 1.0 / math.sqrt(4))
 
@@ -98,7 +100,7 @@ class TestInitParams:
 class TestLossAndGrad:
     @pytest.mark.parametrize("spec", [CLS, CLS_MLP, TAG])
     def test_zero_weights_uniform_loss(self, spec):
-        st = ModelState(spec=spec, theta=ParamVec(np.zeros(spec.param_dim)))
+        st = ModelState(spec=spec, theta=np.zeros(spec.param_dim))
         rep = loss_and_grad(st, random_batch(spec, 5))
         assert abs(rep.loss - math.log(spec.num_classes)) <= 1e-12
 
@@ -114,8 +116,8 @@ class TestLossAndGrad:
                 return loss_and_grad(ModelState(spec=_spec, theta=theta), _batch).loss
 
             fd = finite_diff_grad(loss_fn, st.theta)
-            num = np.linalg.norm(analytic.values - fd.values)
-            den = max(np.linalg.norm(analytic.values), 1e-12)
+            num = np.linalg.norm(analytic - fd)
+            den = max(np.linalg.norm(analytic), 1e-12)
             worst = max(worst, num / den)
         assert worst <= 1e-6
 
@@ -126,7 +128,7 @@ class TestLossAndGrad:
         a = loss_and_grad(st, batch)
         b = loss_and_grad(st, doubled)
         assert abs(a.loss - b.loss) <= 1e-12 * (1 + abs(a.loss))
-        assert np.allclose(a.grad.values, b.grad.values, rtol=1e-12, atol=1e-15)
+        assert np.allclose(a.grad, b.grad, rtol=1e-12, atol=1e-15)
 
     @pytest.mark.parametrize("spec", [CLS, TAG])
     def test_bitwise_permutation_invariance(self, spec):
@@ -139,7 +141,7 @@ class TestLossAndGrad:
         a = loss_and_grad(st, train)
         b = loss_and_grad(st, shuffled)
         assert a.loss == b.loss
-        assert a.grad.bitwise_equal(b.grad)
+        assert bitwise_equal(a.grad, b.grad)
 
     @pytest.mark.parametrize("spec", [CLS_MLP, TAG])
     def test_take_matches_tuple_stacking(self, spec):
@@ -150,7 +152,7 @@ class TestLossAndGrad:
         a = loss_and_grad(st, pool.take(np.argsort(keys)))
         b = loss_and_grad(st, stack_batch(examples, keys))
         assert a.loss == b.loss
-        assert a.grad.bitwise_equal(b.grad)
+        assert bitwise_equal(a.grad, b.grad)
 
     def test_empty_batch_rejected(self):
         st = random_state(CLS, 1)
@@ -190,38 +192,38 @@ class TestLossAndGrad:
 class TestSgdStep:
     def test_lr_zero_is_identity(self):
         st = random_state(CLS, 1)
-        g = ParamVec(np.ones(st.theta.dim))
-        assert sgd_step(st, g, 0.0).theta.bitwise_equal(st.theta)
+        g = frozen(np.ones(st.theta.size))
+        assert bitwise_equal(sgd_step(st, g, 0.0).theta, st.theta)
 
     def test_hand_case(self):
         spec = ModelSpec("softmax_classifier", 1, 0, 2)  # dim 4; use first two coords
-        st = ModelState(spec=spec, theta=ParamVec(np.array([1.0, 1.0, 0.0, 0.0])))
-        g = ParamVec(np.array([1.0, -1.0, 0.0, 0.0]))
+        st = ModelState(spec=spec, theta=np.array([1.0, 1.0, 0.0, 0.0]))
+        g = frozen(np.array([1.0, -1.0, 0.0, 0.0]))
         out = sgd_step(st, g, 0.5)
-        assert out.theta.values[0] == 0.5
-        assert out.theta.values[1] == 1.5
+        assert out.theta[0] == 0.5
+        assert out.theta[1] == 1.5
 
     def test_two_steps_equal_one_double_step_for_constant_grad(self):
         st = random_state(CLS_MLP, 2)
-        g = ParamVec(np.random.default_rng(0).normal(size=st.theta.dim))
+        g = frozen(np.random.default_rng(0).normal(size=st.theta.size))
         lr = 0.1
         twice = sgd_step(sgd_step(st, g, lr), g, lr)
-        expected = st.theta.values - 2 * lr * g.values
-        assert np.allclose(twice.theta.values, expected, rtol=0, atol=1e-15)
+        expected = st.theta - 2 * lr * g
+        assert np.allclose(twice.theta, expected, rtol=0, atol=1e-15)
 
     def test_nonfinite_grad_unrepresentable(self):
         with pytest.raises(ContractViolation):
-            ParamVec(np.array([1.0, float("nan")]))
+            sgd_step(random_state(CLS, 1), np.r_[np.ones(CLS.param_dim - 1), np.nan], 0.1)
 
     def test_dim_mismatch(self):
         st = random_state(CLS, 1)
         with pytest.raises(ContractViolation):
-            sgd_step(st, ParamVec(np.ones(3)), 0.1)
+            sgd_step(st, frozen(np.ones(3)), 0.1)
 
 
 class TestPredict:
     def test_zero_weights_tie_breaks_to_class_zero(self):
-        st = ModelState(spec=CLS, theta=ParamVec(np.zeros(CLS.param_dim)))
+        st = ModelState(spec=CLS, theta=np.zeros(CLS.param_dim))
         for seed in range(5):
             x = np.random.default_rng(seed).normal(size=4)
             assert predict(st, x) == 0
@@ -229,7 +231,7 @@ class TestPredict:
     def test_constructed_weights_favor_class_two(self):
         theta = np.zeros(CLS.param_dim)
         theta[2 * 4 : 3 * 4] = 10.0  # weight row of class 2
-        st = ModelState(spec=CLS, theta=ParamVec(theta))
+        st = ModelState(spec=CLS, theta=theta)
         assert predict(st, np.ones(4)) == 2
 
     def test_tagger_preserves_length(self):
@@ -249,11 +251,19 @@ class TestPredict:
 
 def sgd_chain(spec, seed, epochs=3):
     """A chain as the trainer builds one: epoch 0, then one state per epoch."""
-    chain = [random_state(spec, seed)]
+    states = [random_state(spec, seed)]
     for e in range(epochs):
-        grad = loss_and_grad(chain[-1], random_batch(spec, seed + 100 + e)).grad
-        chain.append(sgd_step(chain[-1], grad, 0.3))
-    return chain
+        grad = loss_and_grad(states[-1], random_batch(spec, seed + 100 + e)).grad
+        states.append(sgd_step(states[-1], grad, 0.3))
+    return Chain(spec, frozen(np.stack([s.theta for s in states])))
+
+
+def rewrite(path, **changes):
+    """Rewrite a checkpoint file with some of its keys changed (None: removed)."""
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload.update(changes)
+    path.write_text(json.dumps({k: v for k, v in payload.items() if v is not None}),
+                    encoding="utf-8")
 
 
 class TestCheckpoints:
@@ -262,10 +272,10 @@ class TestCheckpoints:
         path = tmp_path / "model.json"
         save_checkpoint(chain, path)
         loaded = load_checkpoint(path)
-        assert len(loaded) == len(chain) == 4
-        for got, want in zip(loaded, chain):
-            assert got.spec == want.spec
-            assert got.theta.bitwise_equal(want.theta)
+        assert loaded.spec == chain.spec
+        assert loaded.states.shape == (4, CLS_MLP.param_dim)
+        assert bitwise_equal(loaded.states, chain.states)
+        assert not loaded.states.flags.writeable
 
     def test_round_trip_preserves_metrics(self, tmp_path):
         chain = sgd_chain(TAG, 12)
@@ -273,12 +283,26 @@ class TestCheckpoints:
         path = tmp_path / "model.json"
         save_checkpoint(chain, path)
         loaded = load_checkpoint(path)
-        assert len(loaded) == len(chain)
-        for got, want in zip(loaded, chain):
-            assert got.theta.bitwise_equal(want.theta)
+        assert len(loaded.states) == len(chain.states)
+        for e in range(len(chain.states)):
+            got, want = loaded.state(e), chain.state(e)
+            assert bitwise_equal(got.theta, want.theta)
             before, after = loss_and_grad(want, batch), loss_and_grad(got, batch)
             assert before.loss == after.loss
-            assert before.grad.bitwise_equal(after.grad)
+            assert bitwise_equal(before.grad, after.grad)
+
+    def test_pinned_digest_and_file_bytes(self, tmp_path):
+        """A fixed two-state chain keeps the store name and the file bytes
+        it had when a chain was a list of per-state objects."""
+        s0 = init_params(CLS_MLP, RngStreams(7))
+        s1 = sgd_step(s0, np.linspace(-1.0, 1.0, CLS_MLP.param_dim), 0.25)
+        chain = Chain(CLS_MLP, frozen(np.stack([s0.theta, s1.theta])))
+        assert chain_digest(chain) == "b31c6a8222ebf5eb"
+        path = tmp_path / "model.json"
+        save_checkpoint(chain, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "bfd9065d3cc218e57a39cee353c8bfc6f94c64f43dfdecb801d612506c09912a")
+        assert bitwise_equal(load_checkpoint(path).states, chain.states)
 
     def test_version_1_file_refused(self, tmp_path):
         state = random_state(CLS, 14)
@@ -286,7 +310,7 @@ class TestCheckpoints:
         path.write_text(json.dumps({
             "format_version": 1, "kind": "model-checkpoint", "spec": CLS.to_dict(),
             "epoch": 3, "strategy": "zero_shot",
-            "theta": [repr(v) for v in state.theta.values.tolist()],
+            "theta": [repr(v) for v in state.theta.tolist()],
         }), encoding="utf-8")
         with pytest.raises(ContractViolation, match=f"{re.escape(str(path))}.*version-1"):
             load_checkpoint(path)
@@ -297,7 +321,7 @@ class TestCheckpoints:
         path.write_text(json.dumps({
             "format_version": 2, "kind": "model-chain", "spec": CLS.to_dict(),
             "strategy": "zero_shot",
-            "thetas": [[repr(v) for v in state.theta.values.tolist()]],
+            "thetas": [[repr(v) for v in state.theta.tolist()]],
         }), encoding="utf-8")
         with pytest.raises(ContractViolation, match=f"{re.escape(str(path))}.*version-2"):
             load_checkpoint(path)
@@ -311,7 +335,7 @@ class TestCheckpoints:
         assert payload["format_version"] == 3
         assert payload["spec"] == CLS.to_dict()
         rows = [base64.b64decode(row) for row in payload["states"]]
-        assert rows == [state.theta.values.astype("<f8").tobytes() for state in chain]
+        assert rows == [row.astype("<f8").tobytes() for row in chain.states]
 
     def test_short_row_rejected(self, tmp_path):
         path = tmp_path / "model.json"
@@ -336,20 +360,56 @@ class TestCheckpoints:
             load_checkpoint(path)
         assert str(refused.value) == f"{path}: {error}"
 
+    def test_nonfinite_state_refused_by_path(self, tmp_path):
+        path = tmp_path / "model.json"
+        chain = sgd_chain(CLS, 17, epochs=1)
+        save_checkpoint(chain, path)
+        states = np.array(chain.states)
+        states[1, 2] = np.nan
+        rewrite(path, states=[base64.b64encode(row.tobytes()).decode() for row in states])
+        with pytest.raises(ContractViolation) as refused:
+            load_checkpoint(path)
+        assert str(refused.value) == f"{path}: non-finite entry at index 1, 2"
+
+    @pytest.mark.parametrize("states, error", [
+        ([], "states: [] is not a non-empty list of strings"),
+        ("AAAA", "states: 'AAAA' is not a non-empty list of strings"),
+        (None, "states: None is not a non-empty list of strings"),
+        (["not base64!"], ""),
+    ], ids=["empty", "string", "missing", "not-base64"])
+    def test_malformed_states_refused_by_path(self, tmp_path, states, error):
+        path = tmp_path / "model.json"
+        save_checkpoint(sgd_chain(CLS, 17, epochs=1), path)
+        rewrite(path, states=states)
+        with pytest.raises(ContractViolation) as refused:
+            load_checkpoint(path)
+        assert str(refused.value).startswith(f"{path}: {error}")
+
+    @pytest.mark.parametrize("text, error", [
+        ("[]", "checkpoint: [] is not a JSON object"),
+        ("{", "Expecting property name enclosed in double quotes"),
+    ], ids=["list", "not-json"])
+    def test_file_of_no_json_object_refused_by_path(self, tmp_path, text, error):
+        path = tmp_path / "model.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ContractViolation) as refused:
+            load_checkpoint(path)
+        assert str(refused.value).startswith(f"{path}: {error}")
+
     def test_digest_names_equal_chains_alike(self):
         chain = sgd_chain(CLS_MLP, 18)
-        copy = [ModelState(spec=s.spec, theta=ParamVec(s.theta.values.copy())) for s in chain]
+        copy = Chain(chain.spec, chain.states.copy())
         assert chain_digest(chain) == chain_digest(copy)
         assert len(chain_digest(chain)) == 16
-        assert chain_digest(chain) != chain_digest(chain[:-1])
+        assert chain_digest(chain) != chain_digest(Chain(chain.spec, chain.states[:-1]))
         assert chain_digest(chain) != chain_digest(sgd_chain(CLS_MLP, 19))
 
-    def test_malformed_chain_rejected(self, tmp_path):
-        with pytest.raises(ContractViolation, match="one or more states of one spec"):
-            save_checkpoint([], tmp_path / "empty.json")
-        with pytest.raises(ContractViolation, match="one or more states of one spec"):
-            save_checkpoint([random_state(CLS, 1), random_state(CLS_MLP, 2)],
-                            tmp_path / "mixed.json")
+    def test_malformed_chain_rejected(self):
+        with pytest.raises(ContractViolation, match="empty"):
+            frozen(np.empty((0, CLS.param_dim)))
+        chain = Chain(CLS, frozen(np.zeros((2, CLS_MLP.param_dim))))  # states of another spec
+        with pytest.raises(ContractViolation, match=r"theta has shape \(51,\), not \(15,\)"):
+            chain.state(0)
 
 
 class TestWriteAtomic:

@@ -7,50 +7,44 @@ import pytest
 from gradmix.numcore import (
     SUBSTREAM_IDS,
     ContractViolation,
-    ParamVec,
     RngStreams,
     cosine_from_dots,
     cosine_similarity,
     dot,
+    frozen,
 )
 
-from oracles import as_paramvec, dot_loop, finite_diff_grad, norm
+from oracles import dot_loop, finite_diff_grad, norm
 from oracles import cosine_similarity as cosine_reference
 
 
 def vec(*xs):
-    return ParamVec(np.array(xs, dtype=np.float64))
+    return frozen(xs)
 
 
-class TestParamVec:
+class TestFrozen:
     def test_rejects_nan_and_inf(self):
         with pytest.raises(ContractViolation):
             vec(1.0, float("nan"))
-        with pytest.raises(ContractViolation, match="index 2"):
+        with pytest.raises(ContractViolation, match="index 2$"):
             vec(1.0, 2.0, float("inf"))
+        with pytest.raises(ContractViolation, match="index 1, 0$"):  # a chain: (epoch, entry)
+            frozen(np.array([[1.0, 2.0], [np.nan, 3.0]]))
 
     def test_immutable(self):
         v = vec(1.0, 2.0)
         with pytest.raises(ValueError):
-            v.values[0] = 5.0
+            v[0] = 5.0
 
-    def test_dim(self):
-        assert vec(1.0, 2.0, 3.0).dim == 3
-
-    def test_constructor_copies_input(self):
+    def test_freezes_without_copy_and_keeps_checks(self):
         arr = np.array([1.0, 2.0])
-        v = ParamVec(arr)
-        arr[0] = 9.0
-        assert v.values[0] == 1.0
-
-    def test_adopt_wraps_without_copy_and_keeps_checks(self):
-        arr = np.array([1.0, 2.0])
-        v = ParamVec._adopt(arr)
-        assert v.values is arr and not arr.flags.writeable
-        with pytest.raises(ContractViolation, match="non-empty"):
-            ParamVec._adopt(np.empty(0))
+        assert frozen(arr) is arr and not arr.flags.writeable
+        with pytest.raises(ContractViolation, match="^an empty array of parameters$"):
+            frozen(np.empty(0))
+        with pytest.raises(ContractViolation, match="^an empty array of parameters$"):
+            frozen(np.empty((0, 3)))
         with pytest.raises(ContractViolation, match="index 1"):
-            ParamVec._adopt(np.array([0.0, np.inf]))
+            frozen(np.array([0.0, np.inf]))
 
 
 class TestDot:
@@ -93,24 +87,34 @@ class TestDot:
             ([-0.0, 3.0, -3.0], [1.0, 1.0, 1.0]),
         ]
         for a, b in pairs:
-            va, vb = ParamVec(np.asarray(a, dtype=float)), ParamVec(np.asarray(b, dtype=float))
+            va, vb = frozen(a), frozen(b)
             assert bits(dot(va, vb)) == bits(dot_loop(va, vb))
+
+    def test_stacks_give_each_row_pair_bitwise(self):
+        rng = np.random.default_rng(8)
+        A, B = rng.normal(size=(5, 33)), rng.normal(size=(5, 33))
+        A[0] = -0.0  # an all-negative-zero row sums to +0.0, as a vector's dot does
+        got = dot(A, B)
+        assert got.shape == (5,)
+        assert got.tobytes() == np.array([dot(a, b) for a, b in zip(A, B)]).tobytes()
+        with pytest.raises(ContractViolation, match="dimension mismatch"):
+            dot(A, B[:4])
 
     @pytest.mark.parametrize("dim", [2, 10, 1000])
     def test_symmetric_and_bilinear(self, dim):
         rng = np.random.default_rng(1234 + dim)
         trials = 1000 if dim < 1000 else 200
         for _ in range(trials):
-            a = ParamVec(rng.normal(size=dim))
-            b = ParamVec(rng.normal(size=dim))
-            c = ParamVec(rng.normal(size=dim))
+            a = frozen(rng.normal(size=dim))
+            b = frozen(rng.normal(size=dim))
+            c = frozen(rng.normal(size=dim))
             s = float(rng.normal())
             assert dot(a, b) == dot(b, a)  # elementwise products commute exactly
-            lhs = dot(ParamVec(a.values + b.values), c)
+            lhs = dot(a + b, c)
             rhs = dot(a, c) + dot(b, c)
             scale = abs(lhs) + abs(rhs) + 1.0
             assert abs(lhs - rhs) <= 1e-12 * scale
-            lhs2 = dot(ParamVec(s * a.values), b)
+            lhs2 = dot(s * a, b)
             rhs2 = s * dot(a, b)
             assert abs(lhs2 - rhs2) <= 1e-12 * (abs(lhs2) + abs(rhs2) + 1.0)
 
@@ -134,21 +138,21 @@ class TestCosineSimilarity:
     def test_clamped(self):
         rng = np.random.default_rng(7)
         for _ in range(200):
-            a = ParamVec(rng.normal(size=5) * 1e150)
+            a = frozen(rng.normal(size=5) * 1e150)
             c = cosine_similarity(a, a)
             assert -1.0 <= c <= 1.0
 
     def test_exactly_symmetric(self):
         rng = np.random.default_rng(99)
         for _ in range(500):
-            a = ParamVec(rng.normal(size=17))
-            b = ParamVec(rng.normal(size=17))
+            a = frozen(rng.normal(size=17))
+            b = frozen(rng.normal(size=17))
             assert cosine_similarity(a, b) == cosine_similarity(b, a)
 
     def test_from_dots_equals_three_dot_reference(self):
         rng = np.random.default_rng(5)
-        vecs = [ParamVec(rng.normal(size=9) * 10.0 ** rng.uniform(-5, 5)) for _ in range(60)]
-        vecs += [ParamVec(np.zeros(9)), ParamVec(-vecs[0].values), ParamVec(vecs[1].values)]
+        vecs = [frozen(rng.normal(size=9) * 10.0 ** rng.uniform(-5, 5)) for _ in range(60)]
+        vecs += [frozen(np.zeros(9)), frozen(-vecs[0]), vecs[1].copy()]
         for a in vecs:
             for b in vecs[::7] + [a]:
                 got = cosine_from_dots(a, b, dot(a, a), dot(a, b), dot(b, b))
@@ -158,22 +162,22 @@ class TestCosineSimilarity:
 class TestFiniteDiffGrad:
     def test_quadratic(self):
         g = finite_diff_grad(lambda t: dot(t, t), vec(1, 2), h=1e-5)
-        assert abs(g.values[0] - 2.0) <= 1e-8
-        assert abs(g.values[1] - 4.0) <= 1e-8
+        assert abs(g[0] - 2.0) <= 1e-8
+        assert abs(g[1] - 4.0) <= 1e-8
 
     def test_constant(self):
         g = finite_diff_grad(lambda t: 3.5, vec(1, 2, 3))
-        assert np.all(g.values == 0.0)
+        assert np.all(g == 0.0)
 
     def test_product_rule(self):
         # loss = t0 * t1 at (3,5) has gradient (5,3)
-        g = finite_diff_grad(lambda t: float(t.values[0] * t.values[1]), vec(3, 5), h=1e-5)
-        assert abs(g.values[0] - 5.0) <= 1e-8
-        assert abs(g.values[1] - 3.0) <= 1e-8
+        g = finite_diff_grad(lambda t: float(t[0] * t[1]), vec(3, 5), h=1e-5)
+        assert abs(g[0] - 5.0) <= 1e-8
+        assert abs(g[1] - 3.0) <= 1e-8
 
     def test_nonfinite_loss_names_coordinate(self):
         def bad(t):
-            return float("inf") if t.values[1] != 2.0 else 0.0
+            return float("inf") if t[1] != 2.0 else 0.0
 
         with pytest.raises(ContractViolation, match="coordinate 1"):
             finite_diff_grad(bad, vec(1, 2))
@@ -224,8 +228,3 @@ class TestRngStreams:
         for name in SUBSTREAM_IDS:
             assert isinstance(getattr(r, name), np.random.Generator)
 
-
-def test_as_paramvec_passthrough():
-    v = vec(1, 2)
-    assert as_paramvec(v) is v
-    assert as_paramvec([1.0, 2.0]).bitwise_equal(v)

@@ -23,7 +23,7 @@ from gradmix.trainer import (
 )
 
 from conftest import tiny_profile
-from oracles import class_counts, evaluate_per_example
+from oracles import bitwise_equal, class_counts, evaluate_per_example
 
 SPEC = ModelSpec("softmax_classifier", 2, 8, 3)
 
@@ -132,16 +132,15 @@ class TestSourceTraining:
     def test_zero_epochs_returns_initial(self, tiny_task):
         p = plan("zero_shot", source_epochs=0)
         chain = run_source_training(p, tiny_task.source, spec=SPEC)
-        assert len(chain) == 1
-        assert chain[0].theta.bitwise_equal(init_params(SPEC, RngStreams(p.seed)).theta)
+        assert len(chain.states) == 1
+        assert bitwise_equal(chain.state(0).theta, init_params(SPEC, RngStreams(p.seed)).theta)
 
     def test_same_seed_identical_checkpoints(self, tiny_task):
         p = plan("zero_shot")
         a = run_source_training(p, tiny_task.source, spec=SPEC)
         b = run_source_training(p, tiny_task.source, spec=SPEC)
-        assert len(a) == len(b) == p.source_epochs + 1
-        for ca, cb in zip(a, b):
-            assert ca.theta.bitwise_equal(cb.theta)
+        assert len(a.states) == p.source_epochs + 1
+        assert bitwise_equal(a.states, b.states)
 
     def test_training_reduces_source_loss(self, bench):
         corpora, _ = bench
@@ -150,8 +149,8 @@ class TestSourceTraining:
         p = TrainPlan(strategy="zero_shot", seed=1, source_epochs=5)  # default lr
         chain = run_source_training(p, task.source, spec=spec)
         batch = task.source.train
-        initial = loss_and_grad(chain[0], batch).loss
-        final = loss_and_grad(chain[-1], batch).loss
+        initial = loss_and_grad(chain.state(0), batch).loss
+        final = loss_and_grad(chain.state(-1), batch).loss
         assert final < initial
 
 
@@ -164,9 +163,9 @@ class TestTargetAdapting:
         adapted = run_target_adapting(source_model, shots, p, tiny_task.targets, rng=rng)
         assert set(adapted.keys()) == {"t0", "t1"}
         for chain in adapted.values():
-            assert len(chain) == p.adapt_epochs + 1
-            assert chain[0] is source_model
-        assert not adapted["t0"][-1].theta.bitwise_equal(adapted["t1"][-1].theta)
+            assert len(chain.states) == p.adapt_epochs + 1
+            assert bitwise_equal(chain.states[0], source_model.theta)
+        assert not bitwise_equal(adapted["t0"].states[-1], adapted["t1"].states[-1])
 
     def test_mix_ft_single_model(self, tiny_task):
         p = plan("mix_ft")
@@ -175,16 +174,14 @@ class TestTargetAdapting:
         shots = build_shot_bank(tiny_task.targets, p.k, p.shot_mode, SPEC.num_classes, rng)
         adapted = run_target_adapting(source_model, shots, p, tiny_task.targets, rng=rng)
         assert set(adapted.keys()) == {"adapted"}
-        assert len(adapted["adapted"]) == p.adapt_epochs + 1
-        assert adapted["adapted"][0] is source_model
+        assert len(adapted["adapted"].states) == p.adapt_epochs + 1
+        assert bitwise_equal(adapted["adapted"].states[0], source_model.theta)
 
     def test_adapt_zero_epochs_keeps_source_model(self, tiny_task):
         res = run_strategy(plan("ord_fs", adapt_epochs=0), tiny_task)
         zs = run_strategy(plan("zero_shot"), tiny_task)
         for lang in ("t0", "t1"):
-            assert res.selected_model(lang).theta.bitwise_equal(
-                zs.selected_model(lang).theta
-            )
+            assert bitwise_equal(res.selected_model(lang).theta, zs.selected_model(lang).theta)
             assert res.record["test_metrics"][lang] == zs.record["test_metrics"][lang]
 
 
@@ -206,9 +203,8 @@ class TestMixedTraining:
         naive = run_strategy(plan("naive_mix_train"), tiny_task)
         grad = run_strategy(plan("gradient_mix_train", alpha=1.0), tiny_task)
         assert grad.record["surgery_stats"]["applied"] > 0
-        assert not grad.checkpoints["model"][-1].theta.bitwise_equal(
-            naive.checkpoints["model"][-1].theta
-        )
+        assert not bitwise_equal(grad.checkpoints["model"].states[-1],
+                                 naive.checkpoints["model"].states[-1])
 
     def test_zero_targets_matches_source_only_bitwise(self, tiny_task):
         no_targets = Task(SPEC, tiny_task.source, ())
@@ -255,9 +251,8 @@ class TestEvaluate:
         theta = np.zeros(spec.param_dim)
         theta[-3] = 100.0  # bias strongly favoring class 0
         from gradmix.models import ModelState
-        from gradmix.numcore import ParamVec
 
-        model = ModelState(spec=spec, theta=ParamVec(theta))
+        model = ModelState(spec=spec, theta=theta)
         acc = evaluate(model, corpus, "dev")
         counts = class_counts(corpus, "dev")
         assert acc == counts[0] / counts.sum()
@@ -296,8 +291,8 @@ class TestEvaluate:
             task,
         )
         chain = res.checkpoints["model"]
-        assert len(chain) == 4
-        for model in chain:
+        assert len(chain.states) == 4
+        for model in map(chain.state, range(4)):
             for corpus in corpora:
                 for split in ("train", "dev", "test"):
                     got = evaluate(model, corpus, split)
@@ -336,9 +331,9 @@ class TestEpochSelection:
         rec = res.record
         src_epoch = rec["source_selected_epoch"]
         assert src_epoch == first_best(rec["source_dev_curve"]) == rec["selected_epochs"]["s"]
-        start = res.checkpoints["source"][src_epoch]
+        start = res.checkpoints["source"].states[src_epoch]
         for key in set(rec["model_key_of"].values()) - {"source"}:
-            assert res.checkpoints[key][0].theta.bitwise_equal(start.theta)
+            assert bitwise_equal(res.checkpoints[key].states[0], start)
 
     # With no epochs to pick from, no dev curve is needed: each case runs
     # on a corpus without a dev split and selects epoch 0.
@@ -465,9 +460,7 @@ class TestStages:
                     assert got.record == want.record
                     assert list(got.checkpoints) == list(want.checkpoints)
                     for key, chain in want.checkpoints.items():
-                        assert len(got.checkpoints[key]) == len(chain)
-                        for a, b in zip(got.checkpoints[key], chain):
-                            assert a.theta.bitwise_equal(b.theta)
+                        assert bitwise_equal(got.checkpoints[key].states, chain.states)
             # one source stage; per K: one shot bank, one ord_fs-family and one
             # mix_ft adapt stage, and one naive and one gradient one-step stage
             assert kinds(stages) == {"shots": 2, "source": 1, "adapt": 2 * 2, "one_step": 2 * 2}
