@@ -1,0 +1,128 @@
+"""Results gate: the working tree's runs against a base revision's, byte for byte.
+
+    python bench/results_gate.py --base REV
+
+`git archive`s REV into a temporary directory, writes the seed-1 configs
+of the grid-default, surgery-long and tagger-tsv workloads with
+`perfbench/workloads.write_config`, and runs `python -m gradmix.cli run`
+of each config once with the base's `src` and once with the working
+tree's, with BLAS and OpenMP pinned to one thread. Then it checks:
+
+- every file of each pair of run trees is byte-identical, names included;
+- the working tree's grid-default manifest at `--jobs 2` equals the one
+  at `--jobs 1`;
+- the working tree's `aggregate/report.json` and similarity CSVs match
+  `perfbench/references.json` (`check.result_hashes`).
+
+Prints one line per check and, on a failure, the first path that differs;
+exits 1 if anything differs. Everything is written to the temporary
+directory, which is removed at the end; nothing under `perfbench/` is
+changed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+from typing import Dict, List
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import check  # noqa: E402
+import workloads  # noqa: E402
+
+WORKLOADS = ("grid-default", "surgery-long", "tagger-tsv")
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+
+
+def archive(rev: str, dest: Path) -> None:
+    """The files of `rev` under `dest`, as `git archive` gives them."""
+    tar = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev],
+                         check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as tf:
+        tf.extractall(dest, filter="data")
+
+
+def run(src: Path, config: Path, out: Path, jobs: int) -> None:
+    """`gradmix run` of `config` with the gradmix under `src`, started in
+    the config's directory (the tagger's corpora are named relative to it)."""
+    env = dict(os.environ, PYTHONPATH=str(src), **{var: "1" for var in THREAD_VARS})
+    argv = [sys.executable, "-m", "gradmix.cli", "run", "--config", str(config),
+            "--out", str(out), "--jobs", str(jobs)]
+    done = subprocess.run(argv, cwd=config.parent, env=env, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise SystemExit(f"FAIL: {' '.join(argv)} exited {done.returncode}\n{done.stderr}")
+
+
+def files(tree: Path) -> Dict[str, Path]:
+    return {str(p.relative_to(tree)): p for p in sorted(tree.rglob("*")) if p.is_file()}
+
+
+def first_difference(base: Path, head: Path) -> str:
+    """The first relative path, in sorted order, that only one tree holds
+    or whose bytes differ; "" if the trees are identical."""
+    a, b = files(base), files(head)
+    for name in sorted(a.keys() | b.keys()):
+        if name not in a or name not in b or a[name].read_bytes() != b[name].read_bytes():
+            return name
+    return ""
+
+
+def gate(base_rev: str, work: Path) -> List[str]:
+    """Run every check; returns the failures, and prints one line per check."""
+    archive(base_rev, work / "base")
+    sides = {"base": work / "base" / "src", "head": ROOT / "src"}
+    references = json.loads((ROOT / "perfbench" / "references.json").read_text())["results"]
+    failures = []
+    for name in WORKLOADS:
+        config = workloads.write_config(name, workloads.DEFAULT_SEED, work / "inputs" / name)
+        for side, src in sides.items():
+            run(src, config, work / side / name, jobs=1)
+        diff = first_difference(work / "base" / name, work / "head" / name)
+        count = len(files(work / "head" / name))
+        print(f"{name}: " + (f"differs first at {diff}" if diff
+                             else f"{count} files byte-identical to {base_rev}"))
+        got = check.result_hashes(work / "head" / name)
+        bad = sorted(k for k in references[name].keys() | got.keys()
+                     if references[name].get(k) != got.get(k))
+        print(f"{name}: " + (f"references differ first at {bad[0]}" if bad
+                             else f"{len(got)} result files match perfbench/references.json"))
+        if diff:
+            failures.append(f"{name}/{diff}")
+        if bad:
+            failures.append(f"{name}/{bad[0]} (references)")
+        if name == "grid-default":
+            run(sides["head"], config, work / "head" / "grid-default-j2", jobs=2)
+            same = ((work / "head" / name / "manifest.json").read_bytes()
+                    == (work / "head" / "grid-default-j2" / "manifest.json").read_bytes())
+            print(f"{name}: --jobs 2 manifest " + ("equals" if same else "differs from")
+                  + " the --jobs 1 one")
+            if not same:
+                failures.append("grid-default-j2/manifest.json")
+    return failures
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", required=True, help="the git revision to compare against")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="results-gate-") as work:
+        failures = gate(args.base, Path(work))
+    if failures:
+        print(f"FAIL: first difference at {failures[0]}")
+        return 1
+    print("PASS: the run trees, the --jobs manifests and the references all agree")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

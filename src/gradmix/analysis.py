@@ -8,9 +8,10 @@ elementwise across checkpoints. Zero gradients produce an explicit missing
 marker (None / empty CSV cell), never a fake 0.
 
 The source average costs most. Classifier batches have equal sizes, so
-`models.batch_grads` takes them `SOURCE_STACK` at a time, slice by slice,
+`models.stack_grads` takes them `SOURCE_STACK` at a time, slice by slice,
 with the bits each gets alone (one 2-D matmul summing all stacked rows
-would reorder the additions). The stack is bounded because temporaries
+would reorder the additions); the train split is checked once, as a
+whole, with `models.check_batch`. The stack is bounded because temporaries
 grow with it: all 100 batches at once raise `grid-default`'s peak RSS
 from 41 to 46 MB. Ragged tagger batches go one at a time. Norms are taken
 once per language, not once per pair.
@@ -26,11 +27,11 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .corpora import LanguageCorpus, Shots, Split
-from .models import ModelState, batch_grads, loss_and_grad, write_atomic
+from .models import ModelState, check_batch, loss_and_grad, stack_grads, write_atomic
 from .numcore import ContractViolation, cosine_from_dots, dot, frozen
 from .numcore import cosine_similarity  # noqa: F401  (traced by name in perfbench/tracing.py)
 
-SOURCE_STACK = 10  # source batches per `batch_grads` call (see the module docstring)
+SOURCE_STACK = 10  # source batches per `stack_grads` call (see the module docstring)
 
 
 def micro_f1(predictions, gold, outside_label: int) -> float:
@@ -93,13 +94,16 @@ def language_gradient(
             raise ContractViolation(f"{data.lang_id} has no training data")
         if rng is None:
             raise ContractViolation("source gradient sampling needs an rng")
+        dense = data.train.offsets is None
+        if dense:  # ragged batches are checked one by one in `loss_and_grad`
+            check_batch(model.spec, data.train)
         size = min(batch_size, n)
         acc = np.zeros(model.theta.size)
         for start in range(0, n_batches, SOURCE_STACK):
             keys = np.sort([rng.choice(n, size=size, replace=False)
                             for _ in range(min(SOURCE_STACK, n_batches - start))])
-            if data.train.offsets is None:
-                grads = batch_grads(model, data.train, keys)
+            if dense:
+                grads = stack_grads(model.spec, model.theta, data.train.X[keys], data.train.y[keys])
             else:  # ragged token batches: one at a time
                 grads = [loss_and_grad(model, data.train.take(k)).grad for k in keys]
             for grad in grads:
@@ -170,11 +174,7 @@ def similarity_matrix(
             grads.append(g)
         sq = [dot(g, g) for g in grads]
         for i in range(n):
-            if sq[i] == 0.0:
-                missing[i][i] = True
-            else:
-                sums[i][i] += 1.0
-            for j in range(i + 1, n):
+            for j in range(i, n):  # the diagonal too: 1.0, or None at zero norm
                 c = cosine_from_dots(grads[i], grads[j], sq[i], dot(grads[i], grads[j]), sq[j])
                 if c is None:
                     missing[i][j] = missing[j][i] = True
@@ -264,14 +264,8 @@ def aggregate_runs(records: Sequence[dict]) -> dict:
 
 
 def argmax_earliest(curve: Sequence[float]) -> int:
-    """1-based index of the max, earliest epoch on ties."""
-    best_epoch = 1
-    best = curve[0]
-    for i, v in enumerate(curve[1:], start=2):
-        if v > best:
-            best = v
-            best_epoch = i
-    return best_epoch
+    """1-based index of the max, earliest epoch on ties (`np.argmax`'s rule)."""
+    return int(np.argmax(curve)) + 1
 
 
 def overfit_flags(record: dict) -> Dict[str, bool]:

@@ -114,12 +114,16 @@ def parse_config(doc) -> dict:
     return cfg
 
 
-def load_config(path: Path) -> dict:
+def read_json(path: Path, what: str):
+    """The JSON document of a file; refused by `what` and `path` if unreadable."""
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ContractViolation(f"cannot read config {path}: {exc}") from None
-    return parse_config(doc)
+        return json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise ContractViolation(f"cannot read {what} {path}: {exc}") from None
+
+
+def load_config(path: Path) -> dict:
+    return parse_config(read_json(path, "config"))
 
 
 def _tsv_corpora(bench: dict) -> Tuple[List[LanguageCorpus], int, int]:
@@ -508,7 +512,8 @@ def export_artifacts(out: Path) -> int:
     for cell in expected:
         rec_path = out / "runs" / cell_name(*cell) / "record.json"
         if rec_path.exists():
-            records.append(json.loads(rec_path.read_text(encoding="utf-8")))
+            records.append(read_json(rec_path, "run record"))
+            check(records[-1], "a JSON object", str(rec_path))
         else:
             missing.append(cell_name(*cell))
     if missing:

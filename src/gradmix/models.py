@@ -8,9 +8,12 @@ sequences. Parameters live in one flat read-only (P,) array
 A batch is a `corpora.Split` whose examples are in canonical key order
 (see `corpora`), which makes loss and gradient bitwise invariant to the
 order examples were drawn.
-One kernel computes them, for one batch or, slice by slice, for a stack:
-of batches (`batch_grads`) or of parameter vectors each on its own batch
-(`stack_grads`, lockstep training), each slice with the bits it gets alone.
+One kernel computes them, for one batch (`loss_and_grad`) or, slice by
+slice, for a stack of batches or of parameter vectors each on its own
+batch (`stack_grads`: lockstep training, the source gradient of a
+similarity matrix), each slice with the bits it gets alone. `predict`
+runs the kernel's forward half, so evaluation scores the model that
+training differentiates.
 
 A trained model is a `Chain`, one read-only (E+1, P) array of states,
 epoch 0 first (see `trainer`); `save_checkpoint` writes one chain to one
@@ -25,7 +28,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, NamedTuple, Union
 
@@ -57,14 +60,6 @@ class ModelSpec:
         if h == 0:
             return c * d + c
         return h * d + h + c * h + c
-
-    def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "input_dim": self.input_dim,
-            "hidden_dim": self.hidden_dim,
-            "num_classes": self.num_classes,
-        }
 
     @staticmethod
     def from_dict(d, path: str = "") -> "ModelSpec":
@@ -108,27 +103,18 @@ def init_params(spec: ModelSpec, rng: RngStreams) -> ModelState:
     Drawn from the `init` substream only, so consuming other substreams
     never perturbs initialization.
     """
-    gen = rng.init
-    d, h, c = spec.input_dim, spec.hidden_dim, spec.num_classes
-    parts = []
-    if h == 0:
-        s = 1.0 / math.sqrt(d)
-        parts.append(gen.uniform(-s, s, size=c * d))
-        parts.append(np.zeros(c))
-    else:
-        s1 = 1.0 / math.sqrt(d)
-        parts.append(gen.uniform(-s1, s1, size=h * d))
-        parts.append(np.zeros(h))
-        s2 = 1.0 / math.sqrt(h)
-        parts.append(gen.uniform(-s2, s2, size=c * h))
-        parts.append(np.zeros(c))
-    return ModelState(spec=spec, theta=np.concatenate(parts))
+    theta = np.zeros(spec.param_dim)
+    for W in _unpack(spec, theta)[::2]:  # each weight matrix (rows, fan_in), in parameter order
+        s = 1.0 / math.sqrt(W.shape[-1])
+        W[...] = rng.init.uniform(-s, s, size=W.shape)
+    return ModelState(spec=spec, theta=theta)
 
 
 def _unpack(spec: ModelSpec, v: np.ndarray):
-    """Read-only weight views into a flat parameter vector (P,) or a stack
-    of them (S, P): matrices (..., rows, cols) and biases (..., 1, n), so a
-    bias broadcasts over a batch's rows and a stack's slices."""
+    """Weight views into a flat parameter vector (P,) or a stack of them
+    (S, P), read-only when it is: matrices (..., rows, cols) and biases
+    (..., 1, n), so a bias broadcasts over a batch's rows and a stack's
+    slices."""
     d, h, c = spec.input_dim, spec.hidden_dim, spec.num_classes
     lead = v.shape[:-1]
     if h == 0:
@@ -136,13 +122,6 @@ def _unpack(spec: ModelSpec, v: np.ndarray):
     o = h * d + h
     return (v[..., : h * d].reshape(lead + (h, d)), v[..., h * d : o].reshape(lead + (1, h)),
             v[..., o : o + c * h].reshape(lead + (c, h)), v[..., o + c * h :].reshape(lead + (1, c)))
-
-
-def _logits(spec: ModelSpec, theta: np.ndarray, X: np.ndarray) -> np.ndarray:
-    *hidden, W, b = _unpack(spec, theta)
-    if hidden:
-        X = np.tanh(X @ hidden[0].swapaxes(-1, -2) + hidden[1])
-    return X @ W.swapaxes(-1, -2) + b
 
 
 def check_batch(spec: ModelSpec, batch: Split) -> None:
@@ -165,19 +144,11 @@ def check_batch(spec: ModelSpec, batch: Split) -> None:
         raise ContractViolation(f"label {bad} out of range [0, {spec.num_classes})")
 
 
-def _forward_backward(spec: ModelSpec, v: np.ndarray, X: np.ndarray, y: np.ndarray):
-    """Mean cross-entropy and its gradient, flattened in parameter order,
-    of the parameters v (P,) on one batch (X (rows, D), y (rows,)), or on
-    each of a stack of equal batches (X (s, rows, D), y (s, rows)), or of
-    each of a stack of parameters v (s, P) on its own batch of such a
-    stack. This is the one kernel: `loss_and_grad`, `batch_grads` and
-    `stack_grads` all call it. A stack runs every matmul slice by slice
-    (weights through `swapaxes`, never a 2-D matmul over the stacked rows)
-    and every reduction within a batch, so each slice gets the bits it gets
-    alone. Temporaries are updated in place (`a += b` for `a + b`).
-    """
-    n, c = y.shape[-1], spec.num_classes
-    if spec.hidden_dim == 0:  # H: the output layer's input
+def _forward(spec: ModelSpec, v: np.ndarray, X: np.ndarray):
+    """The kernel's forward half: the logits Z, the output layer's input H
+    (X itself, or the tanh hidden layer) and its weights W, for the shapes
+    `_forward_backward` takes."""
+    if spec.hidden_dim == 0:
         (W, b), H = _unpack(spec, v), X
     else:
         W1, b1, W, b = _unpack(spec, v)
@@ -186,7 +157,22 @@ def _forward_backward(spec: ModelSpec, v: np.ndarray, X: np.ndarray, y: np.ndarr
         np.tanh(H, out=H)
     Z = H @ W.swapaxes(-1, -2)
     Z += b
+    return Z, H, W
 
+
+def _forward_backward(spec: ModelSpec, v: np.ndarray, X: np.ndarray, y: np.ndarray):
+    """Mean cross-entropy and its gradient, flattened in parameter order,
+    of the parameters v (P,) on one batch (X (rows, D), y (rows,)), or on
+    each of a stack of equal batches (X (s, rows, D), y (s, rows)), or of
+    each of a stack of parameters v (s, P) on its own batch of such a
+    stack. This is the one kernel: `loss_and_grad` and `stack_grads` call
+    it, and `predict` its forward half. A stack runs every matmul slice by
+    slice (weights through `swapaxes`, never a 2-D matmul over the stacked
+    rows) and every reduction within a batch, so each slice gets the bits
+    it gets alone. Temporaries are updated in place (`a += b` for `a + b`).
+    """
+    n, c = y.shape[-1], spec.num_classes
+    Z, H, W = _forward(spec, v, X)
     zmax = Z.max(axis=-1, keepdims=True)
     lse = Z - zmax
     np.exp(lse, out=lse)
@@ -236,14 +222,6 @@ def stack_grads(spec: ModelSpec, thetas: np.ndarray, X: np.ndarray, y: np.ndarra
     return grads
 
 
-def batch_grads(state: ModelState, data: Split, keys: np.ndarray) -> np.ndarray:
-    """Row i: `loss_and_grad(state, data.take(keys[i])).grad`, bit for bit,
-    for classifier keys (s, size) sorted by row. The split is checked once,
-    as a whole, with the checks `loss_and_grad` makes per batch."""
-    check_batch(state.spec, data)
-    return stack_grads(state.spec, state.theta, data.X[keys], data.y[keys])
-
-
 def sgd_step(state: ModelState, grad: np.ndarray, lr: float) -> ModelState:
     """theta' = theta - lr * grad, elementwise."""
     if grad.shape != state.theta.shape:
@@ -262,10 +240,10 @@ def predict(state: ModelState, x: np.ndarray):
     """
     X = np.asarray(x, dtype=np.float64)
     if X.ndim == 1 and state.spec.family == "softmax_classifier":
-        return int(np.argmax(_logits(state.spec, state.theta, X.reshape(1, -1))[0]))
+        return int(np.argmax(_forward(state.spec, state.theta, X.reshape(1, -1))[0][0]))
     if X.ndim != 2:
         raise ContractViolation(f"predict expects (n, D) rows, got shape {X.shape}")
-    return np.argmax(_logits(state.spec, state.theta, X), axis=1)
+    return np.argmax(_forward(state.spec, state.theta, X)[0], axis=1)
 
 
 # --- checkpoint files -------------------------------------------------------
@@ -301,7 +279,7 @@ def chain_digest(chain: Chain) -> str:
     """16 hex digits of the sha256 of a chain's spec and raw states: the
     store name, the same for equal chains (64 bits make a clash between
     different chains negligible)."""
-    h = hashlib.sha256(json.dumps(chain.spec.to_dict(), sort_keys=True).encode())
+    h = hashlib.sha256(json.dumps(asdict(chain.spec), sort_keys=True).encode())
     h.update(chain.states.tobytes())
     return h.hexdigest()[:16]
 
@@ -311,7 +289,7 @@ def save_checkpoint(chain: Chain, path: Union[str, Path]) -> None:
     payload = {
         "format_version": CHECKPOINT_VERSION,
         "kind": "model-chain",
-        "spec": chain.spec.to_dict(),
+        "spec": asdict(chain.spec),
         "states": [binascii.b2a_base64(row.astype("<f8").tobytes(), newline=False).decode("ascii")
                    for row in chain.states],
     }
@@ -319,8 +297,8 @@ def save_checkpoint(chain: Chain, path: Union[str, Path]) -> None:
 
 
 def load_checkpoint(path: Union[str, Path]) -> Chain:
-    """Read the chain of a file written by `save_checkpoint`. Every refusal
-    of what the file holds starts with `path`."""
+    """Read the chain of a file written by `save_checkpoint`. Every refusal,
+    of a file that cannot be read or of what it holds, starts with `path`."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
         check(payload, "a JSON object", "checkpoint")
@@ -334,5 +312,7 @@ def load_checkpoint(path: Union[str, Path]) -> Chain:
         if bad:
             raise ContractViolation(f"a state has {bad[0]} values, spec needs {spec.param_dim}")
         return Chain(spec, frozen(np.stack(rows)))
+    except OSError as exc:  # no file, or one that cannot be read
+        raise ContractViolation(f"{path}: {exc.strerror or exc}") from None
     except ValueError as exc:  # a ContractViolation, or no JSON, base64 or f64 rows
         raise ContractViolation(f"{path}: {exc}") from None

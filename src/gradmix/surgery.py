@@ -3,9 +3,11 @@
 Two gradients conflict when their cosine similarity is negative; the sign
 of the raw dot product is the same test without dividing by norms, so the
 decision uses the dot product directly. A zero-norm gradient has dot 0 and
-never conflicts, so a projection never divides by zero. When a conflict
-fires and the per-step coin lands under alpha, the mixed-batch gradient is
-projected onto the normal plane of the sampled language's oracle gradient:
+never conflicts, and a conflict is never projected onto an o whose
+||o||^2 underflows to 0, so a projection never divides by zero. When a
+conflict fires and the per-step coin lands under alpha, the mixed-batch
+gradient is projected onto the normal plane of the sampled language's
+oracle gradient:
 
     g' = g - (g . o / ||o||^2) o
 
@@ -21,7 +23,9 @@ a step that takes every cosine with `cosine_similarity` and projects with
 two more dots, since `dot` is symmetric: a.b and b.a multiply the same
 pairs in the same order. A gradient is a (P,) array and a stack of runs'
 gradients an (m, P) one; each dot is one `dot` call over all the stack's
-rows, each row with the bits of a `dot` of two vectors.
+rows, each row with the bits of a `dot` of two vectors. There is one
+projection path, however many rows a step projects: gather those rows,
+project them, and scatter them into a copy of the stack.
 """
 
 from __future__ import annotations
@@ -92,27 +96,23 @@ def decide(
 
     A row conflicts when o.g < 0 and is projected onto o's normal plane
     when p is also under alpha, the probability that a detected conflict
-    is operated on. Each `dot` is taken for all rows at once: o.o, o.g,
-    g.g, and o.g', g'.g' of the projected rows (5, not 9). Cosines are
-    `cosine_from_dots` (None for a zero norm, 1.0 for identical bytes).
-    Returns G itself if no row is projected, else a new stack with the
-    projected rows, and the trace entry of each row.
+    is operated on, and o.o > 0 (a nonzero o whose o.o underflows to 0
+    has no plane to project onto). Each `dot` is taken for all rows at
+    once: o.o, o.g, g.g, and o.g', g'.g' of the projected rows (5, not 9).
+    Cosines are `cosine_from_dots` (None for a zero norm, 1.0 for identical
+    bytes). Returns G itself if no row is projected, else a copy of G with the
+    projected rows in place, and the trace entry of each row.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ContractViolation(f"alpha must be in [0, 1], got {alpha}")
     oo, og, gg = dot(O, O).tolist(), dot(O, G).tolist(), dot(G, G).tolist()
-    rows = [i for i, (_, p) in enumerate(picks) if og[i] < 0.0 and p < alpha]
+    rows = [i for i, (_, p) in enumerate(picks) if og[i] < 0.0 < oo[i] and p < alpha]
     G_out, after = G, {}
     if rows:
-        every = len(rows) == len(G)  # then no row needs picking out
-        On, Gr = (O, G) if every else (O[rows], G[rows])
-        # o.g < 0 needs o != 0, so o.o > 0 on every projected row.
-        proj = Gr - np.array([og[i] / oo[i] for i in rows])[:, None] * On
-        if every:
-            G_out = proj
-        else:
-            G_out = G.copy()
-            G_out[rows] = proj
+        On = O[rows]
+        proj = G[rows] - np.array([og[i] / oo[i] for i in rows])[:, None] * On
+        G_out = G.copy()
+        G_out[rows] = proj
         after = dict(zip(rows, zip(proj, dot(On, proj).tolist(), dot(proj, proj).tolist())))
     entries = []
     for i, (lang, p) in enumerate(picks):

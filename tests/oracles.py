@@ -23,7 +23,7 @@ import numpy as np
 
 from gradmix import analysis
 from gradmix.corpora import OUTSIDE_LABEL, LanguageCorpus, Split
-from gradmix.models import Chain, GradReport, ModelState, _logits, predict
+from gradmix.models import Chain, GradReport, ModelState, predict
 from gradmix.numcore import ContractViolation, dot, frozen
 from gradmix.surgery import TraceEntry, decide
 
@@ -283,7 +283,9 @@ def decide_one(g_train, g_oracle):
 
 
 def predict_proba(state, x):
-    """Class probabilities; rows for the tagger, a single row otherwise."""
+    """Class probabilities; rows for the tagger, a single row otherwise.
+    The logits are computed here, from theta's layout (hidden weights and
+    bias first when hidden_dim > 0, then output weights and bias)."""
     X = np.asarray(x, dtype=np.float64)
     single = X.ndim == 1
     if single:
@@ -292,7 +294,12 @@ def predict_proba(state, x):
         raise ContractViolation(
             f"features have dim {X.shape[1]}, expected {state.spec.input_dim}"
         )
-    Z = _logits(state.spec, state.theta, X)
+    d, h, c = state.spec.input_dim, state.spec.hidden_dim, state.spec.num_classes
+    theta = state.theta
+    if h:
+        X = np.tanh(X @ theta[: h * d].reshape(h, d).T + theta[h * d : h * d + h])
+        theta, d = theta[h * d + h :], h
+    Z = X @ theta[: c * d].reshape(c, d).T + theta[c * d :]
     E = np.exp(Z - Z.max(axis=1, keepdims=True))
     P = E / E.sum(axis=1, keepdims=True)
     return P[0] if single else P

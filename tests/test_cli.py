@@ -1093,6 +1093,39 @@ class TestCliMain:
         assert main(["run", "--config", str(p), "--out", str(out)]) == 0
         assert main(["export", "--out", str(out)]) == 0
 
+    def test_export_of_a_missing_checkpoint_exits_2_naming_it(self, tmp_path, capsys):
+        p = write_config(tmp_path, small_config_doc(strategies=("gradient_mix_train",),
+                                                    seeds=(1,)))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(p), "--out", str(out)]) == 0
+        record = json.loads((out / "runs" / "gradient_mix_train_k2_seed1" / "record.json")
+                            .read_text())
+        gone = out / record["checkpoints"]["model"]
+        gone.unlink()
+        capsys.readouterr()
+        assert main(["export", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines() == [f"error: {gone}: No such file or directory"]
+
+    @pytest.mark.parametrize("text, error", [
+        ('{"strategy": "zero_shot"', "cannot read run record {path}: Expecting ','"),
+        ("[1, 2]", "{path}: [1, 2] is not a JSON object"),
+    ], ids=["truncated", "json-list"])
+    def test_export_of_a_malformed_record_exits_2_naming_it(self, tmp_path, capsys, text,
+                                                           error):
+        p = write_config(tmp_path, small_config_doc(strategies=("zero_shot",), seeds=(1,)))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(p), "--out", str(out)]) == 0
+        path = out / "runs" / "zero_shot_k0_seed1" / "record.json"
+        path.write_text(text, encoding="utf-8")
+        capsys.readouterr()
+        assert main(["export", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        [line] = err.splitlines()
+        assert line.startswith("error: " + error.format(path=path))
+
     @pytest.mark.parametrize("jobs", [0, -1])
     def test_jobs_below_one_refused(self, tmp_path, capsys, jobs):
         p = write_config(tmp_path, small_config_doc(strategies=("zero_shot",), seeds=(1,)))

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import re
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -308,7 +309,7 @@ class TestCheckpoints:
         state = random_state(CLS, 14)
         path = tmp_path / "epoch_0003.json"
         path.write_text(json.dumps({
-            "format_version": 1, "kind": "model-checkpoint", "spec": CLS.to_dict(),
+            "format_version": 1, "kind": "model-checkpoint", "spec": asdict(CLS),
             "epoch": 3, "strategy": "zero_shot",
             "theta": [repr(v) for v in state.theta.tolist()],
         }), encoding="utf-8")
@@ -319,7 +320,7 @@ class TestCheckpoints:
         state = random_state(CLS, 15)
         path = tmp_path / "model.json"
         path.write_text(json.dumps({
-            "format_version": 2, "kind": "model-chain", "spec": CLS.to_dict(),
+            "format_version": 2, "kind": "model-chain", "spec": asdict(CLS),
             "strategy": "zero_shot",
             "thetas": [[repr(v) for v in state.theta.tolist()]],
         }), encoding="utf-8")
@@ -333,7 +334,7 @@ class TestCheckpoints:
         payload = json.loads(path.read_text(encoding="utf-8"))
         assert sorted(payload) == ["format_version", "kind", "spec", "states"]
         assert payload["format_version"] == 3
-        assert payload["spec"] == CLS.to_dict()
+        assert payload["spec"] == asdict(CLS)
         rows = [base64.b64decode(row) for row in payload["states"]]
         assert rows == [row.astype("<f8").tobytes() for row in chain.states]
 

@@ -59,6 +59,14 @@ class TestProjectGradient:
         assert out is g
         assert not entry.conflicted and entry.cos_before is None
 
+    def test_oracle_whose_square_norm_underflows_is_not_projected_onto(self):
+        # o != 0 and o.g < 0, but o.o underflows to 0: there is no plane to
+        # project onto (the projection divided by zero).
+        g, o = vec(-1, 0.5), vec(1e-200, 0)
+        out, entry = decide_one(g, o)
+        assert out is g
+        assert entry.conflicted and not entry.applied and entry.cos_before is None
+
     @pytest.mark.parametrize("dim", [2, 10, 1000])
     def test_projection_properties(self, dim):
         rng = np.random.default_rng(31337 + dim)
