@@ -9,8 +9,9 @@ of each config once with the base's `src` and once with the working
 tree's, with BLAS and OpenMP pinned to one thread. Then it checks:
 
 - every file of each pair of run trees is byte-identical, names included;
-- the working tree's grid-default manifest at `--jobs 2` equals the one
-  at `--jobs 1`;
+- the working tree's grid-default and tagger-tsv manifests at `--jobs 2`
+  equal the ones at `--jobs 1` (each has more than one unit, so `--jobs 2`
+  runs them in a pool);
 - the working tree's `aggregate/report.json` and similarity CSVs match
   `perfbench/references.json` (`check.result_hashes`).
 
@@ -40,6 +41,7 @@ import check  # noqa: E402
 import workloads  # noqa: E402
 
 WORKLOADS = ("grid-default", "surgery-long", "tagger-tsv")
+POOLED = ("grid-default", "tagger-tsv")  # more than one unit, so --jobs 2 runs a pool
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 
@@ -100,14 +102,14 @@ def gate(base_rev: str, work: Path) -> List[str]:
             failures.append(f"{name}/{diff}")
         if bad:
             failures.append(f"{name}/{bad[0]} (references)")
-        if name == "grid-default":
-            run(sides["head"], config, work / "head" / "grid-default-j2", jobs=2)
+        if name in POOLED:
+            run(sides["head"], config, work / "head" / f"{name}-j2", jobs=2)
             same = ((work / "head" / name / "manifest.json").read_bytes()
-                    == (work / "head" / "grid-default-j2" / "manifest.json").read_bytes())
+                    == (work / "head" / f"{name}-j2" / "manifest.json").read_bytes())
             print(f"{name}: --jobs 2 manifest " + ("equals" if same else "differs from")
                   + " the --jobs 1 one")
             if not same:
-                failures.append("grid-default-j2/manifest.json")
+                failures.append(f"{name}-j2/manifest.json")
     return failures
 
 

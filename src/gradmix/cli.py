@@ -10,34 +10,35 @@ object checked against its `CONFIG` table, with every default filled in.
 `run` writes it as `config.json`, which reads back to the same dict; a
 generated benchmark's profile is read by `corpora.gen_synthetic_family`.
 
-The unit of work is a set of grid columns ((strategy, K), all seeds) that
-shares no trained stage with any other unit (`stage_units`): zero_shot and
-the two-step columns share the source stage, and each one-step column
-stands alone. A unit runs its cells column by column with one
-`trainer.Stages` dict: `trainer.prefill` trains a column's stages in
-lockstep across seeds, a chain that several cells share is trained once
-(see `trainer.run_strategy`), and each stage is dropped after its last
-column. The unit then writes the similarity CSV of each of its (strategy,
-K) groups. At `--jobs 1` the units run in sequence over one dict; under
-`--jobs N` each unit is a task of a pool of min(jobs, units) workers,
-largest first, and the parent writes only the report, the table and the
-manifest. Trained chains go to one content-addressed store,
-`models/<chain_digest>.json`, written once per distinct chain; a record's
-`checkpoints` map points into it, and when every unit has ended, a chain
-no record references is removed. Every file is written through
-`models.write_atomic`, so a name only ever holds a whole file.
+A column is the cells that share an adapt stage: the seeds of one
+(strategy, K), ord_fs and ord_fs_dev at one K together. A unit is a set of
+columns that shares no trained stage with another unit (`stage_units`):
+zero_shot and the two-step columns share the source stage, and each
+one-step column stands alone. Every `--jobs` runs a unit one way,
+`run_unit`, over its own `trainer.Stages` dict: `trainer.prefill` trains a
+column's stages in lockstep across seeds, a chain that several cells share
+is trained once, and each stage is dropped after its last column; then the
+unit writes its similarity CSVs. The units run largest first, in the
+parent at `--jobs 1` and in a pool of min(jobs, units) workers under
+`--jobs N`; the parent writes the report, the table and the manifest.
+Chains go to one store, `models/<chain_digest>.json`, written once per
+distinct chain, that a record's `checkpoints` point into; a chain no
+record references is removed once every unit has ended. Every file is
+written through `models.write_atomic`, so a name only ever holds a whole
+file. `export` checks what it reads against the manifest's sha256.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import shutil
 import sys
 import traceback
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -81,6 +82,9 @@ BENCHMARKS = {
 TSV_LANGUAGE = {"lang_id": ("a string", REQUIRED), "role": (corpora.ROLES, REQUIRED),
                 "script_tag": ("a string", ""), "splits": ("a JSON object", REQUIRED)}
 TSV_SPLITS = dict.fromkeys(SPLITS, ("a string", None))  # a split without a file is empty
+# The table of a run tree's `manifest.json`.
+MANIFEST = {"format_version": ("an integer", REQUIRED), "artifacts": ("a JSON list", REQUIRED),
+            "failures": ("a JSON list", REQUIRED)}
 
 
 def __getattr__(name: str):
@@ -196,16 +200,13 @@ def cell_name(strategy: str, k: int, seed: int) -> str:
 
 
 def columns(cells: Sequence[Tuple[str, int, int]]) -> List[List[Tuple[str, int, int]]]:
-    """The cells by (strategy, K), in the order a unit runs them: grid
-    order, except that columns which share an adapt stage (ord_fs and
-    ord_fs_dev at one K) run back to back, so that stage is dropped
-    sooner."""
+    """The cells that share an adapt stage, by (adapt family or strategy, K),
+    in grid order: ord_fs and ord_fs_dev at one K form one column."""
     by_column: Dict[Tuple[str, int], List[Tuple[str, int, int]]] = {}
-    for cell in cells:
-        by_column.setdefault(cell[:2], []).append(cell)
-    first: Dict[tuple, int] = {}  # a family's place: that of its first column
-    return [by_column[c] for c in sorted(by_column, key=lambda c: first.setdefault(
-        (trainer.ADAPT_FAMILY.get(c[0], c[0]), c[1]), len(first)))]
+    for strategy, k, seed in cells:
+        family = trainer.ADAPT_FAMILY.get(strategy, strategy)
+        by_column.setdefault((family, k), []).append((strategy, k, seed))
+    return list(by_column.values())
 
 
 def make_plan(cfg: dict, strategy: str, k: int, seed: int) -> TrainPlan:
@@ -280,41 +281,35 @@ def failure_entry(cell: str, exc: BaseException) -> dict:
             "frames": frames[-FAILURE_FRAMES:]}
 
 
-def run_units(cfg: dict, task: Task, units: Sequence[Sequence[Tuple[str, int, int]]],
-              out: Path) -> Tuple[list, list]:
-    """Run the units (`stage_units`) in sequence with one stages dict. A
-    unit runs its cells column by column (`columns`): `trainer.prefill`
-    fills a column's stages before its cells run, and each entry is dropped
-    after the last column that uses it. Then the unit writes the similarity
-    CSVs of its groups (`write_sim_matrices`). Returns, first, (cell,
-    record, None) for each cell that succeeded and (cell, None, failure
-    entry) for each that failed; second, ((strategy, K), failure entry) for
-    each group whose CSV failed. The entries are made here, so a pool
-    worker's traceback survives."""
-    todo = [columns(unit) for unit in units]
-    plans = {cell: make_plan(cfg, *cell) for unit in units for cell in unit}
-    last_use = {}  # stage key -> the run-order index of the last column using it
-    for i, column in enumerate(column for unit in todo for column in unit):
+def run_unit(cfg: dict, task: Task, unit: Sequence[Tuple[str, int, int]],
+             out: Path) -> Tuple[list, list]:
+    """Run one unit (`stage_units`), as every `--jobs` does: column by column
+    (`columns`) over its own stages dict, which `trainer.prefill` fills
+    before a column's cells run and which drops each entry after its last
+    column; then write its similarity CSVs (`write_sim_matrices`). Returns
+    (cell, record, None) or (cell, None, failure entry) for each cell, and
+    ((strategy, K), failure entry) for each group whose CSV failed. The
+    entries are made here, so a worker's traceback survives."""
+    cols = columns(unit)
+    plans = {cell: make_plan(cfg, *cell) for cell in unit}
+    last_use = {}  # stage key -> the index of the last column using it
+    for i, column in enumerate(cols):
         for cell in column:
             last_use.update(dict.fromkeys(trainer.stage_keys(plans[cell], task).values(), i))
     stages: Stages = {}
-    outcomes, sim_failures, i = [], [], 0
-    for unit in todo:
-        records = []
-        for column in unit:
-            trainer.prefill([plans[cell] for cell in column], task, stages)
-            for cell in column:
-                try:
-                    records.append(run_cell(cfg, task, *cell, out, stages=stages))
-                    outcomes.append((cell, records[-1], None))
-                except Exception as exc:
-                    outcomes.append((cell, None, failure_entry(cell_name(*cell), exc)))
-            for key in [key for key, last in last_use.items() if last == i]:
-                stages.pop(key, None)
-            i += 1
-        sim_failures += [(group, failure_entry("aggregate", exc))
-                         for group, exc in write_sim_matrices(cfg, task, records, out)]
-    return outcomes, sim_failures
+    outcomes, records = [], []
+    for i, column in enumerate(cols):
+        trainer.prefill([plans[cell] for cell in column], task, stages)
+        for cell in column:
+            try:
+                records.append(run_cell(cfg, task, *cell, out, stages=stages))
+                outcomes.append((cell, records[-1], None))
+            except Exception as exc:
+                outcomes.append((cell, None, failure_entry(cell_name(*cell), exc)))
+        for key in [key for key, last in last_use.items() if last == i]:
+            stages.pop(key, None)
+    return outcomes, [(group, failure_entry("aggregate", exc))
+                      for group, exc in write_sim_matrices(cfg, task, records, out)]
 
 
 def write_sim_matrix(cfg: dict, task: Task, records: Sequence[dict],
@@ -459,13 +454,12 @@ def run_experiment(cfg: dict, out: Path, jobs: int = 1) -> int:
     if manifest is not None:
         write_json(out / "benchmark" / "manifest.json", manifest)
 
-    units = stage_units(cfg, task, cells)
+    units = sorted(stage_units(cfg, task, cells), key=len, reverse=True)
     workers = min(jobs, len(units))
     if workers > 1:
         # the module's pool class, imported on first use (`__getattr__`)
         with __getattr__("ProcessPoolExecutor")(max_workers=workers) as pool:
-            futures = [(pool.submit(run_units, cfg, task, [unit], out), unit)
-                       for unit in sorted(units, key=len, reverse=True)]
+            futures = [(pool.submit(run_unit, cfg, task, unit, out), unit) for unit in units]
             results = []
             for fut, unit in futures:
                 try:
@@ -474,7 +468,7 @@ def run_experiment(cfg: dict, out: Path, jobs: int = 1) -> int:
                     results.append(([(cell, None, failure_entry(cell_name(*cell), exc))
                                      for cell in unit], []))
     else:
-        results = [run_units(cfg, task, units, out)]
+        results = [run_unit(cfg, task, unit, out) for unit in units]
     outcomes = {cell: (record, failure) for done, _ in results for cell, record, failure in done}
     records = [outcomes[cell][0] for cell in cells if outcomes[cell][0] is not None]
     failures = [outcomes[cell][1] for cell in cells if outcomes[cell][1] is not None]
@@ -498,26 +492,39 @@ def run_experiment(cfg: dict, out: Path, jobs: int = 1) -> int:
     return 0 if not failures else 1
 
 
+def check_against_manifest(out: Path, paths: Iterable[Path]) -> None:
+    """Refuse the first of `paths`, files of the run tree `out` taken in
+    turn, that `manifest.json` does not list with its sha256."""
+    where = out / "manifest.json"
+    manifest = read_object(read_json(where, "manifest"), str(where), MANIFEST)
+    for path in paths:
+        try:
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        except OSError as exc:
+            raise ContractViolation(f"{path}: {exc.strerror}") from None
+        if {"path": str(path.relative_to(out)), "sha256": digest} not in manifest["artifacts"]:
+            raise ContractViolation(f"{path}: {where} does not list it with sha256 {digest}")
+
+
 def export_artifacts(out: Path) -> int:
     """Rebuild the aggregate report, the text table, and the similarity CSVs
-    from a completed run tree, and print the table. A group whose CSV
-    fails raises, after the other groups' CSVs are written."""
+    from a completed run tree whose config, records and chains are as its
+    manifest lists them (`check_against_manifest`), and print the table. A
+    group whose CSV fails raises, after the other groups' CSVs are written."""
     config_path = out / "config.json"
     if not config_path.exists():
         raise ContractViolation(f"no config.json under {out}; not a run tree")
     cfg = load_config(config_path)
-    expected = grid_cells(cfg)
-    records = []
-    missing = []
-    for cell in expected:
-        rec_path = out / "runs" / cell_name(*cell) / "record.json"
-        if rec_path.exists():
-            records.append(read_json(rec_path, "run record"))
-            check(records[-1], "a JSON object", str(rec_path))
-        else:
-            missing.append(cell_name(*cell))
+    rec_paths = [out / "runs" / cell_name(*cell) / "record.json" for cell in grid_cells(cfg)]
+    missing = [path.parent.name for path in rec_paths if not path.exists()]
     if missing:
         raise ContractViolation(f"missing run records: {', '.join(missing)}")
+    records = [read_json(path, "run record") for path in rec_paths]
+    for path, record in zip(rec_paths, records):
+        check(record, "a JSON object", str(path))
+    # lazily, so each record is checked before the chains it names are read from it
+    chains = (out / rel for r in records for rel in r["checkpoints"].values())
+    check_against_manifest(out, itertools.chain([config_path], rec_paths, chains))
     task, _ = build_benchmark(cfg)
     table = write_report(records, out)
     failed = write_sim_matrices(cfg, task, records, out)

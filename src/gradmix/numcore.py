@@ -54,6 +54,7 @@ KINDS = {
     "a finite number >= 0": lambda v: is_number(v) and 0 <= v < math.inf,
     "a string": lambda v: isinstance(v, str),
     "a JSON object": lambda v: isinstance(v, dict),
+    "a JSON list": lambda v: isinstance(v, list),
     "a non-empty JSON list": lambda v: isinstance(v, list) and len(v) > 0,
     "a non-empty list of integers": lambda v: isinstance(v, list) and v and all(map(is_int, v)),
     "a non-empty list of strings": lambda v: (isinstance(v, list) and v

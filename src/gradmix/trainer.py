@@ -295,29 +295,11 @@ def train_lockstep(runs: Sequence[Run], step_hook: Optional[StepHook] = None) ->
 # --- spec operations ----------------------------------------------------------
 
 
-def _initial_state(rng: RngStreams, state0: Optional[ModelState],
-                   spec: Optional[ModelSpec]) -> ModelState:
-    if state0 is not None:
-        return state0
-    if spec is None:
-        raise ContractViolation("need a ModelSpec when no initial state is given")
-    return init_params(spec, rng)
-
-
-def run_source_training(
-    plan: TrainPlan,
-    source: LanguageCorpus,
-    rng: Optional[RngStreams] = None,
-    state0: Optional[ModelState] = None,
-    spec: Optional[ModelSpec] = None,
-    step_hook: Optional[StepHook] = None,
-) -> Chain:
-    """Fine-tune on the source language alone; returns the chain, epoch 0
-    (the initial state) first."""
-    if rng is None:
-        rng = RngStreams(plan.seed)
-    state0 = _initial_state(rng, state0, spec)
-    [(chain, _)] = train_lockstep([_pool_run(plan, source, [], None, rng, state0)], step_hook)
+def run_source_training(plan: TrainPlan, source: LanguageCorpus, spec: ModelSpec,
+                        step_hook: Optional[StepHook] = None) -> Chain:
+    """Fine-tune a model of `spec`, from `init_params` of the plan's seed, on
+    the source language alone; returns the chain, epoch 0 first."""
+    [(chain, _)] = train_lockstep([_pool_run(plan, source, [], None, spec)], step_hook)
     return chain
 
 
@@ -362,39 +344,30 @@ def run_target_adapting(
 
 
 def _pool_run(plan: TrainPlan, source: LanguageCorpus, targets: Sequence[LanguageCorpus],
-              shots: Optional[Shots], rng: RngStreams, state0: ModelState) -> Run:
-    """The run on the source pooled with the targets' shots (none for
-    source training), with surgery for gradient_mix_train."""
+              shots: Optional[Shots], spec: ModelSpec) -> Run:
+    """The run, from `init_params`, on the source pooled with the targets'
+    shots (none for source training), with surgery for gradient_mix_train;
+    it draws from a fresh `RngStreams` of the plan's seed."""
+    rng = RngStreams(plan.seed)
     oracle = None
     if plan.strategy == "gradient_mix_train":
         if not targets or not shots:
             raise ContractViolation("gradient_mix_train requires at least one target language")
         oracle = build_oracle_bank(shots, targets)
     pool = build_mixed_dataset(source, targets, shots)
-    return Run(state0, pool, plan.source_epochs, plan.batch_size, plan.lr, rng, "pool",
-               oracle, plan.alpha)
+    return Run(init_params(spec, rng), pool, plan.source_epochs, plan.batch_size, plan.lr,
+               rng, "pool", oracle, plan.alpha)
 
 
-def run_mixed_training(
-    plan: TrainPlan,
-    source: LanguageCorpus,
-    targets: Sequence[LanguageCorpus],
-    shots: Optional[Shots],
-    rng: Optional[RngStreams] = None,
-    state0: Optional[ModelState] = None,
-    spec: Optional[ModelSpec] = None,
-    step_hook: Optional[StepHook] = None,
-) -> Trained:
-    """One-step training on the pooled source + shots dataset; returns the
-    chain, epoch 0 first, and the surgery trace. The gradient strategy adds
-    the per-step stochastic surgery decision."""
+def run_mixed_training(plan: TrainPlan, source: LanguageCorpus,
+                       targets: Sequence[LanguageCorpus], shots: Optional[Shots],
+                       spec: ModelSpec, step_hook: Optional[StepHook] = None) -> Trained:
+    """One-step training of a model of `spec`, from `init_params` of the
+    plan's seed, on the pooled source + shots dataset (with surgery for
+    gradient_mix_train); returns the chain, epoch 0 first, and the trace."""
     if plan.strategy not in ONE_STEP:
         raise ContractViolation(f"{plan.strategy} is not a one-step strategy")
-    if rng is None:
-        rng = RngStreams(plan.seed)
-    state0 = _initial_state(rng, state0, spec)
-    [trained] = train_lockstep([_pool_run(plan, source, targets, shots, rng, state0)], step_hook)
-    return trained
+    return train_lockstep([_pool_run(plan, source, targets, shots, spec)], step_hook)[0]
 
 
 def evaluate(model: ModelState, corpus: LanguageCorpus, split: str) -> float:
@@ -491,19 +464,18 @@ def _job(kind: str, plan: TrainPlan, task: Task, stages: Stages
     """The job of the plan's stage of `kind`: its runs and the corpora its
     dev curves cover, by model key. Its draws come from a fresh
     `RngStreams` of the seed, so a job is the same whatever ran before."""
-    rng = RngStreams(plan.seed)
     source, targets = task.source, task.targets
     keys = stage_keys(plan, task)
     if kind == "source":
-        run = _pool_run(plan, source, [], None, rng, init_params(task.spec, rng))
-        return {"source": run}, {"source": [source]}
+        return {"source": _pool_run(plan, source, [], None, task.spec)}, {"source": [source]}
     shots = _lookup(stages, keys["shots"])
     if kind == "one_step":
-        run = _pool_run(plan, source, targets, shots, rng, init_params(task.spec, rng))
+        run = _pool_run(plan, source, targets, shots, task.spec)
         return {"model": run}, {"model": [source, *targets]}
     src = _lookup(stages, keys["source"])
     epoch = _best_epoch(src.curves, source.lang_id, plan.source_epochs)
-    runs = _adapt_runs(src.chains["source"].state(epoch), shots, plan, targets, rng)
+    runs = _adapt_runs(src.chains["source"].state(epoch), shots, plan, targets,
+                       RngStreams(plan.seed))
     return runs, _adapt_corpora(plan, targets)
 
 
@@ -538,13 +510,14 @@ def _made(kind: str, plans: Dict[tuple, TrainPlan], task: Task, stages: Stages,
 
 def prefill(plans: Sequence[TrainPlan], task: Task, stages: Stages,
             step_hook: Optional[StepHook] = None) -> None:
-    """Make every entry that the cells of `plans` (one (strategy, K) column
-    over seeds) look up (`stage_keys`) and `stages` lacks, kind by kind:
-    shot banks, then source, adapt and one-step stages, the runs of each
-    kind across seeds and (ord_fs family) target languages trained together
-    (`_made`). If that raises, each entry is made again alone. Never
-    raises: an entry that cannot be made is stored as `Failed`, with the
-    exception it raised alone, which every cell that looks it up raises."""
+    """Make every entry that the cells of `plans` (one column: the seeds of a
+    (strategy, K), ord_fs and ord_fs_dev at one K together) look up
+    (`stage_keys`) and `stages` lacks, kind by kind: shot banks, then
+    source, adapt and one-step stages, the runs of each kind across seeds
+    and (ord_fs family) target languages trained together (`_made`). If
+    that raises, each entry is made again alone. Never raises: an entry
+    that cannot be made is stored as `Failed`, with the exception it raised
+    alone, which every cell that looks it up raises."""
     for kind in ("shots", "source", "adapt", "one_step"):
         todo: Dict[tuple, TrainPlan] = {}
         for plan in plans:

@@ -78,9 +78,9 @@ def make_plan(strategy, seed, **overrides):
 @pytest.fixture(scope="module")
 def benchmark_runs():
     """All strategy runs used by the ordering and conflict criteria. As in
-    `cli.run_units`, one stages dict serves every column (a strategy over
-    the seeds), whose stages `prefill` trains in lockstep; each run is
-    bitwise the run alone."""
+    `cli.run_unit`, a stages dict serves column after column (a strategy
+    over the seeds), whose stages `prefill` trains in lockstep; here one
+    dict serves every column, and each run is bitwise the run alone."""
     t0 = time.monotonic()
     task, manifest = shipped_task()
     stages = {}

@@ -549,6 +549,7 @@ def test_every_kind_of_every_key_table_is_known():
     tables = {**{f"cli.CONFIG[{name!r}]": table for name, table in cli.CONFIG.items()},
               **{f"cli.BENCHMARKS[{name!r}]": table for name, table in cli.BENCHMARKS.items()},
               "cli.TSV_LANGUAGE": cli.TSV_LANGUAGE, "cli.TSV_SPLITS": cli.TSV_SPLITS,
+              "cli.MANIFEST": cli.MANIFEST,
               "corpora.PROFILE_KEYS": corpora.PROFILE_KEYS,
               "corpora.PROFILE_LANGUAGE_KEYS": corpora.PROFILE_LANGUAGE_KEYS,
               "corpora.SIZES_KEYS": corpora.SIZES_KEYS, "trainer.PLAN_KEYS": trainer.PLAN_KEYS,
@@ -1126,6 +1127,38 @@ class TestCliMain:
         [line] = err.splitlines()
         assert line.startswith("error: " + error.format(path=path))
 
+    @pytest.mark.parametrize("edit", ["empty-record", "edited-chain", "unlisted-config",
+                                      "no-manifest", "manifest-without-a-key"])
+    def test_export_of_a_tree_unlike_its_manifest_exits_2_naming_the_file(
+            self, tmp_path, capsys, edit):
+        p = write_config(tmp_path, small_config_doc(seeds=(1,)))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(p), "--out", str(out)]) == 0
+        manifest, config = out / "manifest.json", out / "config.json"
+        record = out / "runs" / "zero_shot_k0_seed1" / "record.json"
+        chain = out / json.loads(record.read_text())["checkpoints"]["model"]
+        listed = json.loads(manifest.read_text())
+        listed["artifacts"] = [a for a in listed["artifacts"] if a["path"] != "config.json"]
+        unlisted = f"{manifest} does not list it with sha256 "
+        path, data, error = {  # the file, its new bytes (None: deleted), the error
+            "empty-record": (record, b"{}", f"{record}: {unlisted}"),
+            "edited-chain": (chain, chain.read_bytes() + b"\n", f"{chain}: {unlisted}"),
+            "unlisted-config": (manifest, json.dumps(listed).encode(), f"{config}: {unlisted}"),
+            "no-manifest": (manifest, None, f"cannot read manifest {manifest}: "),
+            "manifest-without-a-key": (manifest, b'{"artifacts": []}',
+                                       f"{manifest}: no 'format_version' key"),
+        }[edit]
+        if data is None:
+            path.unlink()
+        else:
+            path.write_bytes(data)
+        capsys.readouterr()
+        assert main(["export", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        [line] = err.splitlines()
+        assert line.startswith("error: " + error)
+
     @pytest.mark.parametrize("jobs", [0, -1])
     def test_jobs_below_one_refused(self, tmp_path, capsys, jobs):
         p = write_config(tmp_path, small_config_doc(strategies=("zero_shot",), seeds=(1,)))
@@ -1170,19 +1203,19 @@ class TestLockstep:
 
         monkeypatch.setattr(trainer, "prefill", spy)
         assert run_experiment(parse_config(small_config_doc(**self.DOC)), tmp_path / "o") == 0
-        source, shots = {"source": 2}, {"shots_k1": 2, "shots_k2": 2}
+        # each unit has its own stages; ord_fs and ord_fs_dev at one K are one
+        # column, so no adapt stage is held when a column starts
+        source = {"source": 2}
         assert held == [
             ("zero_shot_k0", {}),
             ("ord_fs_k1", source),
-            ("ord_fs_dev_k1", dict(source, shots_k1=2, adapt=2)),  # runs next to ord_fs
             ("ord_fs_k2", dict(source, shots_k1=2)),
-            ("ord_fs_dev_k2", dict(source, **shots, adapt=2)),
-            ("mix_ft_k1", dict(source, **shots)),
-            ("mix_ft_k2", dict(source, **shots)),
-            ("naive_mix_train_k1", shots),
-            ("naive_mix_train_k2", shots),
-            ("gradient_mix_train_k1", shots),
-            ("gradient_mix_train_k2", {"shots_k2": 2}),
+            ("mix_ft_k1", dict(source, shots_k1=2, shots_k2=2)),
+            ("mix_ft_k2", dict(source, shots_k2=2)),
+            ("naive_mix_train_k1", {}),
+            ("naive_mix_train_k2", {}),
+            ("gradient_mix_train_k1", {}),
+            ("gradient_mix_train_k2", {}),
         ]
 
     def test_each_shot_bank_drawn_once_per_chunk(self, tmp_path, monkeypatch):
@@ -1194,10 +1227,11 @@ class TestLockstep:
         out = tmp_path / "out"
         assert run_experiment(cfg, out) == 0
         # before --out exists: one bank of 2 targets per K; cells: one per
-        # (seed, K); the similarity CSVs: one per (strategy, K) group of
-        # mix_ft, naive_mix_train and gradient_mix_train, each drawn where its
-        # group is written
-        assert len(draws) == 2 * 2 + 2 * 2 * 2 + 3 * 2 * 2
+        # (seed, K) of each unit (2 K in the two-step unit, 1 in each of the
+        # 4 one-step units); the similarity CSVs: one per (strategy, K) group
+        # of mix_ft, naive_mix_train and gradient_mix_train, each drawn where
+        # its group is written
+        assert len(draws) == 2 * 2 + (2 + 4) * 2 * 2 + 3 * 2 * 2
         task, _ = build_benchmark(cfg)
         for cell in grid_cells(cfg):
             record = json.loads((out / "runs" / cli.cell_name(*cell) / "record.json").read_text())

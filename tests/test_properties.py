@@ -1,24 +1,30 @@
 """Properties of the numeric core on generated inputs: a stack of slices
 gets the bits each slice gets alone, `predict` over rows equals `predict`
 of each row, `surgery.decide` equals the per-row reference on every row of
-a stack, and a similarity matrix is symmetric with a diagonal of 1.0 or
-None. Every run draws the same examples (`derandomize=True`, no example
-database), so a failure reproduces."""
+a stack, a similarity matrix is symmetric with a diagonal of 1.0 or None,
+and a small grid writes the same tree at `--jobs 1` and `--jobs 2`. Every
+run draws the same examples (`derandomize=True`, no example database), so
+a failure reproduces."""
 
+import tempfile
+from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gradmix import analysis
+from gradmix.cli import parse_config, run_experiment
 from gradmix.corpora import Split
 from gradmix.models import ModelSpec, ModelState, loss_and_grad, predict, stack_grads
-from gradmix.numcore import dot, frozen
+from gradmix.numcore import ContractViolation, dot, frozen
 from gradmix.surgery import decide
+from gradmix.trainer import STRATEGIES
 
 import oracles
+from test_cli import small_config_doc
 
 FIXED = settings(derandomize=True, database=None, deadline=None, max_examples=40)
 
@@ -126,3 +132,31 @@ def test_similarity_matrix_is_symmetric_with_a_unit_or_missing_diagonal(grads):
     for i in range(n):
         zero_somewhere = any(dot(at[i], at[i]) == 0.0 for at in grads)
         assert values[i][i] == (None if zero_somewhere else 1.0)
+
+
+@st.composite
+def small_grids(draw):
+    """A config of `small_config_doc`'s benchmark: subsets of the
+    strategies, of K in {1, 2} and of seeds {1, 2} (an empty one is
+    refused), and 0-2 epochs per phase."""
+    pick = lambda values: [v for v in values if draw(st.booleans())]
+    doc = small_config_doc(strategies=pick(STRATEGIES), ks=pick([1, 2]), seeds=pick([1, 2]))
+    doc["plan"].update(source_epochs=draw(st.integers(0, 2)), adapt_epochs=draw(st.integers(0, 2)))
+    return doc
+
+
+def tree(out):
+    return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+@settings(FIXED, max_examples=8)
+@given(doc=small_grids())
+def test_jobs_1_and_jobs_2_write_the_same_tree(doc):
+    with tempfile.TemporaryDirectory() as work:
+        outs = [Path(work) / f"jobs{jobs}" for jobs in (1, 2)]
+        try:
+            code = run_experiment(parse_config(doc), outs[0], jobs=1)  # refuses an empty list
+        except ContractViolation:
+            assume(False)
+        assert run_experiment(parse_config(doc), outs[1], jobs=2) == code
+        assert tree(outs[0]) == tree(outs[1])

@@ -229,7 +229,8 @@ class TestMixedTraining:
 
     def test_run_mixed_training_rejects_two_step(self, tiny_task):
         with pytest.raises(ContractViolation):
-            run_mixed_training(plan("ord_fs"), tiny_task.source, tiny_task.targets, None)
+            run_mixed_training(plan("ord_fs"), tiny_task.source, tiny_task.targets, None,
+                               SPEC)
 
 
 class TestEvaluate:
