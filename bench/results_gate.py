@@ -15,16 +15,20 @@ tree's, with BLAS and OpenMP pinned to one thread. Then it checks:
 - the working tree's `aggregate/report.json` and similarity CSVs match
   `perfbench/references.json` (`check.result_hashes`).
 
-Prints one line per check and, on a failure, the first path that differs;
-exits 1 if anything differs. Everything is written to the temporary
-directory, which is removed at the end; nothing under `perfbench/` is
-changed.
+Prints one line per check. Where two run trees differ, their line counts
+the differing paths by top-level entry (`manifest.json 1 (...), models/
+280 (140 only in base; 140 only in head; ...), runs/ 80 (...)`), notes
+the names that only changed their suffix and the top-level keys in which
+differing JSON objects differ, and names the first path. Exits 1 if
+anything differs. Everything is written to the temporary directory,
+which is removed at the end; nothing under `perfbench/` is changed.
 """
 
 from __future__ import annotations
 
 import argparse
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -69,14 +73,48 @@ def files(tree: Path) -> Dict[str, Path]:
     return {str(p.relative_to(tree)): p for p in sorted(tree.rglob("*")) if p.is_file()}
 
 
-def first_difference(base: Path, head: Path) -> str:
-    """The first relative path, in sorted order, that only one tree holds
-    or whose bytes differ; "" if the trees are identical."""
+def differences(base: Path, head: Path) -> List[str]:
+    """The relative paths, in sorted order, that only one tree holds or
+    whose bytes differ; empty if the trees are identical."""
     a, b = files(base), files(head)
-    for name in sorted(a.keys() | b.keys()):
-        if name not in a or name not in b or a[name].read_bytes() != b[name].read_bytes():
-            return name
-    return ""
+    return [name for name in sorted(a.keys() | b.keys())
+            if name not in a or name not in b or a[name].read_bytes() != b[name].read_bytes()]
+
+
+def json_object(path: Path):
+    try:
+        doc = json.loads(path.read_bytes())
+    except (OSError, ValueError):
+        return None
+    return doc if isinstance(doc, dict) else None
+
+
+def summary(base: Path, head: Path, diffs: List[str]) -> str:
+    """The differing paths counted by top-level entry, each with how many
+    are only in one tree, how many of those have a name in the other tree
+    under another suffix, and the top-level keys in which the JSON objects
+    that differ differ; then the first path."""
+    parts = []
+    for top, names in itertools.groupby(diffs, key=lambda n: n.split("/")[0]):
+        names = list(names)
+        only_base = [n for n in names if not (head / n).exists()]
+        only_head = [n for n in names if not (base / n).exists()]
+        notes = [f"{len(v)} only in {side}" for side, v in (("base", only_base),
+                                                            ("head", only_head)) if v]
+        renamed = ({str(Path(n).with_suffix("")) for n in only_base}
+                   & {str(Path(n).with_suffix("")) for n in only_head})
+        if renamed:
+            notes.append(f"{len(renamed)} names in both under another suffix")
+        keys = set()
+        for n in set(names) - set(only_base) - set(only_head):
+            a, b = json_object(base / n), json_object(head / n)
+            if a is not None and b is not None:
+                keys |= {k for k in a.keys() | b.keys() if k not in a or k not in b or a[k] != b[k]}
+        if keys:
+            notes.append("JSON keys that differ: " + ", ".join(sorted(keys)))
+        label = top + "/" if (head / top).is_dir() or (base / top).is_dir() else top
+        parts.append(f"{label} {len(names)}" + (f" ({'; '.join(notes)})" if notes else ""))
+    return f"{len(diffs)} paths differ: {', '.join(parts)}; first at {diffs[0]}"
 
 
 def gate(base_rev: str, work: Path) -> List[str]:
@@ -89,17 +127,17 @@ def gate(base_rev: str, work: Path) -> List[str]:
         config = workloads.write_config(name, workloads.DEFAULT_SEED, work / "inputs" / name)
         for side, src in sides.items():
             run(src, config, work / side / name, jobs=1)
-        diff = first_difference(work / "base" / name, work / "head" / name)
+        diffs = differences(work / "base" / name, work / "head" / name)
         count = len(files(work / "head" / name))
-        print(f"{name}: " + (f"differs first at {diff}" if diff
+        print(f"{name}: " + (summary(work / "base" / name, work / "head" / name, diffs) if diffs
                              else f"{count} files byte-identical to {base_rev}"))
         got = check.result_hashes(work / "head" / name)
         bad = sorted(k for k in references[name].keys() | got.keys()
                      if references[name].get(k) != got.get(k))
         print(f"{name}: " + (f"references differ first at {bad[0]}" if bad
                              else f"{len(got)} result files match perfbench/references.json"))
-        if diff:
-            failures.append(f"{name}/{diff}")
+        if diffs:
+            failures.append(f"{name}/{diffs[0]}")
         if bad:
             failures.append(f"{name}/{bad[0]} (references)")
         if name in POOLED:

@@ -21,11 +21,13 @@ is trained once, and each stage is dropped after its last column; then the
 unit writes its similarity CSVs. The units run largest first, in the
 parent at `--jobs 1` and in a pool of min(jobs, units) workers under
 `--jobs N`; the parent writes the report, the table and the manifest.
-Chains go to one store, `models/<chain_digest>.json`, written once per
+Chains go to one store, `models/<chain_digest>.chain` (a JSON header
+line and the raw f64 states, `models.save_checkpoint`), written once per
 distinct chain, that a record's `checkpoints` point into; a chain no
 record references is removed once every unit has ended. Every file is
 written through `models.write_atomic`, so a name only ever holds a whole
-file. `export` checks what it reads against the manifest's sha256.
+file. `export` checks what it reads against the manifest's sha256, and
+refuses a file the manifest does not list.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from . import analysis, corpora, models, trainer
 from .corpora import SPLITS, LanguageCorpus, build_shot_bank, gen_synthetic_family, ingest_tsv
 from .models import SPEC_KEYS, ModelSpec, chain_digest, save_checkpoint, write_atomic
 from .numcore import REQUIRED, ContractViolation, RngStreams, check, read_object
+from .surgery import trace_lines
 from .trainer import PLAN_KEYS, Stages, Task, TrainPlan, run_strategy
 
 # Strategies whose run produces one final model covering every language;
@@ -248,16 +251,14 @@ def run_cell(cfg: dict, task: Task, strategy: str, k: int, seed: int,
     result = run_strategy(plan, task, stages=stages)
     cell_dir = out / "runs" / cell_name(strategy, k, seed)
     # Store names are content digests, so a name that exists holds its chain.
-    rel_of = {key: f"models/{chain_digest(chain)}.json"
+    rel_of = {key: f"models/{chain_digest(chain)}.chain"
               for key, chain in result.checkpoints.items()}
     result.record["checkpoints"] = rel_of
-    trace = None if result.trace is None else (  # written line by line, never whole
-        (json.dumps(entry.to_json_dict()) + "\n").encode("utf-8") for entry in result.trace)
-    result.record["surgery_trace"] = None if trace is None else "surgery_trace.jsonl"
+    result.record["surgery_trace"] = None if result.trace is None else "surgery_trace.jsonl"
 
     try:
-        if trace is not None:
-            write_atomic(cell_dir / "surgery_trace.jsonl", trace)
+        if result.trace is not None:  # written line by line, never whole
+            write_atomic(cell_dir / "surgery_trace.jsonl", trace_lines(result.trace))
         for key, rel in rel_of.items():
             if not (out / rel).exists():
                 save_checkpoint(result.checkpoints[key], out / rel)
@@ -474,7 +475,7 @@ def run_experiment(cfg: dict, out: Path, jobs: int = 1) -> int:
     failures = [outcomes[cell][1] for cell in cells if outcomes[cell][1] is not None]
 
     referenced = {out / rel for r in records for rel in r["checkpoints"].values()}
-    for path in out.glob("models/*.json"):  # a failed cell's chain, unless a record has it
+    for path in out.glob("models/*.chain"):  # a failed cell's chain, unless a record has it
         if path not in referenced:
             path.unlink()
     aggregate = [entry for _, entry in sorted(  # by group: (strategy, K)
@@ -494,7 +495,9 @@ def run_experiment(cfg: dict, out: Path, jobs: int = 1) -> int:
 
 def check_against_manifest(out: Path, paths: Iterable[Path]) -> None:
     """Refuse the first of `paths`, files of the run tree `out` taken in
-    turn, that `manifest.json` does not list with its sha256."""
+    turn, that `manifest.json` does not list with its sha256; then the first
+    file of the tree, `aggregate/` and the manifest itself excepted, that it
+    does not list at all (a stray file, such as another run's chain)."""
     where = out / "manifest.json"
     manifest = read_object(read_json(where, "manifest"), str(where), MANIFEST)
     for path in paths:
@@ -504,6 +507,13 @@ def check_against_manifest(out: Path, paths: Iterable[Path]) -> None:
             raise ContractViolation(f"{path}: {exc.strerror}") from None
         if {"path": str(path.relative_to(out)), "sha256": digest} not in manifest["artifacts"]:
             raise ContractViolation(f"{path}: {where} does not list it with sha256 {digest}")
+    listed = {entry.get("path") for entry in manifest["artifacts"]
+              if isinstance(entry, dict) and isinstance(entry.get("path"), str)}
+    for path in sorted(out.rglob("*")):
+        rel = path.relative_to(out)
+        if (path.is_file() and rel.parts[0] != "aggregate" and path != where
+                and str(rel) not in listed):
+            raise ContractViolation(f"{path}: {where} does not list it")
 
 
 def export_artifacts(out: Path) -> int:

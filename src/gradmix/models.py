@@ -17,13 +17,12 @@ training differentiates.
 
 A trained model is a `Chain`, one read-only (E+1, P) array of states,
 epoch 0 first (see `trainer`); `save_checkpoint` writes one chain to one
-file and `load_checkpoint` reads it back bit for bit. `write_atomic` is
-the one way files are written.
+file, a JSON header line and the raw f64 rows, and `load_checkpoint` reads
+it back bit for bit. `write_atomic` is the one way files are written.
 """
 
 from __future__ import annotations
 
-import binascii
 import hashlib
 import json
 import math
@@ -248,13 +247,14 @@ def predict(state: ModelState, x: np.ndarray):
 
 # --- checkpoint files -------------------------------------------------------
 #
-# One JSON file per distinct trained model: its spec once, then the chain of
-# states, epoch 0 (the state training started from) first, each as one
-# base64 row of little-endian f64, so save -> load -> evaluate is bitwise
-# stable. The file names no strategy: `cli` stores each chain once under
-# `chain_digest` and every cell that trained it points at that file.
+# One file per distinct trained model: a one-line JSON header (format
+# version, kind, spec, number of states), then the chain of states, epoch 0
+# (the state training started from) first, as raw little-endian f64 rows, so
+# save -> load -> evaluate is bitwise stable. The file names no strategy:
+# `cli` stores each chain once under `chain_digest` and every cell that
+# trained it points at that file.
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 def write_atomic(path: Union[str, Path], data: Union[bytes, Iterable[bytes]]) -> None:
@@ -285,34 +285,34 @@ def chain_digest(chain: Chain) -> str:
 
 
 def save_checkpoint(chain: Chain, path: Union[str, Path]) -> None:
-    """Write a model's chain of states, epoch 0 first, to one compact file."""
-    payload = {
-        "format_version": CHECKPOINT_VERSION,
-        "kind": "model-chain",
-        "spec": asdict(chain.spec),
-        "states": [binascii.b2a_base64(row.astype("<f8").tobytes(), newline=False).decode("ascii")
-                   for row in chain.states],
-    }
-    write_atomic(path, (json.dumps(payload, separators=(",", ":")) + "\n").encode("utf-8"))
+    """Write a model's chain of states, epoch 0 first, to one file: the
+    header line, then the (E+1, P) states as raw little-endian f64."""
+    header = {"format_version": CHECKPOINT_VERSION, "kind": "model-chain",
+              "spec": asdict(chain.spec), "states": len(chain.states)}
+    write_atomic(path, [(json.dumps(header, separators=(",", ":")) + "\n").encode("utf-8"),
+                        chain.states.astype("<f8", copy=False).tobytes()])
 
 
 def load_checkpoint(path: Union[str, Path]) -> Chain:
-    """Read the chain of a file written by `save_checkpoint`. Every refusal,
+    """Read the chain of a file written by `save_checkpoint`. The header is
+    the bytes before the first newline, or the whole file if it has none,
+    so a file of an older version is refused by its version. Every refusal,
     of a file that cannot be read or of what it holds, starts with `path`."""
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        check(payload, "a JSON object", "checkpoint")
-        if payload.get("format_version") != CHECKPOINT_VERSION:
-            raise ContractViolation(f"a version-{payload.get('format_version')} checkpoint; "
+        head, _, body = Path(path).read_bytes().partition(b"\n")
+        header = json.loads(head)
+        check(header, "a JSON object", "checkpoint")
+        if header.get("format_version") != CHECKPOINT_VERSION:
+            raise ContractViolation(f"a version-{header.get('format_version')} checkpoint; "
                                     f"expected version {CHECKPOINT_VERSION}")
-        spec = ModelSpec.from_dict(payload.get("spec"), "spec")
-        check(payload.get("states"), "a non-empty list of strings", "states")
-        rows = [np.frombuffer(binascii.a2b_base64(row), dtype="<f8") for row in payload["states"]]
-        bad = [row.size for row in rows if row.size != spec.param_dim]
-        if bad:
-            raise ContractViolation(f"a state has {bad[0]} values, spec needs {spec.param_dim}")
-        return Chain(spec, frozen(np.stack(rows)))
+        spec = ModelSpec.from_dict(header.get("spec"), "spec")
+        check(header.get("states"), "an integer >= 1", "states")
+        n, p = header["states"], spec.param_dim
+        if len(body) != 8 * n * p:
+            raise ContractViolation(f"the states take {len(body)} bytes; {n} states of "
+                                    f"{p} f64 values take {8 * n * p}")
+        return Chain(spec, frozen(np.frombuffer(body, dtype="<f8").reshape(n, p)))
     except OSError as exc:  # no file, or one that cannot be read
         raise ContractViolation(f"{path}: {exc.strerror or exc}") from None
-    except ValueError as exc:  # a ContractViolation, or no JSON, base64 or f64 rows
+    except ValueError as exc:  # a ContractViolation, or a header that is no JSON
         raise ContractViolation(f"{path}: {exc}") from None

@@ -30,8 +30,10 @@ project them, and scatter them into a copy of the stack.
 
 from __future__ import annotations
 
+import json
+import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -65,6 +67,30 @@ class TraceEntry:
             "cos_before": self.cos_before,
             "cos_after": self.cos_after,
         }
+
+
+def _json_number(x: Optional[float]) -> str:
+    """`json.dumps` of a float or None."""
+    if x is None:
+        return "null"
+    return float.__repr__(x) if math.isfinite(x) else json.dumps(x)
+
+
+def trace_lines(entries: Iterable[TraceEntry]) -> Iterator[bytes]:
+    """The JSONL line of each entry, the bytes of
+    `json.dumps(entry.to_json_dict()) + "\\n"` built from a template: each
+    language id is encoded once, floats by `repr`, the literals as they are."""
+    langs: Dict[str, str] = {}
+    for e in entries:
+        lang = langs.get(e.picked_lang)
+        if lang is None:
+            lang = langs[e.picked_lang] = json.dumps(e.picked_lang)
+        yield (f'{{"step": {e.step}, "picked_lang": {lang}, '
+               f'"p_value": {_json_number(e.p_value)}, '
+               f'"conflicted": {"true" if e.conflicted else "false"}, '
+               f'"applied": {"true" if e.applied else "false"}, '
+               f'"cos_before": {_json_number(e.cos_before)}, '
+               f'"cos_after": {_json_number(e.cos_after)}}}\n').encode("ascii")
 
 
 def oracle_gradient(model: ModelState, oracle: Dict[str, Split], lang_id: str) -> np.ndarray:

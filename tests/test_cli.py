@@ -711,7 +711,7 @@ class TestRunExperiment:
         rec = json.loads((cell / "record.json").read_text())
         assert sorted(p.name for p in cell.iterdir()) == ["record.json", "surgery_trace.jsonl"]
         chain = load_checkpoint(out / rec["checkpoints"]["model"])
-        assert rec["checkpoints"] == {"model": f"models/{chain_digest(chain)}.json"}
+        assert rec["checkpoints"] == {"model": f"models/{chain_digest(chain)}.chain"}
         assert len(chain.states) == rec["epochs"] + 1
         assert not list(out.rglob("epoch_*.json"))
         assert not list(out.rglob("checkpoints"))
@@ -1158,6 +1158,22 @@ class TestCliMain:
         assert "Traceback" not in err
         [line] = err.splitlines()
         assert line.startswith("error: " + error)
+
+    @pytest.mark.parametrize("stray", ["models/ffffffffffffffff.json",
+                                       "runs/zero_shot_k0_seed1/extra.txt"],
+                             ids=["old-chain", "extra-file"])
+    def test_export_of_a_tree_with_a_stray_file_exits_2_naming_it(self, tmp_path, capsys,
+                                                                  stray):
+        p = write_config(tmp_path, small_config_doc(seeds=(1,)))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(p), "--out", str(out)]) == 0
+        (out / stray).write_bytes(b"{}\n")
+        capsys.readouterr()
+        assert main(["export", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines() == [f"error: {out / stray}: {out / 'manifest.json'} "
+                                    "does not list it"]
 
     @pytest.mark.parametrize("jobs", [0, -1])
     def test_jobs_below_one_refused(self, tmp_path, capsys, jobs):

@@ -259,12 +259,19 @@ def sgd_chain(spec, seed, epochs=3):
     return Chain(spec, frozen(np.stack([s.theta for s in states])))
 
 
-def rewrite(path, **changes):
-    """Rewrite a checkpoint file with some of its keys changed (None: removed)."""
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    payload.update(changes)
-    path.write_text(json.dumps({k: v for k, v in payload.items() if v is not None}),
-                    encoding="utf-8")
+def split_file(path):
+    """A checkpoint file's header, read as JSON, and the bytes after its newline."""
+    head, _, body = path.read_bytes().partition(b"\n")
+    return json.loads(head), body
+
+
+def rewrite(path, body=None, **changes):
+    """Rewrite a checkpoint file with some header keys changed (None:
+    removed) and, if given, another body."""
+    header, old = split_file(path)
+    header.update(changes)
+    header = {k: v for k, v in header.items() if v is not None}
+    path.write_bytes(json.dumps(header).encode() + b"\n" + (old if body is None else body))
 
 
 class TestCheckpoints:
@@ -293,16 +300,16 @@ class TestCheckpoints:
             assert bitwise_equal(before.grad, after.grad)
 
     def test_pinned_digest_and_file_bytes(self, tmp_path):
-        """A fixed two-state chain keeps the store name and the file bytes
-        it had when a chain was a list of per-state objects."""
+        """A fixed two-state chain keeps the store name it had when a chain
+        was a list of per-state objects, and its version-4 file these bytes."""
         s0 = init_params(CLS_MLP, RngStreams(7))
         s1 = sgd_step(s0, np.linspace(-1.0, 1.0, CLS_MLP.param_dim), 0.25)
         chain = Chain(CLS_MLP, frozen(np.stack([s0.theta, s1.theta])))
         assert chain_digest(chain) == "b31c6a8222ebf5eb"
-        path = tmp_path / "model.json"
+        path = tmp_path / "model.chain"
         save_checkpoint(chain, path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "bfd9065d3cc218e57a39cee353c8bfc6f94c64f43dfdecb801d612506c09912a")
+            "5c3ecd34270ad5befb55522bae60166fc8c7926c0f2a3e4ec8f5237ceef29106")
         assert bitwise_equal(load_checkpoint(path).states, chain.states)
 
     def test_version_1_file_refused(self, tmp_path):
@@ -327,64 +334,76 @@ class TestCheckpoints:
         with pytest.raises(ContractViolation, match=f"{re.escape(str(path))}.*version-2"):
             load_checkpoint(path)
 
-    def test_file_holds_spec_and_base64_rows(self, tmp_path):
+    def test_file_is_a_header_line_and_raw_rows(self, tmp_path):
         chain = sgd_chain(CLS, 16, epochs=2)
-        path = tmp_path / "model.json"
+        path = tmp_path / "model.chain"
         save_checkpoint(chain, path)
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        assert sorted(payload) == ["format_version", "kind", "spec", "states"]
-        assert payload["format_version"] == 3
-        assert payload["spec"] == asdict(CLS)
-        rows = [base64.b64decode(row) for row in payload["states"]]
-        assert rows == [row.astype("<f8").tobytes() for row in chain.states]
+        header = {"format_version": 4, "kind": "model-chain", "spec": asdict(CLS), "states": 3}
+        assert path.read_bytes() == (json.dumps(header, separators=(",", ":")).encode() + b"\n"
+                                     + chain.states.astype("<f8").tobytes())
 
-    def test_short_row_rejected(self, tmp_path):
+    def test_version_3_file_refused(self, tmp_path):
+        """A file in the layout of version 3: one JSON line, a base64 string
+        per state."""
+        chain = sgd_chain(CLS, 17, epochs=1)
         path = tmp_path / "model.json"
-        save_checkpoint(sgd_chain(CLS, 17, epochs=1), path)
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        payload["states"][1] = base64.b64encode(b"\0" * 8 * (CLS.param_dim - 1)).decode()
-        path.write_text(json.dumps(payload), encoding="utf-8")
-        with pytest.raises(ContractViolation, match=f"{CLS.param_dim - 1} values"):
+        path.write_text(json.dumps({
+            "format_version": 3, "kind": "model-chain", "spec": asdict(CLS),
+            "states": [base64.b64encode(row.astype("<f8").tobytes()).decode()
+                       for row in chain.states],
+        }, separators=(",", ":")) + "\n", encoding="utf-8")
+        with pytest.raises(ContractViolation) as refused:
             load_checkpoint(path)
+        assert str(refused.value) == f"{path}: a version-3 checkpoint; expected version 4"
+
+    @pytest.mark.parametrize("cut, extra", [(8, b""), (0, b"\0")], ids=["short", "trailing"])
+    def test_body_of_another_length_refused_by_path(self, tmp_path, cut, extra):
+        path = tmp_path / "model.chain"
+        save_checkpoint(sgd_chain(CLS, 17, epochs=1), path)
+        _, body = split_file(path)
+        rewrite(path, body=body[:len(body) - cut] + extra)
+        with pytest.raises(ContractViolation) as refused:
+            load_checkpoint(path)
+        size, want = 16 * CLS.param_dim - cut + len(extra), 16 * CLS.param_dim
+        assert str(refused.value) == (f"{path}: the states take {size} bytes; 2 states of "
+                                      f"{CLS.param_dim} f64 values take {want}")
 
     @pytest.mark.parametrize("value, error", [
         (2.9, "spec.input_dim: 2.9 is not an integer >= 1"),
         ("x", "spec.input_dim: 'x' is not an integer >= 1"),
     ], ids=["float", "string"])
     def test_spec_read_through_its_table(self, tmp_path, value, error):
-        path = tmp_path / "model.json"
+        path = tmp_path / "model.chain"
         save_checkpoint(sgd_chain(CLS, 17, epochs=1), path)
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        payload["spec"]["input_dim"] = value
-        path.write_text(json.dumps(payload), encoding="utf-8")
+        header, _ = split_file(path)
+        rewrite(path, spec=dict(header["spec"], input_dim=value))
         with pytest.raises(ContractViolation) as refused:
             load_checkpoint(path)
         assert str(refused.value) == f"{path}: {error}"
 
     def test_nonfinite_state_refused_by_path(self, tmp_path):
-        path = tmp_path / "model.json"
+        path = tmp_path / "model.chain"
         chain = sgd_chain(CLS, 17, epochs=1)
         save_checkpoint(chain, path)
         states = np.array(chain.states)
         states[1, 2] = np.nan
-        rewrite(path, states=[base64.b64encode(row.tobytes()).decode() for row in states])
+        rewrite(path, body=states.astype("<f8").tobytes())
         with pytest.raises(ContractViolation) as refused:
             load_checkpoint(path)
         assert str(refused.value) == f"{path}: non-finite entry at index 1, 2"
 
     @pytest.mark.parametrize("states, error", [
-        ([], "states: [] is not a non-empty list of strings"),
-        ("AAAA", "states: 'AAAA' is not a non-empty list of strings"),
-        (None, "states: None is not a non-empty list of strings"),
-        (["not base64!"], ""),
-    ], ids=["empty", "string", "missing", "not-base64"])
+        (0, "states: 0 is not an integer >= 1"),
+        ("x", "states: 'x' is not an integer >= 1"),
+        (None, "states: None is not an integer >= 1"),
+    ], ids=["empty", "string", "missing"])
     def test_malformed_states_refused_by_path(self, tmp_path, states, error):
-        path = tmp_path / "model.json"
+        path = tmp_path / "model.chain"
         save_checkpoint(sgd_chain(CLS, 17, epochs=1), path)
         rewrite(path, states=states)
         with pytest.raises(ContractViolation) as refused:
             load_checkpoint(path)
-        assert str(refused.value).startswith(f"{path}: {error}")
+        assert str(refused.value) == f"{path}: {error}"
 
     @pytest.mark.parametrize("text, error", [
         ("[]", "checkpoint: [] is not a JSON object"),
@@ -393,6 +412,17 @@ class TestCheckpoints:
     def test_file_of_no_json_object_refused_by_path(self, tmp_path, text, error):
         path = tmp_path / "model.json"
         path.write_text(text, encoding="utf-8")
+        with pytest.raises(ContractViolation) as refused:
+            load_checkpoint(path)
+        assert str(refused.value).startswith(f"{path}: {error}")
+
+    @pytest.mark.parametrize("data, error", [
+        (b"[4, 2]\n" + bytes(8), "checkpoint: [4, 2] is not a JSON object"),
+        (bytes(range(11, 256)), "'utf-8' codec can't decode byte 0x80"),  # no newline
+    ], ids=["header-list", "binary"])
+    def test_header_of_no_json_object_refused_by_path(self, tmp_path, data, error):
+        path = tmp_path / "model.chain"
+        path.write_bytes(data)
         with pytest.raises(ContractViolation) as refused:
             load_checkpoint(path)
         assert str(refused.value).startswith(f"{path}: {error}")

@@ -2,10 +2,12 @@
 gets the bits each slice gets alone, `predict` over rows equals `predict`
 of each row, `surgery.decide` equals the per-row reference on every row of
 a stack, a similarity matrix is symmetric with a diagonal of 1.0 or None,
-and a small grid writes the same tree at `--jobs 1` and `--jobs 2`. Every
+a surgery trace's lines are the bytes `json.dumps` gives, and a small grid
+writes the same tree at `--jobs 1` and `--jobs 2`. Every
 run draws the same examples (`derandomize=True`, no example database), so
 a failure reproduces."""
 
+import json
 import tempfile
 from pathlib import Path
 from types import SimpleNamespace
@@ -20,7 +22,7 @@ from gradmix.cli import parse_config, run_experiment
 from gradmix.corpora import Split
 from gradmix.models import ModelSpec, ModelState, loss_and_grad, predict, stack_grads
 from gradmix.numcore import ContractViolation, dot, frozen
-from gradmix.surgery import decide
+from gradmix.surgery import TraceEntry, decide, trace_lines
 from gradmix.trainer import STRATEGIES
 
 import oracles
@@ -104,6 +106,31 @@ def test_decide_is_the_per_row_reference_on_every_row(stack, alpha, step):
         assert entry.to_json_dict() == {
             "step": step, "picked_lang": lang, "p_value": p, "conflicted": conflicted,
             "applied": applied, "cos_before": before, "cos_after": after}
+
+
+# Floats whose text is easy to get wrong: signed zeros, subnormals, a value
+# `repr` writes with an exponent, one it writes with 17 digits; and any float.
+trace_floats = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -1e-310, 1e16, 1 / 3, -1.0]),
+                         st.floats())
+
+
+@st.composite
+def trace_entries(draw):
+    conflicted = draw(st.booleans())
+    return TraceEntry(step=draw(st.integers(0, 10**6)),
+                      picked_lang=draw(st.sampled_from(["t0", 'q"u\\o\'te', "日本語", "é\n"])
+                                       | st.text()),
+                      p_value=draw(trace_floats), conflicted=conflicted,
+                      applied=conflicted and draw(st.booleans()),
+                      cos_before=draw(st.none() | trace_floats),
+                      cos_after=draw(st.none() | trace_floats))
+
+
+@FIXED
+@given(entries=st.lists(trace_entries(), max_size=8))
+def test_trace_lines_are_the_bytes_of_json_dumps(entries):
+    want = [(json.dumps(entry.to_json_dict()) + "\n").encode("utf-8") for entry in entries]
+    assert list(trace_lines(entries)) == want
 
 
 @st.composite
