@@ -313,22 +313,35 @@ def run_unit(cfg: dict, task: Task, unit: Sequence[Tuple[str, int, int]],
                       for group, exc in write_sim_matrices(cfg, task, records, out)]
 
 
+def sim_groups(records: Sequence[dict]) -> Dict[Tuple[str, int], List[dict]]:
+    """The records of each (strategy, K) group with a single final model per
+    run and K > 0, in (strategy, K) order."""
+    groups: Dict[Tuple[str, int], List[dict]] = {}
+    for r in records:
+        if r["strategy"] in SIM_MATRIX_KEYS and r["k"] > 0:
+            groups.setdefault((r["strategy"], r["k"]), []).append(r)
+    return dict(sorted(groups.items()))
+
+
+def final_states(records: Sequence[dict], out: Path) -> List[models.ModelState]:
+    """The last state of each record's final chain, read from `models/`."""
+    return [models.load_checkpoint(out / r["checkpoints"][SIM_MATRIX_KEYS[r["strategy"]]]).state(-1)
+            for r in records]
+
+
 def write_sim_matrix(cfg: dict, task: Task, records: Sequence[dict],
                      out: Path) -> None:
     """Write the similarity-matrix CSV of one (strategy, K) group, from the
-    records of its seeds: the last state of each seed's chain, read from
-    `models/`, measured against one analysis shot bank of the group's K
-    and shot mode. Batch size and shot mode are the ones the group's runs
-    resolved and recorded."""
+    records of its seeds: their `final_states`, measured against one
+    analysis shot bank of the group's K and shot mode. Batch size and shot
+    mode are the ones the group's runs resolved and recorded."""
     records = sorted(records, key=lambda r: r["seed"])
     strategy, k, plan = records[0]["strategy"], records[0]["k"], records[0]["plan"]
-    finals = [models.load_checkpoint(out / r["checkpoints"][SIM_MATRIX_KEYS[strategy]]).state(-1)
-              for r in records]
     shots = build_shot_bank(task.targets, k, plan["shot_mode"], task.spec.num_classes,
                             RngStreams(cfg["analysis"]["seed"]))
     rng = np.random.default_rng(np.random.SeedSequence(cfg["analysis"]["seed"]))
     m = analysis.similarity_matrix(
-        finals, [task.source, *task.targets], shots, rng,
+        final_states(records, out), [task.source, *task.targets], shots, rng,
         batch_size=plan["batch_size"],
         n_source_batches=cfg["analysis"]["source_batches"],
     )
@@ -337,16 +350,12 @@ def write_sim_matrix(cfg: dict, task: Task, records: Sequence[dict],
 
 def write_sim_matrices(cfg: dict, task: Task, records: Sequence[dict],
                        out: Path) -> List[Tuple[Tuple[str, int], Exception]]:
-    """Write the CSV of each (strategy, K) group of `records` with a single
-    final model per run and K > 0 (`write_sim_matrix`). Returns, in
-    (strategy, K) order, the group and exception of each group that raised;
-    such a group leaves no CSV, and the others are still written."""
-    groups: Dict[Tuple[str, int], List[dict]] = {}
-    for r in records:
-        if r["strategy"] in SIM_MATRIX_KEYS and r["k"] > 0:
-            groups.setdefault((r["strategy"], r["k"]), []).append(r)
+    """Write the CSV of each `sim_groups` group of `records`
+    (`write_sim_matrix`). Returns, in (strategy, K) order, the group and
+    exception of each group that raised; such a group leaves no CSV, and
+    the others are still written."""
     failed = []
-    for group, rs in sorted(groups.items()):
+    for group, rs in sim_groups(records).items():
         try:
             write_sim_matrix(cfg, task, rs, out)
         except Exception as exc:
@@ -519,8 +528,11 @@ def check_against_manifest(out: Path, paths: Iterable[Path]) -> None:
 def export_artifacts(out: Path) -> int:
     """Rebuild the aggregate report, the text table, and the similarity CSVs
     from a completed run tree whose config, records and chains are as its
-    manifest lists them (`check_against_manifest`), and print the table. A
-    group whose CSV fails raises, after the other groups' CSVs are written."""
+    manifest lists them (`check_against_manifest`), and print the table.
+    Every chain a CSV needs is read before any `aggregate/` file is
+    written, so a chain `models.load_checkpoint` refuses leaves `aggregate/`
+    as it was. A group whose CSV fails raises, after the other groups' CSVs
+    are written."""
     config_path = out / "config.json"
     if not config_path.exists():
         raise ContractViolation(f"no config.json under {out}; not a run tree")
@@ -536,6 +548,8 @@ def export_artifacts(out: Path) -> int:
     chains = (out / rel for r in records for rel in r["checkpoints"].values())
     check_against_manifest(out, itertools.chain([config_path], rec_paths, chains))
     task, _ = build_benchmark(cfg)
+    for rs in sim_groups(records).values():  # a refused chain leaves aggregate/ as it was
+        final_states(rs, out)
     table = write_report(records, out)
     failed = write_sim_matrices(cfg, task, records, out)
     if failed:

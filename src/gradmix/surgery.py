@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -57,16 +57,10 @@ class TraceEntry:
         if self.applied and not self.conflicted:
             raise ContractViolation("applied surgery without a conflict")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "step": self.step,
-            "picked_lang": self.picked_lang,
-            "p_value": self.p_value,
-            "conflicted": self.conflicted,
-            "applied": self.applied,
-            "cos_before": self.cos_before,
-            "cos_after": self.cos_after,
-        }
+
+# A trace's first line: the names of its columns, `TraceEntry`'s fields in order.
+TRACE_HEADER = (json.dumps([f.name for f in fields(TraceEntry)], separators=(",", ":"))
+                + "\n").encode("ascii")
 
 
 def _json_number(x: Optional[float]) -> str:
@@ -77,20 +71,20 @@ def _json_number(x: Optional[float]) -> str:
 
 
 def trace_lines(entries: Iterable[TraceEntry]) -> Iterator[bytes]:
-    """The JSONL line of each entry, the bytes of
-    `json.dumps(entry.to_json_dict()) + "\\n"` built from a template: each
-    language id is encoded once, floats by `repr`, the literals as they are."""
+    """The lines of a surgery trace: `TRACE_HEADER`, then each entry as one
+    compact JSON array of its fields in header order, the bytes of
+    `json.dumps(row, separators=(",", ":")) + "\\n"` built from a template:
+    each language id is encoded once, floats by `repr`, the literals as they
+    are."""
+    yield TRACE_HEADER
     langs: Dict[str, str] = {}
     for e in entries:
         lang = langs.get(e.picked_lang)
         if lang is None:
             lang = langs[e.picked_lang] = json.dumps(e.picked_lang)
-        yield (f'{{"step": {e.step}, "picked_lang": {lang}, '
-               f'"p_value": {_json_number(e.p_value)}, '
-               f'"conflicted": {"true" if e.conflicted else "false"}, '
-               f'"applied": {"true" if e.applied else "false"}, '
-               f'"cos_before": {_json_number(e.cos_before)}, '
-               f'"cos_after": {_json_number(e.cos_after)}}}\n').encode("ascii")
+        yield (f'[{e.step},{lang},{_json_number(e.p_value)},'
+               f'{"true" if e.conflicted else "false"},{"true" if e.applied else "false"},'
+               f'{_json_number(e.cos_before)},{_json_number(e.cos_after)}]\n').encode("ascii")
 
 
 def oracle_gradient(model: ModelState, oracle: Dict[str, Split], lang_id: str) -> np.ndarray:

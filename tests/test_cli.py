@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import importlib.util
 import json
 import operator
@@ -1174,6 +1175,63 @@ class TestCliMain:
         assert "Traceback" not in err
         assert err.splitlines() == [f"error: {out / stray}: {out / 'manifest.json'} "
                                     "does not list it"]
+
+    def test_export_of_a_refused_chain_leaves_aggregate_as_it_was(self, tmp_path, capsys):
+        """The chain of the last similarity group, in the layout of version 3 and
+        listed by the manifest: `export` refuses it before it writes anything."""
+        p = write_config(tmp_path, small_config_doc(
+            strategies=("zero_shot", "mix_ft", "gradient_mix_train"), seeds=(1,)))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(p), "--out", str(out)]) == 0
+        record = json.loads((out / "runs" / "mix_ft_k2_seed1" / "record.json").read_text())
+        rel = record["checkpoints"]["adapted"]
+        chain = out / rel
+        old = chain.read_bytes()
+        assert old.count(b'"format_version":4') == 1
+        chain.write_bytes(old.replace(b'"format_version":4', b'"format_version":3'))
+        manifest = out / "manifest.json"
+        listed = json.loads(manifest.read_text())
+        for entry in listed["artifacts"]:
+            if entry["path"] == rel:
+                entry["sha256"] = hashlib.sha256(chain.read_bytes()).hexdigest()
+        manifest.write_text(json.dumps(listed), encoding="utf-8")
+        agg = sorted((out / "aggregate").iterdir())
+        assert [f.name for f in agg] == ["report.json", "simmatrix_gradient_mix_train_k2.csv",
+                                         "simmatrix_mix_ft_k2.csv", "table.txt"]
+        for f in agg:
+            os.utime(f, ns=(10**18, 10**18))  # 2001: a rewrite would move it
+        before = {f: (f.read_bytes(), f.stat().st_mtime_ns) for f in agg}
+        capsys.readouterr()
+        assert main(["export", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines() == [f"error: {chain}: a version-3 checkpoint; "
+                                    "expected version 4"]
+        assert sorted((out / "aggregate").iterdir()) == agg
+        assert {f: (f.read_bytes(), f.stat().st_mtime_ns) for f in agg} == before
+
+    def test_each_surgery_trace_agrees_with_its_record(self, tmp_path):
+        doc = small_config_doc(strategies=("gradient_mix_train",), ks=(1, 2), seeds=(1, 2))
+        doc["plan"].update(source_epochs=4, batch_size=4, lr=0.8)  # so conflicts happen
+        p = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(p), "--out", str(out)]) == 0
+        totals = Counter()
+        for cell in sorted((out / "runs").iterdir()):
+            stats = json.loads((cell / "record.json").read_text())["surgery_stats"]
+            lines = (cell / "surgery_trace.jsonl").read_text().splitlines()
+            assert len(lines) == stats["steps"] + 1
+            header, *rows = map(json.loads, lines)
+            assert header == ["step", "picked_lang", "p_value", "conflicted", "applied",
+                              "cos_before", "cos_after"]
+            rows = [dict(zip(header, row)) for row in rows]
+            assert [row["step"] for row in rows] == list(range(stats["steps"]))
+            assert sum(row["conflicted"] for row in rows) == stats["conflicted"]
+            assert sum(row["applied"] for row in rows) == stats["applied"]
+            assert not [row for row in rows if row["applied"] and not row["conflicted"]]
+            totals.update(stats)
+        # some conflicts were projected and some were not (alpha 0.6)
+        assert totals["conflicted"] > totals["applied"] > 0
 
     @pytest.mark.parametrize("jobs", [0, -1])
     def test_jobs_below_one_refused(self, tmp_path, capsys, jobs):

@@ -46,7 +46,7 @@ PINS = {
     "config.json":
         "504f912cbe1b762779cf6554886cac8dd518bc934494bc271b80d93ec1fdf4e0",
     "manifest.json":
-        "e0030bac26f082a29cc820b82d98fd68dc9127ed507fb67bccf63c8767c0bc31",
+        "611fe91f5c52d667e1b5c5bc141163189da2a7a102f52be4631f399667cc2ba4",
     "models/03000e20bd40023c.chain":
         "a71ab890dd96ad5e935153875f5e0d66c5b761c12260fed01e9edd986558ec5d",
     "models/136c022c6225a73d.chain":
@@ -86,19 +86,19 @@ PINS = {
     "runs/gradient_mix_train_k1_seed1/record.json":
         "a8cd69ca5ea9b829a9f8b32aba7ab2f974142f60d4a1fc91d938195f8cb153cc",
     "runs/gradient_mix_train_k1_seed1/surgery_trace.jsonl":
-        "0b8091f4729c2e1341d59f8555b3a7723a8bba4917a2521f100f6027ca1cd767",
+        "9942e0364fa63b29a59b5824a72653116b723c48923f345f1db430d66ce4129c",
     "runs/gradient_mix_train_k1_seed2/record.json":
         "c0de40f2d7f29b3da9b116e31c05650eddc6b33925889d4073b24b3556c5c920",
     "runs/gradient_mix_train_k1_seed2/surgery_trace.jsonl":
-        "dfb1098783643efd243dfac815be586dc7b8777393e059c13cc5b277594a3eb3",
+        "c1a06c0a080a328080c92cd15b68a9a11813a2014ff6c7d5709c8dbc9fc05bc4",
     "runs/gradient_mix_train_k2_seed1/record.json":
         "990c72a2d8568e7d44bed4521e9a1f123e81eb6a1d1214636e7a1c879298be90",
     "runs/gradient_mix_train_k2_seed1/surgery_trace.jsonl":
-        "4747db486ca6b72ff61b5f671a5dd8eabd855fab7c2cf642b61d18524f27d4d8",
+        "27aa78b9531fe72367f983ce6efeb3de1800abfe5f3c3130b8539a09075defa8",
     "runs/gradient_mix_train_k2_seed2/record.json":
         "aca3e23297c8e870e13e3705891fda3d91cb4b358b542183c83d3318e423253d",
     "runs/gradient_mix_train_k2_seed2/surgery_trace.jsonl":
-        "793ebb7a8417b562bac639c2e1f2d694d6fa9409e92e7dceb35f9e7a94e8aba6",
+        "224a419a80b2ecf7675395274071301dafeead51280b4bc5c23180282a1a6354",
     "runs/mix_ft_k1_seed1/record.json":
         "348d795ae110acec4121a5c5a6b1236e22f3589399f89814e5093d35f5fc03df",
     "runs/mix_ft_k1_seed2/record.json":

@@ -3,6 +3,7 @@ chains, surgery traces, batches and language gradients equal bit for bit.
 The training loop's reference is `oracles.train_loop`, one run at a time."""
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -67,7 +68,7 @@ def chain_bytes(chain):
 
 
 def trace_text(trace):
-    return json.dumps([entry.to_json_dict() for entry in trace])
+    return json.dumps([asdict(entry) for entry in trace])
 
 
 class TestTrainingPath:

@@ -59,7 +59,7 @@ def chain_bytes(chain):
 
 
 def trace_text(trace):
-    return None if trace is None else json.dumps([e.to_json_dict() for e in trace])
+    return None if trace is None else json.dumps([dataclasses.asdict(e) for e in trace])
 
 
 def check_column(task, plans, monkeypatch):

@@ -6,6 +6,7 @@ bit fails here, whatever the reference implementations say."""
 
 import hashlib
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -101,7 +102,7 @@ def decide_stack(name):
 def decide_digests(name):
     G, O, picks = decide_stack(name)
     G_out, entries = decide(G, O, picks, 7, 0.5)
-    trace = json.dumps([e.to_json_dict() for e in entries])
+    trace = json.dumps([asdict(e) for e in entries])
     return sha(G_out.tobytes()), sha(trace.encode())
 
 

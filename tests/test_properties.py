@@ -1,14 +1,16 @@
 """Properties of the numeric core on generated inputs: a stack of slices
 gets the bits each slice gets alone, `predict` over rows equals `predict`
 of each row, `surgery.decide` equals the per-row reference on every row of
-a stack, a similarity matrix is symmetric with a diagonal of 1.0 or None,
-a surgery trace's lines are the bytes `json.dumps` gives, and a small grid
-writes the same tree at `--jobs 1` and `--jobs 2`. Every
-run draws the same examples (`derandomize=True`, no example database), so
-a failure reproduces."""
+a stack, a similarity matrix is symmetric with a diagonal of 1.0 or None, a
+surgery trace is a header line and then one compact `json.dumps` array per
+entry that decodes to the entry, and a small grid writes the same tree at
+`--jobs 1` and `--jobs 2`. Every run draws the same examples
+(`derandomize=True`, no example database), so a failure reproduces."""
 
 import json
+import math
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -103,7 +105,7 @@ def test_decide_is_the_per_row_reference_on_every_row(stack, alpha, step):
         before = oracles.cosine_similarity(o, g)
         after = oracles.cosine_similarity(o, want) if applied else before
         assert G_out[i].tobytes() == want.tobytes()
-        assert entry.to_json_dict() == {
+        assert asdict(entry) == {
             "step": step, "picked_lang": lang, "p_value": p, "conflicted": conflicted,
             "applied": applied, "cos_before": before, "cos_after": after}
 
@@ -126,11 +128,20 @@ def trace_entries(draw):
                       cos_after=draw(st.none() | trace_floats))
 
 
+def compact(value) -> bytes:
+    return (json.dumps(value, separators=(",", ":")) + "\n").encode("utf-8")
+
+
 @FIXED
 @given(entries=st.lists(trace_entries(), max_size=8))
 def test_trace_lines_are_the_bytes_of_json_dumps(entries):
-    want = [(json.dumps(entry.to_json_dict()) + "\n").encode("utf-8") for entry in entries]
-    assert list(trace_lines(entries)) == want
+    header = ["step", "picked_lang", "p_value", "conflicted", "applied", "cos_before", "cos_after"]
+    lines = list(trace_lines(entries))
+    assert lines == [compact(header)] + [compact([*asdict(e).values()]) for e in entries]
+    for entry, line in zip(entries, lines[1:]):
+        row = asdict(entry)
+        if all(math.isfinite(v) for v in row.values() if isinstance(v, float)):
+            assert dict(zip(header, json.loads(line))) == row
 
 
 @st.composite
