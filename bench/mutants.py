@@ -94,6 +94,24 @@ MUTANTS: List[Mutant] = [
     Mutant("trace-no-header", "src/gradmix/surgery.py",
            "yield TRACE_HEADER",
            "pass"),
+    Mutant("stackable-no-pool-size", "src/gradmix/trainer.py",
+           "run.alpha,\n             len(run.pool)) for run in runs}",
+           "run.alpha)\n            for run in runs}"),
+    Mutant("fallback-first-run-only", "src/gradmix/trainer.py",
+           "for run in runs for trained in train_lockstep([run])",
+           "for run in runs[:1] for trained in train_lockstep([run])"),
+    Mutant("prefill-no-empty-skip", "src/gradmix/trainer.py",
+           "        if not todo:\n            continue\n",
+           ""),
+    Mutant("run-final-state-0", "src/gradmix/cli.py",
+           "result.checkpoints[final].state(-1)",
+           "result.checkpoints[final].state(0)"),
+    Mutant("export-final-state-0", "src/gradmix/cli.py",
+           "models.load_checkpoint(out / rel).state(-1)",
+           "models.load_checkpoint(out / rel).state(0)"),
+    Mutant("shot-mode-named-as-ks", "src/gradmix/cli.py",
+           '"plan.shot_mode: n-way k-shot sampling',
+           '"grid.ks: n-way k-shot sampling'),
 ]
 
 # Survivors that change no behaviour, by name, and why.
@@ -111,8 +129,10 @@ def copy_tree(dest: Path) -> None:
 
 
 def first_failure(output: str) -> str:
-    """The first test pytest's summary names as failed or erroring."""
-    for line in output.splitlines():
+    """The first test pytest's summary names as failed or erroring. Only the
+    lines after the summary's header are read, since a test's captured
+    output may hold lines that start with "FAILED " too."""
+    for line in output.split("short test summary info", 1)[-1].splitlines():
         if line.startswith(("FAILED ", "ERROR ")):
             return line.split(" ", 1)[1].split(" - ", 1)[0]
     return output.strip().splitlines()[-1] if output.strip() else "no output"

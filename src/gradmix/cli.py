@@ -239,14 +239,15 @@ def write_json(path: Path, obj) -> None:
     write_atomic(path, (json.dumps(obj, indent=2, allow_nan=False) + "\n").encode("utf-8"))
 
 
-def run_cell(cfg: dict, task: Task, strategy: str, k: int, seed: int,
-             out: Path, stages: Optional[Stages] = None) -> dict:
+def run_cell(cfg: dict, task: Task, strategy: str, k: int, seed: int, out: Path,
+             stages: Optional[Stages] = None) -> Tuple[dict, Optional[models.ModelState]]:
     """Run one grid cell and write its trace, then its chains, then its
-    record; returns the record. Cells given one `stages` dict share trained
-    phases. A cell directory with a record is complete: if a write fails,
-    the cell directory is removed. Its chains stay, since another cell may
-    have written or may read the same file; `run_experiment` removes those
-    that no record references."""
+    record; returns the record and, for a `SIM_MATRIX_KEYS` strategy, the
+    last state of its final chain. Cells given one `stages` dict share
+    trained phases. A cell directory with a record is complete: if a write
+    fails, the cell directory is removed. Its chains stay, since another
+    cell may have written or may read the same file; `run_experiment`
+    removes those that no record references."""
     plan = make_plan(cfg, strategy, k, seed)
     result = run_strategy(plan, task, stages=stages)
     cell_dir = out / "runs" / cell_name(strategy, k, seed)
@@ -266,7 +267,8 @@ def run_cell(cfg: dict, task: Task, strategy: str, k: int, seed: int,
     except BaseException:
         shutil.rmtree(cell_dir, ignore_errors=True)
         raise
-    return result.record
+    final = SIM_MATRIX_KEYS.get(strategy)
+    return result.record, None if final is None else result.checkpoints[final].state(-1)
 
 
 FAILURE_FRAMES = 3  # innermost traceback frames kept in a failure entry
@@ -287,7 +289,8 @@ def run_unit(cfg: dict, task: Task, unit: Sequence[Tuple[str, int, int]],
     """Run one unit (`stage_units`), as every `--jobs` does: column by column
     (`columns`) over its own stages dict, which `trainer.prefill` fills
     before a column's cells run and which drops each entry after its last
-    column; then write its similarity CSVs (`write_sim_matrices`). Returns
+    column; then write its similarity CSVs (`write_sim_matrices`) from the
+    last states of the chains its cells trained, reading none back. Returns
     (cell, record, None) or (cell, None, failure entry) for each cell, and
     ((strategy, K), failure entry) for each group whose CSV failed. The
     entries are made here, so a worker's traceback survives."""
@@ -298,19 +301,23 @@ def run_unit(cfg: dict, task: Task, unit: Sequence[Tuple[str, int, int]],
         for cell in column:
             last_use.update(dict.fromkeys(trainer.stage_keys(plans[cell], task).values(), i))
     stages: Stages = {}
-    outcomes, records = [], []
+    outcomes, records, finals = [], [], {}
     for i, column in enumerate(cols):
         trainer.prefill([plans[cell] for cell in column], task, stages)
         for cell in column:
             try:
-                records.append(run_cell(cfg, task, *cell, out, stages=stages))
-                outcomes.append((cell, records[-1], None))
+                record, final = run_cell(cfg, task, *cell, out, stages=stages)
             except Exception as exc:
                 outcomes.append((cell, None, failure_entry(cell_name(*cell), exc)))
+                continue
+            outcomes.append((cell, record, None))
+            records.append(record)
+            if final is not None:
+                finals[final_chain(record)] = final
         for key in [key for key, last in last_use.items() if last == i]:
             stages.pop(key, None)
     return outcomes, [(group, failure_entry("aggregate", exc))
-                      for group, exc in write_sim_matrices(cfg, task, records, out)]
+                      for group, exc in write_sim_matrices(cfg, task, records, finals, out)]
 
 
 def sim_groups(records: Sequence[dict]) -> Dict[Tuple[str, int], List[dict]]:
@@ -323,25 +330,25 @@ def sim_groups(records: Sequence[dict]) -> Dict[Tuple[str, int], List[dict]]:
     return dict(sorted(groups.items()))
 
 
-def final_states(records: Sequence[dict], out: Path) -> List[models.ModelState]:
-    """The last state of each record's final chain, read from `models/`."""
-    return [models.load_checkpoint(out / r["checkpoints"][SIM_MATRIX_KEYS[r["strategy"]]]).state(-1)
-            for r in records]
+def final_chain(record: dict) -> str:
+    """The path, in the run tree, of a `sim_groups` record's final chain."""
+    return record["checkpoints"][SIM_MATRIX_KEYS[record["strategy"]]]
 
 
 def write_sim_matrix(cfg: dict, task: Task, records: Sequence[dict],
-                     out: Path) -> None:
+                     finals: Dict[str, models.ModelState], out: Path) -> None:
     """Write the similarity-matrix CSV of one (strategy, K) group, from the
-    records of its seeds: their `final_states`, measured against one
-    analysis shot bank of the group's K and shot mode. Batch size and shot
-    mode are the ones the group's runs resolved and recorded."""
+    records of its seeds: the last states of their final chains (`finals`,
+    by `final_chain`), measured against one analysis shot bank of the
+    group's K and shot mode. Batch size and shot mode are the ones the
+    group's runs resolved and recorded."""
     records = sorted(records, key=lambda r: r["seed"])
     strategy, k, plan = records[0]["strategy"], records[0]["k"], records[0]["plan"]
     shots = build_shot_bank(task.targets, k, plan["shot_mode"], task.spec.num_classes,
                             RngStreams(cfg["analysis"]["seed"]))
     rng = np.random.default_rng(np.random.SeedSequence(cfg["analysis"]["seed"]))
     m = analysis.similarity_matrix(
-        final_states(records, out), [task.source, *task.targets], shots, rng,
+        [finals[final_chain(r)] for r in records], [task.source, *task.targets], shots, rng,
         batch_size=plan["batch_size"],
         n_source_batches=cfg["analysis"]["source_batches"],
     )
@@ -349,15 +356,17 @@ def write_sim_matrix(cfg: dict, task: Task, records: Sequence[dict],
 
 
 def write_sim_matrices(cfg: dict, task: Task, records: Sequence[dict],
+                       finals: Dict[str, models.ModelState],
                        out: Path) -> List[Tuple[Tuple[str, int], Exception]]:
     """Write the CSV of each `sim_groups` group of `records`
-    (`write_sim_matrix`). Returns, in (strategy, K) order, the group and
-    exception of each group that raised; such a group leaves no CSV, and
-    the others are still written."""
+    (`write_sim_matrix`), from `finals`, the last state of each record's
+    final chain by `final_chain`. Returns, in (strategy, K) order, the
+    group and exception of each group that raised; such a group leaves no
+    CSV, and the others are still written."""
     failed = []
     for group, rs in sim_groups(records).items():
         try:
-            write_sim_matrix(cfg, task, rs, out)
+            write_sim_matrix(cfg, task, rs, finals, out)
         except Exception as exc:
             failed.append((group, exc))
     return failed
@@ -426,10 +435,10 @@ def run_experiment(cfg: dict, out: Path, jobs: int = 1) -> int:
     `out` must be missing or empty: the manifest lists every file under it,
     so a used tree would mix another run's artifacts into this one's. The
     Task, and one shot bank per K, are made before `out` is, so a benchmark,
-    model or K they refuse leaves nothing behind; so is a source with no
-    train example (every strategy pools from it) and a language with no dev
-    split whose dev curve picks an epoch: the source's when there is a
-    source epoch to pick, as every strategy does, and each target's when
+    model, shot mode or K they refuse leaves nothing behind; so is a source
+    with no train example (every strategy pools from it) and a language with
+    no dev split whose dev curve picks an epoch: the source's when there is
+    a source epoch to pick, as every strategy does, and each target's when
     `ord_fs_dev` has an adapt epoch to pick.
     """
     if jobs < 1:
@@ -440,7 +449,11 @@ def run_experiment(cfg: dict, out: Path, jobs: int = 1) -> int:
         raise ContractViolation(f"--out {out} is a file; choose a new --out")
     task, manifest = build_benchmark(cfg)
     cells = grid_cells(cfg)
-    for k in sorted({k for _, k, _ in cells if k > 0}):  # the data decides, whatever the seed
+    ks = sorted({k for _, k, _ in cells if k > 0})
+    if ks and cfg["plan"]["shot_mode"] == "n_way_k_shot" and task.spec.family != "softmax_classifier":
+        raise ContractViolation("plan.shot_mode: n-way k-shot sampling applies to classification "
+                                f"tasks, not to {task.spec.family}")
+    for k in ks:  # the data decides, whatever the seed
         try:
             build_shot_bank(task.targets, k, cfg["plan"]["shot_mode"], task.spec.num_classes,
                             RngStreams(cfg["grid"]["seeds"][0]))
@@ -529,7 +542,7 @@ def export_artifacts(out: Path) -> int:
     """Rebuild the aggregate report, the text table, and the similarity CSVs
     from a completed run tree whose config, records and chains are as its
     manifest lists them (`check_against_manifest`), and print the table.
-    Every chain a CSV needs is read before any `aggregate/` file is
+    Every chain a CSV needs is read once, before any `aggregate/` file is
     written, so a chain `models.load_checkpoint` refuses leaves `aggregate/`
     as it was. A group whose CSV fails raises, after the other groups' CSVs
     are written."""
@@ -548,10 +561,11 @@ def export_artifacts(out: Path) -> int:
     chains = (out / rel for r in records for rel in r["checkpoints"].values())
     check_against_manifest(out, itertools.chain([config_path], rec_paths, chains))
     task, _ = build_benchmark(cfg)
-    for rs in sim_groups(records).values():  # a refused chain leaves aggregate/ as it was
-        final_states(rs, out)
+    # the last state of each chain a CSV needs: a refused chain leaves aggregate/ as it was
+    finals = {rel: models.load_checkpoint(out / rel).state(-1) for rel in dict.fromkeys(
+        final_chain(r) for rs in sim_groups(records).values() for r in rs)}
     table = write_report(records, out)
-    failed = write_sim_matrices(cfg, task, records, out)
+    failed = write_sim_matrices(cfg, task, records, finals, out)
     if failed:
         raise failed[0][1]
     print(table)

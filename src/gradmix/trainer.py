@@ -31,8 +31,8 @@ this model size a step costs numpy call overhead, not arithmetic. So
 `prefill` trains them together in `train_lockstep`: one stacked
 forward/backward, surgery decision and update per step, giving each run
 the bits it gets alone. The same loop trains, one run at a time, what does
-not stack (ragged tagger pools) and a run with a `step_hook`; a stack that
-raises is trained again job by job.
+not stack (ragged tagger pools); a stack that raises is trained again job
+by job.
 
 Every strategy trains on all of the task's targets, and one rule picks each
 language's epoch (`_best_epoch`, on the dev curve the strategy names):
@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from dataclasses import MISSING, asdict, dataclass, fields
 from types import TracebackType
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -82,8 +82,6 @@ STRATEGIES = (
 )
 ONE_STEP = ("naive_mix_train", "gradient_mix_train")
 TWO_STEP = ("ord_fs", "ord_fs_dev", "mix_ft")
-
-StepHook = Callable[[int, ModelState], None]
 
 
 @dataclass(frozen=True)
@@ -197,11 +195,11 @@ Trained = Tuple[Chain, Optional[List[TraceEntry]]]  # a chain and its trace
 
 
 def stackable(runs: Sequence[Run]) -> bool:
-    """Whether `train_lockstep` takes these runs: one run of either layout,
-    or two or more trained alike (spec, epochs, batch size, lr, surgery or
-    none, alpha) on dense pools of one size. Their oracle batches then have
-    one size too: one K and shot mode give every language the same number
-    of shots."""
+    """Whether `train_lockstep` trains these runs as one stack: one run of
+    either layout, or two or more trained alike (spec, epochs, batch size,
+    lr, surgery or none, alpha) on dense pools of one size. Their oracle
+    batches then have one size too: one K and shot mode give every language
+    the same number of shots."""
     if len(runs) <= 1:
         return len(runs) == 1
     like = {(run.state0.spec, run.epochs, run.batch_size, run.lr, run.oracle is None, run.alpha,
@@ -212,26 +210,24 @@ def stackable(runs: Sequence[Run]) -> bool:
                 for batch in run.oracle.values()}) <= 1
 
 
-def train_lockstep(runs: Sequence[Run], step_hook: Optional[StepHook] = None) -> List[Trained]:
-    """The one training loop: fixed-epoch SGD of `stackable` runs, each over
+def train_lockstep(runs: Sequence[Run]) -> List[Trained]:
+    """The one training loop: fixed-epoch SGD of any runs, each over
     per-epoch reshuffles of its pool (`corpora.epoch_order`), returning each
     run's chain [state0, state after epoch 1, ..., after epoch `epochs`] and
-    its surgery trace. A step stacks every run's batch for one
-    forward/backward (`models.stack_grads`); with surgery, each run draws
-    (`surgery.pick`), the picked languages' oracle gradients are one more
-    stack, and `surgery.decide` decides for all runs; then one update of the
-    (S, P) parameters, each row copied at each epoch end into its run's chain.
-    Each run gets the bits it gets alone. A single run, a ragged (tagger)
-    pool among them, trains on its `batch_iter` batches, gathered once per
-    epoch and cut at the batch bounds. Every pool and oracle batch is
-    checked once, every slice's loss and gradient and every update is
-    checked finite, lr must be non-negative and a batch must hold tokens.
-    `step_hook(step, state)` sees every step of a single run."""
-    if not stackable(runs):
-        raise ContractViolation("lockstep training needs one run, or two or more runs "
-                                "trained alike on dense pools of one size")
-    if step_hook is not None and len(runs) > 1:
-        raise ContractViolation("a step hook needs a stack of one run")
+    its surgery trace, in the order of `runs`. Runs that are `stackable`
+    train as one stack, and runs that are not train one at a time. A step
+    stacks every run's batch for one forward/backward (`models.stack_grads`);
+    with surgery, each run draws (`surgery.pick`), the picked languages'
+    oracle gradients are one more stack, and `surgery.decide` decides for
+    all runs; then one update of the (S, P) parameters, each row copied at
+    each epoch end into its run's chain. Each run gets the bits it gets
+    alone. A single run, a ragged (tagger) pool among them, trains on its
+    `batch_iter` batches, gathered once per epoch and cut at the batch
+    bounds. Every pool and oracle batch is checked once, every slice's loss
+    and gradient and every update is checked finite, lr must be
+    non-negative and a batch must hold tokens."""
+    if not stackable(runs):  # each run alone: a single run always stacks
+        return [trained for run in runs for trained in train_lockstep([run])]
     r0 = runs[0]
     spec, surgery, size, n = r0.state0.spec, r0.oracle is not None, r0.batch_size, len(r0.pool)
     if r0.lr < 0:
@@ -285,8 +281,6 @@ def train_lockstep(runs: Sequence[Run], step_hook: Optional[StepHook] = None) ->
             if not np.isfinite(theta).all():
                 raise ContractViolation("non-finite parameters after an update")
             step += 1
-            if step_hook is not None:
-                step_hook(step, ModelState(spec=spec, theta=theta[0]))
         for chain, row in zip(chains, theta):
             chain[epoch] = row
     return [(Chain(spec, frozen(chain)), trace) for chain, trace in zip(chains, traces)]
@@ -295,11 +289,10 @@ def train_lockstep(runs: Sequence[Run], step_hook: Optional[StepHook] = None) ->
 # --- spec operations ----------------------------------------------------------
 
 
-def run_source_training(plan: TrainPlan, source: LanguageCorpus, spec: ModelSpec,
-                        step_hook: Optional[StepHook] = None) -> Chain:
+def run_source_training(plan: TrainPlan, source: LanguageCorpus, spec: ModelSpec) -> Chain:
     """Fine-tune a model of `spec`, from `init_params` of the plan's seed, on
     the source language alone; returns the chain, epoch 0 first."""
-    [(chain, _)] = train_lockstep([_pool_run(plan, source, [], None, spec)], step_hook)
+    [(chain, _)] = train_lockstep([_pool_run(plan, source, [], None, spec)])
     return chain
 
 
@@ -361,13 +354,13 @@ def _pool_run(plan: TrainPlan, source: LanguageCorpus, targets: Sequence[Languag
 
 def run_mixed_training(plan: TrainPlan, source: LanguageCorpus,
                        targets: Sequence[LanguageCorpus], shots: Optional[Shots],
-                       spec: ModelSpec, step_hook: Optional[StepHook] = None) -> Trained:
+                       spec: ModelSpec) -> Trained:
     """One-step training of a model of `spec`, from `init_params` of the
     plan's seed, on the pooled source + shots dataset (with surgery for
     gradient_mix_train); returns the chain, epoch 0 first, and the trace."""
     if plan.strategy not in ONE_STEP:
         raise ContractViolation(f"{plan.strategy} is not a one-step strategy")
-    return train_lockstep([_pool_run(plan, source, targets, shots, spec)], step_hook)[0]
+    return train_lockstep([_pool_run(plan, source, targets, shots, spec)])[0]
 
 
 def evaluate(model: ModelState, corpus: LanguageCorpus, split: str) -> float:
@@ -479,12 +472,11 @@ def _job(kind: str, plan: TrainPlan, task: Task, stages: Stages
     return runs, _adapt_corpora(plan, targets)
 
 
-def _made(kind: str, plans: Dict[tuple, TrainPlan], task: Task, stages: Stages,
-          step_hook: Optional[StepHook]) -> Dict[tuple, Union[Stage, Shots]]:
+def _made(kind: str, plans: Dict[tuple, TrainPlan], task: Task,
+          stages: Stages) -> Dict[tuple, Union[Stage, Shots]]:
     """The entry of `kind` of each plan, by key: a shot bank, or a stage
     with each chain's dev curves. The runs of every job are made afresh and
-    train in one stack if they are `stackable` and no hook is given, else
-    one at a time."""
+    trained in one `train_lockstep` call."""
     if kind == "shots":
         return {key: build_shot_bank(task.targets, plan.k, plan.shot_mode, task.spec.num_classes,
                                      RngStreams(plan.seed))
@@ -492,11 +484,8 @@ def _made(kind: str, plans: Dict[tuple, TrainPlan], task: Task, stages: Stages,
     jobs = {}
     for key, plan in plans.items():  # a loop, so a failure's innermost frames name `_made`
         jobs[key] = _job(kind, plan, task, stages)
-    runs = [run for job_runs, _ in jobs.values() for run in job_runs.values()]
-    if step_hook is None and stackable(runs):
-        results = iter(train_lockstep(runs))
-    else:
-        results = iter([train_lockstep([run], step_hook)[0] for run in runs])
+    results = iter(train_lockstep([run for job_runs, _ in jobs.values()
+                                   for run in job_runs.values()]))
     made = {}
     for key, (job_runs, dev) in jobs.items():
         trained = {name: next(results) for name in job_runs}
@@ -508,28 +497,30 @@ def _made(kind: str, plans: Dict[tuple, TrainPlan], task: Task, stages: Stages,
     return made
 
 
-def prefill(plans: Sequence[TrainPlan], task: Task, stages: Stages,
-            step_hook: Optional[StepHook] = None) -> None:
+def prefill(plans: Sequence[TrainPlan], task: Task, stages: Stages) -> None:
     """Make every entry that the cells of `plans` (one column: the seeds of a
     (strategy, K), ord_fs and ord_fs_dev at one K together) look up
     (`stage_keys`) and `stages` lacks, kind by kind: shot banks, then
     source, adapt and one-step stages, the runs of each kind across seeds
-    and (ord_fs family) target languages trained together (`_made`). If
-    that raises, each entry is made again alone. Never raises: an entry
-    that cannot be made is stored as `Failed`, with the exception it raised
-    alone, which every cell that looks it up raises."""
+    and (ord_fs family) target languages trained in one `train_lockstep`
+    call (`_made`); a kind with nothing to make is skipped. If that raises,
+    each entry is made again alone. Never raises: an entry that cannot be
+    made is stored as `Failed`, with the exception it raised alone, which
+    every cell that looks it up raises."""
     for kind in ("shots", "source", "adapt", "one_step"):
         todo: Dict[tuple, TrainPlan] = {}
         for plan in plans:
             key = stage_keys(plan, task).get(kind)
             if key is not None and key not in stages:
                 todo.setdefault(key, plan)
+        if not todo:
+            continue
         try:
-            stages.update(_made(kind, todo, task, stages, step_hook))
+            stages.update(_made(kind, todo, task, stages))
         except Exception:
             for key, plan in todo.items():
                 try:
-                    stages.update(_made(kind, {key: plan}, task, stages, step_hook))
+                    stages.update(_made(kind, {key: plan}, task, stages))
                 except Exception as exc:
                     stages[key] = Failed(exc, exc.__traceback__)
 
@@ -537,24 +528,18 @@ def prefill(plans: Sequence[TrainPlan], task: Task, stages: Stages,
 # --- full strategy runs ---------------------------------------------------------
 
 
-def run_strategy(
-    plan: TrainPlan,
-    task: Task,
-    step_hook: Optional[StepHook] = None,
-    stages: Optional[Stages] = None,
-) -> RunResult:
+def run_strategy(plan: TrainPlan, task: Task, stages: Optional[Stages] = None) -> RunResult:
     """Execute one (strategy, k, seed) cell and assemble its run record
     from the shot bank and stages it looks up in `stages`, which `prefill`
     fills with what is missing. Cells given one dict share through it the
     shot bank, the source stage (zero_shot and every two-step cell), the
     adapt stage (ord_fs and ord_fs_dev) and the one-step stage; a stage
     trained in lockstep with other seeds is bitwise the one this cell
-    trains alone. Without `stages`, or with a `step_hook` (which then sees
-    every step of the cell's runs), the cell uses a fresh dict.
+    trains alone. Without `stages`, the cell uses a fresh dict.
     """
-    if stages is None or step_hook is not None:
+    if stages is None:
         stages = {}
-    prefill([plan], task, stages, step_hook)
+    prefill([plan], task, stages)
     targets = task.targets
     keys = stage_keys(plan, task)
     source = task.source

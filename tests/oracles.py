@@ -13,7 +13,8 @@ They keep the earlier formulations:
   conflict test and `project_gradient`, and the per-batch source-gradient
   loop;
 - the per-run training loop built from those steps (`train_loop`), the
-  reference for `trainer.train_lockstep`.
+  reference for `trainer.train_lockstep`, and `record_steps`, which reads
+  the parameters of every step `trainer.train_lockstep` takes.
 """
 
 import math
@@ -21,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from gradmix import analysis
+from gradmix import analysis, trainer
 from gradmix.corpora import OUTSIDE_LABEL, LanguageCorpus, Split
 from gradmix.models import Chain, GradReport, ModelState, predict
 from gradmix.numcore import ContractViolation, dot, frozen
@@ -196,25 +197,26 @@ def sgs_step(g_train, oracle, model, alpha, rng, step=0):
 
 
 def train_loop(run, step_hook=None):
-    """`trainer.train_lockstep([run], step_hook)[0]` as one run's loop over
-    the per-step path: fixed-epoch SGD over per-epoch reshuffles of the
-    pool, with the surgery decision between backprop and the update when
-    the run has oracle batches. Returns the chain, epoch 0 first, and the
-    trace."""
+    """`trainer.train_lockstep([run])[0]` as one run's loop over the
+    per-step path: fixed-epoch SGD over per-epoch reshuffles of the pool,
+    with the surgery decision between backprop and the update when the run
+    has oracle batches. Returns the chain, epoch 0 first, and the trace.
+    `step_hook(step, state)` sees the state each step starts from, as
+    `record_steps` does."""
     state = run.state0
     chain = [state]
     trace = [] if run.oracle is not None else None
     step = 0
     for epoch in range(1, run.epochs + 1):
         for batch in batch_iter(run.pool, run.batch_size, epoch, run.rng, scope=run.scope):
+            if step_hook is not None:
+                step_hook(step, state)
             grad = loss_and_grad(state, batch).grad
             if run.oracle is not None:
                 grad, entry = sgs_step(grad, run.oracle, state, run.alpha, run.rng, step=step)
                 trace.append(entry)
             state = sgd_step(state, grad, run.lr)
             step += 1
-            if step_hook is not None:
-                step_hook(step, state)
         chain.append(state)
     return Chain(state.spec, frozen(np.stack([s.theta for s in chain]))), trace
 
@@ -222,6 +224,25 @@ def train_loop(run, step_hook=None):
 def train_one_by_one(runs, step_hook=None):
     """`trainer.train_lockstep` by `train_loop`, one run at a time."""
     return [train_loop(run, step_hook) for run in runs]
+
+
+def record_steps(monkeypatch):
+    """A list that collects, while `monkeypatch` holds, the parameters each
+    step of `trainer.train_lockstep` starts from: the bytes of the (S, P)
+    stack that `trainer.stack_grads` is called with, once per step. A
+    surgery step takes its oracle gradients at the parameters of its batch
+    gradients, the same array, so its second call adds nothing."""
+    steps, last = [], [None]  # `last` keeps the array alive, so no new one shares its id
+    stack_grads = trainer.stack_grads
+
+    def spy(spec, theta, X, y):
+        if theta is not last[0]:
+            last[0] = theta
+            steps.append(theta.tobytes())
+        return stack_grads(spec, theta, X, y)
+
+    monkeypatch.setattr(trainer, "stack_grads", spy)
+    return steps
 
 
 def source_gradient(model, corpus, rng, batch_size=32, n_batches=100):

@@ -41,7 +41,8 @@ from gradmix.numcore import RngStreams, dot, frozen
 from gradmix.trainer import Task, TrainPlan, prefill, run_strategy
 from gradmix.cli import load_config, run_experiment
 
-from oracles import decide_one, distant_lang_ids, finite_diff_grad, norm, to_arrays
+from oracles import (decide_one, distant_lang_ids, finite_diff_grad, norm, record_steps,
+                     to_arrays)
 
 # Shipped experiment settings (mirrors configs/default.json).
 SHIPPED_PLAN = dict(
@@ -176,33 +177,29 @@ def test_ac2_surgery_kernel_properties():
     report("AC2 surgery kernel properties", not failures, "; ".join(failures[:3]))
 
 
-def test_ac3_trajectory_equivalence():
+def test_ac3_trajectory_equivalence(monkeypatch):
     task, _ = shipped_task()
     bad = []
+
+    def trajectory(plan, task):
+        """The parameters every training step starts from, then the model."""
+        with monkeypatch.context() as m:
+            steps = record_steps(m)
+            result = run_strategy(plan, task)
+        return steps + [result.checkpoints["model"].states[-1].tobytes()]
+
     for seed in (1, 2, 3):
         trajs = {}
         for strategy, alpha in (("naive_mix_train", 0.6), ("gradient_mix_train", 0.0)):
-            steps = []
-            run_strategy(
-                make_plan(strategy, seed, source_epochs=3, alpha=alpha),
-                task,
-                step_hook=lambda i, st: steps.append(st.theta.tobytes()),
-            )
-            trajs[strategy] = steps
+            trajs[strategy] = trajectory(
+                make_plan(strategy, seed, source_epochs=3, alpha=alpha), task)
         if trajs["naive_mix_train"] != trajs["gradient_mix_train"]:
             bad.append(f"alpha0 seed {seed}")
     # naive with zero targets == source-only training
     no_targets = Task(task.spec, task.source, ())
     for seed in (1, 2, 3):
-        a, b = [], []
-        run_strategy(
-            make_plan("naive_mix_train", seed, source_epochs=3),
-            no_targets, step_hook=lambda i, st: a.append(st.theta.tobytes()),
-        )
-        run_strategy(
-            make_plan("zero_shot", seed, source_epochs=3),
-            task, step_hook=lambda i, st: b.append(st.theta.tobytes()),
-        )
+        a = trajectory(make_plan("naive_mix_train", seed, source_epochs=3), no_targets)
+        b = trajectory(make_plan("zero_shot", seed, source_epochs=3), task)
         if a != b:
             bad.append(f"zero-target seed {seed}")
     report("AC3 trajectory equivalence", not bad, "; ".join(bad))

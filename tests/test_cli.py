@@ -625,6 +625,23 @@ class TestTsvBenchmark:
         assert ("error: s train: softmax_classifier cannot take a batch of this layout "
                 "(with sequence offsets)\n") in capsys.readouterr().err
 
+    @pytest.mark.parametrize("strategies", [("zero_shot", "ord_fs"), ("naive_mix_train",),
+                                            ("zero_shot",)])
+    def test_n_way_shots_of_a_tagger_refused_by_shot_mode(self, tmp_path, capsys, strategies):
+        # a shot mode that cannot draw from token sequences, whatever K is
+        doc = tsv_doc(tmp_path, task="token_tags")
+        doc["model"]["family"] = "mlp_token_tagger"
+        doc["grid"]["strategies"] = list(strategies)
+        doc["plan"]["shot_mode"] = "n_way_k_shot"
+        code, out = self.run(tmp_path, doc)
+        err = capsys.readouterr().err
+        if strategies == ("zero_shot",):  # no cell draws shots
+            assert code == 0 and out.exists()
+            return
+        assert code == 2 and not out.exists()
+        assert err == ("error: plan.shot_mode: n-way k-shot sampling applies to classification "
+                       "tasks, not to mlp_token_tagger\n")
+
     @pytest.mark.parametrize("key, value, error", [
         ("num_classes", "5", "benchmark.num_classes: '5' is not an integer >= 2"),
         ("num_classes", True, "benchmark.num_classes: True is not an integer >= 2"),
@@ -1004,15 +1021,42 @@ class TestExport:
         assert export_artifacts(out) == 0
         assert {p.name: p.read_bytes() for p in agg.iterdir()} == before
 
+    def test_run_reads_no_chain_back_and_export_reads_each_chain_once_per_use(
+            self, tmp_path, monkeypatch):
+        loads, reads = [], []
+        load, read_bytes = models.load_checkpoint, Path.read_bytes
+        monkeypatch.setattr(models, "load_checkpoint",
+                            lambda path: loads.append(Path(path).name) or load(path))
+        monkeypatch.setattr(Path, "read_bytes", lambda path: (
+            reads.append(path.name) if path.suffix == ".chain" else None) or read_bytes(path))
+        out = tmp_path / "out"
+        assert run_experiment(parse_config(small_config_doc(
+            strategies=("zero_shot", "mix_ft", "gradient_mix_train"))), out) == 0
+        # the CSVs take the final states the unit trained; the manifest hashes each chain
+        chains = sorted(p.name for p in (out / "models").iterdir())
+        assert loads == [] and sorted(reads) == chains
+        assert len(chains) == 2 * 3  # per seed: the source, mix_ft's and gradient_mix_train's
+        reads.clear()
+        assert export_artifacts(out) == 0
+        # each chain a record names hashed against the manifest, then the
+        # final chain of each mix_ft and gradient_mix_train record parsed once
+        records = {p.parent.name: json.loads(p.read_text())
+                   for p in (out / "runs").glob("*/record.json")}
+        named = [Path(rel).name for r in records.values() for rel in r["checkpoints"].values()]
+        finals = [Path(r["checkpoints"]["adapted" if cell.startswith("mix_ft") else "model"]).name
+                  for cell, r in records.items() if not cell.startswith("zero_shot")]
+        assert sorted(loads) == sorted(finals) and len(set(finals)) == 2 * 2
+        assert sorted(reads) == sorted(named + finals) and len(named) == 2 + 2 * 2 + 2
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_aggregate_failure_recorded_by_run_raised_by_export(self, tmp_path, monkeypatch,
                                                                  jobs):
         write = cli.write_sim_matrix
 
-        def fail(cfg, task, records, out):
+        def fail(cfg, task, records, finals, out):
             if records[0]["strategy"] != "gradient_mix_train":
                 raise RuntimeError(f"similarity failed: {records[0]['strategy']}")
-            return write(cfg, task, records, out)
+            return write(cfg, task, records, finals, out)
 
         monkeypatch.setattr(cli, "write_sim_matrix", fail)
         cfg = parse_config(small_config_doc(
@@ -1268,12 +1312,12 @@ class TestLockstep:
         held = []  # (column, kinds held) when each column's prefill starts
         prefill = trainer.prefill
 
-        def spy(plans, task, stages, step_hook=None):
+        def spy(plans, task, stages):
             if len(plans) > 1:  # a column's prefill, not a cell's own of its one plan
                 kinds = Counter(key[0] + (f"_k{key[2]}" if key[0] == "shots" else "")
                                 for key in stages)
                 held.append((f"{plans[0].strategy}_k{plans[0].k}", dict(kinds)))
-            prefill(plans, task, stages, step_hook)
+            prefill(plans, task, stages)
 
         monkeypatch.setattr(trainer, "prefill", spy)
         assert run_experiment(parse_config(small_config_doc(**self.DOC)), tmp_path / "o") == 0
@@ -1374,7 +1418,7 @@ class TestBenchmarkTracer:
         # zero_shot's chain is ord_fs's source chain: stored once
         assert metrics["models.save_checkpoint.calls"] == len(files) == 1 + 2 + 1
         assert metrics["models.save_checkpoint.bytes"] == sum(p.stat().st_size for p in files)
-        assert metrics["models.load_checkpoint.calls"] > 0
+        assert metrics["models.load_checkpoint.calls"] == 0  # `run` reads no chain back
         # The training loop's surgery decision calls the wrapped `surgery.dot`,
         # and a single run takes its batches from the wrapped `trainer.batch_iter`.
         calls = {name: row["calls"] for name, row in

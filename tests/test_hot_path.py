@@ -56,8 +56,8 @@ def on_both_paths(monkeypatch, run):
     new = run()
     trained = []
     with monkeypatch.context() as m:
-        m.setattr(trainer, "train_lockstep", lambda runs, step_hook=None: trained.extend(runs)
-                  or oracles.train_one_by_one(runs, step_hook))
+        m.setattr(trainer, "train_lockstep", lambda runs: trained.extend(runs)
+                  or oracles.train_one_by_one(runs))
         ref = run()
     assert trained  # the reference trained every run
     return new, ref
@@ -99,15 +99,19 @@ class TestTrainingPath:
                                 RngStreams(plan.seed))
 
             def run():
-                seen = []
-                run_mixed_training(plan, task.source, task.targets, shots, spec=task.spec,
-                                   step_hook=lambda step, state: seen.append(
-                                       (step, state.theta.tobytes())))
-                return seen
+                return run_mixed_training(plan, task.source, task.targets, shots, spec=task.spec)
 
-            seen, ref = on_both_paths(monkeypatch, run)
-            assert [step for step, _ in seen] == list(range(1, steps + 1))
-            assert seen == ref
+            with monkeypatch.context() as m:
+                seen = oracles.record_steps(m)
+                chain, _ = run()
+            ref = []
+            with monkeypatch.context() as m:
+                m.setattr(trainer, "train_lockstep", lambda runs: oracles.train_one_by_one(
+                    runs, lambda step, state: ref.append((step, state.theta.tobytes()))))
+                ref_chain, _ = run()
+            assert [step for step, _ in ref] == list(range(steps))
+            assert seen == [theta for _, theta in ref]
+            assert chain_bytes(chain) == chain_bytes(ref_chain)
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_strategy_records_and_chains_equal_reference(self, tasks, monkeypatch, strategy):

@@ -68,8 +68,7 @@ def check_column(task, plans, monkeypatch):
     stages, stacks = {}, []
     with monkeypatch.context() as m:
         lockstep = trainer.train_lockstep
-        m.setattr(trainer, "train_lockstep",
-                  lambda runs, step_hook=None: stacks.append(runs) or lockstep(runs, step_hook))
+        m.setattr(trainer, "train_lockstep", lambda runs: stacks.append(runs) or lockstep(runs))
         prefill(plans, task, stages)
     kinds = {kind for plan in plans for kind in stage_keys(plan, task)} - {"shots"}
     assert len(stacks) == len(kinds)  # no run trained alone, no stack trained again
@@ -134,8 +133,8 @@ def test_ord_fs_family_stacks_every_seed_and_language(corpora, monkeypatch):
     task = make_task(corpora, 6)
     sizes = []
     lockstep = trainer.train_lockstep
-    monkeypatch.setattr(trainer, "train_lockstep", lambda runs, step_hook=None:
-                        sizes.append(len(runs)) or lockstep(runs, step_hook))
+    monkeypatch.setattr(trainer, "train_lockstep",
+                        lambda runs: sizes.append(len(runs)) or lockstep(runs))
     stages = check_column(task, column("ord_fs", 2, (1, 2)), monkeypatch)
     assert sizes == [2, 2 * 3]  # the source of 2 seeds, then 2 seeds x 3 targets
     assert sum(key[0] == "adapt" for key in stages) == 2
@@ -252,22 +251,20 @@ class TestStackable:
                 chain.states[-1, 0] = 0.0
             assert chain.states[0].tobytes() == run.state0.theta.tobytes()
 
-    def test_one_run_of_either_layout_stacks(self, corpora):
+    def test_one_run_of_either_layout_stacks(self, corpora, monkeypatch):
         tagger = tagger_task(np.random.default_rng(0))
         for spec, corpus in ((ModelSpec("softmax_classifier", 2, 6, 3), corpora[0]),
                              (tagger.spec, tagger.source)):
             [run] = source_runs([corpus], (1,), spec=spec, batch_size=3)
             assert stackable([run])
-            seen, ref = [], []
-            [(chain, _)] = train_lockstep([run], lambda i, st: seen.append(st.theta.tobytes()))
+            ref = []
+            with monkeypatch.context() as m:
+                seen = oracles.record_steps(m)
+                [(chain, _)] = train_lockstep([run])
             want, _ = oracles.train_loop(source_runs([corpus], (1,), spec=spec, batch_size=3)[0],
                                          lambda i, st: ref.append(st.theta.tobytes()))
             assert chain_bytes(chain) == chain_bytes(want)
             assert seen == ref and len(seen) > 2 * 2
-
-    def test_a_step_hook_needs_one_run(self, corpora):
-        with pytest.raises(ContractViolation, match="a step hook needs a stack of one run"):
-            train_lockstep(source_runs(corpora, (1, 2)), lambda i, st: None)
 
     def test_ragged_batch_without_tokens_refused(self):
         # sequences without tokens: with one sequence per batch, some batch holds none
@@ -282,22 +279,26 @@ class TestStackable:
             train_lockstep(runs)
 
     def test_what_does_not_stack(self, corpora):
-        runs = source_runs(corpora, (1, 2))
+        """Each such set trains one run at a time, as the reference does."""
         shots = build_shot_bank(corpora[1:2], 2, "k_shot", 3, RngStreams(0))
         tagger = tagger_task(np.random.default_rng(0))
-        ragged = source_runs([tagger.source], (1, 2), spec=tagger.spec)
-        cases = {
-            "no run": [],
-            "ragged tagger pools": ragged,
-            "pools of two sizes": [runs[0], runs[1]._replace(
-                pool=build_mixed_dataset(corpora[0], corpora[1:2], shots))],
-            "two learning rates": [runs[0], runs[1]._replace(lr=0.1)],
-            "two epoch counts": [runs[0], runs[1]._replace(epochs=1)],
-        }
-        for name, case in cases.items():
+
+        def cases():  # fresh runs, so each path draws from its own streams
+            runs = source_runs(corpora, (1, 2))
+            return {
+                "no run": [],
+                "ragged tagger pools": source_runs([tagger.source], (1, 2), spec=tagger.spec),
+                "pools of two sizes": [runs[0], runs[1]._replace(
+                    pool=build_mixed_dataset(corpora[0], corpora[1:2], shots))],
+                "two learning rates": [runs[0], runs[1]._replace(lr=0.1)],
+                "two epoch counts": [runs[0], runs[1]._replace(epochs=1)],
+            }
+
+        for (name, case), ref in zip(cases().items(), cases().values()):
             assert not stackable(case), name
-            with pytest.raises(ContractViolation, match="lockstep training needs"):
-                train_lockstep(case)
+            got, want = train_lockstep(case), oracles.train_one_by_one(ref)
+            assert [chain_bytes(c) for c, _ in got] == [chain_bytes(c) for c, _ in want], name
+            assert [t for _, t in got] == [t for _, t in want] == [None] * len(case), name
 
     def test_checks_of_the_per_run_path_stay(self, corpora):
         runs = source_runs(corpora, (1, 2))

@@ -1,10 +1,11 @@
 """Properties of the numeric core on generated inputs: a stack of slices
 gets the bits each slice gets alone, `predict` over rows equals `predict`
 of each row, `surgery.decide` equals the per-row reference on every row of
-a stack, a similarity matrix is symmetric with a diagonal of 1.0 or None, a
-surgery trace is a header line and then one compact `json.dumps` array per
-entry that decodes to the entry, and a small grid writes the same tree at
-`--jobs 1` and `--jobs 2`. Every run draws the same examples
+a stack, `trainer.train_lockstep` gives any set of runs what the per-run
+reference loop gives each run alone, a similarity matrix is symmetric with
+a diagonal of 1.0 or None, a surgery trace is a header line and then one
+compact `json.dumps` array per entry that decodes to the entry, and a
+small grid writes the same tree at `--jobs 1` and `--jobs 2`. Every run draws the same examples
 (`derandomize=True`, no example database), so a failure reproduces."""
 
 import json
@@ -16,16 +17,17 @@ from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gradmix import analysis
 from gradmix.cli import parse_config, run_experiment
 from gradmix.corpora import Split
-from gradmix.models import ModelSpec, ModelState, loss_and_grad, predict, stack_grads
-from gradmix.numcore import ContractViolation, dot, frozen
+from gradmix.models import ModelSpec, ModelState, init_params, loss_and_grad, predict, stack_grads
+from gradmix.numcore import ContractViolation, RngStreams, dot, frozen
 from gradmix.surgery import TraceEntry, decide, trace_lines
-from gradmix.trainer import STRATEGIES
+from gradmix.trainer import STRATEGIES, Run, stackable, train_lockstep
 
 import oracles
 from test_cli import small_config_doc
@@ -108,6 +110,67 @@ def test_decide_is_the_per_row_reference_on_every_row(stack, alpha, step):
         assert asdict(entry) == {
             "step": step, "picked_lang": lang, "p_value": p, "conflicted": conflicted,
             "applied": applied, "cos_before": before, "cos_after": after}
+
+
+@st.composite
+def run_sets(draw, family, alpha):
+    """1-3 runs of one spec of `family` and one epoch count, with surgery
+    at `alpha` (None: without); alike (one pool size, lr and oracle batch
+    size, so a classifier's stack) or each drawing its own. A tagger's
+    pools and oracle batches are ragged: sequences of 1-3 tokens. Returns
+    a maker of the runs, each with fresh streams, so every training draws
+    the same, and whether they stack: True for one run or alike classifier
+    runs, False for two or more taggers, else None (runs that draw their
+    own may still draw alike)."""
+    spec = draw(specs(family=st.just(family)))
+    n, alike, epochs = draw(st.integers(1, 3)), draw(st.booleans()), draw(st.integers(1, 2))
+    batch = draw(st.integers(1, 4))
+    per_run = lambda values: [draw(values)] * n if alike else [draw(values) for _ in range(n)]
+    sizes, lrs = per_run(st.integers(1, 6)), per_run(st.sampled_from([0.1, 0.5]))
+    shots, langs = per_run(st.integers(1, 3)), draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    tagger = family == "mlp_token_tagger"
+
+    def split(m):  # m examples, or m sequences of 1-3 tokens
+        offsets = np.concatenate([[0], np.cumsum(rng.integers(1, 4, size=m))]) if tagger else None
+        rows = int(offsets[-1]) if tagger else m
+        return Split(rng.normal(size=(rows, spec.input_dim)),
+                     rng.integers(spec.num_classes, size=rows), offsets)
+
+    data = [(split(size), {f"t{j}": split(k) for j in range(langs)})
+            for size, k in zip(sizes, shots)]
+
+    def make():
+        runs = []
+        for seed, ((pool, oracle), lr) in enumerate(zip(data, lrs)):
+            streams = RngStreams(seed)
+            run = Run(init_params(spec, streams), pool, epochs, batch, lr, streams, "pool")
+            runs.append(run if alpha is None else run._replace(oracle=oracle, alpha=alpha))
+        return runs
+
+    return make, True if n == 1 or (alike and not tagger) else False if tagger else None
+
+
+def trained_bytes(trained):
+    """The chains' bytes and the traces' JSON of `train_lockstep` output."""
+    return ([chain.states.tobytes() for chain, _ in trained],
+            [None if trace is None else json.dumps([asdict(e) for e in trace])
+             for _, trace in trained])
+
+
+@pytest.mark.parametrize("alpha", [None, 0.0, 0.6, 1.0])
+@pytest.mark.parametrize("family", ["softmax_classifier", "mlp_token_tagger"])
+@settings(FIXED, max_examples=10)
+@given(data=st.data())
+def test_train_lockstep_gives_every_run_set_what_each_run_gets_alone(family, alpha, data):
+    make, stacks = data.draw(run_sets(family, alpha))
+    assert stacks is None or stackable(make()) == stacks
+    got = trained_bytes(train_lockstep(make()))
+    assert got == trained_bytes(oracles.train_one_by_one(make()))
+    if alpha == 0.0:  # surgery that never applies leaves each chain as without it
+        plain = train_lockstep([run._replace(oracle=None) for run in make()])
+        assert got[0] == trained_bytes(plain)[0]
 
 
 # Floats whose text is easy to get wrong: signed zeros, subnormals, a value
